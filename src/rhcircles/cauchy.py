@@ -29,6 +29,10 @@ from .errors import AlignmentError, TooCloseToContourError
 
 _I2PI = 1.0 / (2.0j * np.pi)
 
+# Off-contour points closer than this many node spacings to a circle are
+# rejected: the trapezoid rule for the Cauchy transform degrades there.
+MARGIN_FACTOR = 0.5
+
 
 def fourier_modes(node_count: int) -> np.ndarray:
     """Signed integer mode numbers in FFT storage order (Nyquist negative)."""
@@ -176,7 +180,11 @@ class CauchyProjectors:
 
     system: ContourSystem
     plus_matrix: np.ndarray
-    minus_matrix: np.ndarray
+
+    @property
+    def minus_matrix(self) -> np.ndarray:
+        n = self.plus_matrix.shape[0]
+        return self.plus_matrix - np.eye(n, dtype=np.complex128)
 
 
 def _self_block(circle: Circle, plus_inside: bool) -> np.ndarray:
@@ -206,8 +214,7 @@ def build_projectors(system: ContourSystem) -> CauchyProjectors:
                 )
             else:
                 plus[slices[i], slices[j]] = _cross_block(pts_i, cj)
-    minus = plus - np.eye(n, dtype=np.complex128)
-    return CauchyProjectors(system, plus, minus)
+    return CauchyProjectors(system, plus)
 
 
 def _apply(matrix: np.ndarray, f: GridFunction) -> GridFunction:
@@ -228,28 +235,24 @@ def apply_minus(proj: CauchyProjectors, f: GridFunction) -> GridFunction:
     return _apply(proj.minus_matrix, f)
 
 
-def check_margin(
-    system: ContourSystem, z: complex, margin_factor: float = 0.5
-) -> None:
+def check_margin(system: ContourSystem, z: complex) -> None:
     """Enforce the quadrature safety margin around every circle."""
     for c in system.circles:
-        if c.distance(z) < margin_factor * c.spacing():
+        if c.distance(z) < MARGIN_FACTOR * c.spacing():
             raise TooCloseToContourError(
-                f"point {z} is within {margin_factor} node spacings of the "
+                f"point {z} is within {MARGIN_FACTOR} node spacings of the "
                 f"circle centered at {c.center} (radius {c.radius})"
             )
 
 
-def cauchy_offcontour(
-    f: GridFunction, z: complex, margin_factor: float = 0.5
-) -> np.ndarray:
+def cauchy_offcontour(f: GridFunction, z: complex) -> np.ndarray:
     """Off-contour Cauchy transform (1/2*pi*1j) * integral f(w)/(w-z) dw.
 
     Spectrally accurate away from the contour; points closer than
-    margin_factor node spacings to any circle are rejected because the
+    MARGIN_FACTOR node spacings to any circle are rejected because the
     quadrature degrades there.
     """
-    check_margin(f.system, z, margin_factor)
+    check_margin(f.system, z)
     kern = _I2PI * f.system.all_weights() / (f.system.all_points() - z)
     return np.einsum("l,lab->ab", kern, f.values)
 

@@ -55,8 +55,6 @@ from .expressions import parse_expression
 from .factorize import hermitian_factorize, scalar_factorize
 from .idnls import (
     IdnlsSpec,
-    build_defocusing_jump,
-    build_focusing_jump,
     conjugate,
     remove_poles,
     residue_condition_residuals,
@@ -477,48 +475,29 @@ def _run_idnls(doc, tol, nodes):
     spec = _parse_idnls_spec(doc)
     conj = bool(block.get("conjugate", False))
     node_count = nodes or 64
-    report = _base_report("idnls", None)
-
-    if not spec.poles and not conj:
-        build = (
-            build_defocusing_jump
-            if spec.sign == "defocusing"
-            else build_focusing_jump
+    ap = remove_poles(spec, pole_nodes=node_count, unit_nodes=node_count)
+    if conj:
+        ap = conjugate(ap, node_count=node_count)
+    isol = solve_augmented(ap, sigma_min=tol["sigma_min"])
+    rep = index_diagnostics(
+        RHProblem.from_jump(ap.jump), tau_rank=tol["tau_rank"]
+    )
+    report = _base_report("idnls", ap.system)
+    if conj:
+        sym = check_inversion_hypotheses(
+            ap.jump, pair_tol=tol["pair_tol"], sym_tol=tol["sym_tol"]
         )
-        jump = build(spec, node_count)
-        problem = RHProblem.from_jump(jump)
-        sol = solve(problem, sigma_min=tol["sigma_min"])
-        rep = index_diagnostics(problem, tau_rank=tol["tau_rank"])
-        system = jump.system
-        sampler = sol.evaluate
-    else:
-        ap = remove_poles(spec, pole_nodes=node_count, unit_nodes=node_count)
-        if conj:
-            ap = conjugate(ap, node_count=node_count)
-        isol = solve_augmented(ap, sigma_min=tol["sigma_min"])
-        sol = isol.solution
-        rep = index_diagnostics(
-            RHProblem.from_jump(ap.jump), tau_rank=tol["tau_rank"]
+        report["min_re_eig"] = float(sym.min_re_eig_on_circle)
+        report["symmetric_off_circle"] = bool(sym.symmetric_off_circle)
+    if spec.poles:
+        report["residue_condition_residual"] = float(
+            residue_condition_residuals(isol.evaluate, ap)
         )
-        system = ap.system
-        sampler = isol.evaluate
-        if conj:
-            sym = check_inversion_hypotheses(
-                ap.jump, pair_tol=tol["pair_tol"], sym_tol=tol["sym_tol"]
-            )
-            report["min_re_eig"] = float(sym.min_re_eig_on_circle)
-            report["symmetric_off_circle"] = bool(sym.symmetric_off_circle)
-        if spec.poles:
-            report["residue_condition_residual"] = float(
-                residue_condition_residuals(isol.evaluate, ap)
-            )
-
-    report["per_circle_nodes"] = [c.node_count for c in system.circles]
-    report["residual_jump"] = float(sol.residual_jump)
-    report["smallest_singular_value"] = float(sol.smallest_singular_value)
+    report["residual_jump"] = float(isol.residual_jump)
+    report["smallest_singular_value"] = float(isol.smallest_singular_value)
     report["dim_ker"] = int(rep.dim_ker)
     report["dim_coker"] = int(rep.dim_coker)
-    return report, sampler, system, EXIT_OK
+    return report, isol.evaluate, ap.system, EXIT_OK
 
 
 _RUNNERS = {

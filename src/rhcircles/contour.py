@@ -203,13 +203,6 @@ def build_contour(circles: Iterable[Circle]) -> ContourSystem:
     return ContourSystem(circles, plus_inside, bool(valid[0]))
 
 
-def nodes(system: ContourSystem) -> list[tuple[complex, complex]]:
-    """All (node, quadrature weight) pairs of the system, circle by circle."""
-    pts = system.all_points()
-    wts = system.all_weights()
-    return [(complex(p), complex(w)) for p, w in zip(pts, wts)]
-
-
 def invert_circle(c: Circle) -> Circle:
     """Image of a circle under inversion z -> 1/conj(z) in the unit circle.
 

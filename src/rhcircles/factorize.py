@@ -60,7 +60,7 @@ def winding_number(
     if abs(total - nearest) > 0.1:
         raise WindingAmbiguityError(
             f"phase increments sum to {total:.4f} turns, not close to an "
-            "integer; refine the sampling"
+            "integer; sample the circle more finely"
         )
     return int(nearest)
 
@@ -228,8 +228,6 @@ class HermitianFactorization:
 
 def hermitian_factorize(
     v: JumpData,
-    proj=None,
-    solver=solve,
     *,
     const_tol: float = 1e-6,
     sym_tol: float = 1e-10,
@@ -265,7 +263,7 @@ def hermitian_factorize(
 
     system = v.system
     n = v.v.dim
-    sol = solver(RHProblem.from_jump(v, h=np.eye(n)), proj)
+    sol = solve(RHProblem.from_jump(v, h=np.eye(n)))
 
     n_minus = sol.m_minus.inv()
     partners = []

@@ -34,10 +34,11 @@ from .contour import (
 from .errors import (
     CirclePackingError,
     DegenerateSolitonSystemError,
+    OverlapError,
     RadiusConflictError,
     ReflectionTooLargeError,
 )
-from .rhp import JumpData, RHProblem, RHSolution, evaluate_m, solve
+from .rhp import SIGMA_MIN, JumpData, RHProblem, RHSolution, evaluate_m, solve
 
 FOCUSING = "focusing"
 DEFOCUSING = "defocusing"
@@ -130,25 +131,22 @@ def _unit_jump_evaluator(spec: IdnlsSpec) -> Callable:
     return v
 
 
-def build_defocusing_jump(spec: IdnlsSpec, node_count: int = 64) -> JumpData:
-    """Jump matrix with Re v = diag(1 - |r|^2, 1) on the clockwise circle."""
-    if spec.sign != DEFOCUSING:
-        raise ValueError("spec.sign must be defocusing")
-    worst = max(abs(spec.reflection(z)) for z in _unit_samples())
-    if worst >= 1.0:
-        raise ReflectionTooLargeError(
-            f"defocusing jump needs sup|r| < 1, sampled {worst:.4f}"
-        )
+def _build_unit_jump(spec: IdnlsSpec, sign: str, node_count: int) -> JumpData:
+    # sup|r| < 1 for defocusing data was already checked by IdnlsSpec
+    if spec.sign != sign:
+        raise ValueError(f"spec.sign must be {sign}")
     system = build_contour([unit_circle(CW, node_count)])
     return JumpData.from_evaluator(system, _unit_jump_evaluator(spec))
+
+
+def build_defocusing_jump(spec: IdnlsSpec, node_count: int = 64) -> JumpData:
+    """Jump matrix with Re v = diag(1 - |r|^2, 1) on the clockwise circle."""
+    return _build_unit_jump(spec, DEFOCUSING, node_count)
 
 
 def build_focusing_jump(spec: IdnlsSpec, node_count: int = 64) -> JumpData:
     """Hermitian positive jump with det = 1 on the clockwise circle."""
-    if spec.sign != FOCUSING:
-        raise ValueError("spec.sign must be focusing")
-    system = build_contour([unit_circle(CW, node_count)])
-    return JumpData.from_evaluator(system, _unit_jump_evaluator(spec))
+    return _build_unit_jump(spec, FOCUSING, node_count)
 
 
 def _norming_factors(spec: IdnlsSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -198,21 +196,6 @@ class AugmentedProblem:
 
     def is_conjugated(self) -> bool:
         return ("outer",) in self.roles
-
-
-def _check_packing(circles: Sequence[Circle]) -> None:
-    # Curves must be pairwise disjoint: either separated or strictly
-    # nested (inverted-pole circles sit inside the unit circle).
-    for i in range(len(circles)):
-        for k in range(i + 1, len(circles)):
-            a, b = circles[i], circles[k]
-            d = abs(a.center - b.center)
-            if not (d > a.radius + b.radius or d < abs(a.radius - b.radius)):
-                raise CirclePackingError(
-                    f"circles {i} and {k} (centers {a.center}, {b.center}, "
-                    f"radii {a.radius}, {b.radius}) intersect; shrink the "
-                    "pole radii"
-                )
 
 
 def remove_poles(
@@ -275,8 +258,10 @@ def remove_poles(
         roles.append(("inverted-pole", j))
         fns.append(upper_jump(j))
 
-    _check_packing(circles)
-    system = build_contour(circles)
+    try:
+        system = build_contour(circles)
+    except OverlapError as exc:
+        raise CirclePackingError(f"{exc}; shrink the pole radii") from exc
     jump = JumpData.from_evaluators(system, fns)
 
     lowers = [lower_jump(j) for j in range(j_count)]
@@ -538,18 +523,16 @@ class IdnlsSolution:
     def smallest_singular_value(self) -> float:
         return self.solution.smallest_singular_value
 
-    def evaluate(self, z: complex, margin_factor: float = 0.5) -> np.ndarray:
+    def evaluate(self, z: complex) -> np.ndarray:
         """Original unknown M(z), poles restored, at an off-contour point."""
-        return self.augmented.undo(
-            z, evaluate_m(self.solution, z, margin_factor)
-        )
+        return self.augmented.undo(z, evaluate_m(self.solution, z))
 
 
 def solve_augmented(
-    ap: AugmentedProblem, proj=None, **solve_options
+    ap: AugmentedProblem, *, sigma_min: float = SIGMA_MIN
 ) -> IdnlsSolution:
     problem = RHProblem.from_jump(ap.jump, h=np.eye(2))
-    return IdnlsSolution(ap, solve(problem, proj, **solve_options))
+    return IdnlsSolution(ap, solve(problem, sigma_min=sigma_min))
 
 
 def residue_condition_residuals(

@@ -33,7 +33,7 @@ from .cauchy import (
     GridFunction,
     boundary_values_on_circle,
     build_projectors,
-    check_margin,
+    cauchy_offcontour,
 )
 from .contour import ContourSystem, invert_circle
 from .errors import (
@@ -47,8 +47,6 @@ from .errors import (
 DELTA_INV = 1e-10
 SIGMA_MIN = 1e-8
 TAU_RANK = 1e-7
-
-_I2PI = 1.0 / (2.0j * np.pi)
 
 
 def _as_matrix_fn(fn: Callable) -> Callable:
@@ -68,7 +66,7 @@ class JumpData:
     """
 
     v: GridFunction
-    evaluators: tuple | None = None
+    evaluators: tuple
     delta_inv: float = DELTA_INV
 
     def __post_init__(self):
@@ -77,9 +75,7 @@ class JumpData:
             raise SingularJumpError(
                 f"|det v| < {self.delta_inv} at {int(bad.sum())} node(s)"
             )
-        if self.evaluators is not None and len(self.evaluators) != len(
-            self.system.circles
-        ):
+        if len(self.evaluators) != len(self.system.circles):
             raise ValueError("need one evaluator per circle")
 
     @property
@@ -114,8 +110,6 @@ class JumpData:
         return cls(GridFunction(system, values), fns, delta_inv)
 
     def evaluator_for(self, circle_index: int) -> Callable:
-        if self.evaluators is None:
-            raise ValueError("jump data has no closed-form evaluators")
         return self.evaluators[circle_index]
 
     def at(self, circle_index: int, points) -> np.ndarray:
@@ -130,7 +124,7 @@ class FactorizationData:
 
     w_plus: GridFunction
     w_minus: GridFunction
-    jump: JumpData | None = None
+    jump: JumpData
 
     def __post_init__(self):
         if self.w_plus.system != self.w_minus.system:
@@ -207,18 +201,6 @@ def _row_operator(p: RHProblem, proj: CauchyProjectors) -> np.ndarray:
     return t
 
 
-def assemble_operator(p: RHProblem, proj: CauchyProjectors) -> np.ndarray:
-    """Full dense operator of size (N*n^2) x (N*n^2).
-
-    Right multiplication by the jump never mixes rows of mu, so the full
-    operator is a direct sum of n identical row blocks; unknowns are
-    ordered (row, node, column).
-    """
-    if proj.system != p.system:
-        raise AlignmentError("projectors built on a different system")
-    return np.kron(np.eye(p.data.dim), _row_operator(p, proj))
-
-
 @dataclass(eq=False)
 class RHSolution:
     """Solved singular integral equation plus derived boundary values.
@@ -257,29 +239,16 @@ class RHSolution:
         )
         return vals + self.h
 
-    def evaluate(self, z: complex, margin_factor: float = 0.5) -> np.ndarray:
-        return evaluate_m(self, z, margin_factor)
+    def evaluate(self, z: complex) -> np.ndarray:
+        return evaluate_m(self, z)
 
 
-def evaluate_m(
-    sol: RHSolution, z: complex, margin_factor: float = 0.5
-) -> np.ndarray:
+def evaluate_m(sol: RHSolution, z: complex) -> np.ndarray:
     """m(z) = h + Cauchy transform of mu (w_plus + w_minus) off the contour."""
-    check_margin(sol.system, z, margin_factor)
-    kern = _I2PI * sol.system.all_weights() / (sol.system.all_points() - z)
-    return sol.h + np.einsum("l,lab->ab", kern, sol.cauchy_density.values)
+    return sol.h + cauchy_offcontour(sol.cauchy_density, z)
 
 
 def _midpoint_residual(p: RHProblem, sol: RHSolution) -> float:
-    if p.data.jump is None or p.data.jump.evaluators is None:
-        # no closed form available: fall back to the node identity, which
-        # only reflects backward error of the linear solve
-        diff = sol.m_plus - sol.m_minus * p.data.jump.v if p.data.jump else None
-        if diff is None:
-            bm_inv = p.data.b_minus().inv()
-            v = bm_inv * p.data.b_plus()
-            diff = sol.m_plus - sol.m_minus * v
-        return diff.max_abs()
     worst = 0.0
     for i, c in enumerate(p.system.circles):
         mids = c.angles() + c.sign * np.pi / c.node_count
@@ -312,13 +281,15 @@ def _solve_despite_alias_kernel(
     still consistent and is solved by truncated SVD, then verified by its
     residual.
     """
-    basis = _bandlimited_basis(p.system)
-    e = np.kron(basis, np.eye(p.data.dim))
-    probe_ker = float(scipy.linalg.svdvals(t @ e)[-1])
-    probe_coker = float(scipy.linalg.svdvals(t.conj().T @ e)[-1])
-    if min(probe_ker, probe_coker) < sigma_min:
+    sv_ker, sv_coker = _bandlimited_svdvals(p, t)
+    if min(sv_ker[-1], sv_coker[-1]) < sigma_min:
         raise NearSingularOperatorError(smallest)
-    u, s, vh = scipy.linalg.svd(t)
+    try:
+        u, s, vh = scipy.linalg.svd(t)
+    except np.linalg.LinAlgError:
+        # gesdd's divide and conquer fails to converge on rare conjugated
+        # operators; the slower QR-iteration driver handles them
+        u, s, vh = scipy.linalg.svd(t, lapack_driver="gesvd")
     inverted = np.where(s >= sigma_min, 1.0 / np.where(s == 0.0, 1.0, s), 0.0)
     x = vh.conj().T @ (inverted[:, None] * (u.conj().T @ rhs))
     residual = float(np.max(np.abs(t @ x - rhs)))
@@ -334,14 +305,8 @@ def _solve_despite_alias_kernel(
     return x
 
 
-def solve(
-    p: RHProblem,
-    proj: CauchyProjectors | None = None,
-    *,
-    sigma_min: float = SIGMA_MIN,
-    refine: bool = True,
-) -> RHSolution:
-    """Solve the discrete equation by dense LU with one refinement step.
+def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
+    """Solve the discrete equation by dense LU and one corrective step.
 
     The smallest singular value of the operator is always computed.  Below
     sigma_min the problem is near singular: if a band-limited rank probe
@@ -350,13 +315,9 @@ def solve(
     solution; an alias-artifact defect with a consistent system is solved
     by truncated SVD instead.
     """
-    if proj is None:
-        proj = build_projectors(p.system)
-    if proj.system != p.system:
-        raise AlignmentError("projectors built on a different system")
     n = p.data.dim
     big_n = p.system.total_nodes
-    t = _row_operator(p, proj)
+    t = _row_operator(p, build_projectors(p.system))
 
     svals = scipy.linalg.svdvals(t)
     smallest = float(svals[-1])
@@ -366,8 +327,7 @@ def solve(
     if smallest >= sigma_min:
         lu, piv = scipy.linalg.lu_factor(t)
         x = scipy.linalg.lu_solve((lu, piv), rhs)
-        if refine:
-            x += scipy.linalg.lu_solve((lu, piv), rhs - t @ x)
+        x += scipy.linalg.lu_solve((lu, piv), rhs - t @ x)
     else:
         x = _solve_despite_alias_kernel(p, t, rhs, sigma_min, smallest)
 
@@ -407,7 +367,6 @@ class InversionReport:
 
 def check_inversion_hypotheses(
     v: JumpData,
-    system: ContourSystem | None = None,
     *,
     pair_tol: float = 1e-8,
     sym_tol: float = 1e-10,
@@ -421,10 +380,7 @@ def check_inversion_hypotheses(
     the unit circle the report carries the smallest eigenvalue of the
     Hermitian part, whose strict positivity is the solvability hypothesis.
     """
-    if system is None:
-        system = v.system
-    if system != v.system:
-        raise AlignmentError("jump data lives on a different system")
+    system = v.system
     iu = system.unit_circle_index(pair_tol)
     if iu is None:
         raise NotInversionInvariantContourError(
@@ -500,6 +456,14 @@ def _bandlimited_basis(system: ContourSystem) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _bandlimited_svdvals(
+    p: RHProblem, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of t and of its adjoint on the band-limited subspace."""
+    e = np.kron(_bandlimited_basis(p.system), np.eye(p.data.dim))
+    return scipy.linalg.svdvals(t @ e), scipy.linalg.svdvals(t.conj().T @ e)
+
+
 def _count_small(svals: np.ndarray, tau: float) -> tuple[int, tuple[float, float]]:
     below = svals[svals < tau]
     above = svals[svals >= tau]
@@ -514,25 +478,15 @@ def _count_small(svals: np.ndarray, tau: float) -> tuple[int, tuple[float, float
     return int(below.size), (lo, hi)
 
 
-def index_diagnostics(
-    p: RHProblem,
-    proj: CauchyProjectors | None = None,
-    *,
-    tau_rank: float = TAU_RANK,
-) -> IndexReport:
+def index_diagnostics(p: RHProblem, *, tau_rank: float = TAU_RANK) -> IndexReport:
     """Count near-null directions of the operator and of its adjoint.
 
     For a jump with partial indices k_1 >= ... >= k_n the expected counts
     are dim_ker = n * sum(max(k_j, 0)) and dim_coker = n * sum(max(-k_j, 0)).
     """
-    if proj is None:
-        proj = build_projectors(p.system)
     n = p.data.dim
-    t = _row_operator(p, proj)
-    basis = _bandlimited_basis(p.system)
-    e = np.kron(basis, np.eye(n))
-    sv_ker = scipy.linalg.svdvals(t @ e)
-    sv_coker = scipy.linalg.svdvals(t.conj().T @ e)
+    t = _row_operator(p, build_projectors(p.system))
+    sv_ker, sv_coker = _bandlimited_svdvals(p, t)
     k_count, k_gap = _count_small(sv_ker, tau_rank)
     c_count, c_gap = _count_small(sv_coker, tau_rank)
     return IndexReport(

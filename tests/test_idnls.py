@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -236,3 +241,38 @@ def test_evaluate_guards_contour_margin():
     sol = rc.solve_augmented(ap)
     with pytest.raises(rc.TooCloseToContourError):
         sol.evaluate(2.0 + 0.5000001j)
+
+
+# A conjugated lattice site whose operator makes single-threaded OpenBLAS
+# gesdd report "SVD did not converge" in the alias-kernel solve.
+_GESDD_SITE = """
+import numpy as np
+import rhcircles as rc
+
+z = 1.176005351108657 - 1.4832681049084173j
+c = 0.13651814519857414 + 0.5025568517243056j
+spec = rc.IdnlsSpec(r=None, n=-1, poles=((z, c),))
+conj = rc.conjugate(rc.remove_poles(spec))
+sol = rc.solve_augmented(conj)
+oracle = rc.soliton_oracle(spec)
+probes = rc.off_contour_points(conj.system, 12, rel_margin=0.45)
+print(max(float(np.max(np.abs(sol.evaluate(w) - oracle(w)))) for w in probes))
+"""
+
+
+def test_alias_solve_survives_gesdd_nonconvergence():
+    # BLAS threads are fixed at interpreter start, hence the subprocess
+    src = str(Path(rc.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _GESDD_SITE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert float(proc.stdout.strip().splitlines()[-1]) <= 1e-7
