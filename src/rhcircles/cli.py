@@ -66,6 +66,7 @@ from .rhp import (
     TAU_RANK,
     JumpData,
     RHProblem,
+    RHSolution,
     check_inversion_hypotheses,
     index_diagnostics,
     solve,
@@ -348,6 +349,12 @@ def _base_report(mode: str, system: ContourSystem | None) -> dict:
     }
 
 
+def _report_solver(report: dict, sol: RHSolution) -> None:
+    report["smallest_singular_value"] = float(sol.smallest_singular_value)
+    report["solver_path"] = sol.solver_path
+    report["deflated_singular_value"] = sol.deflated_singular_value
+
+
 def _run_solve(doc, tol, nodes):
     system = _build_system(doc, nodes)
     jump = _build_jump(doc, system, tol["delta_inv"])
@@ -355,7 +362,7 @@ def _run_solve(doc, tol, nodes):
     sol = solve(problem, sigma_min=tol["sigma_min"])
     report = _base_report("solve", system)
     report["residual_jump"] = float(sol.residual_jump)
-    report["smallest_singular_value"] = float(sol.smallest_singular_value)
+    _report_solver(report, sol)
     return report, sol.evaluate, system, EXIT_OK
 
 
@@ -415,16 +422,15 @@ def _run_factorize_hermitian(doc, tol, nodes):
     system = _build_system(doc, nodes)
     jump = _build_jump(doc, system, tol["delta_inv"])
     fact = hermitian_factorize(
-        jump, const_tol=tol["const_tol"], sym_tol=tol["sym_tol"]
+        jump,
+        const_tol=tol["const_tol"],
+        sym_tol=tol["sym_tol"],
+        pair_tol=tol["pair_tol"],
     )
-    rep = check_inversion_hypotheses(
-        jump, pair_tol=tol["pair_tol"], sym_tol=tol["sym_tol"]
-    )
+    rep = fact.hypotheses
     report = _base_report("factorize-hermitian", system)
     report["residual_jump"] = float(fact.product_residual)
-    report["smallest_singular_value"] = float(
-        fact.solution.smallest_singular_value
-    )
+    _report_solver(report, fact.solution)
     report["min_re_eig"] = float(rep.min_re_eig_on_circle)
     report["symmetric_off_circle"] = bool(rep.symmetric_off_circle)
     report["constancy_stddev"] = float(fact.constancy_stddev)
@@ -479,9 +485,9 @@ def _run_idnls(doc, tol, nodes):
     if conj:
         ap = conjugate(ap, node_count=node_count)
     isol = solve_augmented(ap, sigma_min=tol["sigma_min"])
-    rep = index_diagnostics(
-        RHProblem.from_jump(ap.jump), tau_rank=tol["tau_rank"]
-    )
+    # h does not enter the operator, so the solved problem's operator and
+    # probe singular values serve the index count as they are
+    rep = index_diagnostics(isol.solution.problem, tau_rank=tol["tau_rank"])
     report = _base_report("idnls", ap.system)
     if conj:
         sym = check_inversion_hypotheses(
@@ -494,7 +500,7 @@ def _run_idnls(doc, tol, nodes):
             residue_condition_residuals(isol.evaluate, ap)
         )
     report["residual_jump"] = float(isol.residual_jump)
-    report["smallest_singular_value"] = float(isol.smallest_singular_value)
+    _report_solver(report, isol.solution)
     report["dim_ker"] = int(rep.dim_ker)
     report["dim_coker"] = int(rep.dim_coker)
     return report, isol.evaluate, ap.system, EXIT_OK

@@ -32,8 +32,10 @@ from .errors import (
 )
 from .rhp import (
     DELTA_INV,
+    InversionReport,
     JumpData,
     RHProblem,
+    RHSolution,
     check_inversion_hypotheses,
     solve,
 )
@@ -214,7 +216,8 @@ class HermitianFactorization:
 
     constant_C is the Liouville constant relating the two solved boundary
     factors; sqrt_R is its Hermitian positive square root, and
-    w_plus = sqrt_R * m_plus nodewise.
+    w_plus = sqrt_R * m_plus nodewise.  hypotheses is the inversion check
+    the factorization passed before solving.
     """
 
     w_plus: GridFunction
@@ -223,7 +226,8 @@ class HermitianFactorization:
     constancy_deviation: float
     constancy_stddev: float
     product_residual: float
-    solution: object = field(repr=False, default=None)
+    hypotheses: InversionReport
+    solution: RHSolution = field(repr=False)
 
 
 def hermitian_factorize(
@@ -231,6 +235,7 @@ def hermitian_factorize(
     *,
     const_tol: float = 1e-6,
     sym_tol: float = 1e-10,
+    pair_tol: float = 1e-8,
 ) -> HermitianFactorization:
     """Factor an inversion-symmetric positive jump as (w_plus)# w_plus.
 
@@ -242,7 +247,7 @@ def hermitian_factorize(
     matched node pairs; its Hermitian square root rescales m_plus into the
     final factor.
     """
-    report = check_inversion_hypotheses(v, sym_tol=sym_tol)
+    report = check_inversion_hypotheses(v, pair_tol=pair_tol, sym_tol=sym_tol)
     if not report.symmetric_off_circle:
         raise HypothesisViolationError(
             "jump is not inversion-symmetric off the unit circle "
@@ -324,5 +329,6 @@ def hermitian_factorize(
         constancy_deviation=deviation,
         constancy_stddev=stddev,
         product_residual=worst,
+        hypotheses=report,
         solution=sol,
     )

@@ -23,13 +23,14 @@ error actually shows up, with v re-evaluated from its closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .cauchy import (
-    CauchyProjectors,
     GridFunction,
     boundary_values_on_circle,
     build_projectors,
@@ -188,17 +189,38 @@ class RHProblem:
     ) -> "RHProblem":
         return cls(v.system, trivial_splitting(v, side), h)
 
+    @cached_property
+    def operator(self) -> np.ndarray:
+        """(N*n) x (N*n) matrix of the equation acting on one row of mu.
 
-def _row_operator(p: RHProblem, proj: CauchyProjectors) -> np.ndarray:
-    """(N*n) x (N*n) matrix of the equation acting on one row of mu."""
-    n = p.data.dim
-    big_n = p.system.total_nodes
-    wm = p.data.w_minus.values
-    wp = p.data.w_plus.values
-    k = np.einsum("LM,Mcb->LbMc", proj.plus_matrix, wm)
-    k += np.einsum("LM,Mcb->LbMc", proj.minus_matrix, wp)
-    t = np.eye(big_n * n, dtype=np.complex128) - k.reshape(big_n * n, big_n * n)
-    return t
+        Assembled once per problem and shared by solve and
+        index_diagnostics; h does not enter it.
+        """
+        n = self.data.dim
+        big_n = self.system.total_nodes
+        proj = build_projectors(self.system)
+        wm = self.data.w_minus.values
+        wp = self.data.w_plus.values
+        k = np.einsum("LM,Mcb->LbMc", proj.plus_matrix, wm)
+        k += np.einsum("LM,Mcb->LbMc", proj.minus_matrix, wp)
+        # I - k in place: the same bits as np.eye(...) - k without two
+        # more operator-sized arrays at the assembly peak
+        t = np.subtract(0.0, k, out=k).reshape(big_n * n, big_n * n)
+        t[np.diag_indices_from(t)] += 1.0
+        return t
+
+    @cached_property
+    def _bandlimited_svdvals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Singular values of the operator and of its adjoint on the
+        band-limited subspace (see _bandlimited_basis)."""
+        e = np.kron(_bandlimited_basis(self.system), np.eye(self.data.dim))
+        t = self.operator
+        # t^H e as conj(t^T conj(e)): the same values, without a
+        # conjugated copy of the whole operator
+        return (
+            scipy.linalg.svdvals(t @ e),
+            scipy.linalg.svdvals(np.conj(t.T @ np.conj(e))),
+        )
 
 
 @dataclass(eq=False)
@@ -208,6 +230,9 @@ class RHSolution:
     residual_jump is the maximum of |m_plus - m_minus v| over inter-node
     midpoints (closed-form v), the honest discretization error indicator;
     at the nodes the identity holds to rounding by construction.
+    solver_path is "lu" for a plain LU solve and "alias-deflation" when
+    an alias null vector was deflated; deflated_singular_value is then
+    the smallest band-limited singular value (None on the LU path).
     """
 
     problem: RHProblem
@@ -216,6 +241,8 @@ class RHSolution:
     m_minus: GridFunction
     residual_jump: float
     smallest_singular_value: float
+    solver_path: str
+    deflated_singular_value: float | None
     cauchy_density: GridFunction = field(repr=False)
 
     @property
@@ -261,37 +288,92 @@ def _midpoint_residual(p: RHProblem, sol: RHSolution) -> float:
     return worst
 
 
-def _solve_despite_alias_kernel(
-    p: RHProblem,
-    t: np.ndarray,
-    rhs: np.ndarray,
-    sigma_min: float,
-    smallest: float,
-) -> np.ndarray:
-    """Handle exactly singular operators whose defect is a Nyquist artifact.
+def _start_vector(order: int) -> np.ndarray:
+    # Seeded, so reports are deterministic.  Random, because a constant
+    # vector has no Nyquist content and misses the alias null vector.
+    rng = np.random.default_rng(0)
+    return rng.standard_normal(order) + 1j * rng.standard_normal(order)
 
-    A jump entry with nonzero winding around a single circle gives the
-    nodal discretization an exact null vector concentrated at the Nyquist
-    mode even when the underlying problem is uniquely solvable (the alias
-    of the top mode is annihilated by the one-sided projection, and its
-    coupling to the other circles radiates below machine precision).
-    Genuine kernel or cokernel elements of analytic problems concentrate
-    in low Fourier modes instead, so a rank probe on the band-limited
-    subspace tells the two cases apart.  For a pure artifact the system is
-    still consistent and is solved by truncated SVD, then verified by its
-    residual.
+
+def _smallest_singular_value(lu) -> float:
+    """sigma_min of a factored operator T by Lanczos on (T^H T)^(-1).
+
+    ARPACK finds the largest eigenvalue 1/sigma_min**2 of the inverse
+    Gram operator, applied through two triangular solves per step.  Unlike
+    inverse iteration this converges to rounding even where the smallest
+    singular values cluster.  An exact zero pivot or a Lanczos run that
+    does not converge counts as sigma_min = 0, which sends the solve to
+    the alias check instead of trusting the LU.
     """
-    sv_ker, sv_coker = _bandlimited_svdvals(p, t)
-    if min(sv_ker[-1], sv_coker[-1]) < sigma_min:
-        raise NearSingularOperatorError(smallest)
+    order = lu[0].shape[0]
+    if not np.all(np.diag(lu[0])):
+        return 0.0
+
+    def apply(y):
+        return scipy.linalg.lu_solve(lu, scipy.linalg.lu_solve(lu, y, trans=2))
+
+    gram_inverse = scipy.sparse.linalg.LinearOperator(
+        (order, order), matvec=apply, dtype=np.complex128
+    )
     try:
-        u, s, vh = scipy.linalg.svd(t)
-    except np.linalg.LinAlgError:
-        # gesdd's divide and conquer fails to converge on rare conjugated
-        # operators; the slower QR-iteration driver handles them
-        u, s, vh = scipy.linalg.svd(t, lapack_driver="gesvd")
-    inverted = np.where(s >= sigma_min, 1.0 / np.where(s == 0.0, 1.0, s), 0.0)
-    x = vh.conj().T @ (inverted[:, None] * (u.conj().T @ rhs))
+        (lam,) = scipy.sparse.linalg.eigsh(
+            gram_inverse,
+            k=1,
+            which="LM",
+            v0=_start_vector(order),
+            return_eigenvectors=False,
+        )
+    except scipy.sparse.linalg.ArpackNoConvergence:
+        return 0.0
+    return float(1.0 / np.sqrt(lam)) if np.isfinite(lam) and lam > 0.0 else 0.0
+
+
+def _null_vectors(lu) -> tuple[np.ndarray, np.ndarray]:
+    """Right and left null vectors of a singular factored operator.
+
+    One step of inverse iteration from the random start, with T and with
+    T^H.  The step is not repeated: on an exactly singular operator
+    further steps drift away from the kernel instead of converging.
+    """
+    start = _start_vector(lu[0].shape[0])
+    r = scipy.linalg.lu_solve(lu, start)
+    l = scipy.linalg.lu_solve(lu, start, trans=2)
+    return r / np.linalg.norm(r), l / np.linalg.norm(l)
+
+
+def _deflated_solve(
+    t: np.ndarray, lu, rhs: np.ndarray, sigma_min: float, smallest: float
+) -> np.ndarray:
+    """Solve a consistent system whose operator has a one-dimensional kernel.
+
+    With the null vectors r and l, Keller's bordered matrix
+    [[T, l], [r^H, 0]] is nonsingular, and its solution x is the one
+    orthogonal to r, which is what a truncated SVD returns.  A kernel of
+    dimension two or more leaves the bordered matrix singular and is
+    reported, never deflated by one vector.  The result is accepted only
+    if T x reproduces rhs.
+    """
+    order = t.shape[0]
+    with np.errstate(all="ignore"):
+        r, l = _null_vectors(lu)
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(l))):
+        raise NearSingularOperatorError(
+            smallest, message="LU of the singular operator broke down"
+        )
+    bordered = np.zeros((order + 1, order + 1), dtype=np.complex128)
+    bordered[:order, :order] = t
+    bordered[:order, order] = l
+    bordered[order, :order] = np.conj(r)
+    lu_bordered = scipy.linalg.lu_factor(bordered)
+    if _smallest_singular_value(lu_bordered) < sigma_min:
+        raise NearSingularOperatorError(
+            smallest,
+            message="operator kernel has more than one alias direction",
+        )
+    rhs_bordered = np.vstack([rhs, np.zeros((1, rhs.shape[1]))])
+    y = scipy.linalg.lu_solve(lu_bordered, rhs_bordered)
+    y += scipy.linalg.lu_solve(lu_bordered, rhs_bordered - bordered @ y)
+    x = y[:order]
     residual = float(np.max(np.abs(t @ x - rhs)))
     scale = max(float(np.max(np.abs(rhs))), 1.0)
     if residual > 1e-8 * scale:
@@ -308,28 +390,43 @@ def _solve_despite_alias_kernel(
 def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     """Solve the discrete equation by dense LU and one corrective step.
 
-    The smallest singular value of the operator is always computed.  Below
-    sigma_min the problem is near singular: if a band-limited rank probe
-    shows a genuine kernel or cokernel (nonzero partial indices land
-    here), that is reported as an error rather than returning a polluted
-    solution; an alias-artifact defect with a consistent system is solved
-    by truncated SVD instead.
+    The operator is factored once.  Its smallest singular value comes
+    from Lanczos on that LU and is always reported.  Below sigma_min the
+    problem is near singular.  If the band-limited rank probe then shows a
+    genuine kernel or cokernel (nonzero partial indices land here), that
+    is reported as an error rather than returning a polluted solution.  A
+    one-dimensional alias defect with a consistent system is deflated
+    instead: the solve borders the operator with its null vectors
+    (solver_path "alias-deflation") and reports the band-limited
+    sigma_min as deflated_singular_value.
     """
     n = p.data.dim
     big_n = p.system.total_nodes
-    t = _row_operator(p, build_projectors(p.system))
-
-    svals = scipy.linalg.svdvals(t)
-    smallest = float(svals[-1])
+    t = p.operator
+    lu = scipy.linalg.lu_factor(t)
+    smallest = _smallest_singular_value(lu)
 
     # one right-hand side per row of h, constant along the contour
     rhs = np.repeat(p.h[:, None, :], big_n, axis=1).reshape(n, big_n * n).T
     if smallest >= sigma_min:
-        lu, piv = scipy.linalg.lu_factor(t)
-        x = scipy.linalg.lu_solve((lu, piv), rhs)
-        x += scipy.linalg.lu_solve((lu, piv), rhs - t @ x)
+        x = scipy.linalg.lu_solve(lu, rhs)
+        x += scipy.linalg.lu_solve(lu, rhs - t @ x)
+        path, deflated = "lu", None
     else:
-        x = _solve_despite_alias_kernel(p, t, rhs, sigma_min, smallest)
+        # A jump entry with nonzero winding around a single circle gives
+        # the nodal discretization an exact null vector concentrated at
+        # the Nyquist mode even when the problem is uniquely solvable (the
+        # alias of the top mode is annihilated by the one-sided projection,
+        # and its coupling to the other circles radiates below machine
+        # precision).  Genuine kernel or cokernel elements of analytic
+        # problems concentrate in low Fourier modes instead, so the rank
+        # probe on the band-limited subspace tells the two cases apart.
+        sv_ker, sv_coker = p._bandlimited_svdvals
+        deflated = float(min(sv_ker[-1], sv_coker[-1]))
+        if deflated < sigma_min:
+            raise NearSingularOperatorError(smallest)
+        x = _deflated_solve(t, lu, rhs, sigma_min, smallest)
+        path = "alias-deflation"
 
     mu_vals = x.T.reshape(n, big_n, n).transpose(1, 0, 2)
     mu = GridFunction(p.system, mu_vals)
@@ -343,6 +440,8 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
         m_minus=m_minus,
         residual_jump=0.0,
         smallest_singular_value=smallest,
+        solver_path=path,
+        deflated_singular_value=deflated,
         cauchy_density=density,
     )
     sol.residual_jump = _midpoint_residual(p, sol)
@@ -456,14 +555,6 @@ def _bandlimited_basis(system: ContourSystem) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _bandlimited_svdvals(
-    p: RHProblem, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of t and of its adjoint on the band-limited subspace."""
-    e = np.kron(_bandlimited_basis(p.system), np.eye(p.data.dim))
-    return scipy.linalg.svdvals(t @ e), scipy.linalg.svdvals(t.conj().T @ e)
-
-
 def _count_small(svals: np.ndarray, tau: float) -> tuple[int, tuple[float, float]]:
     below = svals[svals < tau]
     above = svals[svals >= tau]
@@ -483,10 +574,11 @@ def index_diagnostics(p: RHProblem, *, tau_rank: float = TAU_RANK) -> IndexRepor
 
     For a jump with partial indices k_1 >= ... >= k_n the expected counts
     are dim_ker = n * sum(max(k_j, 0)) and dim_coker = n * sum(max(-k_j, 0)).
+    Given a problem that was just solved, the operator and the probe
+    singular values of that solve are reused.
     """
     n = p.data.dim
-    t = _row_operator(p, build_projectors(p.system))
-    sv_ker, sv_coker = _bandlimited_svdvals(p, t)
+    sv_ker, sv_coker = p._bandlimited_svdvals
     k_count, k_gap = _count_small(sv_ker, tau_rank)
     c_count, c_gap = _count_small(sv_coker, tau_rank)
     return IndexReport(

@@ -328,3 +328,59 @@ def test_per_circle_jump_matrices(tmp_path):
     )
     code, _ = run("solve", mismatched, tmp_path)
     assert code == 1
+
+
+def test_reports_name_the_solver_path(tmp_path):
+    _, soliton = run("idnls", PROBLEMS / "idnls_soliton.json", tmp_path)
+    assert soliton["solver_path"] == "alias-deflation"
+    assert soliton["smallest_singular_value"] < 1e-8
+    assert soliton["deflated_singular_value"] > 1e-8
+    for name, mode in (
+        ("rational_solve.json", "solve"),
+        ("hermitian_scalar.json", "factorize-hermitian"),
+        ("idnls_defocusing.json", "idnls"),
+    ):
+        _, report = run(mode, PROBLEMS / name, tmp_path)
+        assert report["solver_path"] == "lu", name
+        assert report["deflated_singular_value"] is None, name
+
+
+def _count_calls(monkeypatch, owners, name):
+    calls = []
+    original = getattr(owners[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_idnls_factors_and_probes_its_operator_once(tmp_path, monkeypatch):
+    import scipy.linalg
+
+    svdvals = _count_calls(monkeypatch, [scipy.linalg], "svdvals")
+    svd = _count_calls(monkeypatch, [scipy.linalg], "svd")
+    lu = _count_calls(monkeypatch, [scipy.linalg], "lu_factor")
+    code, _ = run("idnls", PROBLEMS / "idnls_soliton.json", tmp_path)
+    assert code == 0
+    # the band-limited probe pair, shared by the alias check and the index
+    assert len(svdvals) == 2
+    assert len(svd) == 0
+    # the operator and the bordered operator of the alias deflation
+    assert len(lu) == 2
+
+
+def test_hermitian_factorization_checks_hypotheses_once(tmp_path, monkeypatch):
+    from rhcircles import factorize
+
+    calls = _count_calls(
+        monkeypatch, [factorize, cli], "check_inversion_hypotheses"
+    )
+    code, _ = run(
+        "factorize-hermitian", PROBLEMS / "hermitian_scalar.json", tmp_path
+    )
+    assert code == 0
+    assert len(calls) == 1

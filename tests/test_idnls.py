@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 import rhcircles as rc
+from rhcircles import rhp
 
 
 def soliton_spec(*poles):
@@ -276,3 +278,50 @@ def test_alias_solve_survives_gesdd_nonconvergence():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert float(proc.stdout.strip().splitlines()[-1]) <= 1e-7
+
+
+def _conjugated_problem(spec):
+    ap = rc.conjugate(rc.remove_poles(spec))
+    return rc.RHProblem.from_jump(ap.jump, h=np.eye(2))
+
+
+def _gesdd_site_spec():
+    z = 1.176005351108657 - 1.4832681049084173j
+    c = 0.13651814519857414 + 0.5025568517243056j
+    return rc.IdnlsSpec(r=None, n=-1, poles=((z, c),))
+
+
+def test_alias_null_vectors_take_one_step_from_a_random_start():
+    p = _conjugated_problem(soliton_spec())
+    t = p.operator
+    lu = scipy.linalg.lu_factor(t)
+    r, l = rhp._null_vectors(lu)
+    assert np.linalg.norm(t @ r) < 1e-12
+    assert np.linalg.norm(t.conj().T @ l) < 1e-12
+    # the pitfalls the random start and the single step avoid: a constant
+    # start has no Nyquist content, and a second step on the singular LU
+    # drifts away from the kernel
+    constant = scipy.linalg.lu_solve(lu, np.ones(t.shape[0], dtype=complex))
+    assert np.linalg.norm(t @ constant) / np.linalg.norm(constant) > 1e-6
+    second = scipy.linalg.lu_solve(lu, r)
+    assert np.linalg.norm(t @ second) / np.linalg.norm(second) > 1e-6
+
+
+@pytest.mark.parametrize(
+    "spec", [soliton_spec(), _gesdd_site_spec()], ids=["soliton", "gesdd_site"]
+)
+def test_alias_deflation_matches_truncated_svd(spec):
+    p = _conjugated_problem(spec)
+    sol = rc.solve(p)
+    assert sol.solver_path == "alias-deflation"
+    assert sol.deflated_singular_value >= rc.SIGMA_MIN
+    assert sol.smallest_singular_value < rc.SIGMA_MIN
+    # truncated-SVD reference; gesvd, since gesdd need not converge here
+    u, s, vh = scipy.linalg.svd(p.operator, lapack_driver="gesvd")
+    assert np.sum(s < rc.SIGMA_MIN) == 1
+    big_n = p.system.total_nodes
+    rhs = np.repeat(p.h[:, None, :], big_n, axis=1).reshape(2, 2 * big_n).T
+    inverted = np.where(s >= rc.SIGMA_MIN, 1.0 / s, 0.0)
+    reference = vh.conj().T @ (inverted[:, None] * (u.conj().T @ rhs))
+    x = sol.mu.values.transpose(1, 0, 2).reshape(2, 2 * big_n).T
+    assert np.max(np.abs(x - reference)) < 1e-10

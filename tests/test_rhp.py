@@ -1,8 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, strategies as st
 
 import rhcircles as rc
+from rhcircles import rhp
 
 from conftest import rational_exact
 
@@ -251,3 +257,89 @@ def test_near_singular_error_reports_value():
     err = rc.NearSingularOperatorError(3e-12)
     assert err.smallest_singular_value == 3e-12
     assert "3e-12" in str(err) or "3.0" in str(err) or "e-12" in str(err)
+
+
+def _cli_problem(name):
+    from rhcircles import cli
+
+    path = Path(__file__).resolve().parent.parent / "problems" / name
+    doc = json.loads(path.read_text())
+    system = cli._build_system(doc, None)
+    jump = cli._build_jump(doc, system, rc.DELTA_INV)
+    return rc.RHProblem.from_jump(jump)
+
+
+def _defocusing_problem():
+    spec = rc.IdnlsSpec(r=lambda z: 0.3 * z + 0.1 / z, n=1, sign="defocusing")
+    return rc.RHProblem.from_jump(rc.build_defocusing_jump(spec, node_count=128))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _cli_problem("rational_solve.json"),
+        lambda: _cli_problem("hermitian_scalar.json"),
+        _defocusing_problem,
+    ],
+    ids=["rational_solve", "hermitian_scalar", "defocusing_1x128"],
+)
+def test_smallest_singular_value_matches_svdvals(make):
+    p = make()
+    sol = rc.solve(p)
+    exact = scipy.linalg.svdvals(p.operator)[-1]
+    assert sol.solver_path == "lu"
+    assert sol.deflated_singular_value is None
+    assert abs(sol.smallest_singular_value - exact) <= 1e-12 * exact
+
+
+def test_zero_pivot_counts_as_singular():
+    t = np.diag([1.0, 2.0, 3.0, 0.0, 5.0]).astype(complex)
+    t[0, 3] = 1.0
+    with pytest.warns(scipy.linalg.LinAlgWarning):
+        lu = scipy.linalg.lu_factor(t)
+    assert rhp._smallest_singular_value(lu) == 0.0
+    with pytest.raises(rc.NearSingularOperatorError, match="broke down"):
+        rhp._deflated_solve(t, lu, np.ones((5, 1)), rc.SIGMA_MIN, 0.0)
+
+
+def test_lanczos_nonconvergence_counts_as_singular(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no", [], [])
+
+    lu = scipy.linalg.lu_factor(np.eye(6, dtype=complex))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    assert rhp._smallest_singular_value(lu) == 0.0
+
+
+def _operator_with_kernel(order, nullity):
+    rng = np.random.default_rng(7)
+
+    def unitary():
+        q, _ = np.linalg.qr(
+            rng.standard_normal((order, order))
+            + 1j * rng.standard_normal((order, order))
+        )
+        return q
+
+    u, v = unitary(), unitary()
+    s = np.linspace(2.0, 0.5, order)
+    s[order - nullity :] = 0.0
+    t = (u * s) @ v.conj().T
+    # a right-hand side in the range of t
+    rhs = t @ (rng.standard_normal((order, 2)) + 0j)
+    return t, rhs
+
+
+def test_one_dimensional_kernel_deflation_matches_pseudoinverse():
+    t, rhs = _operator_with_kernel(40, 1)
+    x = rhp._deflated_solve(t, scipy.linalg.lu_factor(t), rhs, rc.SIGMA_MIN, 0.0)
+    reference = np.linalg.pinv(t, rcond=1e-10) @ rhs
+    assert np.max(np.abs(x - reference)) < 1e-10
+
+
+def test_two_dimensional_kernel_is_never_deflated_by_one_vector():
+    t, rhs = _operator_with_kernel(40, 2)
+    with pytest.raises(rc.NearSingularOperatorError, match="more than one"):
+        rhp._deflated_solve(
+            t, scipy.linalg.lu_factor(t), rhs, rc.SIGMA_MIN, 0.0
+        )
