@@ -33,6 +33,10 @@ _I2PI = 1.0 / (2.0j * np.pi)
 # rejected: the trapezoid rule for the Cauchy transform degrades there.
 MARGIN_FACTOR = 0.5
 
+# Off-contour points per kernel block in cauchy_offcontour: a block's kernel
+# holds EVAL_BLOCK x total_nodes complex entries.
+EVAL_BLOCK = 128
+
 
 def fourier_modes(node_count: int) -> np.ndarray:
     """Signed integer mode numbers in FFT storage order (Nyquist negative)."""
@@ -235,26 +239,57 @@ def apply_minus(proj: CauchyProjectors, f: GridFunction) -> GridFunction:
     return _apply(proj.minus_matrix, f)
 
 
-def check_margin(system: ContourSystem, z: complex) -> None:
-    """Enforce the quadrature safety margin around every circle."""
+def too_close(system: ContourSystem, z) -> np.ndarray:
+    """Mask of the points within MARGIN_FACTOR node spacings of a circle."""
+    z = np.asarray(z)
+    out = np.zeros(z.shape, dtype=bool)
     for c in system.circles:
-        if c.distance(z) < MARGIN_FACTOR * c.spacing():
+        out |= c.distance(z) < MARGIN_FACTOR * c.spacing()
+    return out
+
+
+def check_margin(system: ContourSystem, z) -> None:
+    """Enforce the quadrature safety margin around every circle.
+
+    z is a point or an array of points; the error names the first point
+    that violates the margin and the first circle it is too close to.
+    """
+    bad = too_close(system, z).reshape(-1)
+    if not np.any(bad):
+        return
+    point = np.asarray(z).reshape(-1)[np.argmax(bad)]
+    for c in system.circles:
+        if c.distance(point) < MARGIN_FACTOR * c.spacing():
             raise TooCloseToContourError(
-                f"point {z} is within {MARGIN_FACTOR} node spacings of the "
-                f"circle centered at {c.center} (radius {c.radius})"
+                f"point {point} is within {MARGIN_FACTOR} node spacings of "
+                f"the circle centered at {c.center} (radius {c.radius})"
             )
 
 
-def cauchy_offcontour(f: GridFunction, z: complex) -> np.ndarray:
+def cauchy_offcontour(f: GridFunction, z) -> np.ndarray:
     """Off-contour Cauchy transform (1/2*pi*1j) * integral f(w)/(w-z) dw.
 
-    Spectrally accurate away from the contour; points closer than
-    MARGIN_FACTOR node spacings to any circle are rejected because the
-    quadrature degrades there.
+    z is a point or an array of P points; the result is (n, n) for a point
+    and (P, n, n) for an array.  The kernel is the trapezoid rule of
+    _cross_block, applied to EVAL_BLOCK points at a time so that memory
+    stays bounded on large grids.  Spectrally accurate away from the
+    contour; if any point is closer than MARGIN_FACTOR node spacings to a
+    circle (distance < MARGIN_FACTOR * spacing), TooCloseToContourError is
+    raised because the quadrature degrades there.
     """
     check_margin(f.system, z)
-    kern = _I2PI * f.system.all_weights() / (f.system.all_points() - z)
-    return np.einsum("l,lab->ab", kern, f.values)
+    pts = np.asarray(z, dtype=np.complex128)
+    flat = pts.reshape(-1)
+    out = np.empty((flat.size,) + f.values.shape[1:], dtype=np.complex128)
+    for start in range(0, flat.size, EVAL_BLOCK):
+        block = flat[start : start + EVAL_BLOCK]
+        kern = np.concatenate(
+            [_cross_block(block, c) for c in f.system.circles], axis=1
+        )
+        out[start : start + block.size] = np.einsum(
+            "pl,lab->pab", kern, f.values
+        )
+    return out.reshape(pts.shape + f.values.shape[1:])
 
 
 def boundary_values_on_circle(

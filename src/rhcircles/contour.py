@@ -14,6 +14,7 @@ one-circle Cauchy projections in the Fourier basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,6 +25,28 @@ CCW = "ccw"
 CW = "cw"
 
 _TWO_PI = 2.0 * np.pi
+
+
+def _computed_once(method):
+    """Cache a geometry method's result on its frozen instance.
+
+    The result is handed out read-only, so a caller that writes into it
+    fails loudly instead of corrupting every later use.
+    """
+    key = "_cached_" + method.__name__
+
+    @wraps(method)
+    def cached(self):
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            out = method(self)
+            if isinstance(out, np.ndarray):
+                out.flags.writeable = False
+            self.__dict__[key] = out
+            return out
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -55,16 +78,19 @@ class Circle:
         """+1 for counterclockwise traversal, -1 for clockwise."""
         return 1 if self.orientation == CCW else -1
 
+    @_computed_once
     def angles(self) -> np.ndarray:
         k = np.arange(self.node_count)
         return self.sign * _TWO_PI * k / self.node_count
 
+    @_computed_once
     def points(self) -> np.ndarray:
         return self.center + self.radius * np.exp(1j * self.angles())
 
     def point_at(self, angle) -> np.ndarray:
         return self.center + self.radius * np.exp(1j * np.asarray(angle))
 
+    @_computed_once
     def weights(self) -> np.ndarray:
         """Trapezoid quadrature weights for integrals in dz.
 
@@ -116,25 +142,24 @@ class ContourSystem:
     def total_nodes(self) -> int:
         return sum(c.node_count for c in self.circles)
 
-    def node_slices(self) -> list[slice]:
+    @_computed_once
+    def node_slices(self) -> tuple[slice, ...]:
         out, start = [], 0
         for c in self.circles:
             out.append(slice(start, start + c.node_count))
             start += c.node_count
-        return out
+        return tuple(out)
 
+    @_computed_once
     def all_points(self) -> np.ndarray:
         return np.concatenate([c.points() for c in self.circles])
 
-    def all_weights(self) -> np.ndarray:
-        return np.concatenate([c.weights() for c in self.circles])
+    def winding(self, z) -> np.ndarray:
+        """Winding number of the whole contour around off-contour point(s)."""
+        return sum(c.sign * c.contains(z) for c in self.circles)
 
-    def winding(self, z) -> int:
-        """Winding number of the whole contour around an off-contour point."""
-        return int(sum(c.sign * bool(c.contains(z)) for c in self.circles))
-
-    def in_omega_plus(self, z) -> bool:
-        """True when z (off the contour) lies in the plus region."""
+    def in_omega_plus(self, z) -> np.ndarray:
+        """True where z (off the contour) lies in the plus region."""
         return self.winding(z) + int(self.plus_at_infinity) == 1
 
     def find_circle(self, center, radius, tol: float = 1e-8) -> int | None:
@@ -150,10 +175,6 @@ class ContourSystem:
 
     def unit_circle_index(self, tol: float = 1e-8) -> int | None:
         return self.find_circle(0.0, 1.0, tol)
-
-    def min_margin(self, z) -> float:
-        """Smallest clearance of z relative to each circle's node spacing."""
-        return min(c.distance(z) / c.spacing() for c in self.circles)
 
 
 def build_contour(circles: Iterable[Circle]) -> ContourSystem:

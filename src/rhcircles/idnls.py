@@ -50,6 +50,16 @@ def _zero_reflection(z: complex) -> complex:
     return 0.0
 
 
+def _mat2(w, a, b, c, d) -> np.ndarray:
+    """[[a, b], [c, d]] at a point w (2, 2) or at each of P points (P, 2, 2)."""
+    out = np.empty(np.shape(w) + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = a
+    out[..., 0, 1] = b
+    out[..., 1, 0] = c
+    out[..., 1, 1] = d
+    return out
+
+
 @dataclass(frozen=True)
 class IdnlsSpec:
     """Scattering-style data: reflection coefficient, lattice site, poles.
@@ -180,8 +190,9 @@ class AugmentedProblem:
     """Pole-free contour problem equivalent to the residue-condition one.
 
     roles records what each circle is (unit / pole j / inverted-pole j /
-    outer / inner); undo maps a solved value m(z) at an off-contour point
-    back to the original unknown with its poles restored.
+    outer / inner); undo(w, values) maps solved values m (P, 2, 2) at P
+    off-contour points w back to the original unknown with its poles
+    restored.
     """
 
     system: ContourSystem
@@ -230,19 +241,14 @@ def remove_poles(
     fns = [_unit_jump_evaluator(spec)]
 
     def lower_jump(j: int) -> Callable:
-        def v(w: complex) -> np.ndarray:
-            return np.array(
-                [[1.0, 0.0], [q[j] / (w - z[j]), 1.0]], dtype=np.complex128
-            )
+        def v(w) -> np.ndarray:
+            return _mat2(w, 1.0, 0.0, q[j] / (w - z[j]), 1.0)
 
         return v
 
     def upper_jump(j: int) -> Callable:
-        def v(w: complex) -> np.ndarray:
-            return np.array(
-                [[1.0, -gamma[j] / (w - mirrors[j])], [0.0, 1.0]],
-                dtype=np.complex128,
-            )
+        def v(w) -> np.ndarray:
+            return _mat2(w, 1.0, -gamma[j] / (w - mirrors[j]), 0.0, 1.0)
 
         return v
 
@@ -269,12 +275,15 @@ def remove_poles(
     inv_radii = [c.radius for c in circles[1 + j_count :]]
     inv_centers = [c.center for c in circles[1 + j_count :]]
 
-    def undo(w: complex, value: np.ndarray) -> np.ndarray:
+    def undo(w: np.ndarray, value: np.ndarray) -> np.ndarray:
+        # w holds P points, value the (P, 2, 2) solved values there; the
+        # disks are disjoint, since build_contour accepted their circles
+        value = value.copy()
         for j in range(j_count):
-            if abs(w - z[j]) < rho[j]:
-                return value @ lowers[j](w)
-            if abs(w - inv_centers[j]) < inv_radii[j]:
-                return value @ np.linalg.inv(uppers[j](w))
+            at = np.abs(w - z[j]) < rho[j]
+            value[at] = value[at] @ lowers[j](w[at])
+            at = np.abs(w - inv_centers[j]) < inv_radii[j]
+            value[at] = value[at] @ np.linalg.inv(uppers[j](w[at]))
         return value
 
     return AugmentedProblem(
@@ -293,19 +302,17 @@ def conjugation_matrices(spec: IdnlsSpec):
     prod = complex(np.prod(z)) if len(z) else 1.0 + 0.0j
     q, _ = _norming_factors(spec)
 
-    def a_mat(w: complex) -> np.ndarray:
-        return np.array([[prod, 0.0], [0.0, w]], dtype=np.complex128)
+    def a_mat(w) -> np.ndarray:
+        return _mat2(w, prod, 0.0, 0.0, w)
 
-    def c_mat(w: complex) -> np.ndarray:
-        return np.array(
-            [[1.0 / np.conj(prod), 0.0], [0.0, w]], dtype=np.complex128
-        )
+    def c_mat(w) -> np.ndarray:
+        return _mat2(w, 1.0 / np.conj(prod), 0.0, 0.0, w)
 
     def b_mat(j: int) -> Callable:
         beta = prod / z[j] * q[j]
 
-        def mat(w: complex) -> np.ndarray:
-            return np.array([[prod, 0.0], [-beta, w]], dtype=np.complex128)
+        def mat(w) -> np.ndarray:
+            return _mat2(w, prod, 0.0, -beta, w)
 
         return mat
 
@@ -417,21 +424,23 @@ def conjugate(
     system = build_contour(circles)
     jump = JumpData.from_evaluators(system, fns)
 
-    def conjugation_factor(w: complex) -> np.ndarray | None:
-        mod = abs(w)
-        if mod >= big_r or mod <= 1.0 / big_r:
-            return None
+    def undo(w: np.ndarray, value: np.ndarray) -> np.ndarray:
+        # between the radii 1/R and R the unknown was multiplied by B_j
+        # inside pole circle j, else by A outside and C inside the unit
+        # circle; beyond those radii it was left alone
+        mod = np.abs(w)
+        scaled = ~((mod >= big_r) | (mod <= 1.0 / big_r))
+        factor = np.empty(value.shape, dtype=np.complex128)
+        todo = scaled.copy()
         for j in range(j_count):
-            if abs(w - z[j]) < rho[j]:
-                return b_mats[j](w)
-        if mod > 1.0:
-            return a_mat(w)
-        return c_mat(w)
-
-    def undo(w: complex, value: np.ndarray) -> np.ndarray:
-        factor = conjugation_factor(w)
-        if factor is not None:
-            value = value @ np.linalg.inv(factor)
+            at = todo & (np.abs(w - z[j]) < rho[j])
+            factor[at] = b_mats[j](w[at])
+            todo &= ~at
+        outside = mod > 1.0
+        factor[todo & outside] = a_mat(w[todo & outside])
+        factor[todo & ~outside] = c_mat(w[todo & ~outside])
+        value = value.copy()
+        value[scaled] = value[scaled] @ np.linalg.inv(factor[scaled])
         return ap.undo(w, value)
 
     return AugmentedProblem(
@@ -523,9 +532,17 @@ class IdnlsSolution:
     def smallest_singular_value(self) -> float:
         return self.solution.smallest_singular_value
 
-    def evaluate(self, z: complex) -> np.ndarray:
-        """Original unknown M(z), poles restored, at an off-contour point."""
-        return self.augmented.undo(z, evaluate_m(self.solution, z))
+    def evaluate(self, z) -> np.ndarray:
+        """Original unknown M(z), poles restored, at off-contour point(s).
+
+        z is a point, giving (2, 2), or an array of P points, giving
+        (P, 2, 2).  Points within MARGIN_FACTOR node spacings of a circle
+        (distance < MARGIN_FACTOR * spacing) raise TooCloseToContourError.
+        """
+        w = np.asarray(z, dtype=np.complex128)
+        flat = w.reshape(-1)
+        m = self.augmented.undo(flat, evaluate_m(self.solution, flat))
+        return m.reshape(w.shape + m.shape[1:])
 
 
 def solve_augmented(

@@ -266,12 +266,17 @@ class RHSolution:
         )
         return vals + self.h
 
-    def evaluate(self, z: complex) -> np.ndarray:
+    def evaluate(self, z) -> np.ndarray:
         return evaluate_m(self, z)
 
 
-def evaluate_m(sol: RHSolution, z: complex) -> np.ndarray:
-    """m(z) = h + Cauchy transform of mu (w_plus + w_minus) off the contour."""
+def evaluate_m(sol: RHSolution, z) -> np.ndarray:
+    """m(z) = h + Cauchy transform of mu (w_plus + w_minus) off the contour.
+
+    z is a point, giving (n, n), or an array of P points, giving
+    (P, n, n).  Points within MARGIN_FACTOR node spacings of a circle
+    (distance < MARGIN_FACTOR * spacing) raise TooCloseToContourError.
+    """
     return sol.h + cauchy_offcontour(sol.cauchy_density, z)
 
 

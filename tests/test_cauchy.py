@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -137,3 +139,15 @@ def test_offcontour_approaches_boundary_value():
     f = grid_scalar(system, 1.0 / (z - 1.6))
     got = rc.cauchy_offcontour(f, 0.9)
     assert abs(got[0, 0] - 1.0 / (0.9 - 1.6)) < 1e-9
+
+
+def test_offcontour_array_names_first_too_close_point(unit_ccw_64):
+    f = grid_scalar(unit_ccw_64, np.ones(64))
+    spacing = unit_ccw_64.circles[0].spacing()
+    z = np.array([0.2, 3.0, 1.0 + 0.1 * spacing, -1.0 - 0.1 * spacing, 0.3j])
+    with pytest.raises(rc.TooCloseToContourError, match=re.escape(f"point {z[2]} ")):
+        rc.cauchy_offcontour(f, z)
+    ok = z[[0, 1, 4]]
+    got = rc.cauchy_offcontour(f, ok)
+    assert got.shape == (3, 1, 1)
+    assert np.array_equal(got, np.stack([rc.cauchy_offcontour(f, w) for w in ok]))

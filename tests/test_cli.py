@@ -2,8 +2,10 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import rhcircles as rc
 from rhcircles import cli
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -384,3 +386,47 @@ def test_hermitian_factorization_checks_hypotheses_once(tmp_path, monkeypatch):
     )
     assert code == 0
     assert len(calls) == 1
+
+
+def test_samples_match_point_by_point_evaluation(tmp_path):
+    # the 7x6 grid puts nodes on the unit and outer circles (skipped by the
+    # margin) and one exactly on the pole z = 2 (non-finite, skipped)
+    csv_path = tmp_path / "samples.csv"
+    code, _ = run(
+        "idnls",
+        PROBLEMS / "idnls_soliton.json",
+        tmp_path,
+        "--samples",
+        str(csv_path),
+        "--grid",
+        "7x6",
+        "--bbox=-4,2,-1,1.5",
+    )
+    assert code == 0
+    spec = rc.IdnlsSpec(r=None, n=0, poles=((2.0 + 0j, 1.0 + 0j),))
+    ap = rc.conjugate(rc.remove_poles(spec))
+    sol = rc.solve_augmented(ap)
+    lines = ["region,re_z,im_z,row,col,re_m,im_m"]
+    too_close = non_finite = 0
+    for x in np.linspace(-4.0, 2.0, 7):
+        for y in np.linspace(-1.0, 1.5, 6):
+            z = complex(x, y)
+            try:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    value = sol.evaluate(z)
+            except rc.TooCloseToContourError:
+                too_close += 1
+                continue
+            if not np.all(np.isfinite(value)):
+                non_finite += 1
+                continue
+            region = "plus" if ap.system.in_omega_plus(z) else "minus"
+            for a in range(2):
+                for b in range(2):
+                    lines.append(
+                        f"{region},{float(x)!r},{float(y)!r},{a},{b},"
+                        f"{float(value[a, b].real)!r},"
+                        f"{float(value[a, b].imag)!r}"
+                    )
+    assert too_close >= 2 and non_finite == 1
+    assert csv_path.read_text() == "\n".join(lines) + "\n"

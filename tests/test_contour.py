@@ -137,3 +137,27 @@ def test_off_contour_points_fail_when_no_room():
     system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 8)])
     with pytest.raises(ValueError):
         rc.off_contour_points(system, 50, rel_margin=0.99, r_min=0.9, r_max=1.1)
+
+
+def test_geometry_arrays_are_computed_once_and_read_only():
+    system = rc.build_contour(
+        [rc.Circle(0j, 1.0, rc.CCW, 8), rc.Circle(3.0 + 0j, 0.5, rc.CCW, 8)]
+    )
+    c = system.circles[0]
+    assert c.points() is c.points()
+    assert system.all_points() is system.all_points()
+    for arr in (c.angles(), c.points(), c.weights(), system.all_points()):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert system.node_slices() == (slice(0, 8), slice(8, 16))
+
+
+def test_in_omega_plus_accepts_point_arrays():
+    system = rc.build_contour(
+        [rc.Circle(0j, 1.0, rc.CCW, 8), rc.Circle(3.0 + 0j, 0.5, rc.CCW, 8)]
+    )
+    z = np.array([0.2j, 3.1, 1.5, 10.0, -0.5])
+    assert system.in_omega_plus(z).tolist() == [
+        bool(system.in_omega_plus(w)) for w in z
+    ]
+    assert system.winding(z).tolist() == [1, 1, 0, 0, 1]

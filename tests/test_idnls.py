@@ -325,3 +325,37 @@ def test_alias_deflation_matches_truncated_svd(spec):
     reference = vh.conj().T @ (inverted[:, None] * (u.conj().T @ rhs))
     x = sol.mu.values.transpose(1, 0, 2).reshape(2, 2 * big_n).T
     assert np.max(np.abs(x - reference)) < 1e-10
+
+
+def test_array_evaluate_equals_stacked_point_evaluates_in_every_undo_region():
+    ap = rc.conjugate(rc.remove_poles(soliton_spec()))
+    sol = rc.solve_augmented(ap)
+    pole = ap.system.circles[ap.role_index("pole", 0)]
+    mirror = ap.system.circles[ap.role_index("inverted-pole", 0)]
+    big_r = ap.system.circles[ap.role_index("outer")].radius
+    regions = {
+        "pole disk": pole.center + 0.4 * pole.radius * np.exp(0.7j),
+        "inverted-pole disk": mirror.center + 0.4 * mirror.radius * 1j,
+        "1 < |z| < R": -1.5 + 1.0j,
+        "1/R < |z| < 1": -0.3 - 0.4j,
+        "|z| > R": 1.3 * big_r * np.exp(2.0j),
+        "|z| < 1/R": 0.3 / big_r * np.exp(-1.0j),
+    }
+    z = np.array(list(regions.values()))
+    assert not np.any(rc.cauchy.too_close(ap.system, z))
+    assert abs(z[0] - pole.center) < pole.radius
+    assert abs(z[1] - mirror.center) < mirror.radius
+    assert 1.0 < abs(z[2]) < big_r and 1.0 / big_r < abs(z[3]) < 1.0
+    assert abs(z[4]) > big_r and abs(z[5]) < 1.0 / big_r
+    got = sol.evaluate(z)
+    assert got.shape == (len(regions), 2, 2)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, np.stack([sol.evaluate(complex(w)) for w in z]))
+    # and across kernel blocks, on a grid that crosses every circle
+    x = np.linspace(-5.0, 5.0, 23)
+    grid = (x[:, None] + 1j * x[None, :]).reshape(-1)
+    grid = grid[~rc.cauchy.too_close(ap.system, grid)]
+    assert grid.size > rc.cauchy.EVAL_BLOCK
+    assert np.array_equal(
+        sol.evaluate(grid), np.stack([sol.evaluate(complex(w)) for w in grid])
+    )

@@ -343,3 +343,29 @@ def test_two_dimensional_kernel_is_never_deflated_by_one_vector():
         rhp._deflated_solve(
             t, scipy.linalg.lu_factor(t), rhs, rc.SIGMA_MIN, 0.0
         )
+
+
+def _grid_off_contour(system, half_width, count):
+    x = np.linspace(-half_width, half_width, count)
+    z = (x[:, None] + 1j * x[None, :]).reshape(-1)
+    return z[~rc.cauchy.too_close(system, z)]
+
+
+def test_array_evaluate_equals_stacked_point_evaluates(rational_radius6):
+    system, jump = rational_radius6
+    sol = rc.solve(rc.RHProblem.from_jump(jump))
+    # more points than one kernel block, inside and outside the circle
+    z = _grid_off_contour(system, 9.0, 17)
+    assert z.size > rc.cauchy.EVAL_BLOCK
+    assert np.any(np.abs(z) < 6.0) and np.any(np.abs(z) > 6.0)
+    got = sol.evaluate(z)
+    assert got.shape == (z.size, 1, 1)
+    assert np.array_equal(got, np.stack([sol.evaluate(complex(w)) for w in z]))
+
+
+def test_array_evaluate_names_the_too_close_point(rational_radius6):
+    system, jump = rational_radius6
+    sol = rc.solve(rc.RHProblem.from_jump(jump))
+    z = np.array([0.0, 3.0, 6.0 + 1e-9j, 9.0])
+    with pytest.raises(rc.TooCloseToContourError, match=r"point \(6\+1e-09j\) "):
+        sol.evaluate(z)
