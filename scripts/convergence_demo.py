@@ -13,16 +13,12 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
 import rhcircles as rc
 
 
 def rational_radius_six(nodes: int) -> float:
     system = rc.build_contour([rc.Circle(0j, 6.0, rc.CCW, nodes)])
-    jump = rc.JumpData.from_evaluator(
-        system, lambda z: np.array([[(z - 0.4) / (z - 2.5)]])
-    )
+    jump = rc.JumpData.from_evaluator(system, lambda z: (z - 0.4) / (z - 2.5))
     return rc.solve(rc.RHProblem.from_jump(jump)).residual_jump
 
 
@@ -35,10 +31,7 @@ def defocusing_unit(nodes: int) -> float:
 def poles_near_circle(nodes: int) -> float:
     system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, nodes)])
     jump = rc.JumpData.from_evaluator(
-        system,
-        lambda z: np.array(
-            [[(z - 0.8) * (z - 1.25) / ((z - 0.7) * (z - 1.4))]]
-        ),
+        system, lambda z: (z - 0.8) * (z - 1.25) / ((z - 0.7) * (z - 1.4))
     )
     return rc.solve(rc.RHProblem.from_jump(jump)).residual_jump
 

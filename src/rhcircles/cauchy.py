@@ -77,6 +77,22 @@ def plus_mode_mask(circle: Circle, plus_inside: bool) -> np.ndarray:
     return k >= 0 if plus_inside else k < 0
 
 
+def _matrix_values(fn: Callable, points: np.ndarray) -> np.ndarray:
+    """An evaluator's values at P points, as a (P, n, n) array.
+
+    fn is called once, on the 1-D array of points, and returns (P, n, n),
+    a constant (n, n), (P,) for a 1x1 matrix, or a scalar.
+    """
+    pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    vals = np.asarray(fn(pts), dtype=np.complex128)
+    if vals.ndim < 2:
+        vals = vals.reshape(vals.shape + (1, 1))
+    n = vals.shape[-1]
+    if vals.ndim > 3 or vals.shape[-2] != n:
+        raise ValueError(f"evaluator gave shape {vals.shape} at {pts.size} points")
+    return np.broadcast_to(vals, (pts.size, n, n)).copy()
+
+
 @dataclass(eq=False)
 class GridFunction:
     """Matrix-valued samples on the nodes of a contour system.
@@ -104,14 +120,8 @@ class GridFunction:
 
     @classmethod
     def sample(cls, system: ContourSystem, fn: Callable) -> "GridFunction":
-        """Sample a callable z -> scalar or (n, n) array at every node."""
-        pts = system.all_points()
-        first = np.asarray(fn(complex(pts[0])), dtype=np.complex128)
-        n = 1 if first.ndim == 0 else first.shape[0]
-        out = np.empty((len(pts), n, n), dtype=np.complex128)
-        for i, z in enumerate(pts):
-            out[i] = np.asarray(fn(complex(z)), dtype=np.complex128).reshape(n, n)
-        return cls(system, out)
+        """Sample an evaluator at all nodes with one call (see _matrix_values)."""
+        return cls(system, _matrix_values(fn, system.all_points()))
 
     @classmethod
     def constant(cls, system: ContourSystem, mat) -> "GridFunction":

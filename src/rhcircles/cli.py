@@ -70,6 +70,7 @@ from .rhp import (
     RHSolution,
     check_inversion_hypotheses,
     index_diagnostics,
+    matrix_at,
     solve,
 )
 
@@ -132,6 +133,15 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"rhc: {message}\n")
 
 
+def _node_count(text: str) -> int:
+    nodes = int(text) if text.isdecimal() else 0
+    if nodes < 4 or nodes % 2:
+        raise argparse.ArgumentTypeError(
+            f"must be an even integer >= 4, got {text!r}"
+        )
+    return nodes
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="rhc",
@@ -147,7 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sample box re0,re1,im0,im1 (default: contour extent padded)",
     )
     parser.add_argument(
-        "--nodes", type=int, help="override every circle's node count"
+        "--nodes",
+        type=_node_count,
+        help="override every circle's node count (even, at least 4)",
     )
     parser.add_argument(
         "--tol",
@@ -162,6 +174,29 @@ def _build_parser() -> argparse.ArgumentParser:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(f"problem file: {message}")
+
+
+def _number(value, where: str, kind=(int, float)):
+    """value, checked to be a JSON number (an integer if kind is int);
+    Python counts bool as int, JSON does not count true as a number."""
+    _require(
+        isinstance(value, kind) and not isinstance(value, bool),
+        f"{where} must be {'an integer' if kind is int else 'a number'}",
+    )
+    return value
+
+
+def _numbers(value, where: str, names: tuple) -> list:
+    """value, checked to be an array of numbers, one per name."""
+    _require(
+        isinstance(value, list) and len(value) == len(names),
+        f"{where} must be [{', '.join(names)}]",
+    )
+    return [_number(x, f"{where}[{i}]") for i, x in enumerate(value)]
+
+
+def _point(value, where: str) -> complex:
+    return complex(*_numbers(value, where, ("re", "im")))
 
 
 def _load_problem(path: str, mode: str) -> dict:
@@ -203,7 +238,7 @@ def _merge_tolerances(doc: dict, overrides: list) -> dict:
         "pair_tol": 1e-8,
     }
     for key, value in doc.get("tolerances", {}).items():
-        tol[key] = float(value)
+        tol[key] = float(_number(value, f"tolerances.{key}"))
     for item in overrides:
         key, _, value = item.partition("=")
         if key not in _TOLERANCE_KEYS:
@@ -225,29 +260,25 @@ def _build_system(doc: dict, nodes_override: int | None) -> ContourSystem:
     circles = []
     for k, entry in enumerate(block):
         _require(isinstance(entry, dict), f"contour[{k}] must be an object")
-        center = entry.get("center")
-        _require(
-            isinstance(center, list) and len(center) == 2,
-            f"contour[{k}].center must be [re, im]",
-        )
-        radius = entry.get("radius")
-        _require(
-            isinstance(radius, (int, float)) and radius > 0,
-            f"contour[{k}].radius must be positive",
-        )
+        center = _point(entry.get("center"), f"contour[{k}].center")
+        radius = _number(entry.get("radius"), f"contour[{k}].radius")
+        _require(radius > 0, f"contour[{k}].radius must be positive")
         orientation = entry.get("orientation", "ccw")
         _require(
             orientation in ("ccw", "cw"),
             f"contour[{k}].orientation must be 'ccw' or 'cw'",
         )
-        nodes = nodes_override or entry.get("nodes", 64)
-        _require(
-            isinstance(nodes, int) and nodes >= 4,
-            f"contour[{k}].nodes must be an integer >= 4",
-        )
+        if nodes_override is not None:
+            nodes = nodes_override
+        else:
+            nodes = _number(entry.get("nodes", 64), f"contour[{k}].nodes", int)
+            _require(
+                nodes >= 4 and nodes % 2 == 0,
+                f"contour[{k}].nodes must be an even integer >= 4",
+            )
         circles.append(
             Circle(
-                complex(center[0], center[1]),
+                center,
                 float(radius),
                 CCW if orientation == "ccw" else CW,
                 nodes,
@@ -271,22 +302,14 @@ def _matrix_evaluator(entries, table: dict, where: str) -> Callable:
         and all(isinstance(row, list) and len(row) == len(entries) for row in entries),
         f"{where} must be a square matrix of expression strings",
     )
-    compiled = []
-    for row in entries:
-        compiled_row = []
-        for cell in row:
-            _require(
-                isinstance(cell, str),
-                f"{where} entries must be expression strings",
-            )
-            compiled_row.append(parse_expression(cell, table))
-        compiled.append(compiled_row)
+    _require(
+        all(isinstance(cell, str) for row in entries for cell in row),
+        f"{where} entries must be expression strings",
+    )
+    compiled = [[parse_expression(cell, table) for cell in row] for row in entries]
 
-    def fn(z: complex) -> np.ndarray:
-        return np.array(
-            [[entry(z) for entry in row] for row in compiled],
-            dtype=np.complex128,
-        )
+    def fn(z) -> np.ndarray:
+        return matrix_at(z, [[entry(z) for entry in row] for row in compiled])
 
     return fn
 
@@ -311,9 +334,9 @@ def _build_jump(doc: dict, system: ContourSystem, delta_inv: float) -> JumpData:
             _matrix_evaluator(m, table, f"jump[{i}]")
             for i, m in enumerate(block)
         ]
-        return JumpData.from_evaluators(system, fns, delta_inv)
-    fn = _matrix_evaluator(block, table, "jump")
-    return JumpData.from_evaluator(system, fn, delta_inv)
+    else:
+        fns = [_matrix_evaluator(block, table, "jump")] * count
+    return JumpData.from_evaluators(system, fns, delta_inv)
 
 
 def _parse_h(doc: dict):
@@ -325,13 +348,9 @@ def _parse_h(doc: dict):
         "h must be 'identity' or a matrix of [re, im] pairs",
     )
     rows = []
-    for row in block:
-        _require(
-            isinstance(row, list)
-            and all(isinstance(c, list) and len(c) == 2 for c in row),
-            "h entries must be [re, im] pairs",
-        )
-        rows.append([complex(c[0], c[1]) for c in row])
+    for a, row in enumerate(block):
+        _require(isinstance(row, list), "h entries must be [re, im] pairs")
+        rows.append([_point(c, f"h[{a}][{b}]") for b, c in enumerate(row)])
     return np.array(rows, dtype=np.complex128)
 
 
@@ -384,17 +403,10 @@ def _scalar_anchors(doc: dict, system: ContourSystem):
     block = doc.get("anchors", {})
     _require(isinstance(block, dict), "anchors must be an object")
 
-    def as_point(key):
-        value = block.get(key)
-        if value is None:
-            return None
-        _require(
-            isinstance(value, list) and len(value) == 2,
-            f"anchors.{key} must be [re, im]",
-        )
-        return complex(value[0], value[1])
-
-    z_plus, z_minus = as_point("z_plus"), as_point("z_minus")
+    z_plus, z_minus = (
+        None if block.get(key) is None else _point(block[key], f"anchors.{key}")
+        for key in ("z_plus", "z_minus")
+    )
     circle = system.circles[0]
     if z_plus is None:
         z_plus = (
@@ -457,7 +469,7 @@ def _parse_idnls_spec(doc: dict) -> IdnlsSpec:
     block = doc["idnls"]
     _require(isinstance(block, dict), "idnls must be an object")
     _require("n" in block, "idnls.n is required")
-    _require(isinstance(block["n"], int), "idnls.n must be an integer")
+    n = _number(block["n"], "idnls.n", int)
     sign = block.get("sign", "focusing")
     _require(
         sign in ("focusing", "defocusing"),
@@ -465,23 +477,20 @@ def _parse_idnls_spec(doc: dict) -> IdnlsSpec:
     )
     poles = []
     for k, entry in enumerate(block.get("poles", [])):
-        _require(
-            isinstance(entry, list) and len(entry) == 4,
-            f"idnls.poles[{k}] must be [re, im, c_re, c_im]",
+        re, im, c_re, c_im = _numbers(
+            entry, f"idnls.poles[{k}]", ("re", "im", "c_re", "c_im")
         )
-        poles.append(
-            (complex(entry[0], entry[1]), complex(entry[2], entry[3]))
-        )
+        poles.append((complex(re, im), complex(c_re, c_im)))
     r_text = block.get("r")
     r_fn = parse_expression(str(r_text)) if r_text else None
-    return IdnlsSpec(r=r_fn, n=block["n"], poles=tuple(poles), sign=sign)
+    return IdnlsSpec(r=r_fn, n=n, poles=tuple(poles), sign=sign)
 
 
 def _run_idnls(doc, tol, nodes):
     block = doc["idnls"]
     spec = _parse_idnls_spec(doc)
     conj = bool(block.get("conjugate", False))
-    node_count = nodes or 64
+    node_count = 64 if nodes is None else nodes
     ap = remove_poles(spec, pole_nodes=node_count, unit_nodes=node_count)
     if conj:
         ap = conjugate(ap, node_count=node_count)

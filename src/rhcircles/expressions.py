@@ -17,31 +17,39 @@ symmetry.  The grammar, in EBNF:
 "^" and "**" are synonyms and associate to the right; a trailing "i"
 makes a literal imaginary.  Built-in functions are exp and conj; callers
 may register extra single-argument names (the reflection coefficient r,
-for instance).  Evaluation is plain complex arithmetic and any division
-by zero or non-finite value raises EvalError.
+for instance).  Evaluation is numpy complex128 arithmetic on a point or on
+an array of points, and a non-finite value (a division by zero, an
+overflow) raises EvalError.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import operator
 import re
 from typing import Callable, Mapping
+
+import numpy as np
 
 from .errors import EvalError, ParseError
 
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?i?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
+# complex128 constants keep even a constant subexpression such as 1/0 in
+# numpy arithmetic, where it turns non-finite instead of raising
 _CONSTANTS = {
-    "i": 1j,
-    "pi": complex(math.pi),
-    "e": complex(math.e),
+    "i": np.complex128(1j),
+    "pi": np.complex128(math.pi),
+    "e": np.complex128(math.e),
 }
 
+_SUMS = {"+": operator.add, "-": operator.sub}
+_PRODUCTS = {"*": operator.mul, "/": operator.truediv}
+
 _BUILTIN_FUNCTIONS: dict[str, Callable] = {
-    "exp": cmath.exp,
-    "conj": lambda w: complex(w).conjugate(),
+    "exp": np.exp,
+    "conj": np.conj,
 }
 
 
@@ -76,10 +84,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _parse_number(text: str) -> complex:
+def _parse_number(text: str) -> np.complex128:
     if text.endswith("i"):
-        return complex(0.0, float(text[:-1]))
-    return complex(float(text))
+        return np.complex128(complex(0.0, float(text[:-1])))
+    return np.complex128(float(text))
 
 
 class _Parser:
@@ -112,29 +120,19 @@ class _Parser:
             raise ParseError(f"unexpected trailing token {value!r}", pos)
         return node
 
-    def expr(self) -> Callable:
-        node = self.term()
+    def left_associative(self, ops: Mapping[str, Callable], operand) -> Callable:
+        node = operand()
         while True:
-            op = self.accept_op("+", "-")
+            op = self.accept_op(*ops)
             if op is None:
                 return node
-            right = self.term()
-            if op == "+":
-                node = (lambda a, b: lambda z: a(z) + b(z))(node, right)
-            else:
-                node = (lambda a, b: lambda z: a(z) - b(z))(node, right)
+            node = (lambda f, a, b: lambda z: f(a(z), b(z)))(ops[op], node, operand())
+
+    def expr(self) -> Callable:
+        return self.left_associative(_SUMS, self.term)
 
     def term(self) -> Callable:
-        node = self.unary()
-        while True:
-            op = self.accept_op("*", "/")
-            if op is None:
-                return node
-            right = self.unary()
-            if op == "*":
-                node = (lambda a, b: lambda z: a(z) * b(z))(node, right)
-            else:
-                node = (lambda a, b: lambda z: a(z) / b(z))(node, right)
+        return self.left_associative(_PRODUCTS, self.unary)
 
     def unary(self) -> Callable:
         negate = False
@@ -196,24 +194,26 @@ def parse_expression(
     """Compile an expression in z into a deterministic complex evaluator.
 
     functions maps extra single-argument names (beyond exp and conj) to
-    callables, e.g. {"r": reflection}.  The returned evaluator raises
-    EvalError when the formula is singular or non-finite at the point.
+    callables that take arrays, e.g. {"r": reflection}.  The evaluator
+    takes a point, giving a complex number, or an array of points, giving
+    an array of that shape.  It raises EvalError when the formula is
+    singular or non-finite at some point, and names the first such point.
     """
     table = dict(_BUILTIN_FUNCTIONS)
     if functions:
         table.update(functions)
     node = _Parser(_tokenize(text), table).parse()
 
-    def evaluator(z: complex) -> complex:
-        try:
-            value = complex(node(complex(z)))
-        except ZeroDivisionError as exc:
-            raise EvalError(f"{text!r} is singular at z = {z}") from exc
-        except OverflowError as exc:
-            raise EvalError(f"{text!r} overflows at z = {z}") from exc
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise EvalError(f"{text!r} is non-finite at z = {z}")
-        return value
+    def evaluator(z):
+        z = np.asarray(z, dtype=np.complex128)
+        with np.errstate(all="ignore"):
+            value = np.asarray(node(z), dtype=np.complex128)
+        value = np.broadcast_to(value, z.shape)
+        bad = ~np.isfinite(value)
+        if np.any(bad):
+            point = complex(z.reshape(-1)[np.argmax(bad.reshape(-1))])
+            raise EvalError(f"{text!r} is singular or non-finite at z = {point}")
+        return complex(value) if z.ndim == 0 else value.copy()
 
     evaluator.source = text
     return evaluator

@@ -22,7 +22,6 @@ from .cauchy import (
     plus_mode_mask,
     synthesize,
 )
-from .contour import invert_circle
 from .errors import (
     HypothesisViolationError,
     NonConstantCError,
@@ -37,6 +36,7 @@ from .rhp import (
     RHProblem,
     RHSolution,
     check_inversion_hypotheses,
+    matrix_at,
     solve,
 )
 
@@ -77,25 +77,38 @@ def mobius_power(z, exponent: int, z_plus: complex, z_minus: complex | None):
     return base**exponent
 
 
+def _diagonal(z, entries) -> np.ndarray:
+    n = len(entries)
+    return matrix_at(
+        z, [[entries[a] if a == b else 0.0 for b in range(n)] for a in range(n)]
+    )
+
+
 def mobius_power_matrix(
-    z: complex, exponents, z_plus: complex, z_minus: complex | None
+    z, exponents, z_plus: complex, z_minus: complex | None
 ) -> np.ndarray:
-    """Diagonal matrix of Mobius powers, one exponent per entry."""
-    return np.diag([mobius_power(z, int(k), z_plus, z_minus) for k in exponents])
+    """Diagonal matrix of Mobius powers, one exponent per entry, at a point
+    (n, n) or at each of P points (P, n, n)."""
+    return _diagonal(
+        z, [mobius_power(z, int(k), z_plus, z_minus) for k in exponents]
+    )
 
 
 def inversion_conjugate(fn):
-    """Turn an evaluator f into z -> f(1/conj(z))^* (conjugate transpose)."""
+    """Turn an evaluator f into z -> f(1/conj(z))^* (conjugate transpose).
 
-    def mirrored(z: complex) -> np.ndarray:
-        val = np.atleast_2d(np.asarray(fn(1.0 / np.conj(z))))
-        return np.conj(val.T)
+    The result takes a point or an array of points, as fn does.
+    """
+
+    def mirrored(z) -> np.ndarray:
+        val = np.asarray(fn(1.0 / np.conj(z)))
+        return np.conj(np.swapaxes(val, -1, -2) if val.ndim >= 2 else val)
 
     return mirrored
 
 
 def mobius_power_matrix_mirrored(
-    z: complex, exponents, z_plus: complex, z_minus: complex | None
+    z, exponents, z_plus: complex, z_minus: complex | None
 ) -> np.ndarray:
     """Closed form of inversion_conjugate(mobius_power_matrix).
 
@@ -112,7 +125,7 @@ def mobius_power_matrix_mirrored(
             * (z - 1.0 / np.conj(z_plus))
             / (z - 1.0 / np.conj(z_minus))
         )
-    return np.diag([base ** int(k) for k in exponents])
+    return _diagonal(z, [base ** int(k) for k in exponents])
 
 
 @dataclass(eq=False)
@@ -271,18 +284,13 @@ def hermitian_factorize(
     sol = solve(RHProblem.from_jump(v, h=np.eye(n)))
 
     n_minus = sol.m_minus.inv()
-    partners = []
-    for c in system.circles:
-        img = invert_circle(c)
-        partners.append(system.find_circle(img.center, img.radius))
-
     c_samples = []
     mirror_plus = []
     slices = system.node_slices()
     for i, c in enumerate(system.circles):
         pts = c.points()
         mirrored = 1.0 / np.conj(pts)
-        j = partners[i]
+        j = report.partners[i]
         target = system.circles[j]
         angles = np.angle(mirrored - target.center)
         plus_there = sol.boundary_values(j, angles, "plus")

@@ -38,7 +38,15 @@ from .errors import (
     RadiusConflictError,
     ReflectionTooLargeError,
 )
-from .rhp import SIGMA_MIN, JumpData, RHProblem, RHSolution, evaluate_m, solve
+from .rhp import (
+    SIGMA_MIN,
+    JumpData,
+    RHProblem,
+    RHSolution,
+    evaluate_m,
+    matrix_at,
+    solve,
+)
 
 FOCUSING = "focusing"
 DEFOCUSING = "defocusing"
@@ -46,26 +54,17 @@ DEFOCUSING = "defocusing"
 _SAMPLE_COUNT = 256
 
 
-def _zero_reflection(z: complex) -> complex:
+def _zero_reflection(z) -> float:
     return 0.0
-
-
-def _mat2(w, a, b, c, d) -> np.ndarray:
-    """[[a, b], [c, d]] at a point w (2, 2) or at each of P points (P, 2, 2)."""
-    out = np.empty(np.shape(w) + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = a
-    out[..., 0, 1] = b
-    out[..., 1, 0] = c
-    out[..., 1, 1] = d
-    return out
 
 
 @dataclass(frozen=True)
 class IdnlsSpec:
     """Scattering-style data: reflection coefficient, lattice site, poles.
 
-    r is a closed-form evaluator on the unit circle (None means zero);
-    n is the lattice index entering the z^(2n) twists; poles is a sequence
+    r is a closed-form evaluator on the unit circle that takes a point or
+    an array of points, like a jump evaluator (None means zero); n is the
+    lattice index entering the z^(2n) twists; poles is a sequence
     of (z_j, c_j) with |z_j| > 1 pairwise distinct.  The defocusing sign
     requires sup |r| < 1 on the circle, which is what makes the real part
     of the jump positive definite.
@@ -91,7 +90,7 @@ class IdnlsSpec:
                 if locations[i] == locations[k]:
                     raise ValueError(f"duplicate pole {locations[i]}")
         if self.sign == DEFOCUSING:
-            worst = max(abs(self.reflection(z)) for z in _unit_samples())
+            worst = float(np.max(np.abs(self.reflection(_unit_samples()))))
             if worst >= 1.0:
                 raise ReflectionTooLargeError(
                     f"defocusing data needs sup|r| < 1, sampled {worst:.4f}"
@@ -114,29 +113,19 @@ def _unit_samples(count: int = _SAMPLE_COUNT) -> np.ndarray:
 
 def _unit_jump_evaluator(spec: IdnlsSpec) -> Callable:
     r, n = spec.reflection, spec.n
-    if spec.sign == DEFOCUSING:
+    s = 1.0 if spec.sign == FOCUSING else -1.0
 
-        def v(z: complex) -> np.ndarray:
-            rv = r(z)
-            return np.array(
-                [
-                    [1.0 - rv * np.conj(rv), -(z**(2 * n)) * np.conj(rv)],
-                    [z ** (-2 * n) * rv, 1.0],
-                ],
-                dtype=np.complex128,
-            )
-
-    else:
-
-        def v(z: complex) -> np.ndarray:
-            rv = r(z)
-            return np.array(
-                [
-                    [1.0 + rv * np.conj(rv), z ** (2 * n) * np.conj(rv)],
-                    [z ** (-2 * n) * rv, 1.0],
-                ],
-                dtype=np.complex128,
-            )
+    def v(z) -> np.ndarray:
+        rv = r(z)
+        # |r|^2 from the real and imaginary parts, so the entry is real
+        abs_r2 = np.real(rv) ** 2 + np.imag(rv) ** 2
+        return matrix_at(
+            z,
+            [
+                [1.0 + s * abs_r2, s * z ** (2 * n) * np.conj(rv)],
+                [z ** (-2 * n) * rv, 1.0],
+            ],
+        )
 
     return v
 
@@ -236,42 +225,33 @@ def remove_poles(
     if np.any(rho <= 0.0):
         raise CirclePackingError("pole circle radii must be positive")
 
-    circles = [unit_circle(CW, unit_nodes)]
-    roles = [("unit",)]
-    fns = [_unit_jump_evaluator(spec)]
-
     def lower_jump(j: int) -> Callable:
         def v(w) -> np.ndarray:
-            return _mat2(w, 1.0, 0.0, q[j] / (w - z[j]), 1.0)
+            return matrix_at(w, [[1.0, 0.0], [q[j] / (w - z[j]), 1.0]])
 
         return v
 
     def upper_jump(j: int) -> Callable:
         def v(w) -> np.ndarray:
-            return _mat2(w, 1.0, -gamma[j] / (w - mirrors[j]), 0.0, 1.0)
+            return matrix_at(w, [[1.0, -gamma[j] / (w - mirrors[j])], [0.0, 1.0]])
 
         return v
 
-    pole_circles = []
-    for j in range(j_count):
-        pc = Circle(z[j], float(rho[j]), CW, pole_nodes)
-        pole_circles.append(pc)
-        circles.append(pc)
-        roles.append(("pole", j))
-        fns.append(lower_jump(j))
-    for j in range(j_count):
-        circles.append(invert_circle(pole_circles[j]))
-        roles.append(("inverted-pole", j))
-        fns.append(upper_jump(j))
-
+    lowers = [lower_jump(j) for j in range(j_count)]
+    uppers = [upper_jump(j) for j in range(j_count)]
+    pole_circles = [Circle(z[j], float(rho[j]), CW, pole_nodes) for j in range(j_count)]
+    circles = [unit_circle(CW, unit_nodes), *pole_circles]
+    circles += [invert_circle(c) for c in pole_circles]
+    roles = [("unit",)]
+    roles += [(kind, j) for kind in ("pole", "inverted-pole") for j in range(j_count)]
     try:
         system = build_contour(circles)
     except OverlapError as exc:
         raise CirclePackingError(f"{exc}; shrink the pole radii") from exc
-    jump = JumpData.from_evaluators(system, fns)
+    jump = JumpData.from_evaluators(
+        system, [_unit_jump_evaluator(spec)] + lowers + uppers
+    )
 
-    lowers = [lower_jump(j) for j in range(j_count)]
-    uppers = [upper_jump(j) for j in range(j_count)]
     inv_radii = [c.radius for c in circles[1 + j_count :]]
     inv_centers = [c.center for c in circles[1 + j_count :]]
 
@@ -303,16 +283,16 @@ def conjugation_matrices(spec: IdnlsSpec):
     q, _ = _norming_factors(spec)
 
     def a_mat(w) -> np.ndarray:
-        return _mat2(w, prod, 0.0, 0.0, w)
+        return matrix_at(w, [[prod, 0.0], [0.0, w]])
 
     def c_mat(w) -> np.ndarray:
-        return _mat2(w, 1.0 / np.conj(prod), 0.0, 0.0, w)
+        return matrix_at(w, [[1.0 / np.conj(prod), 0.0], [0.0, w]])
 
     def b_mat(j: int) -> Callable:
         beta = prod / z[j] * q[j]
 
         def mat(w) -> np.ndarray:
-            return _mat2(w, prod, 0.0, -beta, w)
+            return matrix_at(w, [[prod, 0.0], [-beta, w]])
 
         return mat
 
@@ -370,39 +350,27 @@ def conjugate(
     a_mat, b_mats, c_mat = conjugation_matrices(spec)
     unit_v = _unit_jump_evaluator(spec)
 
-    def unit_jump(w: complex) -> np.ndarray:
-        a = a_mat(w)
-        a_star = np.array(
-            [[np.conj(prod), 0.0], [0.0, 1.0 / w]], dtype=np.complex128
-        )
-        return a_star @ unit_v(w) @ a
+    def inner_jump(w) -> np.ndarray:
+        # A^* = A(1/conj(w))^H; np.reciprocal rounds the imaginary part of
+        # 1/w once, where 1.0 / w rounds it twice
+        return matrix_at(w, [[np.conj(prod), 0.0], [0.0, np.reciprocal(w)]])
 
-    def outer_jump(w: complex) -> np.ndarray:
-        return a_mat(w)
-
-    def inner_jump(w: complex) -> np.ndarray:
-        return np.array(
-            [[np.conj(prod), 0.0], [0.0, 1.0 / w]], dtype=np.complex128
-        )
+    def unit_jump(w) -> np.ndarray:
+        return inner_jump(w) @ unit_v(w) @ a_mat(w)
 
     def pole_jump(j: int) -> Callable:
         kappa = prod / z[j] * q[j]
 
-        def v(w: complex) -> np.ndarray:
-            return np.array(
-                [[1.0, 0.0], [kappa / (w - z[j]), 1.0]], dtype=np.complex128
-            )
+        def v(w) -> np.ndarray:
+            return matrix_at(w, [[1.0, 0.0], [kappa / (w - z[j]), 1.0]])
 
         return v
 
     def mirror_jump(j: int) -> Callable:
         lam = np.conj(prod) * gamma[j]
 
-        def v(w: complex) -> np.ndarray:
-            return np.array(
-                [[1.0, -w * lam / (w - mirrors[j])], [0.0, 1.0]],
-                dtype=np.complex128,
-            )
+        def v(w) -> np.ndarray:
+            return matrix_at(w, [[1.0, -w * lam / (w - mirrors[j])], [0.0, 1.0]])
 
         return v
 
@@ -411,15 +379,12 @@ def conjugate(
         Circle(0j, 1.0 / big_r, CCW, node_count),
     ]
     roles = list(ap.roles) + [("outer",), ("inner",)]
-    fns = []
-    for role in ap.roles:
-        if role == ("unit",):
-            fns.append(unit_jump)
-        elif role[0] == "pole":
-            fns.append(pole_jump(role[1]))
-        else:
-            fns.append(mirror_jump(role[1]))
-    fns.extend([outer_jump, inner_jump])
+    jumps = {"pole": pole_jump, "inverted-pole": mirror_jump}
+    fns = [
+        unit_jump if role == ("unit",) else jumps[role[0]](role[1])
+        for role in ap.roles
+    ]
+    fns += [a_mat, inner_jump]
 
     system = build_contour(circles)
     jump = JumpData.from_evaluators(system, fns)
@@ -467,11 +432,13 @@ class SolitonOracle:
     pole_residues: np.ndarray
     mirror_residues: np.ndarray
 
-    def __call__(self, z: complex) -> np.ndarray:
-        out = np.eye(2, dtype=np.complex128)
+    def __call__(self, z) -> np.ndarray:
+        """The solution at a point (2, 2) or at each of P points (P, 2, 2)."""
+        w = np.asarray(z, dtype=np.complex128)
+        out = matrix_at(w, [[1.0, 0.0], [0.0, 1.0]])
         for j in range(len(self.poles)):
-            out[:, 0] += self.pole_residues[j] / (z - self.poles[j])
-            out[:, 1] += self.mirror_residues[j] / (z - self.mirrors[j])
+            out[..., :, 0] += self.pole_residues[j] / (w[..., None] - self.poles[j])
+            out[..., :, 1] += self.mirror_residues[j] / (w[..., None] - self.mirrors[j])
         return out
 
 
@@ -480,7 +447,7 @@ def soliton_oracle(spec: IdnlsSpec) -> SolitonOracle:
     if not spec.poles:
         raise ValueError("soliton oracle needs at least one pole")
     if spec.r is not None:
-        worst = max(abs(spec.r(w)) for w in _unit_samples())
+        worst = float(np.max(np.abs(spec.r(_unit_samples()))))
         if worst > 1e-14:
             raise ValueError(
                 f"soliton oracle needs zero reflection, sampled sup {worst:.2e}"
@@ -580,7 +547,7 @@ def residue_condition_residuals(
             ring = center + radius * np.exp(
                 2j * np.pi * np.arange(quad_points) / quad_points
             )
-            vals = np.stack([evaluate(complex(w)) for w in ring])
+            vals = evaluate(ring)
             residue = np.einsum("l,lab->ab", ring - center, vals) / quad_points
             regular = vals.mean(axis=0)
             rank_one = np.zeros((2, 2), dtype=np.complex128)

@@ -32,6 +32,7 @@ import scipy.sparse.linalg
 
 from .cauchy import (
     GridFunction,
+    _matrix_values,
     boundary_values_on_circle,
     build_projectors,
     cauchy_offcontour,
@@ -50,20 +51,28 @@ SIGMA_MIN = 1e-8
 TAU_RANK = 1e-7
 
 
-def _as_matrix_fn(fn: Callable) -> Callable:
-    def wrapped(z: complex) -> np.ndarray:
-        return np.atleast_2d(np.asarray(fn(z), dtype=np.complex128))
+def matrix_at(z, rows) -> np.ndarray:
+    """The matrix of entries rows[a][b] at a point z, giving (n, n), or at
+    each of P points, giving (P, n, n).
 
-    return wrapped
+    Each entry is a scalar or an array of the shape of z.
+    """
+    n = len(rows)
+    out = np.empty(np.shape(z) + (n, n), dtype=np.complex128)
+    for a, row in enumerate(rows):
+        for b, entry in enumerate(row):
+            out[..., a, b] = entry
+    return out
 
 
 @dataclass(eq=False)
 class JumpData:
     """Jump matrix v: node samples plus per-circle closed-form evaluators.
 
-    The evaluators are callables z -> (n, n) array (or scalar) valid on or
-    near their circle; they are what midpoint residuals and inversion
-    symmetry checks re-evaluate instead of interpolating samples.
+    An evaluator is called once per circle on a 1-D array of P points on
+    or near it and returns (P, n, n), a constant (n, n), (P,) for a 1x1
+    jump, or a scalar.  The midpoint residual and the inversion-symmetry
+    check re-evaluate them instead of interpolating samples.
     """
 
     v: GridFunction
@@ -87,9 +96,7 @@ class JumpData:
     def from_evaluator(
         cls, system: ContourSystem, fn: Callable, delta_inv: float = DELTA_INV
     ) -> "JumpData":
-        fn = _as_matrix_fn(fn)
-        gf = GridFunction.sample(system, fn)
-        return cls(gf, (fn,) * len(system.circles), delta_inv)
+        return cls.from_evaluators(system, (fn,) * len(system.circles), delta_inv)
 
     @classmethod
     def from_evaluators(
@@ -98,25 +105,13 @@ class JumpData:
         fns: Sequence[Callable],
         delta_inv: float = DELTA_INV,
     ) -> "JumpData":
-        fns = tuple(_as_matrix_fn(f) for f in fns)
-        if len(fns) != len(system.circles):
-            raise ValueError("need one evaluator per circle")
-        slices = system.node_slices()
-        first = fns[0](complex(system.circles[0].points()[0]))
-        n = first.shape[0]
-        values = np.empty((system.total_nodes, n, n), dtype=np.complex128)
-        for i, c in enumerate(system.circles):
-            for k, z in enumerate(c.points()):
-                values[slices[i].start + k] = fns[i](complex(z))
-        return cls(GridFunction(system, values), fns, delta_inv)
-
-    def evaluator_for(self, circle_index: int) -> Callable:
-        return self.evaluators[circle_index]
+        fns = tuple(fns)
+        values = [_matrix_values(f, c.points()) for f, c in zip(fns, system.circles)]
+        return cls(GridFunction(system, np.concatenate(values)), fns, delta_inv)
 
     def at(self, circle_index: int, points) -> np.ndarray:
-        fn = self.evaluator_for(circle_index)
-        pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
-        return np.stack([fn(complex(z)) for z in pts])
+        """Circle circle_index's evaluator at P points, as (P, n, n)."""
+        return _matrix_values(self.evaluators[circle_index], points)
 
 
 @dataclass(eq=False)
@@ -460,6 +455,8 @@ class InversionReport:
     On the unit circle itself the symmetry v(z) = v(1/conj(z))^* reduces to
     v being Hermitian; that deviation is reported separately because only
     the Hermitian factorization requires it, not the solvability theorem.
+    partners[i] is the index of the circle that is the inversion image of
+    circle i, matched within the check's pair_tol.
     """
 
     symmetric_off_circle: bool
@@ -467,6 +464,7 @@ class InversionReport:
     max_symmetry_deviation: float
     hermitian_deviation_on_circle: float
     unit_circle_index: int
+    partners: tuple
 
 
 def check_inversion_hypotheses(
@@ -504,14 +502,11 @@ def check_inversion_hypotheses(
 
     dev = 0.0
     for i, c in enumerate(system.circles):
-        if i == iu:
-            continue
-        pts = c.points()
-        mirrored = 1.0 / np.conj(pts)
-        direct = v.at(i, pts)
-        through = v.at(partners[i], mirrored)
-        sharp = np.conj(np.swapaxes(through, 1, 2))
-        dev = max(dev, float(np.max(np.abs(direct - sharp))))
+        if i != iu:
+            # the node samples are the closed form at the nodes
+            through = v.at(partners[i], 1.0 / np.conj(c.points()))
+            gap = v.v.restrict(i) - np.conj(np.swapaxes(through, 1, 2))
+            dev = max(dev, float(np.max(np.abs(gap))))
 
     unit_vals = v.v.restrict(iu)
     herm = 0.5 * (unit_vals + np.conj(np.swapaxes(unit_vals, 1, 2)))
@@ -523,6 +518,7 @@ def check_inversion_hypotheses(
         max_symmetry_deviation=dev,
         hermitian_deviation_on_circle=herm_dev,
         unit_circle_index=iu,
+        partners=tuple(partners),
     )
 
 

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -30,9 +29,7 @@ def rational_radius6():
     """Scalar jump with a known closed-form solution: m = 1 inside the
     radius-6 circle and (z - 2.5)/(z - 0.4) outside."""
     system = rc.build_contour([rc.Circle(0j, 6.0, rc.CCW, 64)])
-    jump = rc.JumpData.from_evaluator(
-        system, lambda z: np.array([[(z - 0.4) / (z - 2.5)]])
-    )
+    jump = rc.JumpData.from_evaluator(system, lambda z: (z - 0.4) / (z - 2.5))
     return system, jump
 
 

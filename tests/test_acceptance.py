@@ -18,9 +18,7 @@ def unit_system(node_count=64, orientation=rc.CCW):
 
 
 def scalar_jump(system, fn, **kwargs):
-    return rc.JumpData.from_evaluator(
-        system, lambda z: np.array([[fn(z)]], dtype=np.complex128), **kwargs
-    )
+    return rc.JumpData.from_evaluator(system, fn, **kwargs)
 
 
 def test_criterion_1_cauchy_projection_identities():

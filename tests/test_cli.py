@@ -430,3 +430,85 @@ def test_samples_match_point_by_point_evaluation(tmp_path):
                     )
     assert too_close >= 2 and non_finite == 1
     assert csv_path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_hermitian_factorization_pairs_circles_within_pair_tol(tmp_path):
+    # the inner circle is the outer one's image only to within 1e-7
+    problem = write_problem(
+        tmp_path,
+        {
+            "version": 1,
+            "mode": "factorize-hermitian",
+            "contour": [
+                {"center": [0.0, 0.0], "radius": 1.0, "orientation": "cw"},
+                {"center": [0.0, 0.0], "radius": 2.0, "orientation": "ccw"},
+                {"center": [0.0, 0.0], "radius": 0.5000001, "orientation": "ccw"},
+            ],
+            "jump": [[["2.5 + z + 1/z"]], [["1"]], [["1"]]],
+        },
+    )
+    code, report = run(
+        "factorize-hermitian", problem, tmp_path, "--tol", "pair_tol=1e-6"
+    )
+    assert code == 0
+    assert report["symmetric_off_circle"] is True
+    code, _ = run("factorize-hermitian", problem, tmp_path)
+    assert code == 2
+
+
+@pytest.mark.parametrize("nodes", ["0", "5"])
+def test_bad_node_override_is_a_usage_error(nodes, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        run("solve", PROBLEMS / "identity_solve.json", tmp_path, "--nodes", nodes)
+    assert info.value.code == 1
+    assert "--nodes" in capsys.readouterr().err
+
+
+def _edited(name, edit):
+    doc = json.loads((PROBLEMS / name).read_text())
+    edit(doc)
+    return doc
+
+
+BAD_NUMBERS = {
+    "radius true": _edited(
+        "rational_solve.json", lambda d: d["contour"][0].update(radius=True)
+    ),
+    "center string": _edited(
+        "rational_solve.json", lambda d: d["contour"][0].update(center=["a", 0])
+    ),
+    "center null": _edited(
+        "rational_solve.json", lambda d: d["contour"][0].update(center=[None, 0])
+    ),
+    "nodes true": _edited(
+        "rational_solve.json", lambda d: d["contour"][0].update(nodes=True)
+    ),
+    "nodes odd": _edited(
+        "rational_solve.json", lambda d: d["contour"][0].update(nodes=5)
+    ),
+    "h entry true": _edited(
+        "identity_solve.json",
+        lambda d: d.update(h=[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]),
+    ),
+    "anchor string": _edited(
+        "scalar_winding.json", lambda d: d["anchors"].update(z_plus=["0", 0])
+    ),
+    "tolerance string": _edited(
+        "rational_solve.json", lambda d: d.update(tolerances={"sigma_min": "1e-8"})
+    ),
+    "idnls.n true": _edited("idnls_soliton.json", lambda d: d["idnls"].update(n=True)),
+    "pole string": _edited(
+        "idnls_soliton.json", lambda d: d["idnls"].update(poles=[["2", 0, 1, 0]])
+    ),
+    "pole null": _edited(
+        "idnls_soliton.json", lambda d: d["idnls"].update(poles=[[2, 0, None, 0]])
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BAD_NUMBERS))
+def test_problem_numbers_are_type_checked(label, tmp_path, capsys):
+    doc = BAD_NUMBERS[label]
+    code, _ = run(doc["mode"], write_problem(tmp_path, doc), tmp_path)
+    assert code == 1
+    assert "rhc: invalid input: problem file:" in capsys.readouterr().err

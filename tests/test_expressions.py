@@ -1,5 +1,7 @@
 import cmath
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -96,3 +98,69 @@ def test_polynomials_match_horner(coeffs, z):
     for c in reversed(coeffs):
         want = want * z + c
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+_LEAVES = st.sampled_from(["z", "i", "2", "0.5", "3i", "pi"])
+
+
+def _combine(children):
+    binary = st.tuples(children, st.sampled_from("+-*/"), children).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})"
+    )
+    power = st.tuples(children, st.integers(min_value=-3, max_value=3)).map(
+        lambda t: f"({t[0]})^({t[1]})"
+    )
+    calls = st.tuples(st.sampled_from(["exp", "conj", "-"]), children).map(
+        lambda t: f"{t[0]}({t[1]})"
+    )
+    return st.one_of(binary, power, calls)
+
+
+@given(
+    st.recursive(_LEAVES, _combine, max_leaves=8),
+    st.lists(
+        st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_array_evaluation_matches_pointwise(text, points):
+    f = parse_expression(text)
+    want, first_bad = [], None
+    for k, z in enumerate(points):
+        try:
+            want.append(f(z))
+        except EvalError:
+            first_bad = k
+            break
+    if first_bad is not None:
+        named = re.escape(f"z = {complex(points[first_bad])}")
+        with pytest.raises(EvalError, match=named):
+            f(np.array(points))
+        return
+    got = f(np.array(points))
+    assert got.shape == (len(points),)
+    for g, w in zip(got, want):
+        assert isinstance(w, complex)
+        assert abs(g - w) <= 1e-15 * abs(w)
+
+
+def test_array_names_its_first_singular_point():
+    f = parse_expression("1/((z - 1)*(z + 1))")
+    with pytest.raises(EvalError, match=re.escape("z = (-1+0j)")):
+        f(np.array([0.5, -1.0, 1.0]))
+    assert f(np.array([0.5, 2.0])).shape == (2,)
+
+
+def test_constant_division_by_zero_is_an_eval_error():
+    f = parse_expression("z + 1/0")
+    with pytest.raises(EvalError):
+        f(0.5)
+    with pytest.raises(EvalError):
+        f(np.array([0.5, 2.0]))
+
+
+def test_constant_expression_takes_the_shape_of_its_points():
+    got = parse_expression("2 - i")(np.zeros((2, 3)))
+    assert got.shape == (2, 3) and np.all(got == 2 - 1j)
+    assert parse_expression("2 - i")(0.0) == 2 - 1j

@@ -6,7 +6,7 @@ import rhcircles as rc
 
 
 def scalar_jump(system, fn):
-    return rc.JumpData.from_evaluator(system, lambda z: np.array([[fn(z)]])).v
+    return rc.JumpData.from_evaluator(system, fn).v
 
 
 @given(st.integers(min_value=-6, max_value=6))
@@ -32,7 +32,7 @@ def test_winding_is_additive(k, a, b):
 
 def test_winding_rejects_vanishing_symbol():
     system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 32)])
-    v = rc.GridFunction.sample(system, lambda z: np.array([[z - 1.0]]))
+    v = rc.GridFunction.sample(system, lambda z: z - 1.0)
     with pytest.raises(rc.SingularJumpError):
         rc.winding_number(v)
 
@@ -141,9 +141,7 @@ def test_scalar_factorize_single_circle_scalar_only():
 
 def hermitian_scalar_jump(orientation):
     system = rc.build_contour([rc.Circle(0j, 1.0, orientation, 64)])
-    return rc.JumpData.from_evaluator(
-        system, lambda z: np.array([[2.5 + z + 1.0 / z]])
-    )
+    return rc.JumpData.from_evaluator(system, lambda z: 2.5 + z + 1.0 / z)
 
 
 def test_hermitian_factorize_scalar_counterclockwise():
@@ -197,9 +195,7 @@ def test_hermitian_factorize_rejects_non_hermitian():
 
 def test_hermitian_factorize_rejects_indefinite():
     system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 32)])
-    v = rc.JumpData.from_evaluator(
-        system, lambda z: np.array([[0.5 + z + 1.0 / z]])
-    )
+    v = rc.JumpData.from_evaluator(system, lambda z: 0.5 + z + 1.0 / z)
     with pytest.raises(rc.HypothesisViolationError):
         rc.hermitian_factorize(v)
 

@@ -359,3 +359,26 @@ def test_array_evaluate_equals_stacked_point_evaluates_in_every_undo_region():
     assert np.array_equal(
         sol.evaluate(grid), np.stack([sol.evaluate(complex(w)) for w in grid])
     )
+
+
+def test_oracle_takes_arrays():
+    oracle = rc.soliton_oracle(soliton_spec((2.0 + 0j, 1.0 + 0j), (3.0 + 1.0j, 0.5j)))
+    z = np.array([0.0, 1.5 + 1.0j, -4.0, 0.2j])
+    got = oracle(z)
+    assert got.shape == (4, 2, 2)
+    assert np.array_equal(got, np.stack([oracle(w) for w in z]))
+    assert oracle(z[1]).shape == (2, 2)
+
+
+def test_residue_check_makes_one_call_per_ring():
+    spec = soliton_spec((2.0 + 0j, 1.0 + 0j), (3.0 + 1.0j, 0.5j))
+    oracle = rc.soliton_oracle(spec)
+    ap = rc.remove_poles(spec, pole_nodes=32, unit_nodes=32)
+    calls = []
+
+    def evaluate(z):
+        calls.append(np.shape(z))
+        return oracle(z)
+
+    assert rc.residue_condition_residuals(evaluate, ap, quad_points=24) < 1e-13
+    assert calls == [(24,)] * 4

@@ -37,7 +37,7 @@ def test_splitting_reassembles_jump(rational_radius6, side):
 
 def test_singular_jump_rejected(unit_ccw_64):
     with pytest.raises(rc.SingularJumpError):
-        rc.JumpData.from_evaluator(unit_ccw_64, lambda z: np.array([[z - 1.0]]))
+        rc.JumpData.from_evaluator(unit_ccw_64, lambda z: z - 1.0)
 
 
 def test_identity_jump_solution_is_constant(unit_ccw_64):
@@ -115,7 +115,7 @@ def test_boundary_relation_and_residual(rational_radius6):
 
 def test_winding_one_jump_is_near_singular():
     system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 128)])
-    v = rc.JumpData.from_evaluator(system, lambda z: np.array([[z]]))
+    v = rc.JumpData.from_evaluator(system, lambda z: z)
     with pytest.raises(rc.NearSingularOperatorError) as info:
         rc.solve(rc.RHProblem.from_jump(v))
     assert info.value.smallest_singular_value < 1e-8
@@ -125,9 +125,7 @@ def test_rational_jump_on_unit_circle_is_near_singular():
     # with only one of the two anchors enclosed the symbol winds once and
     # the operator has a genuine one-dimensional kernel
     system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 128)])
-    v = rc.JumpData.from_evaluator(
-        system, lambda z: np.array([[(z - 0.4) / (z - 2.5)]])
-    )
+    v = rc.JumpData.from_evaluator(system, lambda z: (z - 0.4) / (z - 2.5))
     with pytest.raises(rc.NearSingularOperatorError):
         rc.solve(rc.RHProblem.from_jump(v))
     rep = rc.index_diagnostics(rc.RHProblem.from_jump(v))
@@ -137,7 +135,7 @@ def test_rational_jump_on_unit_circle_is_near_singular():
 @pytest.mark.parametrize("kappa", [-2, -1, 0, 1, 2])
 def test_monomial_jump_index(kappa):
     system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 64)])
-    v = rc.JumpData.from_evaluator(system, lambda z: np.array([[z**kappa]]))
+    v = rc.JumpData.from_evaluator(system, lambda z: z**kappa)
     rep = rc.index_diagnostics(rc.RHProblem.from_jump(v))
     assert rep.dim_ker == max(kappa, 0)
     assert rep.dim_coker == max(-kappa, 0)
@@ -147,9 +145,9 @@ def test_kernel_cokernel_duality_under_inversion():
     # dim Coker for the jump v equals dim Ker for z -> v(1/conj(z))^*
     system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 64)])
     for kappa in (-2, 1):
-        v = rc.JumpData.from_evaluator(system, lambda z: np.array([[z**kappa]]))
+        v = rc.JumpData.from_evaluator(system, lambda z: z**kappa)
         v_sharp = rc.JumpData.from_evaluator(
-            system, rc.inversion_conjugate(lambda z: np.array([[z**kappa]]))
+            system, rc.inversion_conjugate(lambda z: z**kappa)
         )
         rep = rc.index_diagnostics(rc.RHProblem.from_jump(v))
         rep_sharp = rc.index_diagnostics(rc.RHProblem.from_jump(v_sharp))
@@ -164,7 +162,7 @@ def test_block_triangular_jump_solves():
     system = rc.build_contour([circle])
     q = 0.7
     v = rc.JumpData.from_evaluator(
-        system, lambda z: np.array([[1.0, 0.0], [q / (z - 2.0), 1.0]])
+        system, lambda z: rc.matrix_at(z, [[1.0, 0.0], [q / (z - 2.0), 1.0]])
     )
     sol = rc.solve(rc.RHProblem.from_jump(v))
     # outside the circle m = I + q E21 / (z - 2), inside m = I
@@ -179,7 +177,7 @@ def test_spectral_convergence_on_nontrivial_symbol():
     # zeros and poles at distance ratio 0.8 from the circle force visible
     # spectral decay before the rounding floor
     def v_fn(z):
-        return np.array([[((z - 0.8) * (z - 1.25)) / ((z - 0.7) * (z - 1.4))]])
+        return ((z - 0.8) * (z - 1.25)) / ((z - 0.7) * (z - 1.4))
 
     residuals = []
     for m in (16, 32, 64, 128, 256):
@@ -232,7 +230,7 @@ def test_symmetry_check_accepts_mirror_pair():
     outer = rc.Circle(3.0 + 0j, 0.5, rc.CW, 32)
     mirror = rc.invert_circle(outer)
     system = rc.build_contour([rc.Circle(0j, 1.0, rc.CW, 32), outer, mirror])
-    pair = lambda z: np.array([[1.0, 0.5 / (z - 3.0)], [0.0, 1.0]])
+    pair = lambda z: rc.matrix_at(z, [[1.0, 0.5 / (z - 3.0)], [0.0, 1.0]])
     fns = [
         lambda z: np.diag([2.0, 1.0]),  # Hermitian, positive on S^1
         pair,
@@ -369,3 +367,44 @@ def test_array_evaluate_names_the_too_close_point(rational_radius6):
     z = np.array([0.0, 3.0, 6.0 + 1e-9j, 9.0])
     with pytest.raises(rc.TooCloseToContourError, match=r"point \(6\+1e-09j\) "):
         sol.evaluate(z)
+
+
+def _conjugated_soliton_jump():
+    spec = rc.IdnlsSpec(r=None, n=1, poles=((2.0 + 0.5j, 0.7 + 0j),))
+    return rc.conjugate(rc.remove_poles(spec, pole_nodes=32, unit_nodes=32)).jump
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _cli_problem("hermitian_scalar.json").data.jump,
+        lambda: _defocusing_problem().data.jump,
+        _conjugated_soliton_jump,
+    ],
+    ids=["hermitian_scalar", "defocusing_1x128", "conjugated_soliton"],
+)
+def test_reevaluated_jump_equals_node_samples(make):
+    jump = make()
+    for i, circle in enumerate(jump.system.circles):
+        assert np.array_equal(jump.at(i, circle.points()), jump.v.restrict(i))
+
+
+def test_evaluator_shapes(unit_ccw_64):
+    pts = unit_ccw_64.all_points()
+    want = (2.0 + pts)[:, None, None]
+    for fn in (
+        lambda z: 2.0 + z,  # (P,) for a 1x1 jump
+        lambda z: (2.0 + z)[:, None, None],  # (P, n, n)
+    ):
+        assert np.array_equal(rc.GridFunction.sample(unit_ccw_64, fn).values, want)
+    for fn, const in (
+        (lambda z: 3.0, np.full((1, 1), 3.0)),  # a scalar
+        (lambda z: np.diag([2.0, 1.0]), np.diag([2.0, 1.0])),  # a constant (n, n)
+    ):
+        v = rc.JumpData.from_evaluator(unit_ccw_64, fn)
+        assert v.v.values.shape == (pts.size,) + const.shape
+        assert np.all(v.v.values == const)
+        assert v.at(0, [0.5, 2.0]).shape == (2,) + const.shape
+    # per-point literals stacked the wrong way round are refused
+    with pytest.raises(ValueError):
+        rc.GridFunction.sample(unit_ccw_64, lambda z: np.array([[2.0 + z]]))
