@@ -7,7 +7,8 @@ collocation grid in two pieces:
   circle whose plus side is the interior, the plus boundary value keeps the
   modes k >= 0 and the minus boundary value is -(modes k < 0); when the
   plus side is the exterior the roles of the mode sets swap.  This is exact
-  for band-limited data.
+  for band-limited data.  The node-to-node block is a circulant whose first
+  column is one inverse FFT of the kept-mode mask.
 
 * different circle: the kernel 1/(w-z) is smooth there, so plain trapezoid
   quadrature in dw is spectrally accurate and the limit needs no side.
@@ -20,9 +21,10 @@ functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .contour import Circle, ContourSystem
 from .errors import AlignmentError, TooCloseToContourError
@@ -56,19 +58,19 @@ def circle_coefficients(circle: Circle, samples: np.ndarray) -> np.ndarray:
     return np.fft.ifft(samples, axis=0)
 
 
-def synthesize(
-    circle: Circle,
-    coeffs: np.ndarray,
-    angles: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Evaluate sum_k a_k exp(1j*k*angle), optionally over a mode subset."""
+def circle_values(circle: Circle, coeffs: np.ndarray) -> np.ndarray:
+    """Values sum_k a_k exp(1j*k*theta) at the nodes, in traversal order:
+    the inverse of circle_coefficients."""
+    if circle.sign == 1:
+        return np.fft.ifft(coeffs, axis=0) * circle.node_count
+    return np.fft.fft(coeffs, axis=0)
+
+
+def synthesize(circle: Circle, coeffs: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Evaluate sum_k a_k exp(1j*k*angle) at off-node angles."""
     k = fourier_modes(circle.node_count)
-    c = coeffs if mask is None else coeffs * mask.reshape(
-        (-1,) + (1,) * (coeffs.ndim - 1)
-    )
     basis = np.exp(1j * np.outer(np.asarray(angles), k))
-    return np.tensordot(basis, c, axes=(1, 0))
+    return np.tensordot(basis, coeffs, axes=(1, 0))
 
 
 def plus_mode_mask(circle: Circle, plus_inside: bool) -> np.ndarray:
@@ -202,11 +204,9 @@ class CauchyProjectors:
 
 
 def _self_block(circle: Circle, plus_inside: bool) -> np.ndarray:
-    theta = circle.angles()
-    k = fourier_modes(circle.node_count)[plus_mode_mask(circle, plus_inside)]
-    synth = np.exp(1j * np.outer(theta, k))
-    anal = np.exp(-1j * np.outer(k, theta)) / circle.node_count
-    return synth @ anal
+    # a circulant: column l holds the kept modes of the unit sample at node l
+    mask = plus_mode_mask(circle, plus_inside) / circle.node_count
+    return scipy.linalg.circulant(circle_values(circle, mask))
 
 
 def _cross_block(targets: np.ndarray, source: Circle) -> np.ndarray:
@@ -307,34 +307,29 @@ def boundary_values_on_circle(
     values: np.ndarray,
     circle_index: int,
     angles: np.ndarray,
-    side: str,
-) -> np.ndarray:
-    """C+(g) or C-(g) evaluated at arbitrary angles of one circle.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(C+(g), C-(g)) at arbitrary angles of one circle.
 
-    The same-circle contribution is synthesized from the kept Fourier modes
-    (with the minus side carrying the complementary modes and a sign); the
-    other circles contribute through smooth quadrature.  This extends the
-    node-level projector to off-node boundary points, which is what jump
-    residuals at midpoints and inversion-matched evaluations need.
+    One basis synthesizes the same-circle part of both: the kept Fourier
+    modes for plus, the complementary modes with a sign for minus.  Each
+    other circle's smooth quadrature is computed once and added to both.
+    This extends the node-level projector to off-node boundary points,
+    which is what jump residuals at midpoints and inversion-matched
+    evaluations need.
     """
-    if side not in ("plus", "minus"):
-        raise ValueError("side must be 'plus' or 'minus'")
     circle = system.circles[circle_index]
     slices = system.node_slices()
     angles = np.asarray(angles, dtype=float)
     pts = circle.point_at(angles)
 
-    own = values[slices[circle_index]]
-    coeffs = circle_coefficients(circle, own)
-    keep = plus_mode_mask(circle, system.plus_inside[circle_index])
-    if side == "plus":
-        out = synthesize(circle, coeffs, angles, keep)
-    else:
-        out = -synthesize(circle, coeffs, angles, ~keep)
+    coeffs = circle_coefficients(circle, values[slices[circle_index]])
+    keep = plus_mode_mask(circle, system.plus_inside[circle_index])[:, None, None]
+    split = np.stack([coeffs * keep, -coeffs * ~keep], axis=1)
+    out = synthesize(circle, split, angles)
 
     for j, cj in enumerate(system.circles):
         if j == circle_index:
             continue
         block = _cross_block(pts, cj)
-        out = out + np.tensordot(block, values[slices[j]], axes=(1, 0))
-    return out
+        out += np.tensordot(block, values[slices[j]], axes=(1, 0))[:, None]
+    return out[:, 0], out[:, 1]

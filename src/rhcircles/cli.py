@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -62,8 +63,11 @@ from .idnls import (
     solve_augmented,
 )
 from .rhp import (
+    CONST_TOL,
     DELTA_INV,
+    PAIR_TOL,
     SIGMA_MIN,
+    SYM_TOL,
     TAU_RANK,
     JumpData,
     RHProblem,
@@ -88,14 +92,15 @@ MODES = (
     "idnls",
 )
 
-_TOLERANCE_KEYS = (
-    "sigma_min",
-    "tau_rank",
-    "delta_inv",
-    "const_tol",
-    "sym_tol",
-    "pair_tol",
-)
+_DEFAULT_TOLERANCES = {
+    "sigma_min": SIGMA_MIN,
+    "tau_rank": TAU_RANK,
+    "delta_inv": DELTA_INV,
+    "const_tol": CONST_TOL,
+    "sym_tol": SYM_TOL,
+    "pair_tol": PAIR_TOL,
+}
+_TOLERANCE_KEYS = tuple(_DEFAULT_TOLERANCES)
 
 _HYPOTHESIS_ERRORS = (
     HypothesisViolationError,
@@ -177,11 +182,14 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _number(value, where: str, kind=(int, float)):
-    """value, checked to be a JSON number (an integer if kind is int);
-    Python counts bool as int, JSON does not count true as a number."""
+    """value, checked to be a JSON number (an integer if kind is int)
+    that a float holds finitely; Python counts bool as int and reads NaN
+    and Infinity, JSON has neither."""
     _require(
-        isinstance(value, kind) and not isinstance(value, bool),
-        f"{where} must be {'an integer' if kind is int else 'a number'}",
+        isinstance(value, kind)
+        and not isinstance(value, bool)
+        and (kind is int or abs(value) <= sys.float_info.max),
+        f"{where} must be {'an integer' if kind is int else 'a finite number'}",
     )
     return value
 
@@ -229,14 +237,7 @@ def _load_problem(path: str, mode: str) -> dict:
 
 
 def _merge_tolerances(doc: dict, overrides: list) -> dict:
-    tol = {
-        "sigma_min": SIGMA_MIN,
-        "tau_rank": TAU_RANK,
-        "delta_inv": DELTA_INV,
-        "const_tol": 1e-6,
-        "sym_tol": 1e-10,
-        "pair_tol": 1e-8,
-    }
+    tol = dict(_DEFAULT_TOLERANCES)
     for key, value in doc.get("tolerances", {}).items():
         tol[key] = float(_number(value, f"tolerances.{key}"))
     for item in overrides:
@@ -249,6 +250,9 @@ def _merge_tolerances(doc: dict, overrides: list) -> dict:
             tol[key] = float(value)
         except ValueError:
             raise ValueError(f"tolerance {key} needs a numeric value") from None
+    for key, value in tol.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"tolerance {key} must be finite and > 0, got {value}")
     return tol
 
 
@@ -561,6 +565,8 @@ def _parse_bbox(text: str | None, system: ContourSystem) -> tuple:
             raise ValueError(
                 f"--bbox must be re0,re1,im0,im1, got {text!r}"
             ) from None
+        if not all(map(math.isfinite, (re0, re1, im0, im1))):
+            raise ValueError(f"--bbox values must be finite, got {text!r}")
         if re0 >= re1 or im0 >= im1:
             raise ValueError("--bbox must have re0 < re1 and im0 < im1")
         return re0, re1, im0, im1

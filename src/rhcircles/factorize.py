@@ -18,9 +18,8 @@ import numpy as np
 from .cauchy import (
     GridFunction,
     circle_coefficients,
-    fourier_modes,
+    circle_values,
     plus_mode_mask,
-    synthesize,
 )
 from .errors import (
     HypothesisViolationError,
@@ -30,7 +29,10 @@ from .errors import (
     WindingAmbiguityError,
 )
 from .rhp import (
+    CONST_TOL,
     DELTA_INV,
+    PAIR_TOL,
+    SYM_TOL,
     InversionReport,
     JumpData,
     RHProblem,
@@ -201,11 +203,10 @@ def scalar_factorize(
     g = _continuous_log(v.scalar() / theta)
 
     coeffs = circle_coefficients(circle, g)
-    k = fourier_modes(circle.node_count)
-    keep = plus_mode_mask(circle, system.plus_inside[0]) | (k == 0)
-    angles = circle.angles()
-    g_plus = synthesize(circle, coeffs, angles, keep)
-    g_minus = synthesize(circle, coeffs, angles, ~keep)
+    keep = plus_mode_mask(circle, system.plus_inside[0])
+    keep[0] = True  # mode 0, first in FFT order
+    g_plus = circle_values(circle, coeffs * keep)
+    g_minus = circle_values(circle, coeffs * ~keep)
 
     def as_grid(arr):
         return GridFunction(system, arr.reshape(-1, 1, 1))
@@ -246,9 +247,9 @@ class HermitianFactorization:
 def hermitian_factorize(
     v: JumpData,
     *,
-    const_tol: float = 1e-6,
-    sym_tol: float = 1e-10,
-    pair_tol: float = 1e-8,
+    const_tol: float = CONST_TOL,
+    sym_tol: float = SYM_TOL,
+    pair_tol: float = PAIR_TOL,
 ) -> HermitianFactorization:
     """Factor an inversion-symmetric positive jump as (w_plus)# w_plus.
 
@@ -293,7 +294,7 @@ def hermitian_factorize(
         j = report.partners[i]
         target = system.circles[j]
         angles = np.angle(mirrored - target.center)
-        plus_there = sol.boundary_values(j, angles, "plus")
+        plus_there, _ = sol.boundary_values(j, angles)
         mirror_plus.append(plus_there)
         sharp = np.conj(np.swapaxes(plus_there, 1, 2))
         c_samples.append(

@@ -36,6 +36,7 @@ from .cauchy import (
     boundary_values_on_circle,
     build_projectors,
     cauchy_offcontour,
+    circle_values,
 )
 from .contour import ContourSystem, invert_circle
 from .errors import (
@@ -49,6 +50,9 @@ from .errors import (
 DELTA_INV = 1e-10
 SIGMA_MIN = 1e-8
 TAU_RANK = 1e-7
+CONST_TOL = 1e-6
+SYM_TOL = 1e-10
+PAIR_TOL = 1e-8
 
 
 def matrix_at(z, rows) -> np.ndarray:
@@ -249,17 +253,15 @@ class RHSolution:
         return self.problem.h
 
     def boundary_values(
-        self, circle_index: int, angles, side: str
-    ) -> np.ndarray:
-        """m_plus or m_minus at arbitrary angles of one circle."""
-        vals = boundary_values_on_circle(
-            self.system,
-            self.cauchy_density.values,
-            circle_index,
-            np.asarray(angles, dtype=float),
-            side,
+        self, circle_index: int, angles
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(m_plus, m_minus) at arbitrary angles of one circle, each
+        (P, n, n); at the circle's node angles they reproduce the node
+        samples m_plus and m_minus."""
+        plus, minus = boundary_values_on_circle(
+            self.system, self.cauchy_density.values, circle_index, angles
         )
-        return vals + self.h
+        return plus + self.h, minus + self.h
 
     def evaluate(self, z) -> np.ndarray:
         return evaluate_m(self, z)
@@ -280,8 +282,7 @@ def _midpoint_residual(p: RHProblem, sol: RHSolution) -> float:
     for i, c in enumerate(p.system.circles):
         mids = c.angles() + c.sign * np.pi / c.node_count
         pts = c.point_at(mids)
-        m_p = sol.boundary_values(i, mids, "plus")
-        m_m = sol.boundary_values(i, mids, "minus")
+        m_p, m_m = sol.boundary_values(i, mids)
         v_mid = p.data.jump.at(i, pts)
         gap = m_p - np.einsum("lab,lbc->lac", m_m, v_mid)
         worst = max(worst, float(np.max(np.abs(gap))))
@@ -470,8 +471,8 @@ class InversionReport:
 def check_inversion_hypotheses(
     v: JumpData,
     *,
-    pair_tol: float = 1e-8,
-    sym_tol: float = 1e-10,
+    pair_tol: float = PAIR_TOL,
+    sym_tol: float = SYM_TOL,
 ) -> InversionReport:
     """Verify the structure needed for unique solvability.
 
@@ -542,18 +543,12 @@ def _bandlimited_basis(system: ContourSystem) -> np.ndarray:
     dies under the restriction, while true (co)kernel elements of analytic
     problems are themselves spectrally concentrated in low modes.
     """
-    cols = []
-    offset = 0
-    big_n = system.total_nodes
+    blocks = []
     for c in system.circles:
         m = c.node_count
-        theta = c.angles()
-        for k in range(-(m // 4), m // 4 + 1):
-            col = np.zeros(big_n, dtype=np.complex128)
-            col[offset : offset + m] = np.exp(1j * k * theta) / np.sqrt(m)
-            cols.append(col)
-        offset += m
-    return np.stack(cols, axis=1)
+        k = np.arange(-(m // 4), m // 4 + 1)
+        blocks.append(circle_values(c, np.eye(m)[:, k % m]) / np.sqrt(m))
+    return scipy.linalg.block_diag(*blocks)
 
 
 def _count_small(svals: np.ndarray, tau: float) -> tuple[int, tuple[float, float]]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import rhcircles as rc
+from rhcircles import cauchy
 
 
 def grid_scalar(system, values):
@@ -151,3 +152,29 @@ def test_offcontour_array_names_first_too_close_point(unit_ccw_64):
     got = rc.cauchy_offcontour(f, ok)
     assert got.shape == (3, 1, 1)
     assert np.array_equal(got, np.stack([rc.cauchy_offcontour(f, w) for w in ok]))
+
+
+@pytest.mark.parametrize("orientation", [rc.CCW, rc.CW])
+def test_circle_values_inverts_circle_coefficients(orientation):
+    circle = rc.Circle(0.3 + 0.1j, 1.7, orientation, 64)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((64, 2, 2)) + 1j * rng.standard_normal((64, 2, 2))
+    coeffs = cauchy.circle_coefficients(circle, x)
+    assert np.max(np.abs(cauchy.circle_values(circle, coeffs) - x)) <= 1e-14
+    # and the values are the Fourier sum at the node angles
+    at_nodes = cauchy.synthesize(circle, coeffs, circle.angles())
+    assert np.max(np.abs(at_nodes - x)) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [64, 512])
+@pytest.mark.parametrize("orientation", [rc.CCW, rc.CW])
+@pytest.mark.parametrize("plus_inside", [True, False])
+def test_self_block_matches_dense_fourier_product(m, orientation, plus_inside):
+    circle = rc.Circle(0.3 + 0.1j, 1.7, orientation, m)
+    # reference: synthesis of the kept modes times their analysis
+    theta = circle.angles()
+    mask = cauchy.plus_mode_mask(circle, plus_inside)
+    k = cauchy.fourier_modes(m)[mask]
+    dense = np.exp(1j * np.outer(theta, k)) @ (np.exp(-1j * np.outer(k, theta)) / m)
+    block = cauchy._self_block(circle, plus_inside)
+    assert np.max(np.abs(block - dense)) <= 1e-13

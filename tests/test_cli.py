@@ -145,7 +145,7 @@ def test_nodes_override(tmp_path):
     assert report["per_circle_nodes"] == [32]
 
 
-def test_tolerance_override(tmp_path):
+def test_tolerance_override(tmp_path, capsys):
     code, _ = run(
         "solve",
         PROBLEMS / "rational_solve.json",
@@ -166,6 +166,30 @@ def test_tolerance_override(tmp_path):
         "sigma_min=tiny",
     )
     assert code == 1
+    for name, mode, override in (
+        # singular: a NaN sigma_min used to reach alias-deflation, exit 0
+        ("rational_near_singular.json", "solve", "sigma_min=nan"),
+        # solvable: the same NaN used to exit 3
+        ("rational_solve.json", "solve", "sigma_min=nan"),
+        ("rational_solve.json", "solve", "sigma_min=inf"),
+        ("rational_solve.json", "solve", "sigma_min=0"),
+        # a negative tau_rank used to report index (0, 0) instead of (1, 0)
+        ("index_power.json", "index", "tau_rank=-1"),
+    ):
+        capsys.readouterr()
+        code, _ = run(mode, PROBLEMS / name, tmp_path, "--tol", override)
+        assert code == 1, override
+        key = override.partition("=")[0]
+        assert f"invalid input: tolerance {key} " in capsys.readouterr().err
+    # the same rule holds for tolerances in the problem file
+    for name, mode, key, value in (
+        ("index_power.json", "index", "tau_rank", -1.0),
+        ("rational_solve.json", "solve", "sigma_min", 0),
+    ):
+        doc = _edited(name, lambda d: d.update(tolerances={key: value}))
+        code, _ = run(mode, write_problem(tmp_path, doc), tmp_path)
+        assert code == 1, key
+        assert f"invalid input: tolerance {key} " in capsys.readouterr().err
 
 
 def test_mode_mismatch_is_input_error(tmp_path):
@@ -190,6 +214,22 @@ def test_bad_grid_is_input_error(tmp_path):
         "solve", PROBLEMS / "identity_solve.json", tmp_path, "--grid", "wide"
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("bbox", ["nan,1,0,1", "-inf,1,0,1", "0,inf,0,1"])
+def test_nonfinite_bbox_is_input_error(bbox, tmp_path, capsys):
+    samples = tmp_path / "m.csv"
+    code, _ = run(
+        "solve",
+        PROBLEMS / "identity_solve.json",
+        tmp_path,
+        "--samples",
+        str(samples),
+        f"--bbox={bbox}",
+    )
+    assert code == 1
+    assert not samples.exists()
+    assert "--bbox values must be finite" in capsys.readouterr().err
 
 
 def test_unknown_mode_exits_one():
@@ -495,6 +535,21 @@ BAD_NUMBERS = {
     ),
     "tolerance string": _edited(
         "rational_solve.json", lambda d: d.update(tolerances={"sigma_min": "1e-8"})
+    ),
+    "tolerance NaN": _edited(
+        "rational_near_singular.json",
+        lambda d: d.update(tolerances={"sigma_min": float("nan")}),
+    ),
+    "center NaN": _edited(
+        "rational_solve.json",
+        lambda d: d["contour"][0].update(center=[float("nan"), 0]),
+    ),
+    "radius Infinity": _edited(
+        "rational_solve.json",
+        lambda d: d["contour"][0].update(radius=float("inf")),
+    ),
+    "radius too large for a float": _edited(
+        "rational_solve.json", lambda d: d["contour"][0].update(radius=10**400)
     ),
     "idnls.n true": _edited("idnls_soliton.json", lambda d: d["idnls"].update(n=True)),
     "pole string": _edited(

@@ -408,3 +408,30 @@ def test_evaluator_shapes(unit_ccw_64):
     # per-point literals stacked the wrong way round are refused
     with pytest.raises(ValueError):
         rc.GridFunction.sample(unit_ccw_64, lambda z: np.array([[2.0 + z]]))
+
+
+def test_boundary_values_at_nodes_reproduce_node_samples():
+    # an annulus: the outer circle runs ccw, the inner one cw
+    system = rc.build_contour(
+        [rc.Circle(0j, 2.0, rc.CCW, 32), rc.Circle(0.2 + 0j, 0.5, rc.CW, 32)]
+    )
+    fns = [
+        lambda z: rc.matrix_at(z, [[1.0, 0.0], [0.4 / (z - 2.5), 1.0]]),
+        lambda z: rc.matrix_at(z, [[1.0, 0.3 / (z - 0.3)], [0.0, 1.0]]),
+    ]
+    sol = rc.solve(rc.RHProblem.from_jump(rc.JumpData.from_evaluators(system, fns)))
+    for i, circle in enumerate(system.circles):
+        m_plus, m_minus = sol.boundary_values(i, circle.angles())
+        assert np.max(np.abs(m_plus - sol.m_plus.restrict(i))) <= 1e-12
+        assert np.max(np.abs(m_minus - sol.m_minus.restrict(i))) <= 1e-12
+
+
+def test_bandlimited_basis_is_orthonormal():
+    outer = rc.Circle(3.0 + 0j, 0.5, rc.CW, 32)
+    mirror = rc.invert_circle(rc.Circle(3.0 + 0j, 0.5, rc.CW, 16))
+    system = rc.build_contour([rc.Circle(0j, 1.0, rc.CW, 64), outer, mirror])
+    assert mirror.orientation == rc.CCW
+    e = rhp._bandlimited_basis(system)
+    assert e.shape == (112, 33 + 17 + 9)
+    gram = e.conj().T @ e
+    assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-13
