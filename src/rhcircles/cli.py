@@ -499,8 +499,8 @@ def _run_idnls(doc, tol, nodes):
     if conj:
         ap = conjugate(ap, node_count=node_count)
     isol = solve_augmented(ap, sigma_min=tol["sigma_min"])
-    # h does not enter the operator, so the solved problem's operator and
-    # probe singular values serve the index count as they are
+    # h does not enter the operator, so the solved problem's operator
+    # serves the index count as it is; the count is the only rank probe
     rep = index_diagnostics(isol.solution.problem, tau_rank=tol["tau_rank"])
     report = _base_report("idnls", ap.system)
     if conj:

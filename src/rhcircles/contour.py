@@ -162,7 +162,7 @@ class ContourSystem:
         """True where z (off the contour) lies in the plus region."""
         return self.winding(z) + int(self.plus_at_infinity) == 1
 
-    def find_circle(self, center, radius, tol: float = 1e-8) -> int | None:
+    def find_circle(self, center, radius, tol: float) -> int | None:
         """Index of the circle matching the given geometry, if any."""
         for i, c in enumerate(self.circles):
             scale = max(abs(c.center), c.radius, 1.0)
@@ -173,7 +173,7 @@ class ContourSystem:
                 return i
         return None
 
-    def unit_circle_index(self, tol: float = 1e-8) -> int | None:
+    def unit_circle_index(self, tol: float) -> int | None:
         return self.find_circle(0.0, 1.0, tol)
 
 

@@ -31,12 +31,13 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .cauchy import (
+    EVAL_BLOCK,
     GridFunction,
     _matrix_values,
     boundary_values_on_circle,
     build_projectors,
     cauchy_offcontour,
-    circle_values,
+    circle_coefficients,
 )
 from .contour import ContourSystem, invert_circle
 from .errors import (
@@ -53,6 +54,10 @@ TAU_RANK = 1e-7
 CONST_TOL = 1e-6
 SYM_TOL = 1e-10
 PAIR_TOL = 1e-8
+# Largest band-limited content |E^H r| of a null vector that still counts
+# as a discretization alias.  Genuine kernels of analytic problems score
+# about 1, Nyquist aliases below 1e-6.
+ALIAS_BAND_CONTENT = 1e-3
 
 
 def matrix_at(z, rows) -> np.ndarray:
@@ -208,19 +213,6 @@ class RHProblem:
         t[np.diag_indices_from(t)] += 1.0
         return t
 
-    @cached_property
-    def _bandlimited_svdvals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Singular values of the operator and of its adjoint on the
-        band-limited subspace (see _bandlimited_basis)."""
-        e = np.kron(_bandlimited_basis(self.system), np.eye(self.data.dim))
-        t = self.operator
-        # t^H e as conj(t^T conj(e)): the same values, without a
-        # conjugated copy of the whole operator
-        return (
-            scipy.linalg.svdvals(t @ e),
-            scipy.linalg.svdvals(np.conj(t.T @ np.conj(e))),
-        )
-
 
 @dataclass(eq=False)
 class RHSolution:
@@ -231,7 +223,8 @@ class RHSolution:
     at the nodes the identity holds to rounding by construction.
     solver_path is "lu" for a plain LU solve and "alias-deflation" when
     an alias null vector was deflated; deflated_singular_value is then
-    the smallest band-limited singular value (None on the LU path).
+    the smallest singular value of the operator bordered with its null
+    vectors (None on the LU path).
     """
 
     problem: RHProblem
@@ -337,14 +330,21 @@ def _null_vectors(lu) -> tuple[np.ndarray, np.ndarray]:
     further steps drift away from the kernel instead of converging.
     """
     start = _start_vector(lu[0].shape[0])
-    r = scipy.linalg.lu_solve(lu, start)
-    l = scipy.linalg.lu_solve(lu, start, trans=2)
-    return r / np.linalg.norm(r), l / np.linalg.norm(l)
+    # a zero pivot gives non-finite vectors; _deflated_solve reports them
+    with np.errstate(all="ignore"):
+        r = scipy.linalg.lu_solve(lu, start)
+        l = scipy.linalg.lu_solve(lu, start, trans=2)
+        return r / np.linalg.norm(r), l / np.linalg.norm(l)
 
 
 def _deflated_solve(
-    t: np.ndarray, lu, rhs: np.ndarray, sigma_min: float, smallest: float
-) -> np.ndarray:
+    t: np.ndarray,
+    r: np.ndarray,
+    l: np.ndarray,
+    rhs: np.ndarray,
+    sigma_min: float,
+    smallest: float,
+) -> tuple[np.ndarray, float]:
     """Solve a consistent system whose operator has a one-dimensional kernel.
 
     With the null vectors r and l, Keller's bordered matrix
@@ -352,11 +352,10 @@ def _deflated_solve(
     orthogonal to r, which is what a truncated SVD returns.  A kernel of
     dimension two or more leaves the bordered matrix singular and is
     reported, never deflated by one vector.  The result is accepted only
-    if T x reproduces rhs.
+    if T x reproduces rhs.  Returns x and the bordered matrix's smallest
+    singular value.
     """
     order = t.shape[0]
-    with np.errstate(all="ignore"):
-        r, l = _null_vectors(lu)
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(l))):
         raise NearSingularOperatorError(
             smallest, message="LU of the singular operator broke down"
@@ -366,7 +365,8 @@ def _deflated_solve(
     bordered[:order, order] = l
     bordered[order, :order] = np.conj(r)
     lu_bordered = scipy.linalg.lu_factor(bordered)
-    if _smallest_singular_value(lu_bordered) < sigma_min:
+    deflated = _smallest_singular_value(lu_bordered)
+    if deflated < sigma_min:
         raise NearSingularOperatorError(
             smallest,
             message="operator kernel has more than one alias direction",
@@ -385,7 +385,7 @@ def _deflated_solve(
                 f"(least-squares residual {residual:.2e})"
             ),
         )
-    return x
+    return x, deflated
 
 
 def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
@@ -393,13 +393,14 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
 
     The operator is factored once.  Its smallest singular value comes
     from Lanczos on that LU and is always reported.  Below sigma_min the
-    problem is near singular.  If the band-limited rank probe then shows a
-    genuine kernel or cokernel (nonzero partial indices land here), that
-    is reported as an error rather than returning a polluted solution.  A
-    one-dimensional alias defect with a consistent system is deflated
-    instead: the solve borders the operator with its null vectors
-    (solver_path "alias-deflation") and reports the band-limited
-    sigma_min as deflated_singular_value.
+    problem is near singular, and one inverse-iteration step on the LU
+    gives its right and left null vectors.  If either has band-limited
+    content above ALIAS_BAND_CONTENT, the kernel is genuine (nonzero
+    partial indices land here) and is reported as an error rather than
+    returning a polluted solution.  A one-dimensional alias defect with a
+    consistent system is deflated instead: the solve borders the operator
+    with its null vectors (solver_path "alias-deflation") and reports the
+    bordered operator's sigma_min as deflated_singular_value.
     """
     n = p.data.dim
     big_n = p.system.total_nodes
@@ -420,13 +421,24 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
         # alias of the top mode is annihilated by the one-sided projection,
         # and its coupling to the other circles radiates below machine
         # precision).  Genuine kernel or cokernel elements of analytic
-        # problems concentrate in low Fourier modes instead, so the rank
-        # probe on the band-limited subspace tells the two cases apart.
-        sv_ker, sv_coker = p._bandlimited_svdvals
-        deflated = float(min(sv_ker[-1], sv_coker[-1]))
-        if deflated < sigma_min:
-            raise NearSingularOperatorError(smallest)
-        x = _deflated_solve(t, lu, rhs, sigma_min, smallest)
+        # problems concentrate in low Fourier modes instead, so the
+        # band-limited content of the null vectors tells the two apart.
+        r, l = _null_vectors(lu)
+        ker, coker = (
+            float(np.linalg.norm(_band(p.system, v[:, None], n))) for v in (r, l)
+        )
+        # NaN content (a broken-down LU) is not above the bound, so
+        # _deflated_solve reports the breakdown
+        if ker > ALIAS_BAND_CONTENT or coker > ALIAS_BAND_CONTENT:
+            raise NearSingularOperatorError(
+                smallest,
+                message=(
+                    "operator near singular: smallest singular value "
+                    f"{smallest:.3e}; band-limited null-vector content "
+                    f"{ker:.2e} (right), {coker:.2e} (left)"
+                ),
+            )
+        x, deflated = _deflated_solve(t, r, l, rhs, sigma_min, smallest)
         path = "alias-deflation"
 
     mu_vals = x.T.reshape(n, big_n, n).transpose(1, 0, 2)
@@ -533,22 +545,37 @@ class IndexReport:
     coker_gap: tuple[float, float]
 
 
-def _bandlimited_basis(system: ContourSystem) -> np.ndarray:
-    """Orthonormal synthesis matrix of per-circle low modes |k| <= m/4.
+def _band(system: ContourSystem, y: np.ndarray, n: int) -> np.ndarray:
+    """E^H y, for E the orthonormal synthesis basis of per-circle low
+    modes |k| <= m/4 with n components per node, by one FFT per circle.
 
-    Restricting the SVD rank tests to this resolvable subspace is what
-    separates kernel from cokernel: the square collocation matrix always
-    has equal left and right nullities, but the spurious partner of a
-    genuine one-sided null vector is concentrated at the Nyquist mode and
-    dies under the restriction, while true (co)kernel elements of analytic
-    problems are themselves spectrally concentrated in low modes.
+    y has operator rows (node-major, n components per node) along its
+    first axis.  Restricting rank tests to this resolvable subspace is
+    what separates kernel from cokernel: the square collocation matrix
+    always has equal left and right nullities, but the spurious partner
+    of a genuine one-sided null vector is concentrated at the Nyquist
+    mode and dies under the restriction, while true (co)kernel elements
+    of analytic problems are themselves spectrally concentrated in low
+    modes.  Columns are transformed EVAL_BLOCK at a time into one
+    preallocated output, so no other operator-sized array is made.
     """
-    blocks = []
-    for c in system.circles:
-        m = c.node_count
-        k = np.arange(-(m // 4), m // 4 + 1)
-        blocks.append(circle_values(c, np.eye(m)[:, k % m]) / np.sqrt(m))
-    return scipy.linalg.block_diag(*blocks)
+    bands = [
+        np.arange(-(c.node_count // 4), c.node_count // 4 + 1) % c.node_count
+        for c in system.circles
+    ]
+    cols = y.shape[1]
+    out = np.empty((n * sum(k.size for k in bands), cols), dtype=np.complex128)
+    for start in range(0, cols, EVAL_BLOCK):
+        block = slice(start, start + EVAL_BLOCK)
+        row = 0
+        for c, nodes, k in zip(system.circles, system.node_slices(), bands):
+            part = y[nodes.start * n : nodes.stop * n, block]
+            coeffs = circle_coefficients(c, part.reshape(c.node_count, n, -1))
+            out[row : row + k.size * n, block] = (
+                coeffs[k] * np.sqrt(c.node_count)
+            ).reshape(k.size * n, -1)
+            row += k.size * n
+    return out
 
 
 def _count_small(svals: np.ndarray, tau: float) -> tuple[int, tuple[float, float]]:
@@ -570,11 +597,16 @@ def index_diagnostics(p: RHProblem, *, tau_rank: float = TAU_RANK) -> IndexRepor
 
     For a jump with partial indices k_1 >= ... >= k_n the expected counts
     are dim_ker = n * sum(max(k_j, 0)) and dim_coker = n * sum(max(-k_j, 0)).
-    Given a problem that was just solved, the operator and the probe
-    singular values of that solve are reused.
+    The counts are small singular values of T E and E^H T, with E the
+    band-limited basis of _band.  E^T is E^H with the modes of each
+    circle reversed, so E^H T^T, a row permutation of (T E)^T, gives the
+    singular values of T E.  Given a problem that was just solved, its
+    operator is reused.
     """
     n = p.data.dim
-    sv_ker, sv_coker = p._bandlimited_svdvals
+    t = p.operator
+    sv_ker = scipy.linalg.svdvals(_band(p.system, t.T, n))
+    sv_coker = scipy.linalg.svdvals(_band(p.system, t, n))
     k_count, k_gap = _count_small(sv_ker, tau_rank)
     c_count, c_gap = _count_small(sv_coker, tau_rank)
     return IndexReport(

@@ -408,7 +408,8 @@ def test_idnls_factors_and_probes_its_operator_once(tmp_path, monkeypatch):
     lu = _count_calls(monkeypatch, [scipy.linalg], "lu_factor")
     code, _ = run("idnls", PROBLEMS / "idnls_soliton.json", tmp_path)
     assert code == 0
-    # the band-limited probe pair, shared by the alias check and the index
+    # the band-limited probe pair of the index count; the alias check
+    # reads the null vectors instead
     assert len(svdvals) == 2
     assert len(svd) == 0
     # the operator and the bordered operator of the alias deflation

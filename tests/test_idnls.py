@@ -327,6 +327,31 @@ def test_alias_deflation_matches_truncated_svd(spec):
     assert np.max(np.abs(x - reference)) < 1e-10
 
 
+@pytest.mark.parametrize("site", [0, -3, 2])
+def test_conjugated_soliton_alias_is_deflated_at_every_site(site):
+    spec = rc.IdnlsSpec(r=None, n=site, poles=((2.0 + 0j, 1.0 + 0j),))
+    sol = rc.solve(_conjugated_problem(spec))
+    assert sol.solver_path == "alias-deflation"
+    assert sol.residual_jump <= 1e-8
+    assert sol.deflated_singular_value >= rc.SIGMA_MIN
+
+
+def test_alias_solve_runs_no_singular_value_decomposition(monkeypatch):
+    p = _conjugated_problem(soliton_spec())
+    calls = []
+    for name in ("svdvals", "svd"):
+        original = getattr(scipy.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, counted)
+    sol = rc.solve(p)
+    assert sol.solver_path == "alias-deflation"
+    assert calls == []
+
+
 def test_array_evaluate_equals_stacked_point_evaluates_in_every_undo_region():
     ap = rc.conjugate(rc.remove_poles(soliton_spec()))
     sol = rc.solve_augmented(ap)

@@ -297,7 +297,9 @@ def test_zero_pivot_counts_as_singular():
         lu = scipy.linalg.lu_factor(t)
     assert rhp._smallest_singular_value(lu) == 0.0
     with pytest.raises(rc.NearSingularOperatorError, match="broke down"):
-        rhp._deflated_solve(t, lu, np.ones((5, 1)), rc.SIGMA_MIN, 0.0)
+        rhp._deflated_solve(
+            t, *rhp._null_vectors(lu), np.ones((5, 1)), rc.SIGMA_MIN, 0.0
+        )
 
 
 def test_lanczos_nonconvergence_counts_as_singular(monkeypatch):
@@ -330,7 +332,8 @@ def _operator_with_kernel(order, nullity):
 
 def test_one_dimensional_kernel_deflation_matches_pseudoinverse():
     t, rhs = _operator_with_kernel(40, 1)
-    x = rhp._deflated_solve(t, scipy.linalg.lu_factor(t), rhs, rc.SIGMA_MIN, 0.0)
+    r, l = rhp._null_vectors(scipy.linalg.lu_factor(t))
+    x, _ = rhp._deflated_solve(t, r, l, rhs, rc.SIGMA_MIN, 0.0)
     reference = np.linalg.pinv(t, rcond=1e-10) @ rhs
     assert np.max(np.abs(x - reference)) < 1e-10
 
@@ -339,7 +342,7 @@ def test_two_dimensional_kernel_is_never_deflated_by_one_vector():
     t, rhs = _operator_with_kernel(40, 2)
     with pytest.raises(rc.NearSingularOperatorError, match="more than one"):
         rhp._deflated_solve(
-            t, scipy.linalg.lu_factor(t), rhs, rc.SIGMA_MIN, 0.0
+            t, *rhp._null_vectors(scipy.linalg.lu_factor(t)), rhs, rc.SIGMA_MIN, 0.0
         )
 
 
@@ -426,12 +429,47 @@ def test_boundary_values_at_nodes_reproduce_node_samples():
         assert np.max(np.abs(m_minus - sol.m_minus.restrict(i))) <= 1e-12
 
 
-def test_bandlimited_basis_is_orthonormal():
+def test_band_equals_dense_bandlimited_basis_product():
     outer = rc.Circle(3.0 + 0j, 0.5, rc.CW, 32)
     mirror = rc.invert_circle(rc.Circle(3.0 + 0j, 0.5, rc.CW, 16))
     system = rc.build_contour([rc.Circle(0j, 1.0, rc.CW, 64), outer, mirror])
     assert mirror.orientation == rc.CCW
-    e = rhp._bandlimited_basis(system)
-    assert e.shape == (112, 33 + 17 + 9)
-    gram = e.conj().T @ e
+    assert {c.sign for c in system.circles} == {-1, 1}
+    # E column by column: node values of exp(1j*k*theta)/sqrt(m), |k| <= m/4
+    blocks = []
+    for c in system.circles:
+        m = c.node_count
+        k = np.arange(-(m // 4), m // 4 + 1)
+        blocks.append(rc.cauchy.circle_values(c, np.eye(m)[:, k % m]) / np.sqrt(m))
+    basis = scipy.linalg.block_diag(*blocks)
+    assert basis.shape == (112, 33 + 17 + 9)
+    gram = basis.conj().T @ basis
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-13
+    rng = np.random.default_rng(3)
+    for n in (1, 2):
+        e = np.kron(basis, np.eye(n))
+        shape = (112 * n, rc.cauchy.EVAL_BLOCK + 5)  # more than one block
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.max(np.abs(rhp._band(system, y, n) - e.conj().T @ y)) <= 1e-13
+
+
+GENUINE_KERNEL_JUMPS = {
+    **{f"z^{k}": (lambda z, k=k: z**k) for k in (-2, -1, 1, 2)},
+    **{
+        f"diag(z^{k},1)_lower": (
+            lambda z, k=k: rc.matrix_at(z, [[z**k, 0.0], [0.5 / (z - 3.0), 1.0]])
+        )
+        for k in (-1, 1)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(GENUINE_KERNEL_JUMPS))
+def test_genuine_kernel_is_refused_by_its_null_vector_content(name):
+    system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 128)])
+    v = rc.JumpData.from_evaluator(system, GENUINE_KERNEL_JUMPS[name])
+    with pytest.raises(
+        rc.NearSingularOperatorError, match="band-limited null-vector content"
+    ) as info:
+        rc.solve(rc.RHProblem.from_jump(v))
+    assert info.value.smallest_singular_value < rc.SIGMA_MIN
