@@ -158,9 +158,6 @@ class GridFunction:
         self._check(other)
         return GridFunction(self.system, self.values - other.values)
 
-    def __neg__(self):
-        return GridFunction(self.system, -self.values)
-
     def __mul__(self, other):
         """Nodewise matrix product, or scaling by a constant."""
         if isinstance(other, GridFunction):
@@ -169,12 +166,6 @@ class GridFunction:
                 self.system, np.einsum("lab,lbc->lac", self.values, other.values)
             )
         return GridFunction(self.system, self.values * other)
-
-    __rmul__ = __mul__
-    __matmul__ = __mul__
-
-    def hermitian(self) -> "GridFunction":
-        return GridFunction(self.system, np.conj(np.swapaxes(self.values, 1, 2)))
 
     def det(self) -> np.ndarray:
         return np.linalg.det(self.values)

@@ -32,27 +32,7 @@ import numpy as np
 
 from .cauchy import too_close
 from .contour import CCW, CW, Circle, ContourSystem, build_contour
-from .errors import (
-    AlignmentError,
-    CirclePackingError,
-    DegenerateSolitonSystemError,
-    EvalError,
-    HypothesisViolationError,
-    NearSingularOperatorError,
-    NonConstantCError,
-    NonPositiveCError,
-    NotInversionInvariantContourError,
-    OrientationError,
-    OverlapError,
-    ParseError,
-    RadiusConflictError,
-    RankAmbiguityError,
-    ReflectionTooLargeError,
-    SingularInversionError,
-    SingularJumpError,
-    TooCloseToContourError,
-    WindingAmbiguityError,
-)
+from .errors import HypothesisError, InputError, NearSingularOperatorError
 from .expressions import parse_expression
 from .factorize import hermitian_factorize, scalar_factorize
 from .idnls import (
@@ -101,34 +81,6 @@ _DEFAULT_TOLERANCES = {
     "pair_tol": PAIR_TOL,
 }
 _TOLERANCE_KEYS = tuple(_DEFAULT_TOLERANCES)
-
-_HYPOTHESIS_ERRORS = (
-    HypothesisViolationError,
-    NonConstantCError,
-    NonPositiveCError,
-    NotInversionInvariantContourError,
-    ReflectionTooLargeError,
-    SingularJumpError,
-    WindingAmbiguityError,
-    RankAmbiguityError,
-    DegenerateSolitonSystemError,
-)
-
-_INPUT_ERRORS = (
-    ParseError,
-    EvalError,
-    OverlapError,
-    OrientationError,
-    SingularInversionError,
-    CirclePackingError,
-    RadiusConflictError,
-    AlignmentError,
-    TooCloseToContourError,
-    ValueError,
-    OSError,
-    json.JSONDecodeError,
-)
-
 
 class _ArgumentParser(argparse.ArgumentParser):
     # Usage mistakes are input errors (exit 1); argparse's default exit
@@ -211,7 +163,10 @@ def _load_problem(path: str, mode: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     _require(isinstance(doc, dict), "top level must be a JSON object")
-    _require(doc.get("version") == 1, "version must be the integer 1")
+    _require(
+        type(doc.get("version")) is int and doc["version"] == 1,
+        "version must be the integer 1",
+    )
     _require("mode" in doc, "mode is required")
     _require(doc["mode"] in MODES, f"mode must be one of {MODES}")
     _require(
@@ -291,12 +246,21 @@ def _build_system(doc: dict, nodes_override: int | None) -> ContourSystem:
     return build_contour(circles)
 
 
+def _idnls_r(doc: dict) -> Callable | None:
+    """The expression idnls.r, parsed, or None where it is not set."""
+    block = doc.get("idnls", {})
+    _require(isinstance(block, dict), "idnls must be an object")
+    text = block.get("r")
+    _require(
+        text is None or isinstance(text, str),
+        "idnls.r must be an expression string",
+    )
+    return parse_expression(text) if text else None
+
+
 def _expression_table(doc: dict) -> dict:
-    table: dict[str, Callable] = {}
-    r_text = doc.get("idnls", {}).get("r")
-    if r_text:
-        table["r"] = parse_expression(str(r_text))
-    return table
+    r_fn = _idnls_r(doc)
+    return {} if r_fn is None else {"r": r_fn}
 
 
 def _matrix_evaluator(entries, table: dict, where: str) -> Callable:
@@ -338,6 +302,10 @@ def _build_jump(doc: dict, system: ContourSystem, delta_inv: float) -> JumpData:
             _matrix_evaluator(m, table, f"jump[{i}]")
             for i, m in enumerate(block)
         ]
+        _require(
+            len({len(m) for m in block}) == 1,
+            "jump matrices must all have the same size",
+        )
     else:
         fns = [_matrix_evaluator(block, table, "jump")] * count
     return JumpData.from_evaluators(system, fns, delta_inv)
@@ -353,7 +321,10 @@ def _parse_h(doc: dict):
     )
     rows = []
     for a, row in enumerate(block):
-        _require(isinstance(row, list), "h entries must be [re, im] pairs")
+        _require(
+            isinstance(row, list) and len(row) == len(block),
+            "h must be a square matrix of [re, im] pairs",
+        )
         rows.append([_point(c, f"h[{a}][{b}]") for b, c in enumerate(row)])
     return np.array(rows, dtype=np.complex128)
 
@@ -479,21 +450,22 @@ def _parse_idnls_spec(doc: dict) -> IdnlsSpec:
         sign in ("focusing", "defocusing"),
         "idnls.sign must be 'focusing' or 'defocusing'",
     )
+    entries = block.get("poles", [])
+    _require(isinstance(entries, list), "idnls.poles must be an array")
     poles = []
-    for k, entry in enumerate(block.get("poles", [])):
+    for k, entry in enumerate(entries):
         re, im, c_re, c_im = _numbers(
             entry, f"idnls.poles[{k}]", ("re", "im", "c_re", "c_im")
         )
         poles.append((complex(re, im), complex(c_re, c_im)))
-    r_text = block.get("r")
-    r_fn = parse_expression(str(r_text)) if r_text else None
-    return IdnlsSpec(r=r_fn, n=n, poles=tuple(poles), sign=sign)
+    return IdnlsSpec(r=_idnls_r(doc), n=n, poles=tuple(poles), sign=sign)
 
 
 def _run_idnls(doc, tol, nodes):
     block = doc["idnls"]
     spec = _parse_idnls_spec(doc)
-    conj = bool(block.get("conjugate", False))
+    conj = block.get("conjugate", False)
+    _require(isinstance(conj, bool), "idnls.conjugate must be true or false")
     node_count = 64 if nodes is None else nodes
     ap = remove_poles(spec, pole_nodes=node_count, unit_nodes=node_count)
     if conj:
@@ -643,10 +615,10 @@ def main(argv=None) -> int:
     except NearSingularOperatorError as exc:
         print(f"rhc: near-singular operator: {exc}", file=sys.stderr)
         return EXIT_NEAR_SINGULAR
-    except _HYPOTHESIS_ERRORS as exc:
+    except HypothesisError as exc:
         print(f"rhc: hypothesis check failed: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except _INPUT_ERRORS as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"rhc: invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

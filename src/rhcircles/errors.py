@@ -1,8 +1,16 @@
 """Exception types raised by the toolkit.
 
 Everything derives from RHCError so callers can catch the whole family.
-Errors are grouped roughly by pipeline stage: geometry, discretization,
-linear algebra, factorization, input handling.
+Every concrete error has exactly one of three kinds, which are also the
+`rhc` exit codes:
+
+- InputError (exit 1): the input is not a well-posed problem;
+- HypothesisError (exit 2): a hypothesis fails, such as inversion
+  symmetry, positivity on the unit circle or a nonvanishing determinant;
+- NearSingularOperatorError (exit 3): the discretized operator has a
+  kernel, which is what nonzero partial indices produce.
+
+Within a kind, errors are grouped by pipeline stage.
 """
 
 
@@ -10,61 +18,12 @@ class RHCError(Exception):
     """Base class for all toolkit errors."""
 
 
-# geometry / contour construction
+class InputError(RHCError):
+    """The input does not describe a well-posed problem."""
 
 
-class OverlapError(RHCError):
-    """Two circles of a contour system intersect or touch."""
-
-
-class OrientationError(RHCError):
-    """Circle orientations admit no consistent plus/minus side labeling."""
-
-
-class SingularInversionError(RHCError):
-    """Circle passes through the origin; its inversion image is a line."""
-
-
-class NotInversionInvariantContourError(RHCError):
-    """Contour system is not closed under inversion in the unit circle."""
-
-
-class CirclePackingError(RHCError):
-    """No admissible radius exists for a pole circle."""
-
-
-class RadiusConflictError(RHCError):
-    """Requested conjugation radius collides with existing circles."""
-
-
-# discretization / evaluation
-
-
-class TooCloseToContourError(RHCError):
-    """Evaluation point violates the quadrature safety margin."""
-
-
-class AlignmentError(RHCError):
-    """Grid function and operator were built on different contour systems."""
-
-
-class SingularJumpError(RHCError):
-    """Jump matrix is numerically singular at some node."""
-
-
-class EvalError(RHCError):
-    """Expression evaluation produced a non-finite value."""
-
-
-class ParseError(RHCError):
-    """Expression text could not be parsed."""
-
-    def __init__(self, message: str, position: int = -1):
-        super().__init__(message)
-        self.position = position
-
-
-# linear algebra / diagnostics
+class HypothesisError(RHCError):
+    """The problem fails a hypothesis of the theory."""
 
 
 class NearSingularOperatorError(RHCError):
@@ -79,35 +38,95 @@ class NearSingularOperatorError(RHCError):
         self.smallest_singular_value = smallest_singular_value
 
 
-class RankAmbiguityError(RHCError):
+# input: geometry / contour construction
+
+
+class OverlapError(InputError):
+    """Two circles of a contour system intersect or touch."""
+
+
+class OrientationError(InputError):
+    """Circle orientations admit no consistent plus/minus side labeling."""
+
+
+class SingularInversionError(InputError):
+    """Circle passes through the origin; its inversion image is a line."""
+
+
+class CirclePackingError(InputError):
+    """No admissible radius exists for a pole circle."""
+
+
+class RadiusConflictError(InputError):
+    """Requested conjugation radius collides with existing circles."""
+
+
+# input: discretization / evaluation
+
+
+class TooCloseToContourError(InputError):
+    """Evaluation point violates the quadrature safety margin."""
+
+
+class AlignmentError(InputError):
+    """Grid function and operator were built on different contour systems."""
+
+
+class EvalError(InputError):
+    """Expression evaluation produced a non-finite value."""
+
+
+class ParseError(InputError):
+    """Expression text could not be parsed."""
+
+    def __init__(self, message: str, position: int = -1):
+        super().__init__(message)
+        self.position = position
+
+
+# hypothesis: symmetry and the jump
+
+
+class NotInversionInvariantContourError(HypothesisError):
+    """Contour system is not closed under inversion in the unit circle."""
+
+
+class SingularJumpError(HypothesisError):
+    """Jump matrix is numerically singular at some node."""
+
+
+# hypothesis: linear algebra / diagnostics
+
+
+class RankAmbiguityError(HypothesisError):
     """Singular values cluster at the rank threshold; counts unreliable."""
 
 
-class WindingAmbiguityError(RHCError):
+class WindingAmbiguityError(HypothesisError):
     """Accumulated phase is too far from an integer multiple of 2*pi."""
 
 
-# factorization
+# hypothesis: factorization
 
 
-class NonConstantCError(RHCError):
+class NonConstantCError(HypothesisError):
     """Matching constant of the symmetric factorization is not constant."""
 
 
-class NonPositiveCError(RHCError):
+class NonPositiveCError(HypothesisError):
     """Matching constant is not Hermitian positive definite."""
 
 
-class HypothesisViolationError(RHCError):
+class HypothesisViolationError(HypothesisError):
     """Input jump fails the symmetry/positivity hypotheses of a routine."""
 
 
-# scattering data
+# hypothesis: scattering data
 
 
-class ReflectionTooLargeError(RHCError):
+class ReflectionTooLargeError(HypothesisError):
     """Defocusing reflection coefficient reaches modulus one."""
 
 
-class DegenerateSolitonSystemError(RHCError):
+class DegenerateSolitonSystemError(HypothesisError):
     """Closed-form soliton linear system is singular."""

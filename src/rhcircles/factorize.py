@@ -17,6 +17,7 @@ import numpy as np
 
 from .cauchy import (
     GridFunction,
+    check_margin,
     circle_coefficients,
     circle_values,
     plus_mode_mask,
@@ -187,6 +188,9 @@ def scalar_factorize(
             f"winding {kappa} needs at least {needed} nodes for branch "
             f"tracking, got {circle.node_count}"
         )
+    # theta has its zero and pole at the anchors, so its node values
+    # are only finite and accurate where the anchors keep the margin
+    check_margin(system, [z for z in (z_plus, z_minus) if z is not None])
     if not system.in_omega_plus(z_plus):
         raise ValueError(f"z_plus = {z_plus} is not in the plus region")
     if z_minus is None:

@@ -125,7 +125,11 @@ class JumpData:
 
 @dataclass(eq=False)
 class FactorizationData:
-    """Splitting v = b_minus^(-1) b_plus with b_pm = I +- w_pm."""
+    """Splitting v = b_minus^(-1) b_plus with b_pm = I +- w_pm.
+
+    det b_pm is not checked again: trivial_splitting makes each of them
+    v, v^(-1) or I, and JumpData has checked det v against its delta_inv.
+    """
 
     w_plus: GridFunction
     w_minus: GridFunction
@@ -134,12 +138,6 @@ class FactorizationData:
     def __post_init__(self):
         if self.w_plus.system != self.w_minus.system:
             raise AlignmentError("w_plus and w_minus on different systems")
-        for name, b in (("b_plus", self.b_plus()), ("b_minus", self.b_minus())):
-            bad = np.abs(b.det()) < DELTA_INV
-            if np.any(bad):
-                raise SingularJumpError(
-                    f"|det {name}| < {DELTA_INV} at {int(bad.sum())} node(s)"
-                )
 
     @property
     def system(self) -> ContourSystem:
@@ -296,8 +294,9 @@ def _smallest_singular_value(lu) -> float:
     Gram operator, applied through two triangular solves per step.  Unlike
     inverse iteration this converges to rounding even where the smallest
     singular values cluster.  An exact zero pivot or a Lanczos run that
-    does not converge counts as sigma_min = 0, which sends the solve to
-    the alias check instead of trusting the LU.
+    fails (no convergence, or an ARPACK error such as the one an inverse
+    Gram operator that underflows to zero gives) counts as sigma_min = 0,
+    which sends the solve to the alias check instead of trusting the LU.
     """
     order = lu[0].shape[0]
     if not np.all(np.diag(lu[0])):
@@ -317,7 +316,7 @@ def _smallest_singular_value(lu) -> float:
             v0=_start_vector(order),
             return_eigenvectors=False,
         )
-    except scipy.sparse.linalg.ArpackNoConvergence:
+    except scipy.sparse.linalg.ArpackError:
         return 0.0
     return float(1.0 / np.sqrt(lam)) if np.isfinite(lam) and lam > 0.0 else 0.0
 

@@ -568,3 +568,134 @@ def test_problem_numbers_are_type_checked(label, tmp_path, capsys):
     code, _ = run(doc["mode"], write_problem(tmp_path, doc), tmp_path)
     assert code == 1
     assert "rhc: invalid input: problem file:" in capsys.readouterr().err
+
+
+def _two_circles(doc):
+    doc["contour"] = [
+        {"center": [0.0, 0.0], "radius": 1.0, "orientation": "ccw"},
+        {"center": [0.0, 0.0], "radius": 2.0, "orientation": "cw"},
+    ]
+    doc["jump"] = [[["2"]], [["2", "0"], ["0", "2"]]]
+
+
+BAD_FIELDS = {
+    "version true": _edited("rational_solve.json", lambda d: d.update(version=True)),
+    "idnls.poles number": _edited(
+        "idnls_soliton.json", lambda d: d["idnls"].update(poles=5)
+    ),
+    "idnls.conjugate string": _edited(
+        "idnls_soliton.json", lambda d: d["idnls"].update(conjugate="no")
+    ),
+    "idnls.r number": _edited(
+        "idnls_defocusing.json", lambda d: d["idnls"].update(r=0.3)
+    ),
+    "idnls.r number outside mode idnls": _edited(
+        "rational_solve.json", lambda d: d.update(idnls={"r": 0.3})
+    ),
+    "jump matrices of different sizes": _edited("rational_solve.json", _two_circles),
+    "h ragged": _edited(
+        "identity_solve.json",
+        lambda d: d.update(h=[[[1, 0], [0, 0]], [[1, 0]]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BAD_FIELDS))
+def test_problem_fields_are_type_checked(label, tmp_path, capsys):
+    doc = BAD_FIELDS[label]
+    code, report = run(doc["mode"], write_problem(tmp_path, doc), tmp_path)
+    assert code == 1
+    assert report is None
+    assert "rhc: invalid input: problem file:" in capsys.readouterr().err
+
+
+def test_scalar_anchor_on_the_contour_is_an_input_error(tmp_path, capsys):
+    # the Mobius factor's pole would sit on a node and the report would
+    # carry "residual_jump": NaN, which strict JSON rejects
+    doc = _edited(
+        "scalar_winding.json", lambda d: d["anchors"].update(z_minus=[1.0, 0.0])
+    )
+    code, report = run("factorize-scalar", write_problem(tmp_path, doc), tmp_path)
+    assert code == 1
+    assert report is None
+    assert "rhc: invalid input: point (1+0j) is within" in capsys.readouterr().err
+
+
+def test_delta_inv_override_reaches_the_splitting(tmp_path):
+    # |det v| = 1e-11 |2 + z| passes delta_inv = 1e-13 but not the default
+    # 1e-10, so only the caller's bound may decide
+    doc = {
+        "version": 1,
+        "mode": "solve",
+        "contour": [{"center": [0.0, 0.0], "radius": 1.0, "nodes": 16}],
+        "jump": [["1e-11*(2 + z)"]],
+    }
+    problem = write_problem(tmp_path, doc)
+    code, report = run(
+        "solve",
+        problem,
+        tmp_path,
+        "--tol",
+        "delta_inv=1e-13",
+        "--tol",
+        "sigma_min=1e-14",
+    )
+    assert code == 0
+    assert report["residual_jump"] < 1e-12
+    code, _ = run("solve", problem, tmp_path)
+    assert code == 2
+
+
+# failure taxonomy: every concrete error class has exactly one kind
+
+KIND_EXITS = {
+    rc.InputError: (1, "rhc: invalid input: "),
+    rc.HypothesisError: (2, "rhc: hypothesis check failed: "),
+    rc.NearSingularOperatorError: (3, "rhc: near-singular operator: "),
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+CONCRETE_ERRORS = sorted(
+    (
+        cls
+        for cls in _subclasses(rc.RHCError)
+        if cls.__module__.startswith("rhcircles")
+        and cls not in (rc.InputError, rc.HypothesisError)
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+
+def test_every_error_class_has_exactly_one_kind():
+    exported = {
+        name
+        for name in rc.__all__
+        if name.endswith("Error")
+        and name not in ("RHCError", "InputError", "HypothesisError")
+    }
+    assert {cls.__name__ for cls in CONCRETE_ERRORS} == exported
+    for cls in CONCRETE_ERRORS:
+        kinds = [kind for kind in KIND_EXITS if issubclass(cls, kind)]
+        assert len(kinds) == 1, (cls.__name__, kinds)
+
+
+@pytest.mark.parametrize("error", CONCRETE_ERRORS, ids=lambda cls: cls.__name__)
+def test_cli_maps_each_error_to_its_kind(error, monkeypatch, tmp_path, capsys):
+    def runner(doc, tol, nodes):
+        if issubclass(error, rc.NearSingularOperatorError):
+            raise error(0.0, "raised by the test runner")
+        raise error("raised by the test runner")
+
+    monkeypatch.setitem(cli._RUNNERS, "solve", runner)
+    (kind,) = (kind for kind in KIND_EXITS if issubclass(error, kind))
+    code, report = run("solve", PROBLEMS / "identity_solve.json", tmp_path)
+    expected_code, prefix = KIND_EXITS[kind]
+    assert code == expected_code
+    assert report is None
+    assert capsys.readouterr().err == f"{prefix}raised by the test runner\n"

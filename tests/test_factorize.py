@@ -119,6 +119,16 @@ def test_scalar_factorize_validates_anchors():
         rc.scalar_factorize(scalar_jump(cw, lambda z: z), z_plus=3.0)
 
 
+def test_scalar_factorize_refuses_an_anchor_on_the_contour():
+    # an anchor on a node puts the Mobius factor's zero or pole there
+    system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 64)])
+    v = scalar_jump(system, lambda z: z**2)
+    with pytest.raises(rc.TooCloseToContourError):
+        rc.scalar_factorize(v, z_plus=0.0, z_minus=1.0)
+    with pytest.raises(rc.TooCloseToContourError):
+        rc.scalar_factorize(v, z_plus=1.0, z_minus=3.0)
+
+
 def test_scalar_factorize_demands_resolution_for_large_winding():
     system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 32)])
     v = scalar_jump(system, lambda z: z**5)

@@ -311,6 +311,32 @@ def test_lanczos_nonconvergence_counts_as_singular(monkeypatch):
     assert rhp._smallest_singular_value(lu) == 0.0
 
 
+def test_arpack_error_counts_as_singular():
+    # at this scale the inverse Gram operator underflows to zero, and
+    # ARPACK stops with error -9 (zero start vector)
+    system = rc.build_contour([rc.Circle(0j, 6.0, rc.CCW, 64)])
+    jump = rc.JumpData.from_evaluator(system, lambda z: 1e300 * (z - 0.4) / (z - 2.5))
+    with np.errstate(all="ignore"), pytest.raises(
+        rc.NearSingularOperatorError, match="broke down"
+    ):
+        rc.solve(rc.RHProblem.from_jump(jump))
+
+
+def test_minus_splitting_accepts_a_large_jump():
+    # b_minus = v^(-1) has |det| = 1e-12; only det v itself is checked
+    system = rc.build_contour([rc.Circle(0j, 6.0, rc.CCW, 64)])
+
+    def v(z):
+        return rc.matrix_at(z, [[1e6 * (z - 0.4) / (z - 2.5), 0.0], [0.0, 1e6]])
+
+    jump = rc.JumpData.from_evaluator(system, v)
+    sol_p = rc.solve(rc.RHProblem.from_jump(jump, side="plus"))
+    sol_m = rc.solve(rc.RHProblem.from_jump(jump, side="minus"))
+    z = rc.off_contour_points(system, 20, rel_margin=0.35, r_min=0.5, r_max=20.0)
+    m_p, m_m = sol_p.evaluate(z), sol_m.evaluate(z)
+    assert np.max(np.abs(m_p - m_m)) <= 1e-9 * np.max(np.abs(m_p))
+
+
 def _operator_with_kernel(order, nullity):
     rng = np.random.default_rng(7)
 
