@@ -311,7 +311,7 @@ def _build_jump(doc: dict, system: ContourSystem, delta_inv: float) -> JumpData:
     return JumpData.from_evaluators(system, fns, delta_inv)
 
 
-def _parse_h(doc: dict):
+def _parse_h(doc: dict, n: int):
     block = doc.get("h", "identity")
     if block == "identity":
         return None
@@ -319,6 +319,7 @@ def _parse_h(doc: dict):
         isinstance(block, list) and block,
         "h must be 'identity' or a matrix of [re, im] pairs",
     )
+    _require(len(block) == n, f"h must be {n}x{n}, the size of the jump")
     rows = []
     for a, row in enumerate(block):
         _require(
@@ -353,7 +354,7 @@ def _report_solver(report: dict, sol: RHSolution) -> None:
 def _run_solve(doc, tol, nodes):
     system = _build_system(doc, nodes)
     jump = _build_jump(doc, system, tol["delta_inv"])
-    problem = RHProblem.from_jump(jump, h=_parse_h(doc))
+    problem = RHProblem.from_jump(jump, h=_parse_h(doc, jump.v.dim))
     sol = solve(problem, sigma_min=tol["sigma_min"])
     report = _base_report("solve", system)
     report["residual_jump"] = float(sol.residual_jump)

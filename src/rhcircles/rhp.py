@@ -287,38 +287,53 @@ def _start_vector(order: int) -> np.ndarray:
     return rng.standard_normal(order) + 1j * rng.standard_normal(order)
 
 
-def _smallest_singular_value(lu) -> float:
-    """sigma_min of a factored operator T by Lanczos on (T^H T)^(-1).
+def _lanczos_sigma_min(apply, order: int, vector: bool = False):
+    """sigma_min of an operator A by Lanczos on (A^H A)^(-1).
 
-    ARPACK finds the largest eigenvalue 1/sigma_min**2 of the inverse
-    Gram operator, applied through two triangular solves per step.  Unlike
-    inverse iteration this converges to rounding even where the smallest
-    singular values cluster.  An exact zero pivot or a Lanczos run that
-    fails (no convergence, or an ARPACK error such as the one an inverse
-    Gram operator that underflows to zero gives) counts as sigma_min = 0,
+    apply(y) returns (A^H A)^(-1) y.  ARPACK finds the largest eigenvalue
+    1/sigma_min**2 of that inverse Gram operator from the seeded start
+    vector.  Unlike inverse iteration this converges to rounding even
+    where the smallest singular values cluster.  Returns sigma_min, or
+    with vector=True (sigma_min, its right singular vector).  Returns
+    None when the run fails (no convergence, or an ARPACK error such as
+    the one an inverse Gram operator that underflows to zero gives) or
+    gives an eigenvalue that is not finite and positive.
+    """
+    gram_inverse = scipy.sparse.linalg.LinearOperator(
+        (order, order), matvec=apply, dtype=np.complex128
+    )
+    try:
+        found = scipy.sparse.linalg.eigsh(
+            gram_inverse,
+            k=1,
+            which="LM",
+            v0=_start_vector(order),
+            return_eigenvectors=vector,
+        )
+    except scipy.sparse.linalg.ArpackError:
+        return None
+    (lam,) = found[0] if vector else found
+    if not (np.isfinite(lam) and lam > 0.0):
+        return None
+    sigma = float(1.0 / np.sqrt(lam))
+    return (sigma, found[1][:, 0]) if vector else sigma
+
+
+def _smallest_singular_value(lu) -> float:
+    """sigma_min of a factored operator T by Lanczos on (T^H T)^(-1),
+    applied through two triangular solves per step.
+
+    An exact zero pivot or a failed Lanczos run counts as sigma_min = 0,
     which sends the solve to the alias check instead of trusting the LU.
     """
-    order = lu[0].shape[0]
     if not np.all(np.diag(lu[0])):
         return 0.0
 
     def apply(y):
         return scipy.linalg.lu_solve(lu, scipy.linalg.lu_solve(lu, y, trans=2))
 
-    gram_inverse = scipy.sparse.linalg.LinearOperator(
-        (order, order), matvec=apply, dtype=np.complex128
-    )
-    try:
-        (lam,) = scipy.sparse.linalg.eigsh(
-            gram_inverse,
-            k=1,
-            which="LM",
-            v0=_start_vector(order),
-            return_eigenvectors=False,
-        )
-    except scipy.sparse.linalg.ArpackError:
-        return 0.0
-    return float(1.0 / np.sqrt(lam)) if np.isfinite(lam) and lam > 0.0 else 0.0
+    sigma = _lanczos_sigma_min(apply, lu[0].shape[0])
+    return 0.0 if sigma is None else sigma
 
 
 def _null_vectors(lu) -> tuple[np.ndarray, np.ndarray]:
@@ -423,11 +438,13 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
         # problems concentrate in low Fourier modes instead, so the
         # band-limited content of the null vectors tells the two apart.
         r, l = _null_vectors(lu)
-        ker, coker = (
-            float(np.linalg.norm(_band(p.system, v[:, None], n))) for v in (r, l)
-        )
         # NaN content (a broken-down LU) is not above the bound, so
         # _deflated_solve reports the breakdown
+        with np.errstate(all="ignore"):
+            ker, coker = (
+                float(np.linalg.norm(_band(p.system, v[:, None], n)))
+                for v in (r, l)
+            )
         if ker > ALIAS_BAND_CONTENT or coker > ALIAS_BAND_CONTENT:
             raise NearSingularOperatorError(
                 smallest,
@@ -585,10 +602,63 @@ def _count_small(svals: np.ndarray, tau: float) -> tuple[int, tuple[float, float
     window = (svals > tau / 10.0) & (svals < tau * 10.0)
     if np.any(window):
         raise RankAmbiguityError(
-            f"{int(window.sum())} singular value(s) within a decade of the "
-            f"rank threshold {tau:.1e}; counts would be guesses"
+            f"at least {int(window.sum())} singular value(s) within a "
+            f"decade of the rank threshold {tau:.1e}; counts would be guesses"
         )
     return int(below.size), (lo, hi)
+
+
+def _deflate(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The leading (K-1) x (K-1) block of the triangular factor of R W,
+    for W the Householder reflector whose last column is v up to a phase.
+
+    The last column of that factor has norm |R v|, so for a unit v with
+    R v ~ 0 the block keeps the other K-1 singular values of R to within
+    |R v|.  One O(K^2) QR update, not a new QR.
+    """
+    alpha = -np.exp(1j * np.angle(v[-1]))
+    w = v.copy()
+    w[-1] -= alpha
+    w /= np.linalg.norm(w)
+    eye = np.eye(r.shape[0], dtype=np.complex128)
+    _, r_w = scipy.linalg.qr_update(eye, r, -2.0 * (r @ w), w, check_finite=False)
+    return np.asfortranarray(r_w[:-1, :-1])
+
+
+def _rank_count(m: np.ndarray, tau: float) -> tuple[int, tuple[float, float]]:
+    """_count_small of the singular values of a band product m (K x N,
+    K <= N), computing only the smallest of them.
+
+    They are those of R in m^T = Q R, taken without forming Q and in place
+    of m (m^T is Fortran-ordered, so m is consumed).  Lanczos on
+    (R^H R)^(-1), two triangular solves per step, gives sigma_min and its
+    vector.  A value at most tau / 10 is set aside and deflated from R
+    before the next run: an inverse Gram operator that still held it
+    (1/sigma**2 near 1e32 for a kernel at rounding level) would leave
+    errors of order one in the values above.  The first value above
+    tau / 10 ends the count; with the ones set aside it is all
+    _count_small reads.  An exact zero on the diagonal of R, an R too
+    small for ARPACK or a failed run takes all values of the R left.
+    """
+    _, r = scipy.linalg.qr(m.T, mode="raw", overwrite_a=True, check_finite=False)
+    # trtrs would copy a C-ordered R on every solve
+    r = np.asfortranarray(r)
+    trtrs = scipy.linalg.get_lapack_funcs("trtrs", (r,))
+    small = []
+    while r.shape[0] > 2 and np.all(np.diag(r)):
+
+        def apply(y, r=r):
+            return trtrs(r, trtrs(r, y, trans=2)[0])[0]
+
+        found = _lanczos_sigma_min(apply, r.shape[0], vector=True)
+        if found is None:
+            break
+        sigma, v = found
+        if sigma > tau / 10.0:
+            return _count_small(np.array(small + [sigma]), tau)
+        small.append(sigma)
+        r = _deflate(r, v)
+    return _count_small(np.concatenate([small, scipy.linalg.svdvals(r)]), tau)
 
 
 def index_diagnostics(p: RHProblem, *, tau_rank: float = TAU_RANK) -> IndexReport:
@@ -599,15 +669,15 @@ def index_diagnostics(p: RHProblem, *, tau_rank: float = TAU_RANK) -> IndexRepor
     The counts are small singular values of T E and E^H T, with E the
     band-limited basis of _band.  E^T is E^H with the modes of each
     circle reversed, so E^H T^T, a row permutation of (T E)^T, gives the
-    singular values of T E.  Given a problem that was just solved, its
-    operator is reused.
+    singular values of T E.  Only the smallest of them are computed, by
+    _rank_count: one R-only QR per side and Lanczos on R, never a full SVD
+    of an operator-sized product.  Given a problem that was just solved,
+    its operator is reused.
     """
     n = p.data.dim
     t = p.operator
-    sv_ker = scipy.linalg.svdvals(_band(p.system, t.T, n))
-    sv_coker = scipy.linalg.svdvals(_band(p.system, t, n))
-    k_count, k_gap = _count_small(sv_ker, tau_rank)
-    c_count, c_gap = _count_small(sv_coker, tau_rank)
+    k_count, k_gap = _rank_count(_band(p.system, t.T, n), tau_rank)
+    c_count, c_gap = _rank_count(_band(p.system, t, n), tau_rank)
     return IndexReport(
         dim_ker=n * k_count,
         dim_coker=n * c_count,

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -406,11 +409,20 @@ def test_idnls_factors_and_probes_its_operator_once(tmp_path, monkeypatch):
     svdvals = _count_calls(monkeypatch, [scipy.linalg], "svdvals")
     svd = _count_calls(monkeypatch, [scipy.linalg], "svd")
     lu = _count_calls(monkeypatch, [scipy.linalg], "lu_factor")
+    qr_modes = []
+    original_qr = scipy.linalg.qr
+
+    def qr(*args, **kwargs):
+        qr_modes.append(kwargs.get("mode"))
+        return original_qr(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", qr)
     code, _ = run("idnls", PROBLEMS / "idnls_soliton.json", tmp_path)
     assert code == 0
-    # the band-limited probe pair of the index count; the alias check
-    # reads the null vectors instead
-    assert len(svdvals) == 2
+    # the index count takes R alone from one QR per side of the band
+    # product and Lanczos on R; the alias check reads the null vectors
+    assert qr_modes == ["raw", "raw"]
+    assert len(svdvals) == 0
     assert len(svd) == 0
     # the operator and the bordered operator of the alias deflation
     assert len(lu) == 2
@@ -597,6 +609,9 @@ BAD_FIELDS = {
         "identity_solve.json",
         lambda d: d.update(h=[[[1, 0], [0, 0]], [[1, 0]]]),
     ),
+    "h of another size than the jump": _edited(
+        "identity_solve.json", lambda d: d.update(h=[[[1, 0]]])
+    ),
 }
 
 
@@ -619,6 +634,42 @@ def test_scalar_anchor_on_the_contour_is_an_input_error(tmp_path, capsys):
     assert code == 1
     assert report is None
     assert "rhc: invalid input: point (1+0j) is within" in capsys.readouterr().err
+
+
+def test_broken_down_lu_prints_only_the_rhc_line(tmp_path):
+    # the LU's null vectors are not finite here; their band-limited content
+    # must be taken without numpy warnings reaching stderr
+    doc = {
+        "version": 1,
+        "mode": "solve",
+        "contour": [{"center": [0.0, 0.0], "radius": 6.0, "nodes": 64}],
+        "jump": [["1e300*(z - 0.4)/(z - 2.5)"]],
+    }
+    src = str(Path(rc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "rhcircles.cli",
+            "solve",
+            "--problem",
+            str(write_problem(tmp_path, doc)),
+            "--out",
+            str(tmp_path / "report.json"),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "rhc: near-singular operator: LU of the singular operator broke down\n"
+    )
 
 
 def test_delta_inv_override_reaches_the_splitting(tmp_path):

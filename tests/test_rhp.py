@@ -267,9 +267,11 @@ def _cli_problem(name):
     return rc.RHProblem.from_jump(jump)
 
 
-def _defocusing_problem():
+def _defocusing_problem(node_count=128):
     spec = rc.IdnlsSpec(r=lambda z: 0.3 * z + 0.1 / z, n=1, sign="defocusing")
-    return rc.RHProblem.from_jump(rc.build_defocusing_jump(spec, node_count=128))
+    return rc.RHProblem.from_jump(
+        rc.build_defocusing_jump(spec, node_count=node_count)
+    )
 
 
 @pytest.mark.parametrize(
@@ -499,3 +501,119 @@ def test_genuine_kernel_is_refused_by_its_null_vector_content(name):
     ) as info:
         rc.solve(rc.RHProblem.from_jump(v))
     assert info.value.smallest_singular_value < rc.SIGMA_MIN
+
+
+def _unit_circle_problem(fn):
+    system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 64)])
+    return rc.RHProblem.from_jump(rc.JumpData.from_evaluator(system, fn))
+
+
+def _lower_triangular(a, b):
+    return lambda z: rc.matrix_at(z, [[z**a, 0.0], [0.3 / (z - 3.0), z**b]])
+
+
+def _conjugated_soliton_problem():
+    spec = rc.IdnlsSpec(r=None, n=0, poles=((2.0 + 0j, 1.0 + 0j),))
+    ap = rc.conjugate(rc.remove_poles(spec))
+    return rc.RHProblem.from_jump(ap.jump, h=np.eye(2))
+
+
+RANK_COUNT_PROBLEMS = {
+    **{
+        f"z^{k}": (lambda k=k: _unit_circle_problem(lambda z: z**k))
+        for k in range(-2, 3)
+    },
+    "diag(z,1/z)": lambda: _unit_circle_problem(
+        lambda z: rc.matrix_at(z, [[z, 0.0], [0.0, 1.0 / z]])
+    ),
+    # kernels of three or more directions: an inverse Gram operator that
+    # still holds them smears the next value, so they must be deflated
+    "z^-5": lambda: _unit_circle_problem(lambda z: z**-5),
+    "lower(z^3,z)": lambda: _unit_circle_problem(_lower_triangular(3, 1)),
+    "lower(z^4,z^4)": lambda: _unit_circle_problem(_lower_triangular(4, 4)),
+    "defocusing_1x512": lambda: _defocusing_problem(512),
+    "conjugated_soliton": _conjugated_soliton_problem,
+}
+
+
+def _counted(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(RANK_COUNT_PROBLEMS))
+def test_rank_count_agrees_with_full_svdvals(name, monkeypatch):
+    p = RANK_COUNT_PROBLEMS[name]()
+    n, t = p.data.dim, p.operator
+    expected = [
+        rhp._count_small(
+            scipy.linalg.svdvals(rhp._band(p.system, m, n)), rc.TAU_RANK
+        )
+        for m in (t.T, t)
+    ]
+    svdvals = _counted(monkeypatch, scipy.linalg, "svdvals")
+    svd = _counted(monkeypatch, scipy.linalg, "svd")
+    rep = rc.index_diagnostics(p)
+    assert (svdvals, svd) == ([], [])
+    got = [(rep.dim_ker // n, rep.ker_gap), (rep.dim_coker // n, rep.coker_gap)]
+    for (count, (lo, hi)), (ref_count, (ref_lo, ref_hi)) in zip(got, expected):
+        assert count == ref_count
+        assert abs(hi - ref_hi) <= 1e-12 * ref_hi
+        # below the threshold only noise is left, so only its size is kept
+        assert lo < rc.TAU_RANK / 10.0 and ref_lo < rc.TAU_RANK / 10.0
+
+
+def test_rank_count_refuses_a_value_near_the_threshold(monkeypatch):
+    # z^1 at 64 nodes: one value at rounding level, the next about 1, so
+    # at tau = 0.5 the second Lanczos run, on the deflated R, already
+    # lands in the window, long before the 33 values of R are reached
+    p = _unit_circle_problem(lambda z: z)
+    eigsh = _counted(monkeypatch, scipy.sparse.linalg, "eigsh")
+    with pytest.raises(rc.RankAmbiguityError, match="rank threshold 5.0e-01"):
+        rc.index_diagnostics(p, tau_rank=0.5)
+    assert [call["k"] for call in eigsh] == [1, 1]
+
+
+def test_rank_count_takes_all_values_of_r_at_a_zero_pivot(monkeypatch):
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
+    m[2] = 0.0  # a zero column of m^T leaves an exact zero on R's diagonal
+    expected = rhp._count_small(scipy.linalg.svdvals(m), rc.TAU_RANK)
+    svdvals = _counted(monkeypatch, scipy.linalg, "svdvals")
+    eigsh = _counted(monkeypatch, scipy.sparse.linalg, "eigsh")
+    count, (lo, hi) = rhp._rank_count(m.copy(), rc.TAU_RANK)
+    assert (len(svdvals), len(eigsh)) == (1, 0)
+    assert count == expected[0] == 1
+    assert lo < rc.TAU_RANK / 10.0 and abs(hi - expected[1][1]) <= 1e-12 * hi
+
+
+def test_rank_count_takes_all_values_of_r_when_lanczos_fails(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no", [], [])
+
+    p = _unit_circle_problem(lambda z: z)
+    svdvals = _counted(monkeypatch, scipy.linalg, "svdvals")
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    rep = rc.index_diagnostics(p)
+    assert len(svdvals) == 2
+    assert (rep.dim_ker, rep.dim_coker) == (1, 0)
+
+
+def test_deflation_keeps_the_other_singular_values():
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    u, s, vh = scipy.linalg.svd(a)
+    s[-1] = 1e-15
+    r = np.asfortranarray(scipy.linalg.qr((u * s) @ vh, mode="r")[0])
+    v = scipy.linalg.svd(r)[2][-1].conj()
+    deflated = rhp._deflate(r, v)
+    assert deflated.shape == (11, 11)
+    assert not np.any(np.tril(deflated, -1))
+    assert np.allclose(scipy.linalg.svdvals(deflated), s[:-1], rtol=1e-13, atol=0.0)
