@@ -18,7 +18,6 @@ for its timing field.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -576,15 +575,14 @@ def _write_samples(
     z, values = z[finite], values[finite]
     regions = np.where(system.in_omega_plus(z), "plus", "minus")
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["region", "re_z", "im_z", "row", "col", "re_m", "im_m"])
+    buffer.write("region,re_z,im_z,row,col,re_m,im_m\n")
     # one point's values become Python numbers at a time: converting the
     # whole grid at once leaves the process about 1.5 MiB larger
     for region, point, value in zip(regions, z.tolist(), values):
         x, y = repr(point.real), repr(point.imag)
         for a, value_row in enumerate(value.tolist()):
             for b, m in enumerate(value_row):
-                writer.writerow([region, x, y, a, b, repr(m.real), repr(m.imag)])
+                buffer.write(f"{region},{x},{y},{a},{b},{m.real!r},{m.imag!r}\n")
     _atomic_write(path, buffer.getvalue())
 
 

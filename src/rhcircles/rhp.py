@@ -220,9 +220,9 @@ class RHSolution:
     midpoints (closed-form v), the honest discretization error indicator;
     at the nodes the identity holds to rounding by construction.
     solver_path is "lu" for a plain LU solve and "alias-deflation" when
-    an alias null vector was deflated; deflated_singular_value is then
-    the smallest singular value of the operator bordered with its null
-    vectors (None on the LU path).
+    an alias null vector was projected out; deflated_singular_value is
+    then the smallest singular value left once that direction is gone,
+    the operator's second smallest (None on the LU path).
     """
 
     problem: RHProblem
@@ -332,8 +332,7 @@ def _smallest_singular_value(lu) -> float:
     def apply(y):
         return scipy.linalg.lu_solve(lu, scipy.linalg.lu_solve(lu, y, trans=2))
 
-    sigma = _lanczos_sigma_min(apply, lu[0].shape[0])
-    return 0.0 if sigma is None else sigma
+    return _lanczos_sigma_min(apply, lu[0].shape[0]) or 0.0
 
 
 def _null_vectors(lu) -> tuple[np.ndarray, np.ndarray]:
@@ -351,8 +350,16 @@ def _null_vectors(lu) -> tuple[np.ndarray, np.ndarray]:
         return r / np.linalg.norm(r), l / np.linalg.norm(l)
 
 
+def _refined(t: np.ndarray, solve_with, rhs: np.ndarray) -> np.ndarray:
+    """solve_with(rhs) and one corrective step on its residual under t."""
+    x = solve_with(rhs)
+    x += solve_with(rhs - t @ x)
+    return x
+
+
 def _deflated_solve(
     t: np.ndarray,
+    lu,
     r: np.ndarray,
     l: np.ndarray,
     rhs: np.ndarray,
@@ -361,34 +368,34 @@ def _deflated_solve(
 ) -> tuple[np.ndarray, float]:
     """Solve a consistent system whose operator has a one-dimensional kernel.
 
-    With the null vectors r and l, Keller's bordered matrix
-    [[T, l], [r^H, 0]] is nonsingular, and its solution x is the one
-    orthogonal to r, which is what a truncated SVD returns.  A kernel of
-    dimension two or more leaves the bordered matrix singular and is
-    reported, never deflated by one vector.  The result is accepted only
-    if T x reproduces rhs.  Returns x and the bordered matrix's smallest
-    singular value.
+    With the null vectors r and l, S y = P T^(-1) Q y on the operator's
+    LU, for P = I - r r^H and Q = I - l l^H, is the truncated-SVD inverse,
+    so x = S rhs is the solution orthogonal to r.  Lanczos on S S^H gives
+    the smallest singular value left; a kernel of two or more directions
+    keeps it below sigma_min and is reported, never deflated by one
+    vector.  x is accepted only if T x reproduces rhs.  Returns x and that value.
     """
-    order = t.shape[0]
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(l))):
         raise NearSingularOperatorError(
             smallest, message="LU of the singular operator broke down"
         )
-    bordered = np.zeros((order + 1, order + 1), dtype=np.complex128)
-    bordered[:order, :order] = t
-    bordered[:order, order] = l
-    bordered[order, :order] = np.conj(r)
-    lu_bordered = scipy.linalg.lu_factor(bordered)
-    deflated = _smallest_singular_value(lu_bordered)
+
+    def project(v, y):
+        return y - np.multiply.outer(v, np.conj(v) @ y)
+
+    def pinv(y):
+        return project(r, scipy.linalg.lu_solve(lu, project(l, y)))
+
+    def pinv_adjoint(y):
+        return project(l, scipy.linalg.lu_solve(lu, project(r, y), trans=2))
+
+    deflated = _lanczos_sigma_min(lambda y: pinv(pinv_adjoint(y)), t.shape[0]) or 0.0
     if deflated < sigma_min:
         raise NearSingularOperatorError(
             smallest,
             message="operator kernel has more than one alias direction",
         )
-    rhs_bordered = np.vstack([rhs, np.zeros((1, rhs.shape[1]))])
-    y = scipy.linalg.lu_solve(lu_bordered, rhs_bordered)
-    y += scipy.linalg.lu_solve(lu_bordered, rhs_bordered - bordered @ y)
-    x = y[:order]
+    x = _refined(t, pinv, rhs)
     residual = float(np.max(np.abs(t @ x - rhs)))
     scale = max(float(np.max(np.abs(rhs))), 1.0)
     if residual > 1e-8 * scale:
@@ -411,10 +418,8 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     gives its right and left null vectors.  If either has band-limited
     content above ALIAS_BAND_CONTENT, the kernel is genuine (nonzero
     partial indices land here) and is reported as an error rather than
-    returning a polluted solution.  A one-dimensional alias defect with a
-    consistent system is deflated instead: the solve borders the operator
-    with its null vectors (solver_path "alias-deflation") and reports the
-    bordered operator's sigma_min as deflated_singular_value.
+    returning a polluted solution.  A one-dimensional alias defect of a
+    consistent system is projected out on that LU instead ("alias-deflation").
     """
     n = p.data.dim
     big_n = p.system.total_nodes
@@ -425,8 +430,7 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     # one right-hand side per row of h, constant along the contour
     rhs = np.repeat(p.h[:, None, :], big_n, axis=1).reshape(n, big_n * n).T
     if smallest >= sigma_min:
-        x = scipy.linalg.lu_solve(lu, rhs)
-        x += scipy.linalg.lu_solve(lu, rhs - t @ x)
+        x = _refined(t, lambda y: scipy.linalg.lu_solve(lu, y), rhs)
         path, deflated = "lu", None
     else:
         # A jump entry with nonzero winding around a single circle gives
@@ -454,24 +458,20 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
                     f"{ker:.2e} (right), {coker:.2e} (left)"
                 ),
             )
-        x, deflated = _deflated_solve(t, r, l, rhs, sigma_min, smallest)
+        x, deflated = _deflated_solve(t, lu, r, l, rhs, sigma_min, smallest)
         path = "alias-deflation"
 
-    mu_vals = x.T.reshape(n, big_n, n).transpose(1, 0, 2)
-    mu = GridFunction(p.system, mu_vals)
-    m_plus = mu * p.data.b_plus()
-    m_minus = mu * p.data.b_minus()
-    density = mu * (p.data.w_plus + p.data.w_minus)
+    mu = GridFunction(p.system, x.T.reshape(n, big_n, n).transpose(1, 0, 2))
     sol = RHSolution(
         problem=p,
         mu=mu,
-        m_plus=m_plus,
-        m_minus=m_minus,
+        m_plus=mu * p.data.b_plus(),
+        m_minus=mu * p.data.b_minus(),
         residual_jump=0.0,
         smallest_singular_value=smallest,
         solver_path=path,
         deflated_singular_value=deflated,
-        cauchy_density=density,
+        cauchy_density=mu * (p.data.w_plus + p.data.w_minus),
     )
     sol.residual_jump = _midpoint_residual(p, sol)
     return sol

@@ -424,8 +424,8 @@ def test_idnls_factors_and_probes_its_operator_once(tmp_path, monkeypatch):
     assert qr_modes == ["raw", "raw"]
     assert len(svdvals) == 0
     assert len(svd) == 0
-    # the operator and the bordered operator of the alias deflation
-    assert len(lu) == 2
+    # the operator alone: the alias deflation projects on its LU
+    assert len(lu) == 1
 
 
 def test_hermitian_factorization_checks_hypotheses_once(tmp_path, monkeypatch):

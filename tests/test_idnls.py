@@ -319,6 +319,8 @@ def test_alias_deflation_matches_truncated_svd(spec):
     # truncated-SVD reference; gesvd, since gesdd need not converge here
     u, s, vh = scipy.linalg.svd(p.operator, lapack_driver="gesvd")
     assert np.sum(s < rc.SIGMA_MIN) == 1
+    # what is left once the alias direction is projected out
+    assert abs(sol.deflated_singular_value - s[-2]) <= 1e-10 * s[-2]
     big_n = p.system.total_nodes
     rhs = np.repeat(p.h[:, None, :], big_n, axis=1).reshape(2, 2 * big_n).T
     inverted = np.where(s >= rc.SIGMA_MIN, 1.0 / s, 0.0)

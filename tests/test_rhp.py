@@ -300,7 +300,7 @@ def test_zero_pivot_counts_as_singular():
     assert rhp._smallest_singular_value(lu) == 0.0
     with pytest.raises(rc.NearSingularOperatorError, match="broke down"):
         rhp._deflated_solve(
-            t, *rhp._null_vectors(lu), np.ones((5, 1)), rc.SIGMA_MIN, 0.0
+            t, lu, *rhp._null_vectors(lu), np.ones((5, 1)), rc.SIGMA_MIN, 0.0
         )
 
 
@@ -361,7 +361,9 @@ def _operator_with_kernel(order, nullity):
 def test_one_dimensional_kernel_deflation_matches_pseudoinverse():
     t, rhs = _operator_with_kernel(40, 1)
     r, l = rhp._null_vectors(scipy.linalg.lu_factor(t))
-    x, _ = rhp._deflated_solve(t, r, l, rhs, rc.SIGMA_MIN, 0.0)
+    x, _ = rhp._deflated_solve(
+        t, scipy.linalg.lu_factor(t), r, l, rhs, rc.SIGMA_MIN, 0.0
+    )
     reference = np.linalg.pinv(t, rcond=1e-10) @ rhs
     assert np.max(np.abs(x - reference)) < 1e-10
 
@@ -370,7 +372,8 @@ def test_two_dimensional_kernel_is_never_deflated_by_one_vector():
     t, rhs = _operator_with_kernel(40, 2)
     with pytest.raises(rc.NearSingularOperatorError, match="more than one"):
         rhp._deflated_solve(
-            t, *rhp._null_vectors(scipy.linalg.lu_factor(t)), rhs, rc.SIGMA_MIN, 0.0
+            t, lu := scipy.linalg.lu_factor(t), *rhp._null_vectors(lu),
+            rhs, rc.SIGMA_MIN, 0.0,
         )
 
 
