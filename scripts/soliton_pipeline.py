@@ -50,10 +50,12 @@ def main(argv=None) -> int:
     plain = rc.solve_augmented(ap)
     mapped = rc.solve_augmented(conj)
 
-    print(f"plain:      residual {plain.residual_jump:.3e}  "
-          f"sigma_min {plain.smallest_singular_value:.3e}")
-    print(f"conjugated: residual {mapped.residual_jump:.3e}  "
-          f"sigma_min {mapped.smallest_singular_value:.3e}")
+    # on the alias path sigma_min may be the one-step upper bound that
+    # certified it, not a Lanczos value, so the path is printed beside it
+    for label, sol in (("plain:     ", plain), ("conjugated:", mapped)):
+        print(f"{label} residual {sol.residual_jump:.3e}  "
+              f"sigma_min {sol.smallest_singular_value:.3e}  "
+              f"path {sol.solution.solver_path}")
     if poles:
         worst = rc.residue_condition_residuals(plain.evaluate, ap)
         print(f"residue conditions (plain):      {worst:.3e}")

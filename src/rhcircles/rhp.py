@@ -223,6 +223,10 @@ class RHSolution:
     an alias null vector was projected out; deflated_singular_value is
     then the smallest singular value left once that direction is gone,
     the operator's second smallest (None on the LU path).
+    smallest_singular_value is the Lanczos value on the LU path.  On the
+    alias path it is the one-step inverse-iteration upper bound of
+    _null_vectors when that bound is below sigma_min, and the Lanczos
+    value otherwise.
     """
 
     problem: RHProblem
@@ -335,19 +339,30 @@ def _smallest_singular_value(lu) -> float:
     return _lanczos_sigma_min(apply, lu[0].shape[0]) or 0.0
 
 
-def _null_vectors(lu) -> tuple[np.ndarray, np.ndarray]:
-    """Right and left null vectors of a singular factored operator.
+def _null_vectors(lu) -> tuple[np.ndarray, np.ndarray, float]:
+    """Right and left null vectors of a near-singular factored operator T,
+    and the upper bound on its smallest singular value that they give.
 
-    One step of inverse iteration from the random start, with T and with
-    T^H.  The step is not repeated: on an exactly singular operator
-    further steps drift away from the kernel instead of converging.
+    One step of inverse iteration from the random start s, with T and
+    with T^H.  The step is not repeated: on an exactly singular operator
+    further steps drift away from the kernel instead of converging.  For
+    any x, sigma_min(T) <= |T x| / |x|, so x = T^(-1) s and x = T^(-H) s
+    bound it by |s| / max(|T^(-1) s|, |T^(-H) s|), the inverse-iteration
+    bound of LAPACK's condition estimators.  Non-finite vectors (a zero
+    pivot or a broken-down LU) give the bound inf, which certifies
+    nothing.
     """
     start = _start_vector(lu[0].shape[0])
     # a zero pivot gives non-finite vectors; _deflated_solve reports them
     with np.errstate(all="ignore"):
         r = scipy.linalg.lu_solve(lu, start)
         l = scipy.linalg.lu_solve(lu, start, trans=2)
-        return r / np.linalg.norm(r), l / np.linalg.norm(l)
+        norms = np.array([np.linalg.norm(r), np.linalg.norm(l)])
+        r, l = r / norms[0], l / norms[1]
+    bound = np.inf
+    if np.all(np.isfinite(norms)) and norms.min() > 0.0:
+        bound = float(np.linalg.norm(start) / norms.max())
+    return r, l, bound
 
 
 def _refined(t: np.ndarray, solve_with, rhs: np.ndarray) -> np.ndarray:
@@ -412,20 +427,25 @@ def _deflated_solve(
 def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     """Solve the discrete equation by dense LU and one corrective step.
 
-    The operator is factored once.  Its smallest singular value comes
-    from Lanczos on that LU and is always reported.  Below sigma_min the
-    problem is near singular, and one inverse-iteration step on the LU
-    gives its right and left null vectors.  If either has band-limited
-    content above ALIAS_BAND_CONTENT, the kernel is genuine (nonzero
-    partial indices land here) and is reported as an error rather than
-    returning a polluted solution.  A one-dimensional alias defect of a
-    consistent system is projected out on that LU instead ("alias-deflation").
+    The operator is factored once, and one inverse-iteration step on
+    that LU, with T and with T^H, gives candidate right and left null
+    vectors r and l and the upper bound |s| / max(|T^(-1) s|, |T^(-H) s|)
+    on sigma_min from the start s.  A bound below sigma_min certifies
+    the problem as near singular, and the bound is reported as
+    smallest_singular_value.  Otherwise Lanczos on the LU gives
+    sigma_min, which is reported, and decides.  Above it the LU solve is
+    the answer ("lu").  Below it, if r or l has band-limited content
+    above ALIAS_BAND_CONTENT, the kernel is genuine (nonzero partial
+    indices land here) and is reported as an error rather than returning
+    a polluted solution.  A one-dimensional alias defect of a consistent
+    system is projected out on that LU instead ("alias-deflation").
     """
     n = p.data.dim
     big_n = p.system.total_nodes
     t = p.operator
     lu = scipy.linalg.lu_factor(t)
-    smallest = _smallest_singular_value(lu)
+    r, l, bound = _null_vectors(lu)
+    smallest = bound if bound < sigma_min else _smallest_singular_value(lu)
 
     # one right-hand side per row of h, constant along the contour
     rhs = np.repeat(p.h[:, None, :], big_n, axis=1).reshape(n, big_n * n).T
@@ -441,7 +461,6 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
         # precision).  Genuine kernel or cokernel elements of analytic
         # problems concentrate in low Fourier modes instead, so the
         # band-limited content of the null vectors tells the two apart.
-        r, l = _null_vectors(lu)
         # NaN content (a broken-down LU) is not above the bound, so
         # _deflated_solve reports the breakdown
         with np.errstate(all="ignore"):

@@ -295,7 +295,7 @@ def test_alias_null_vectors_take_one_step_from_a_random_start():
     p = _conjugated_problem(soliton_spec())
     t = p.operator
     lu = scipy.linalg.lu_factor(t)
-    r, l = rhp._null_vectors(lu)
+    r, l, _ = rhp._null_vectors(lu)
     assert np.linalg.norm(t @ r) < 1e-12
     assert np.linalg.norm(t.conj().T @ l) < 1e-12
     # the pitfalls the random start and the single step avoid: a constant

@@ -300,7 +300,7 @@ def test_zero_pivot_counts_as_singular():
     assert rhp._smallest_singular_value(lu) == 0.0
     with pytest.raises(rc.NearSingularOperatorError, match="broke down"):
         rhp._deflated_solve(
-            t, lu, *rhp._null_vectors(lu), np.ones((5, 1)), rc.SIGMA_MIN, 0.0
+            t, lu, *rhp._null_vectors(lu)[:2], np.ones((5, 1)), rc.SIGMA_MIN, 0.0
         )
 
 
@@ -360,7 +360,7 @@ def _operator_with_kernel(order, nullity):
 
 def test_one_dimensional_kernel_deflation_matches_pseudoinverse():
     t, rhs = _operator_with_kernel(40, 1)
-    r, l = rhp._null_vectors(scipy.linalg.lu_factor(t))
+    r, l, _ = rhp._null_vectors(scipy.linalg.lu_factor(t))
     x, _ = rhp._deflated_solve(
         t, scipy.linalg.lu_factor(t), r, l, rhs, rc.SIGMA_MIN, 0.0
     )
@@ -372,7 +372,7 @@ def test_two_dimensional_kernel_is_never_deflated_by_one_vector():
     t, rhs = _operator_with_kernel(40, 2)
     with pytest.raises(rc.NearSingularOperatorError, match="more than one"):
         rhp._deflated_solve(
-            t, lu := scipy.linalg.lu_factor(t), *rhp._null_vectors(lu),
+            t, lu := scipy.linalg.lu_factor(t), *rhp._null_vectors(lu)[:2],
             rhs, rc.SIGMA_MIN, 0.0,
         )
 
@@ -620,3 +620,62 @@ def test_deflation_keeps_the_other_singular_values():
     assert deflated.shape == (11, 11)
     assert not np.any(np.tril(deflated, -1))
     assert np.allclose(scipy.linalg.svdvals(deflated), s[:-1], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "make, path",
+    [
+        (_conjugated_soliton_problem, "alias-deflation"),
+        (lambda: _cli_problem("rational_solve.json"), "lu"),
+    ],
+    ids=["conjugated_soliton", "rational_solve"],
+)
+def test_one_lanczos_run_per_solve(make, path, monkeypatch):
+    # on the alias path the inverse-iteration bound certifies sigma_min <
+    # SIGMA_MIN, so the only run left is the one for the deflated value
+    p = make()
+    calls = _counted(monkeypatch, rhp, "_lanczos_sigma_min")
+    assert rc.solve(p).solver_path == path
+    assert len(calls) == 1
+
+
+def _operator_with_singular_values(order, smallest, seed):
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        q, _ = np.linalg.qr(
+            rng.standard_normal((order, order))
+            + 1j * rng.standard_normal((order, order))
+        )
+        return q
+
+    u, v = unitary(), unitary()
+    s = rng.uniform(0.5, 2.0, order)
+    s[-1] = smallest
+    return (u * s) @ v.conj().T
+
+
+@pytest.mark.parametrize("order", [64, 96, 128])
+def test_inverse_iteration_bound_is_a_sound_certificate(order):
+    for smallest in (1e-9, 1e-11, 1e-13):
+        lu = scipy.linalg.lu_factor(
+            _operator_with_singular_values(order, smallest, order)
+        )
+        bound = rhp._null_vectors(lu)[2]
+        assert bound >= smallest * (1.0 - 1e-6)
+        # the random start overestimates by about sqrt(order), so at 1e-9
+        # the bound may land above SIGMA_MIN and leave the call to Lanczos
+        if smallest < 1e-9:
+            assert bound < rc.SIGMA_MIN
+    lu = scipy.linalg.lu_factor(_operator_with_singular_values(order, 1e-6, order))
+    assert rhp._null_vectors(lu)[2] >= rc.SIGMA_MIN
+    assert abs(rhp._smallest_singular_value(lu) - 1e-6) <= 1e-12
+
+
+def test_zero_pivot_certifies_nothing():
+    t = np.diag([1.0, 2.0, 3.0, 0.0, 5.0]).astype(complex)
+    with pytest.warns(scipy.linalg.LinAlgWarning):
+        lu = scipy.linalg.lu_factor(t)
+    r, l, bound = rhp._null_vectors(lu)
+    assert bound == np.inf
+    assert not (np.all(np.isfinite(r)) and np.all(np.isfinite(l)))
