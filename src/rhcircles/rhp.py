@@ -323,18 +323,48 @@ def _lanczos_sigma_min(apply, order: int, vector: bool = False):
     return (sigma, found[1][:, 0]) if vector else sigma
 
 
-def _smallest_singular_value(lu) -> float:
-    """sigma_min of a factored operator T by Lanczos on (T^H T)^(-1),
-    applied through two triangular solves per step.
+def _lu_vector_solver(lu) -> Callable:
+    """apply(y, adjoint=False): T^(-1) y, or T^(-H) y, for one vector y
+    by two BLAS trsv calls on the factors of scipy.linalg.lu_factor.
 
-    An exact zero pivot or a failed Lanczos run counts as sigma_min = 0,
-    which sends the solve to the alias check instead of trusting the LU.
+    lu_solve sends a single column through getrs and so through trsm,
+    which is slower than trsv on the same factors.  The row permutation
+    of piv and its inverse are built once here, not per call, and the
+    factors are Fortran-ordered, so no call copies them.  y is never
+    overwritten.  A zero pivot gives non-finite output, not an error.
+    """
+    factors, piv = lu
+    trsv = scipy.linalg.get_blas_funcs("trsv", (factors,))
+    perm = np.arange(factors.shape[0])
+    for i, j in enumerate(piv):
+        perm[i], perm[j] = perm[j], perm[i]
+    inverse = np.argsort(perm)
+
+    def apply(y, adjoint=False):
+        if adjoint:
+            w = trsv(factors, y, trans=2)
+            w = trsv(factors, w, trans=2, lower=1, diag=1, overwrite_x=1)
+            return w[inverse]
+        w = trsv(factors, y[perm], lower=1, diag=1, overwrite_x=1)
+        return trsv(factors, w, overwrite_x=1)
+
+    return apply
+
+
+def _smallest_singular_value(lu) -> float:
+    """sigma_min of a factored operator T by Lanczos on (T^H T)^(-1).
+
+    Each step applies T^(-H) and then T^(-1) by _lu_vector_solver, two
+    trsv pairs on the existing factors.  An exact zero pivot or a failed
+    Lanczos run counts as sigma_min = 0, which sends the solve to the
+    alias check instead of trusting the LU.
     """
     if not np.all(np.diag(lu[0])):
         return 0.0
+    solve_with = _lu_vector_solver(lu)
 
     def apply(y):
-        return scipy.linalg.lu_solve(lu, scipy.linalg.lu_solve(lu, y, trans=2))
+        return solve_with(solve_with(y, adjoint=True))
 
     return _lanczos_sigma_min(apply, lu[0].shape[0]) or 0.0
 
@@ -385,15 +415,18 @@ def _deflated_solve(
 
     With the null vectors r and l, S y = P T^(-1) Q y on the operator's
     LU, for P = I - r r^H and Q = I - l l^H, is the truncated-SVD inverse,
-    so x = S rhs is the solution orthogonal to r.  Lanczos on S S^H gives
-    the smallest singular value left; a kernel of two or more directions
-    keeps it below sigma_min and is reported, never deflated by one
-    vector.  x is accepted only if T x reproduces rhs.  Returns x and that value.
+    so x = S rhs is the solution orthogonal to r.  Lanczos on S S^H,
+    y -> P T^(-1) Q Q T^(-H) P y by two trsv pairs of _lu_vector_solver
+    per step, gives the smallest singular value left; a kernel of two or
+    more directions keeps it below sigma_min and is reported, never
+    deflated by one vector.  x is accepted only if T x reproduces rhs.
+    Returns x and that value.
     """
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(l))):
         raise NearSingularOperatorError(
             smallest, message="LU of the singular operator broke down"
         )
+    solve_with = _lu_vector_solver(lu)
 
     def project(v, y):
         return y - np.multiply.outer(v, np.conj(v) @ y)
@@ -401,10 +434,11 @@ def _deflated_solve(
     def pinv(y):
         return project(r, scipy.linalg.lu_solve(lu, project(l, y)))
 
-    def pinv_adjoint(y):
-        return project(l, scipy.linalg.lu_solve(lu, project(r, y), trans=2))
+    def gram(y):
+        y = project(l, solve_with(project(r, y), adjoint=True))
+        return project(r, solve_with(project(l, y)))
 
-    deflated = _lanczos_sigma_min(lambda y: pinv(pinv_adjoint(y)), t.shape[0]) or 0.0
+    deflated = _lanczos_sigma_min(gram, t.shape[0]) or 0.0
     if deflated < sigma_min:
         raise NearSingularOperatorError(
             smallest,
@@ -650,24 +684,24 @@ def _rank_count(m: np.ndarray, tau: float) -> tuple[int, tuple[float, float]]:
 
     They are those of R in m^T = Q R, taken without forming Q and in place
     of m (m^T is Fortran-ordered, so m is consumed).  Lanczos on
-    (R^H R)^(-1), two triangular solves per step, gives sigma_min and its
-    vector.  A value at most tau / 10 is set aside and deflated from R
-    before the next run: an inverse Gram operator that still held it
-    (1/sigma**2 near 1e32 for a kernel at rounding level) would leave
-    errors of order one in the values above.  The first value above
+    (R^H R)^(-1), one trsv with R^H and one with R per step, gives
+    sigma_min and its vector.  A value at most tau / 10 is set aside and
+    deflated from R before the next run: an inverse Gram operator that
+    still held it (1/sigma**2 near 1e32 for a kernel at rounding level)
+    would leave errors of order one in the values above.  The first value above
     tau / 10 ends the count; with the ones set aside it is all
     _count_small reads.  An exact zero on the diagonal of R, an R too
     small for ARPACK or a failed run takes all values of the R left.
     """
     _, r = scipy.linalg.qr(m.T, mode="raw", overwrite_a=True, check_finite=False)
-    # trtrs would copy a C-ordered R on every solve
+    # trsv would copy a C-ordered R on every apply
     r = np.asfortranarray(r)
-    trtrs = scipy.linalg.get_lapack_funcs("trtrs", (r,))
+    trsv = scipy.linalg.get_blas_funcs("trsv", (r,))
     small = []
     while r.shape[0] > 2 and np.all(np.diag(r)):
 
         def apply(y, r=r):
-            return trtrs(r, trtrs(r, y, trans=2)[0])[0]
+            return trsv(r, trsv(r, y, trans=2), overwrite_x=1)
 
         found = _lanczos_sigma_min(apply, r.shape[0], vector=True)
         if found is None:

@@ -10,6 +10,7 @@ import pytest
 
 import rhcircles as rc
 from rhcircles import cli
+from rhcircles.cauchy import EVAL_BLOCK
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -441,28 +442,16 @@ def test_hermitian_factorization_checks_hypotheses_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_samples_match_point_by_point_evaluation(tmp_path):
-    # the 7x6 grid puts nodes on the unit and outer circles (skipped by the
-    # margin) and one exactly on the pole z = 2 (non-finite, skipped)
-    csv_path = tmp_path / "samples.csv"
-    code, _ = run(
-        "idnls",
-        PROBLEMS / "idnls_soliton.json",
-        tmp_path,
-        "--samples",
-        str(csv_path),
-        "--grid",
-        "7x6",
-        "--bbox=-4,2,-1,1.5",
-    )
-    assert code == 0
+def _soliton_samples_point_by_point(grid, bbox):
+    """The soliton CSV rows one sol.evaluate call per point, and the
+    numbers of points skipped as too close and as non-finite."""
     spec = rc.IdnlsSpec(r=None, n=0, poles=((2.0 + 0j, 1.0 + 0j),))
     ap = rc.conjugate(rc.remove_poles(spec))
     sol = rc.solve_augmented(ap)
     lines = ["region,re_z,im_z,row,col,re_m,im_m"]
     too_close = non_finite = 0
-    for x in np.linspace(-4.0, 2.0, 7):
-        for y in np.linspace(-1.0, 1.5, 6):
+    for x in np.linspace(bbox[0], bbox[1], grid[0]):
+        for y in np.linspace(bbox[2], bbox[3], grid[1]):
             z = complex(x, y)
             try:
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -481,8 +470,53 @@ def test_samples_match_point_by_point_evaluation(tmp_path):
                         f"{float(value[a, b].real)!r},"
                         f"{float(value[a, b].imag)!r}"
                     )
+    return "\n".join(lines) + "\n", too_close, non_finite
+
+
+def test_samples_match_point_by_point_evaluation(tmp_path):
+    # the 7x6 grid puts nodes on the unit and outer circles (skipped by the
+    # margin) and one exactly on the pole z = 2 (non-finite, skipped)
+    csv_path = tmp_path / "samples.csv"
+    code, _ = run(
+        "idnls",
+        PROBLEMS / "idnls_soliton.json",
+        tmp_path,
+        "--samples",
+        str(csv_path),
+        "--grid",
+        "7x6",
+        "--bbox=-4,2,-1,1.5",
+    )
+    assert code == 0
+    text, too_close, non_finite = _soliton_samples_point_by_point(
+        (7, 6), (-4.0, 2.0, -1.0, 1.5)
+    )
     assert too_close >= 2 and non_finite == 1
-    assert csv_path.read_text() == "\n".join(lines) + "\n"
+    assert csv_path.read_text() == text
+
+
+def test_samples_match_point_by_point_evaluation_across_blocks(tmp_path):
+    # more than two EVAL_BLOCKs of kept points, so the CSV is written in
+    # at least three joined blocks, the last one partial
+    csv_path = tmp_path / "samples.csv"
+    code, _ = run(
+        "idnls",
+        PROBLEMS / "idnls_soliton.json",
+        tmp_path,
+        "--samples",
+        str(csv_path),
+        "--grid",
+        "23x15",
+        "--bbox=-4,2,-1,1.5",
+    )
+    assert code == 0
+    text, too_close, _ = _soliton_samples_point_by_point(
+        (23, 15), (-4.0, 2.0, -1.0, 1.5)
+    )
+    kept = (text.count("\n") - 1) // 4  # the header, then 4 rows per point
+    assert too_close >= 1
+    assert kept > 2 * EVAL_BLOCK and kept % EVAL_BLOCK
+    assert csv_path.read_text() == text
 
 
 def test_hermitian_factorization_pairs_circles_within_pair_tol(tmp_path):

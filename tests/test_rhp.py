@@ -679,3 +679,62 @@ def test_zero_pivot_certifies_nothing():
     r, l, bound = rhp._null_vectors(lu)
     assert bound == np.inf
     assert not (np.all(np.isfinite(r)) and np.all(np.isfinite(l)))
+
+
+def test_lu_vector_solver_agrees_with_lu_solve():
+    rng = np.random.default_rng(3)
+    t = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    lu = scipy.linalg.lu_factor(t)
+    assert np.any(lu[1] != np.arange(64))  # the rows are pivoted
+    solve_with = rhp._lu_vector_solver(lu)
+    storage = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    y = storage[::2]  # not contiguous
+    kept = y.copy()
+    for adjoint, trans in ((False, 0), (True, 2)):
+        expected = scipy.linalg.lu_solve(lu, kept, trans=trans)
+        got = solve_with(y, adjoint=adjoint)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+        assert np.array_equal(y, kept)
+
+
+def test_lu_vector_solver_gives_non_finite_output_at_a_zero_pivot():
+    t = np.diag([1.0, 2.0, 3.0, 0.0, 5.0]).astype(complex)
+    with pytest.warns(scipy.linalg.LinAlgWarning):
+        lu = scipy.linalg.lu_factor(t)
+    solve_with = rhp._lu_vector_solver(lu)
+    for adjoint in (False, True):
+        assert not np.all(np.isfinite(solve_with(np.ones(5, complex), adjoint)))
+
+
+@pytest.mark.parametrize(
+    "make, path",
+    [
+        (_conjugated_soliton_problem, "alias-deflation"),
+        (lambda: _cli_problem("rational_solve.json"), "lu"),
+    ],
+    ids=["conjugated_soliton", "rational_solve"],
+)
+def test_lanczos_applies_make_no_vector_lu_solve(make, path, monkeypatch):
+    # every Lanczos apply goes through _lu_vector_solver's trsv pairs;
+    # lu_solve is left to the solves that feed x
+    p = make()
+    runs, vector_solves = [], []
+    lanczos, lu_solve = rhp._lanczos_sigma_min, scipy.linalg.lu_solve
+
+    def traced_lanczos(*args, **kwargs):
+        runs.append(True)
+        try:
+            return lanczos(*args, **kwargs)
+        finally:
+            runs[-1] = False
+
+    def traced_lu_solve(lu, b, *args, **kwargs):
+        if runs and runs[-1] and np.ndim(b) == 1:
+            vector_solves.append(kwargs.get("trans", 0))
+        return lu_solve(lu, b, *args, **kwargs)
+
+    monkeypatch.setattr(rhp, "_lanczos_sigma_min", traced_lanczos)
+    monkeypatch.setattr(scipy.linalg, "lu_solve", traced_lu_solve)
+    assert rc.solve(p).solver_path == path
+    assert runs == [False]
+    assert vector_solves == []
