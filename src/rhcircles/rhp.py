@@ -184,6 +184,8 @@ class RHProblem:
             self.h = np.atleast_2d(np.asarray(self.h, dtype=np.complex128))
             if self.h.shape != (n, n):
                 raise ValueError(f"h must be {n}x{n}")
+            if not np.all(np.isfinite(self.h)):
+                raise ValueError("h must be finite")
 
     @classmethod
     def from_jump(
@@ -196,15 +198,23 @@ class RHProblem:
         """(N*n) x (N*n) matrix of the equation acting on one row of mu.
 
         Assembled once per problem and shared by solve and
-        index_diagnostics; h does not enter it.
+        index_diagnostics; h does not enter it.  Only a half of the
+        splitting with a nonzero entry is applied, so the trivial
+        splitting costs one einsum; C- = C+ - I overwrites C+ in place.
+        Both halves give the same bits as C+ w_minus + C- w_plus.
         """
         n = self.data.dim
         big_n = self.system.total_nodes
-        proj = build_projectors(self.system)
         wm = self.data.w_minus.values
         wp = self.data.w_plus.values
-        k = np.einsum("LM,Mcb->LbMc", proj.plus_matrix, wm)
-        k += np.einsum("LM,Mcb->LbMc", proj.minus_matrix, wp)
+        cauchy = build_projectors(self.system).plus_matrix
+        k = np.einsum("LM,Mcb->LbMc", cauchy, wm) if np.any(wm) else None
+        if np.any(wp):
+            cauchy[np.diag_indices_from(cauchy)] -= 1.0
+            minus_half = np.einsum("LM,Mcb->LbMc", cauchy, wp)
+            k = minus_half if k is None else np.add(k, minus_half, out=k)
+        if k is None:  # v = I at every node
+            k = np.zeros((big_n, n, big_n, n), dtype=np.complex128)
         # I - k in place: the same bits as np.eye(...) - k without two
         # more operator-sized arrays at the assembly peak
         t = np.subtract(0.0, k, out=k).reshape(big_n * n, big_n * n)
@@ -295,9 +305,12 @@ def _lanczos_sigma_min(apply, order: int, vector: bool = False):
     """sigma_min of an operator A by Lanczos on (A^H A)^(-1).
 
     apply(y) returns (A^H A)^(-1) y.  ARPACK finds the largest eigenvalue
-    1/sigma_min**2 of that inverse Gram operator from the seeded start
-    vector.  Unlike inverse iteration this converges to rounding even
-    where the smallest singular values cluster.  Returns sigma_min, or
+    theta = 1/sigma_min**2 of that inverse Gram operator from the seeded
+    start vector, restarting a Krylov space of at most 12 vectors, and
+    stops once the Ritz residual r has |r| <= 1e-8 theta.  The operator
+    is Hermitian, so the Ritz value is then off by at most |r|**2 / gap,
+    for gap its distance to the rest of the spectrum: rounding level
+    unless the largest eigenvalues cluster.  Returns sigma_min, or
     with vector=True (sigma_min, its right singular vector).  Returns
     None when the run fails (no convergence, or an ARPACK error such as
     the one an inverse Gram operator that underflows to zero gives) or
@@ -312,6 +325,8 @@ def _lanczos_sigma_min(apply, order: int, vector: bool = False):
             k=1,
             which="LM",
             v0=_start_vector(order),
+            ncv=min(12, order),
+            tol=1e-8,
             return_eigenvectors=vector,
         )
     except scipy.sparse.linalg.ArpackError:
@@ -385,8 +400,8 @@ def _null_vectors(lu) -> tuple[np.ndarray, np.ndarray, float]:
     start = _start_vector(lu[0].shape[0])
     # a zero pivot gives non-finite vectors; _deflated_solve reports them
     with np.errstate(all="ignore"):
-        r = scipy.linalg.lu_solve(lu, start)
-        l = scipy.linalg.lu_solve(lu, start, trans=2)
+        r = scipy.linalg.lu_solve(lu, start, check_finite=False)
+        l = scipy.linalg.lu_solve(lu, start, trans=2, check_finite=False)
         norms = np.array([np.linalg.norm(r), np.linalg.norm(l)])
         r, l = r / norms[0], l / norms[1]
     bound = np.inf
@@ -432,7 +447,9 @@ def _deflated_solve(
         return y - np.multiply.outer(v, np.conj(v) @ y)
 
     def pinv(y):
-        return project(r, scipy.linalg.lu_solve(lu, project(l, y)))
+        return project(
+            r, scipy.linalg.lu_solve(lu, project(l, y), check_finite=False)
+        )
 
     def gram(y):
         y = project(l, solve_with(project(r, y), adjoint=True))
@@ -477,6 +494,8 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     n = p.data.dim
     big_n = p.system.total_nodes
     t = p.operator
+    # the one finiteness scan of T (h was checked when p was built), so
+    # the lu_solve calls on these factors skip theirs
     lu = scipy.linalg.lu_factor(t)
     r, l, bound = _null_vectors(lu)
     smallest = bound if bound < sigma_min else _smallest_singular_value(lu)
@@ -484,7 +503,9 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     # one right-hand side per row of h, constant along the contour
     rhs = np.repeat(p.h[:, None, :], big_n, axis=1).reshape(n, big_n * n).T
     if smallest >= sigma_min:
-        x = _refined(t, lambda y: scipy.linalg.lu_solve(lu, y), rhs)
+        x = _refined(
+            t, lambda y: scipy.linalg.lu_solve(lu, y, check_finite=False), rhs
+        )
         path, deflated = "lu", None
     else:
         # A jump entry with nonzero winding around a single circle gives

@@ -96,6 +96,26 @@ def test_reports_are_deterministic(tmp_path):
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
+def test_alias_path_reports_are_deterministic(tmp_path):
+    runs = []
+    for attempt in ("first", "second"):
+        samples = tmp_path / f"{attempt}.csv"
+        code, report = run(
+            "idnls",
+            PROBLEMS / "idnls_soliton.json",
+            tmp_path,
+            "--samples",
+            str(samples),
+            "--grid",
+            "12x12",
+        )
+        assert code == 0
+        assert report["solver_path"] == "alias-deflation"
+        report.pop("timing_seconds")
+        runs.append((json.dumps(report, sort_keys=True), samples.read_bytes()))
+    assert runs[0] == runs[1]
+
+
 def test_samples_csv(tmp_path):
     out = tmp_path / "report.json"
     samples = tmp_path / "samples.csv"

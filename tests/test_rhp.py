@@ -738,3 +738,124 @@ def test_lanczos_applies_make_no_vector_lu_solve(make, path, monkeypatch):
     assert rc.solve(p).solver_path == path
     assert runs == [False]
     assert vector_solves == []
+
+
+def _lanczos_applies(monkeypatch):
+    runs = []
+    lanczos = rhp._lanczos_sigma_min
+
+    def counted(apply, *args, **kwargs):
+        runs.append(0)
+
+        def counted_apply(y):
+            runs[-1] += 1
+            return apply(y)
+
+        return lanczos(counted_apply, *args, **kwargs)
+
+    monkeypatch.setattr(rhp, "_lanczos_sigma_min", counted)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "make, path, most",
+    [
+        (_conjugated_soliton_problem, "alias-deflation", 19),
+        (lambda: _defocusing_problem(512), "lu", 24),
+    ],
+    ids=["conjugated_soliton", "defocusing_1x512"],
+)
+def test_lanczos_stops_once_the_ritz_value_has_converged(
+    make, path, most, monkeypatch
+):
+    # a run to a residual at rounding level took 21 and 31 applies here
+    p = make()
+    runs = _lanczos_applies(monkeypatch)
+    assert rc.solve(p).solver_path == path
+    assert len(runs) == 1 and runs[0] <= most
+
+
+@pytest.mark.parametrize(
+    "make, field, rank",
+    [
+        (lambda: _defocusing_problem(512), "smallest_singular_value", 1),
+        (_conjugated_soliton_problem, "deflated_singular_value", 2),
+    ],
+    ids=["defocusing_1x512", "conjugated_soliton"],
+)
+def test_converged_lanczos_values_match_svdvals(make, field, rank):
+    p = make()
+    exact = scipy.linalg.svdvals(p.operator)[-rank]
+    got = getattr(rc.solve(p), field)
+    assert abs(got - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("order", [3, 4, 7, 11, 12, 13])
+def test_lanczos_on_an_operator_of_low_order(order):
+    rng = np.random.default_rng(order)
+    a = rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order))
+    r = np.asfortranarray(scipy.linalg.qr(a, mode="r")[0])
+    trsv = scipy.linalg.get_blas_funcs("trsv", (r,))
+
+    def apply(y):
+        return trsv(r, trsv(r, y, trans=2))
+
+    exact = scipy.linalg.svdvals(r)[-1]
+    sigma, v = rhp._lanczos_sigma_min(apply, order, vector=True)
+    assert abs(sigma - exact) <= 1e-12 * exact
+    assert abs(np.linalg.norm(r @ v) - exact) <= 1e-10 * np.linalg.norm(r)
+    assert rhp._lanczos_sigma_min(apply, order) == sigma
+
+
+def _two_einsum_operator(p):
+    proj = rc.build_projectors(p.system)
+    k = np.einsum("LM,Mcb->LbMc", proj.plus_matrix, p.data.w_minus.values)
+    k += np.einsum("LM,Mcb->LbMc", proj.minus_matrix, p.data.w_plus.values)
+    order = p.system.total_nodes * p.data.dim
+    return np.eye(order) - k.reshape(order, order)
+
+
+def _two_sided(jump, c):
+    # w_- = c I and w_+ = (I - w_-) v - I, so b_-^(-1) b_+ is still v
+    eye = rc.GridFunction.identity(jump.system, jump.v.dim)
+    w_minus = eye * c
+    w_plus = (eye - w_minus) * jump.v - eye
+    return rc.RHProblem(jump.system, rc.FactorizationData(w_plus, w_minus, jump))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: rc.RHProblem.from_jump(_conjugated_soliton_jump(), side="plus"),
+        lambda: rc.RHProblem.from_jump(_conjugated_soliton_jump(), side="minus"),
+        lambda: rc.RHProblem.from_jump(_defocusing_problem().data.jump, side="minus"),
+        lambda: _two_sided(_conjugated_soliton_jump(), 0.3 - 0.2j),
+    ],
+    ids=["soliton_plus", "soliton_minus", "defocusing_minus", "soliton_two_sided"],
+)
+def test_operator_equals_the_two_einsum_formula(make):
+    p = make()
+    assert p.operator.tobytes() == _two_einsum_operator(p).tobytes()
+
+
+def test_two_sided_splitting_solves_like_the_trivial_one(rational_radius6):
+    system, jump = rational_radius6
+    sol = rc.solve(_two_sided(jump, 0.3 - 0.2j))
+    reference = rc.solve(rc.RHProblem.from_jump(jump))
+    z = rc.off_contour_points(system, 20, rel_margin=0.35, r_min=0.5, r_max=20.0)
+    assert np.max(np.abs(sol.evaluate(z) - reference.evaluate(z))) <= 1e-10
+
+
+def test_non_finite_h_is_rejected_at_construction(rational_radius6):
+    _, jump = rational_radius6
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="h must be finite"):
+            rc.RHProblem.from_jump(jump, h=np.array([[bad]]))
+
+
+def test_non_finite_jump_value_is_rejected_by_the_factorization():
+    system = rc.build_contour([rc.Circle(0j, 6.0, rc.CCW, 64)])
+    v = rc.JumpData.from_evaluator(system, lambda z: (z - 0.4) / (z - 2.5))
+    v.v.values[5] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        rc.solve(rc.RHProblem.from_jump(v))
