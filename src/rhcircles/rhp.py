@@ -290,7 +290,8 @@ def _midpoint_residual(p: RHProblem, sol: RHSolution) -> float:
         m_p, m_m = sol.boundary_values(i, mids)
         v_mid = p.data.jump.at(i, pts)
         gap = m_p - np.einsum("lab,lbc->lac", m_m, v_mid)
-        worst = max(worst, float(np.max(np.abs(gap))))
+        # np.maximum, not max: a NaN gap must not read as a zero residual
+        worst = float(np.maximum(worst, np.max(np.abs(gap))))
     return worst
 
 
@@ -400,8 +401,8 @@ def _null_vectors(lu) -> tuple[np.ndarray, np.ndarray, float]:
     start = _start_vector(lu[0].shape[0])
     # a zero pivot gives non-finite vectors; _deflated_solve reports them
     with np.errstate(all="ignore"):
-        r = scipy.linalg.lu_solve(lu, start, check_finite=False)
-        l = scipy.linalg.lu_solve(lu, start, trans=2, check_finite=False)
+        r = scipy.linalg.lu_solve(lu, start)
+        l = scipy.linalg.lu_solve(lu, start, trans=2)
         norms = np.array([np.linalg.norm(r), np.linalg.norm(l)])
         r, l = r / norms[0], l / norms[1]
     bound = np.inf
@@ -447,9 +448,7 @@ def _deflated_solve(
         return y - np.multiply.outer(v, np.conj(v) @ y)
 
     def pinv(y):
-        return project(
-            r, scipy.linalg.lu_solve(lu, project(l, y), check_finite=False)
-        )
+        return project(r, scipy.linalg.lu_solve(lu, project(l, y)))
 
     def gram(y):
         y = project(l, solve_with(project(r, y), adjoint=True))
@@ -464,7 +463,7 @@ def _deflated_solve(
     x = _refined(t, pinv, rhs)
     residual = float(np.max(np.abs(t @ x - rhs)))
     scale = max(float(np.max(np.abs(rhs))), 1.0)
-    if residual > 1e-8 * scale:
+    if not residual <= 1e-8 * scale:  # a NaN residual fails too
         raise NearSingularOperatorError(
             smallest,
             message=(
@@ -494,8 +493,6 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     n = p.data.dim
     big_n = p.system.total_nodes
     t = p.operator
-    # the one finiteness scan of T (h was checked when p was built), so
-    # the lu_solve calls on these factors skip theirs
     lu = scipy.linalg.lu_factor(t)
     r, l, bound = _null_vectors(lu)
     smallest = bound if bound < sigma_min else _smallest_singular_value(lu)
@@ -503,9 +500,7 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     # one right-hand side per row of h, constant along the contour
     rhs = np.repeat(p.h[:, None, :], big_n, axis=1).reshape(n, big_n * n).T
     if smallest >= sigma_min:
-        x = _refined(
-            t, lambda y: scipy.linalg.lu_solve(lu, y, check_finite=False), rhs
-        )
+        x = _refined(t, lambda y: scipy.linalg.lu_solve(lu, y), rhs)
         path, deflated = "lu", None
     else:
         # A jump entry with nonzero winding around a single circle gives

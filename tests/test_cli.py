@@ -690,6 +690,18 @@ def test_scalar_anchor_on_the_contour_is_an_input_error(tmp_path, capsys):
     assert "rhc: invalid input: point (1+0j) is within" in capsys.readouterr().err
 
 
+def test_overflowing_solution_is_an_input_error(tmp_path, capsys):
+    # h is finite, but the solution overflows; no report may claim a
+    # zero residual for a NaN solution
+    doc = _edited("rational_solve.json", lambda d: d.update(h=[[[1.7e308, 0]]]))
+    code, report = run("solve", write_problem(tmp_path, doc), tmp_path)
+    assert code == 1
+    assert report is None
+    assert capsys.readouterr().err == (
+        "rhc: invalid input: array must not contain infs or NaNs\n"
+    )
+
+
 def test_broken_down_lu_prints_only_the_rhc_line(tmp_path):
     # the LU's null vectors are not finite here; their band-limited content
     # must be taken without numpy warnings reaching stderr
