@@ -256,21 +256,20 @@ def off_contour_points(
     rel_margin: float = 0.35,
     r_min: float = 0.05,
     r_max: float = 10.0,
-    center: complex = 0.0,
 ) -> np.ndarray:
     """Deterministic off-contour probe points with relative clearance.
 
-    Walks a logarithmic spiral between the two radii and keeps points whose
-    distance to every circle exceeds rel_margin times that circle's radius.
-    Raises if the requested count cannot be collected, which signals that
-    the margins leave too little room.
+    Walks a logarithmic spiral about the origin between the two radii and
+    keeps points whose distance to every circle exceeds rel_margin times
+    that circle's radius.  Raises if the requested count cannot be
+    collected, which signals that the margins leave too little room.
     """
     out = []
     golden = np.pi * (3.0 - np.sqrt(5.0))
     n_cand = max(64 * count, 512)
     for k in range(n_cand):
         r = r_min * (r_max / r_min) ** (k / (n_cand - 1.0))
-        z = center + r * np.exp(1j * golden * k)
+        z = r * np.exp(1j * golden * k)
         if all(c.distance(z) >= rel_margin * c.radius for c in system.circles):
             out.append(z)
             if len(out) == count:

@@ -53,14 +53,6 @@ class SingularInversionError(InputError):
     """Circle passes through the origin; its inversion image is a line."""
 
 
-class CirclePackingError(InputError):
-    """No admissible radius exists for a pole circle."""
-
-
-class RadiusConflictError(InputError):
-    """Requested conjugation radius collides with existing circles."""
-
-
 # input: discretization / evaluation
 
 

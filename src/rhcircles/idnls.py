@@ -13,12 +13,18 @@ its poles.
 Conventions: the unit circle is oriented clockwise (plus side outside),
 pole circles clockwise, their inverted images counterclockwise, and the
 auxiliary circles at radii R and 1/R counterclockwise.
+
+The geometry follows from the poles alone.  Pole circle j has radius
+default_pole_radii(spec)[j], and R = 2 max|z_j| (R = 2 without poles).
+Inversion z -> 1/conj(z) maps the pole circles onto the inverted pole
+circles and the circle of radius R onto the one of radius 1/R, so the
+contour is closed under inversion and its circles are pairwise disjoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -31,13 +37,7 @@ from .contour import (
     invert_circle,
     unit_circle,
 )
-from .errors import (
-    CirclePackingError,
-    DegenerateSolitonSystemError,
-    OverlapError,
-    RadiusConflictError,
-    ReflectionTooLargeError,
-)
+from .errors import DegenerateSolitonSystemError, ReflectionTooLargeError
 from .rhp import (
     SIGMA_MIN,
     JumpData,
@@ -52,6 +52,7 @@ FOCUSING = "focusing"
 DEFOCUSING = "defocusing"
 
 _SAMPLE_COUNT = 256
+_RING_POINTS = 48
 
 
 def _zero_reflection(z) -> float:
@@ -158,18 +159,21 @@ def _norming_factors(spec: IdnlsSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def default_pole_radii(spec: IdnlsSpec) -> np.ndarray:
-    """Half the clearance of each pole from the unit circle, the other
-    poles (half again, so neighboring circles cannot meet), and the
-    mirror points."""
+    """Radii of the pole circles: half the clearance of each pole from
+    the unit circle and from the other poles (half again, so neighboring
+    circles cannot meet).
+
+    The circles are then pairwise disjoint and outside the unit circle,
+    so their inversion images are too.  The mirror points need no bound
+    of their own: |z_j - 1/conj(z_k)| > |z_j| - 1, since |1/conj(z_k)| < 1.
+    """
     z = spec.pole_locations()
-    mirrors = spec.mirror_locations()
     radii = np.empty(len(z))
     for j, zj in enumerate(z):
         bounds = [abs(zj) - 1.0]
         for k, zk in enumerate(z):
             if k != j:
                 bounds.append(abs(zj - zk) / 2.0)
-        bounds.extend(abs(zj - w) for w in mirrors)
         radii[j] = 0.5 * min(bounds)
     return radii
 
@@ -184,12 +188,14 @@ class AugmentedProblem:
     restored.
     """
 
-    system: ContourSystem
     jump: JumpData
     roles: tuple
     spec: IdnlsSpec
     undo: Callable
-    pole_radii: tuple = ()
+
+    @property
+    def system(self) -> ContourSystem:
+        return self.jump.system
 
     def role_index(self, *role) -> int:
         return self.roles.index(tuple(role))
@@ -200,30 +206,22 @@ class AugmentedProblem:
 
 def remove_poles(
     spec: IdnlsSpec,
-    radii: Sequence[float] | None = None,
     pole_nodes: int = 64,
     unit_nodes: int = 64,
 ) -> AugmentedProblem:
     """Trade residue conditions for jumps on small circles around poles.
 
-    The unknown is redefined inside each small circle so that the pole
-    cancels; the price is a triangular jump on the circle.  Inverted-image
-    circles carry the mirrored conditions.  The undo map multiplies the
-    solved function back by the triangular factors inside those circles.
+    The unknown is redefined inside each small circle, of radius
+    default_pole_radii(spec), so that the pole cancels; the price is a
+    triangular jump on the circle.  Inverted-image circles carry the
+    mirrored conditions.  The undo map multiplies the solved function
+    back by the triangular factors inside those circles.
     """
     j_count = len(spec.poles)
     z = spec.pole_locations()
     mirrors = spec.mirror_locations()
     q, gamma = _norming_factors(spec)
-
-    if radii is None:
-        rho = default_pole_radii(spec)
-    else:
-        rho = np.asarray([float(r) for r in radii])
-        if rho.shape != (j_count,):
-            raise ValueError(f"need {j_count} radii, got {rho.shape}")
-    if np.any(rho <= 0.0):
-        raise CirclePackingError("pole circle radii must be positive")
+    rho = default_pole_radii(spec)
 
     def lower_jump(j: int) -> Callable:
         def v(w) -> np.ndarray:
@@ -244,10 +242,7 @@ def remove_poles(
     circles += [invert_circle(c) for c in pole_circles]
     roles = [("unit",)]
     roles += [(kind, j) for kind in ("pole", "inverted-pole") for j in range(j_count)]
-    try:
-        system = build_contour(circles)
-    except OverlapError as exc:
-        raise CirclePackingError(f"{exc}; shrink the pole radii") from exc
+    system = build_contour(circles)
     jump = JumpData.from_evaluators(
         system, [_unit_jump_evaluator(spec)] + lowers + uppers
     )
@@ -266,14 +261,7 @@ def remove_poles(
             value[at] = value[at] @ np.linalg.inv(uppers[j](w[at]))
         return value
 
-    return AugmentedProblem(
-        system=system,
-        jump=jump,
-        roles=tuple(roles),
-        spec=spec,
-        undo=undo,
-        pole_radii=tuple(float(r) for r in rho),
-    )
+    return AugmentedProblem(jump=jump, roles=tuple(roles), spec=spec, undo=undo)
 
 
 def conjugation_matrices(spec: IdnlsSpec):
@@ -299,19 +287,18 @@ def conjugation_matrices(spec: IdnlsSpec):
     return a_mat, [b_mat(j) for j in range(len(z))], c_mat
 
 
-def conjugate(
-    ap: AugmentedProblem,
-    radius: float | None = None,
-    node_count: int = 64,
-) -> AugmentedProblem:
+def conjugate(ap: AugmentedProblem, node_count: int = 64) -> AugmentedProblem:
     """Conjugate the augmented problem into the symmetric positive form.
 
-    Two counterclockwise circles at radii R and 1/R are added and the
-    unknown is multiplied region-wise by A, B_j or C.  The resulting jump
-    equals its own inversion-conjugate off the unit circle and is positive
-    Hermitian on it, so the solvability theorem applies directly.  The
-    returned undo composes the conjugation undo with the pole-restoring
-    undo of the input.
+    Two counterclockwise circles at radii R = 2 max|z_j| (R = 2 without
+    poles) and 1/R are added and the unknown is multiplied region-wise by
+    A, B_j or C.  R exceeds 1.5 |z_j| - 0.5 >= |z_j| + rho_j, so the outer
+    circle clears every pole circle, and by inversion the inner circle
+    clears every inverted pole circle.  The resulting jump equals its own
+    inversion-conjugate off the unit circle and is positive Hermitian on
+    it, so the solvability theorem applies directly.  The returned undo
+    composes the conjugation undo with the pole-restoring undo of the
+    input.
     """
     if ap.is_conjugated():
         raise ValueError("problem is already conjugated")
@@ -319,33 +306,10 @@ def conjugate(
     j_count = len(spec.poles)
     z = spec.pole_locations()
     mirrors = spec.mirror_locations()
-    rho = np.asarray(ap.pole_radii)
+    rho = default_pole_radii(spec)
     q, gamma = _norming_factors(spec)
     prod = complex(np.prod(z)) if j_count else 1.0 + 0.0j
-
-    big_r = float(radius) if radius is not None else 2.0 * max(
-        [abs(w) for w in z], default=1.0
-    )
-    if j_count and big_r <= max(abs(w) for w in z):
-        raise RadiusConflictError(
-            f"outer radius {big_r} does not exceed the largest pole modulus"
-        )
-    if j_count and big_r <= max(abs(z[j]) + rho[j] for j in range(j_count)):
-        raise RadiusConflictError(
-            f"outer circle of radius {big_r} meets a pole circle"
-        )
-    if big_r <= 1.0:
-        raise RadiusConflictError(f"outer radius {big_r} must exceed 1")
-    inner_clearance = [
-        abs(c.center) - c.radius
-        for c, role in zip(ap.system.circles, ap.roles)
-        if role[0] == "inverted-pole"
-    ]
-    if inner_clearance and 1.0 / big_r >= min(inner_clearance):
-        raise RadiusConflictError(
-            f"inner circle of radius {1.0 / big_r} meets an inverted pole "
-            "circle"
-        )
+    big_r = 2.0 * max([abs(w) for w in z], default=1.0)
 
     a_mat, b_mats, c_mat = conjugation_matrices(spec)
     unit_v = _unit_jump_evaluator(spec)
@@ -408,14 +372,7 @@ def conjugate(
         value[scaled] = value[scaled] @ np.linalg.inv(factor[scaled])
         return ap.undo(w, value)
 
-    return AugmentedProblem(
-        system=system,
-        jump=jump,
-        roles=tuple(roles),
-        spec=spec,
-        undo=undo,
-        pole_radii=ap.pole_radii,
-    )
+    return AugmentedProblem(jump=jump, roles=tuple(roles), spec=spec, undo=undo)
 
 
 @dataclass(eq=False)
@@ -519,22 +476,19 @@ def solve_augmented(
     return IdnlsSolution(ap, solve(problem, sigma_min=sigma_min))
 
 
-def residue_condition_residuals(
-    evaluate: Callable,
-    ap: AugmentedProblem,
-    quad_points: int = 48,
-) -> float:
+def residue_condition_residuals(evaluate: Callable, ap: AugmentedProblem) -> float:
     """Worst deviation from the residue conditions at all pole pairs.
 
-    Residues and regular parts are extracted by trapezoid quadrature on
-    circles of half the removal radius; the condition compares the residue
-    against the limit of M times the rank-one coefficient matrix.
+    Residues and regular parts are extracted by 48-point trapezoid
+    quadrature on circles of half the removal radius; the condition
+    compares the residue against the limit of M times the rank-one
+    coefficient matrix.
     """
     spec = ap.spec
     z = spec.pole_locations()
     mirrors = spec.mirror_locations()
     q, gamma = _norming_factors(spec)
-    rho = np.asarray(ap.pole_radii)
+    rho = default_pole_radii(spec)
     worst = 0.0
     for j in range(len(z)):
         inverted = invert_circle(Circle(z[j], float(rho[j]), CW))
@@ -545,10 +499,10 @@ def residue_condition_residuals(
         ):
             radius = 0.5 * rho[j] if col == 0 else 0.5 * mirror_clearance
             ring = center + radius * np.exp(
-                2j * np.pi * np.arange(quad_points) / quad_points
+                2j * np.pi * np.arange(_RING_POINTS) / _RING_POINTS
             )
             vals = evaluate(ring)
-            residue = np.einsum("l,lab->ab", ring - center, vals) / quad_points
+            residue = np.einsum("l,lab->ab", ring - center, vals) / _RING_POINTS
             regular = vals.mean(axis=0)
             rank_one = np.zeros((2, 2), dtype=np.complex128)
             rank_one[1 - col, col] = coeff

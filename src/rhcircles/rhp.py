@@ -168,15 +168,13 @@ def trivial_splitting(v: JumpData, side: str = "plus") -> FactorizationData:
 
 @dataclass(eq=False)
 class RHProblem:
-    """Contour, splitting data and the constant normalization at infinity."""
+    """Splitting data, on its contour, and the constant normalization at
+    infinity."""
 
-    system: ContourSystem
     data: FactorizationData
     h: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.data.system != self.system:
-            raise AlignmentError("splitting data lives on a different system")
         n = self.data.dim
         if self.h is None:
             self.h = np.eye(n, dtype=np.complex128)
@@ -187,11 +185,15 @@ class RHProblem:
             if not np.all(np.isfinite(self.h)):
                 raise ValueError("h must be finite")
 
+    @property
+    def system(self) -> ContourSystem:
+        return self.data.system
+
     @classmethod
     def from_jump(
         cls, v: JumpData, h=None, side: str = "plus"
     ) -> "RHProblem":
-        return cls(v.system, trivial_splitting(v, side), h)
+        return cls(trivial_splitting(v, side), h)
 
     @cached_property
     def operator(self) -> np.ndarray:

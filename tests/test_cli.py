@@ -53,6 +53,17 @@ def test_shipped_problems_round_trip(name, mode, expected, tmp_path):
                 assert value == value and abs(value) != float("inf"), key
 
 
+@pytest.mark.parametrize(
+    "problem", sorted(PROBLEMS.glob("*.json")), ids=lambda path: path.name
+)
+def test_shipped_problems_match_the_schema(problem):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema_path = PROBLEMS.parent / "docs" / "problem-schema.json"
+    schema = json.loads(schema_path.read_text())
+    jsonschema.Draft7Validator.check_schema(schema)
+    jsonschema.Draft7Validator(schema).validate(json.loads(problem.read_text()))
+
+
 def test_identity_report_values(tmp_path):
     code, report = run("solve", PROBLEMS / "identity_solve.json", tmp_path)
     assert code == 0
@@ -75,6 +86,20 @@ def test_scalar_report_values(tmp_path):
     )
     assert code == 0
     assert report["winding_index"] == 2
+    assert report["residual_jump"] < 1e-12
+
+
+def test_scalar_default_anchors_with_infinity_on_the_plus_side(tmp_path):
+    # clockwise: the plus side is outside, so the default anchors are
+    # z_plus = 2 outside and z_minus = 0 at the center
+    def edit(d):
+        d["contour"][0]["orientation"] = "cw"
+        del d["anchors"]
+
+    doc = _edited("scalar_winding.json", edit)
+    code, report = run("factorize-scalar", write_problem(tmp_path, doc), tmp_path)
+    assert code == 0
+    assert report["winding_index"] == -2
     assert report["residual_jump"] < 1e-12
 
 

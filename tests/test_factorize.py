@@ -53,12 +53,14 @@ def test_mobius_power_basics():
 )
 def test_mirrored_mobius_matches_inversion_conjugate(z):
     k = (2, -1)
-    zp, zm = 0.3 + 0.1j, 2.0 - 0.5j
-    direct = rc.mobius_power_matrix_mirrored(z, k, zp, zm)
-    mirrored = rc.inversion_conjugate(
-        lambda w: rc.mobius_power_matrix(w, k, zp, zm)
-    )(z)
-    assert np.max(np.abs(direct - mirrored)) < 1e-12 * max(np.max(np.abs(direct)), 1.0)
+    zp = 0.3 + 0.1j
+    for zm in (2.0 - 0.5j, None):
+        direct = rc.mobius_power_matrix_mirrored(z, k, zp, zm)
+        mirrored = rc.inversion_conjugate(
+            lambda w: rc.mobius_power_matrix(w, k, zp, zm)
+        )(z)
+        scale = max(np.max(np.abs(direct)), 1.0)
+        assert np.max(np.abs(direct - mirrored)) < 1e-12 * scale, zm
 
 
 def test_scalar_factorize_monomial():

@@ -101,33 +101,22 @@ def test_default_pole_radii():
 
 
 def test_remove_poles_layout_and_jumps():
-    ap = rc.remove_poles(soliton_spec(), radii=[0.25], pole_nodes=32, unit_nodes=32)
+    ap = rc.remove_poles(soliton_spec(), pole_nodes=32, unit_nodes=32)
     assert ap.roles == (("unit",), ("pole", 0), ("inverted-pole", 0))
     assert not ap.is_conjugated()
     unit, pole, mirror = ap.system.circles
     assert unit.orientation == rc.CW
     assert pole.orientation == rc.CW and pole.center == 2.0
     assert mirror.orientation == rc.CCW
-    assert abs(mirror.center - 2.0 / 3.9375) < 1e-13
-    assert abs(mirror.radius - 0.25 / 3.9375) < 1e-13
-    # q = 1 here, so at 2.25 the pole-circle jump is [[1,0],[4,1]]
+    assert pole.radius == 0.5
+    assert abs(mirror.center - 2.0 / 3.75) < 1e-13
+    assert abs(mirror.radius - 0.5 / 3.75) < 1e-13
+    # q = 1 here, so at 2.5 the pole-circle jump is [[1,0],[2,1]]
     k = ap.system.node_slices()[1].start
     pts = pole.points()
-    at = int(np.argmin(np.abs(pts - 2.25)))
+    at = int(np.argmin(np.abs(pts - 2.5)))
     got = ap.jump.v.values[k + at]
-    assert np.max(np.abs(got - np.array([[1.0, 0.0], [4.0, 1.0]]))) < 1e-12
-
-
-def test_remove_poles_rejects_bad_radii():
-    spec = soliton_spec((2.0 + 0j, 1.0 + 0j), (3.0 + 1.0j, 1.0 + 0j))
-    with pytest.raises(rc.CirclePackingError):
-        rc.remove_poles(spec, radii=[1.0, 1.0])
-    with pytest.raises(rc.CirclePackingError):
-        rc.remove_poles(soliton_spec(), radii=[1.5])
-    with pytest.raises(rc.CirclePackingError):
-        rc.remove_poles(soliton_spec(), radii=[-0.1])
-    with pytest.raises(ValueError):
-        rc.remove_poles(spec, radii=[0.2])
+    assert np.max(np.abs(got - np.array([[1.0, 0.0], [2.0, 1.0]]))) < 1e-12
 
 
 def test_soliton_oracle_frozen_values():
@@ -178,16 +167,6 @@ def test_conjugate_layout_and_jumps():
         rc.conjugate(conj)
 
 
-def test_conjugate_radius_conflicts():
-    ap = rc.remove_poles(soliton_spec())
-    with pytest.raises(rc.RadiusConflictError):
-        rc.conjugate(ap, radius=0.9)
-    with pytest.raises(rc.RadiusConflictError):
-        rc.conjugate(ap, radius=1.9)  # below the largest pole modulus
-    with pytest.raises(rc.RadiusConflictError):
-        rc.conjugate(ap, radius=2.3)  # cuts through the pole circle
-
-
 def test_conjugated_jump_is_symmetric_and_positive():
     spec = rc.IdnlsSpec(
         r=lambda z: 0.2 * z, n=0, poles=((2.0 + 0j, 1.0 + 0j),), sign="focusing"
@@ -203,7 +182,7 @@ def test_conjugated_jump_is_symmetric_and_positive():
 def test_pipeline_reproduces_oracle_in_every_region():
     spec = soliton_spec()
     oracle = rc.soliton_oracle(spec)
-    ap = rc.remove_poles(spec, radii=[0.5])
+    ap = rc.remove_poles(spec)
     sol = rc.solve_augmented(ap)
     assert sol.residual_jump < 1e-12
     probes = {
@@ -407,5 +386,5 @@ def test_residue_check_makes_one_call_per_ring():
         calls.append(np.shape(z))
         return oracle(z)
 
-    assert rc.residue_condition_residuals(evaluate, ap, quad_points=24) < 1e-13
-    assert calls == [(24,)] * 4
+    assert rc.residue_condition_residuals(evaluate, ap) < 1e-13
+    assert calls == [(48,)] * 4

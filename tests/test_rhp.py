@@ -377,6 +377,21 @@ def test_two_dimensional_kernel_is_never_deflated_by_one_vector():
         )
 
 
+def test_inconsistent_system_is_never_deflated():
+    # a left null vector in the first right-hand side is outside the range
+    t, rhs = _operator_with_kernel(40, 1)
+    lu = scipy.linalg.lu_factor(t)
+    r, l, _ = rhp._null_vectors(lu)
+    rhs = rhs + l[:, None] * np.array([[1.0, 0.0]])
+    with pytest.raises(rc.NearSingularOperatorError, match="inconsistent"):
+        rhp._deflated_solve(t, lu, r, l, rhs, rc.SIGMA_MIN, 0.0)
+
+
+def test_lanczos_refuses_a_non_positive_ritz_value():
+    assert rhp._lanczos_sigma_min(lambda y: -y, 20) is None
+    assert rhp._lanczos_sigma_min(lambda y: -y, 20, vector=True) is None
+
+
 def _grid_off_contour(system, half_width, count):
     x = np.linspace(-half_width, half_width, count)
     z = (x[:, None] + 1j * x[None, :]).reshape(-1)
@@ -820,7 +835,7 @@ def _two_sided(jump, c):
     eye = rc.GridFunction.identity(jump.system, jump.v.dim)
     w_minus = eye * c
     w_plus = (eye - w_minus) * jump.v - eye
-    return rc.RHProblem(jump.system, rc.FactorizationData(w_plus, w_minus, jump))
+    return rc.RHProblem(rc.FactorizationData(w_plus, w_minus, jump))
 
 
 @pytest.mark.parametrize(
@@ -874,7 +889,7 @@ def test_overflowing_solution_raises_instead_of_a_zero_residual(make, h):
     # lu_solve refuses the non-finite residual
     p = make()
     with pytest.raises(ValueError, match="infs or NaNs"):
-        rc.solve(rc.RHProblem(p.system, p.data, h=np.asarray(h)))
+        rc.solve(rc.RHProblem(p.data, h=np.asarray(h)))
 
 
 def test_non_finite_h_set_after_construction_raises(rational_radius6):
