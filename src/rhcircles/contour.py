@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 

@@ -197,9 +197,6 @@ class AugmentedProblem:
     def system(self) -> ContourSystem:
         return self.jump.system
 
-    def role_index(self, *role) -> int:
-        return self.roles.index(tuple(role))
-
     def is_conjugated(self) -> bool:
         return ("outer",) in self.roles
 

@@ -169,10 +169,17 @@ def trivial_splitting(v: JumpData, side: str = "plus") -> FactorizationData:
 @dataclass(eq=False)
 class RHProblem:
     """Splitting data, on its contour, and the constant normalization at
-    infinity."""
+    infinity.
+
+    lanczos_sigma_min is None until a solve takes the LU path; that solve
+    sets it to the Lanczos value of the operator's smallest singular
+    value, which index_diagnostics reads.  A one-step inverse-iteration
+    bound, a failed Lanczos run or an alias-path value never sets it.
+    """
 
     data: FactorizationData
     h: np.ndarray | None = None
+    lanczos_sigma_min: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = self.data.dim
@@ -504,6 +511,10 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     if smallest >= sigma_min:
         x = _refined(t, lambda y: scipy.linalg.lu_solve(lu, y), rhs)
         path, deflated = "lu", None
+        # a bound below sigma_min never gets here, so smallest is the
+        # Lanczos value; a failed run reads 0.0
+        if smallest > 0.0:
+            p.lanczos_sigma_min = smallest
     else:
         # A jump entry with nonzero winding around a single circle gives
         # the nodal discretization an exact null vector concentrated at
@@ -624,7 +635,14 @@ def check_inversion_hypotheses(
 
 @dataclass(frozen=True)
 class IndexReport:
-    """Kernel and cokernel dimensions of the discrete operator."""
+    """Kernel and cokernel dimensions of the discrete operator.
+
+    ker_gap and coker_gap are (largest value below tau_rank, smallest
+    value at or above it) of the band products' singular values, 0.0 and
+    inf where there is none.  For a problem solved on the LU path with
+    sigma_min(T) >= 10 tau_rank, the counts are 0 and the second entry is
+    sigma_min(T), a lower bound on the band value.
+    """
 
     dim_ker: int
     dim_coker: int
@@ -744,8 +762,18 @@ def index_diagnostics(p: RHProblem, *, tau_rank: float = TAU_RANK) -> IndexRepor
     _rank_count: one R-only QR per side and Lanczos on R, never a full SVD
     of an operator-sized product.  Given a problem that was just solved,
     its operator is reused.
+
+    A solve on the LU path has measured sigma_min(T), and for E with
+    orthonormal columns sigma_min(T E) and sigma_min(E^H T) are at least
+    sigma_min(T) (singular-value interlacing).  So when that value is at
+    least 10 tau_rank, both counts are 0 with no value near tau_rank, and
+    they are returned without a count; each gap is then (0.0, sigma_min(T)),
+    a lower bound on the band value a count would report.
     """
     n = p.data.dim
+    sigma = p.lanczos_sigma_min
+    if sigma is not None and sigma >= 10.0 * tau_rank:
+        return IndexReport(0, 0, (0.0, sigma), (0.0, sigma))
     t = p.operator
     k_count, k_gap = _rank_count(_band(p.system, t.T, n), tau_rank)
     c_count, c_gap = _rank_count(_band(p.system, t, n), tau_rank)

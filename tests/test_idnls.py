@@ -336,9 +336,9 @@ def test_alias_solve_runs_no_singular_value_decomposition(monkeypatch):
 def test_array_evaluate_equals_stacked_point_evaluates_in_every_undo_region():
     ap = rc.conjugate(rc.remove_poles(soliton_spec()))
     sol = rc.solve_augmented(ap)
-    pole = ap.system.circles[ap.role_index("pole", 0)]
-    mirror = ap.system.circles[ap.role_index("inverted-pole", 0)]
-    big_r = ap.system.circles[ap.role_index("outer")].radius
+    pole = ap.system.circles[ap.roles.index(("pole", 0))]
+    mirror = ap.system.circles[ap.roles.index(("inverted-pole", 0))]
+    big_r = ap.system.circles[ap.roles.index(("outer",))].radius
     regions = {
         "pole disk": pole.center + 0.4 * pole.radius * np.exp(0.7j),
         "inverted-pole disk": mirror.center + 0.4 * mirror.radius * 1j,

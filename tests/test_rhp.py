@@ -624,6 +624,109 @@ def test_rank_count_takes_all_values_of_r_when_lanczos_fails(monkeypatch):
     assert (rep.dim_ker, rep.dim_coker) == (1, 0)
 
 
+def _dense_problems(count, seed=1):
+    # the first inputs of the benchmark's dense workload at this seed
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        site = int(rng.integers(-3, 4))
+        total = rng.uniform(0.1, 0.5)
+        share = rng.uniform()
+        a = total * share * np.exp(2j * np.pi * rng.uniform())
+        b = total * (1.0 - share) * np.exp(2j * np.pi * rng.uniform())
+        spec = rc.IdnlsSpec(
+            r=lambda z, a=a, b=b: a * z + b / z, n=site, sign="defocusing"
+        )
+        yield rc.build_defocusing_jump(spec, node_count=512)
+
+
+def _index_outcome(p, **kwargs):
+    try:
+        rep = rc.index_diagnostics(p, **kwargs)
+    except rc.RankAmbiguityError as err:
+        return str(err), None
+    return (rep.dim_ker, rep.dim_coker), rep
+
+
+def test_solved_problem_counts_like_a_fresh_one_on_dense_inputs():
+    for jump in _dense_problems(6):
+        p = rc.RHProblem.from_jump(jump)
+        assert rc.solve(p).solver_path == "lu"
+        assert p.lanczos_sigma_min >= 10.0 * rc.TAU_RANK
+        got, rep = _index_outcome(p)
+        expected, fresh = _index_outcome(rc.RHProblem.from_jump(jump))
+        assert got == expected == (0, 0)
+        # interlacing: sigma_min(T) bounds each band value from below
+        assert rep.ker_gap == rep.coker_gap == (0.0, p.lanczos_sigma_min)
+        assert rep.ker_gap[1] <= fresh.ker_gap[1] * (1.0 + 1e-12)
+        assert rep.coker_gap[1] <= fresh.coker_gap[1] * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("sigma", [1.01e-6, 0.99e-6, 0.8e-6])
+def test_solved_problem_counts_like_a_fresh_one_near_ten_tau(sigma):
+    # sigma_min(T) of s (2 + z) on this circle is 1.0951 s, and the band
+    # values are 15-21 % above it: just above 10 tau the count is skipped,
+    # just below it runs, and at 0.8e-6 it refuses
+    system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 16)])
+    s = sigma / 1.0951235
+    jump = rc.JumpData.from_evaluator(system, lambda z: s * (2.0 + z))
+    p = rc.RHProblem.from_jump(jump)
+    assert rc.solve(p).solver_path == "lu"
+    assert abs(p.lanczos_sigma_min - sigma) <= 1e-3 * sigma
+    got, _ = _index_outcome(p)
+    expected, _ = _index_outcome(rc.RHProblem.from_jump(jump))
+    assert got == expected
+    if sigma < 0.9e-6:
+        assert "rank threshold" in got
+
+
+def _count_rank_probes(monkeypatch):
+    return (
+        _counted(monkeypatch, scipy.linalg, "qr"),
+        _counted(monkeypatch, scipy.sparse.linalg, "eigsh"),
+    )
+
+
+def test_certified_solve_leaves_no_rank_count(monkeypatch):
+    p = _defocusing_problem()
+    rc.solve(p)
+    qr, eigsh = _count_rank_probes(monkeypatch)
+    rep = rc.index_diagnostics(p)
+    assert (qr, eigsh) == ([], [])
+    assert (rep.dim_ker, rep.dim_coker) == (0, 0)
+
+
+def _solve_on_the_bound(p):
+    # sigma_min(T) = 1.1e-3 is far above 10 tau, but the inverse-iteration
+    # bound, 2.8e-3, is below sigma_min = 1 and is only an upper bound
+    with pytest.raises(rc.NearSingularOperatorError):
+        rc.solve(p, sigma_min=1.0)
+
+
+@pytest.mark.parametrize(
+    "make, run",
+    [
+        (_conjugated_soliton_problem, rc.solve),
+        (
+            lambda: rc.RHProblem.from_jump(
+                rc.JumpData.from_evaluator(
+                    rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 16)]),
+                    lambda z: 1e-3 * (2.0 + z),
+                )
+            ),
+            _solve_on_the_bound,
+        ),
+    ],
+    ids=["alias-deflation", "bound"],
+)
+def test_uncertified_solve_keeps_the_full_count(make, run, monkeypatch):
+    p = make()
+    run(p)
+    assert p.lanczos_sigma_min is None
+    qr, eigsh = _count_rank_probes(monkeypatch)
+    rc.index_diagnostics(p)
+    assert len(qr) == 2 and len(eigsh) >= 2
+
+
 def test_deflation_keeps_the_other_singular_values():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
