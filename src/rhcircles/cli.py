@@ -18,14 +18,13 @@ for its timing field.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
 import sys
 import tempfile
 import time
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -502,12 +501,19 @@ _RUNNERS = {
 }
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the text chunks to a temporary file beside path, then rename
+    it over path: a reader sees the old file or the whole new one, and a
+    failed write leaves no temporary file behind."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rhc-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
+        # mkstemp makes the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -516,7 +522,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_report(path: str, report: dict) -> None:
-    _atomic_write(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, (json.dumps(report, indent=2, sort_keys=True) + "\n",))
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -561,40 +567,59 @@ def _write_samples(
     grid: tuple[int, int],
     bbox: tuple,
 ) -> None:
+    """Write m sampled on the grid as CSV, one row per matrix entry.
+
+    The points span bbox real part first, each exactly complex(x, y) of
+    the two linspaces. Points within the quadrature margin of a circle
+    and points where m is not finite have no rows. Every number is its
+    shortest round-trip repr, so the rows equal a point-by-point
+    evaluation byte for byte. Each coordinate is formatted once and
+    looked up by grid index, and the rows are built and written
+    EVAL_BLOCK points at a time, so the whole CSV is never one string.
+    """
     re0, re1, im0, im1 = bbox
     cols, rows = grid
+    xs = np.linspace(re0, re1, cols)
+    ys = np.linspace(im0, im1, rows)
     # x-major, each point exactly complex(x, y)
     z = np.empty((cols, rows), dtype=np.complex128)
-    z.real = np.linspace(re0, re1, cols)[:, None]
-    z.imag = np.linspace(im0, im1, rows)[None, :]
+    z.real = xs[:, None]
+    z.imag = ys[None, :]
     z = z.reshape(-1)
-    z = z[~too_close(system, z)]
+    index = np.flatnonzero(~too_close(system, z))
+    z = z[index]
     with np.errstate(divide="ignore", invalid="ignore"):
         values = sampler(z)
     finite = np.all(np.isfinite(values), axis=(1, 2))
-    z, values = z[finite], values[finite]
+    index, z, values = index[finite], z[finite], values[finite]
     regions = np.where(system.in_omega_plus(z), "plus", "minus")
+    # looked up by grid index, not by value: a dict keyed on the float
+    # would print -0.0 as 0.0, since the two compare equal
+    x_text = [repr(x) for x in xs.tolist()]
+    y_text = [repr(y) for y in ys.tolist()]
     n = values.shape[1]
-    entries = [f"{a},{b}," for a in range(n) for b in range(n)]
+    entries = [f"{a},{b}" for a in range(n) for b in range(n)]
     values = values.reshape(len(z), n * n)
-    buffer = io.StringIO()
-    buffer.write("region,re_z,im_z,row,col,re_m,im_m\n")
-    # EVAL_BLOCK points at a time become Python numbers and one joined
-    # string: joining the whole grid at once leaves the process about
-    # 1.4 MiB larger
-    for start in range(0, len(z), EVAL_BLOCK):
-        block = slice(start, start + EVAL_BLOCK)
-        lines = []
-        for region, point, value in zip(
-            regions[block], z[block].tolist(), values[block].tolist()
-        ):
-            where = f"{region},{point.real!r},{point.imag!r},"
-            lines += [
-                f"{where}{entry}{m.real!r},{m.imag!r}\n"
-                for entry, m in zip(entries, value)
+
+    def chunks():
+        yield "region,re_z,im_z,row,col,re_m,im_m\n"
+        for start in range(0, len(z), EVAL_BLOCK):
+            block = slice(start, start + EVAL_BLOCK)
+            wheres = [
+                f"{region},{x_text[i // rows]},{y_text[i % rows]}"
+                for region, i in zip(regions[block].tolist(), index[block].tolist())
             ]
-        buffer.write("".join(lines))
-    _atomic_write(path, buffer.getvalue())
+            m = values[block].reshape(-1)
+            lines = zip(
+                [where for where in wheres for _ in entries],
+                entries * len(wheres),
+                map(repr, m.real.tolist()),
+                map(repr, m.imag.tolist()),
+            )
+            yield "\n".join(map(",".join, lines))
+            yield "\n"
+
+    _atomic_write(path, chunks())
 
 
 def main(argv=None) -> int:

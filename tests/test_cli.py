@@ -487,12 +487,9 @@ def test_hermitian_factorization_checks_hypotheses_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def _soliton_samples_point_by_point(grid, bbox):
-    """The soliton CSV rows one sol.evaluate call per point, and the
-    numbers of points skipped as too close and as non-finite."""
-    spec = rc.IdnlsSpec(r=None, n=0, poles=((2.0 + 0j, 1.0 + 0j),))
-    ap = rc.conjugate(rc.remove_poles(spec))
-    sol = rc.solve_augmented(ap)
+def _samples_point_by_point(evaluate, system, grid, bbox):
+    """The CSV rows of evaluate, one call per point, and the numbers of
+    points skipped as too close and as non-finite."""
     lines = ["region,re_z,im_z,row,col,re_m,im_m"]
     too_close = non_finite = 0
     for x in np.linspace(bbox[0], bbox[1], grid[0]):
@@ -500,22 +497,30 @@ def _soliton_samples_point_by_point(grid, bbox):
             z = complex(x, y)
             try:
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    value = sol.evaluate(z)
+                    value = evaluate(z)
             except rc.TooCloseToContourError:
                 too_close += 1
                 continue
             if not np.all(np.isfinite(value)):
                 non_finite += 1
                 continue
-            region = "plus" if ap.system.in_omega_plus(z) else "minus"
-            for a in range(2):
-                for b in range(2):
+            region = "plus" if system.in_omega_plus(z) else "minus"
+            for a in range(len(value)):
+                for b in range(len(value)):
                     lines.append(
                         f"{region},{float(x)!r},{float(y)!r},{a},{b},"
                         f"{float(value[a, b].real)!r},"
                         f"{float(value[a, b].imag)!r}"
                     )
     return "\n".join(lines) + "\n", too_close, non_finite
+
+
+def _soliton_samples_point_by_point(grid, bbox):
+    """_samples_point_by_point for problems/idnls_soliton.json."""
+    spec = rc.IdnlsSpec(r=None, n=0, poles=((2.0 + 0j, 1.0 + 0j),))
+    ap = rc.conjugate(rc.remove_poles(spec))
+    sol = rc.solve_augmented(ap)
+    return _samples_point_by_point(sol.evaluate, ap.system, grid, bbox)
 
 
 def test_samples_match_point_by_point_evaluation(tmp_path):
@@ -562,6 +567,111 @@ def test_samples_match_point_by_point_evaluation_across_blocks(tmp_path):
     assert too_close >= 1
     assert kept > 2 * EVAL_BLOCK and kept % EVAL_BLOCK
     assert csv_path.read_text() == text
+
+
+def test_scalar_samples_match_point_by_point_evaluation(tmp_path):
+    # problems/rational_solve.json: a 1x1 jump, so every point has one
+    # row; the grid keeps more than two EVAL_BLOCKs of points and drops
+    # the ones next to the circle, so rows are looked up after filtering
+    csv_path = tmp_path / "samples.csv"
+    code, _ = run(
+        "solve",
+        PROBLEMS / "rational_solve.json",
+        tmp_path,
+        "--samples",
+        str(csv_path),
+        "--grid",
+        "23x15",
+        "--bbox=-7,7,-7,7",
+    )
+    assert code == 0
+    jump = rc.parse_expression("(z - 0.4)/(z - 2.5)")
+    system = rc.build_contour([rc.Circle(0j, 6.0, rc.CCW, 128)])
+    v = rc.JumpData.from_evaluator(system, lambda z: rc.matrix_at(z, [[jump(z)]]))
+    sol = rc.solve(rc.RHProblem.from_jump(v))
+    text, too_close, _ = _samples_point_by_point(
+        sol.evaluate, system, (23, 15), (-7.0, 7.0, -7.0, 7.0)
+    )
+    kept = text.count("\n") - 1
+    assert too_close >= 1
+    assert kept > 2 * EVAL_BLOCK and kept % EVAL_BLOCK
+    assert csv_path.read_text() == text
+
+
+def test_samples_keep_the_sign_of_a_zero_coordinate(tmp_path):
+    csv_path = tmp_path / "samples.csv"
+    code, _ = run(
+        "idnls",
+        PROBLEMS / "idnls_soliton.json",
+        tmp_path,
+        "--samples",
+        str(csv_path),
+        "--grid",
+        "3x2",
+        "--bbox=-3,-0.0,-2,-0.0",
+    )
+    assert code == 0
+    text, too_close, non_finite = _soliton_samples_point_by_point(
+        (3, 2), (-3.0, -0.0, -2.0, -0.0)
+    )
+    assert too_close == non_finite == 0
+    assert ",-0.0," in text
+    assert csv_path.read_text() == text
+
+
+def test_samples_with_no_kept_point_are_the_header_alone(tmp_path):
+    # the one point, z = 1, lies on the unit circle
+    csv_path = tmp_path / "samples.csv"
+    code, _ = run(
+        "idnls",
+        PROBLEMS / "idnls_soliton.json",
+        tmp_path,
+        "--samples",
+        str(csv_path),
+        "--grid",
+        "1x1",
+        "--bbox=1,2,0,1",
+    )
+    assert code == 0
+    assert csv_path.read_text() == "region,re_z,im_z,row,col,re_m,im_m\n"
+
+
+@pytest.mark.parametrize(
+    "umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"]
+)
+def test_output_files_follow_the_umask(umask, mode, tmp_path):
+    csv_path = tmp_path / "samples.csv"
+    previous = os.umask(umask)
+    try:
+        code, _ = run(
+            "solve",
+            PROBLEMS / "identity_solve.json",
+            tmp_path,
+            "--samples",
+            str(csv_path),
+            "--grid",
+            "4x4",
+        )
+    finally:
+        os.umask(previous)
+    assert code == 0
+    for path in (tmp_path / "report.json", csv_path):
+        assert path.stat().st_mode & 0o777 == mode, path
+
+
+def test_failed_write_keeps_the_old_file_and_no_temporary(tmp_path):
+    target = tmp_path / "samples.csv"
+    target.write_text("old\n")
+
+    def chunks():
+        # larger than the file buffer, so some of it reaches the disk
+        yield "plus,0.0,0.0,0,0,1.0,0.0\n" * 4096
+        raise RuntimeError("sampler failed")
+
+    with pytest.raises(RuntimeError, match="sampler failed"):
+        cli._atomic_write(str(target), chunks())
+    assert target.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["samples.csv"]
 
 
 def test_hermitian_factorization_pairs_circles_within_pair_tol(tmp_path):
