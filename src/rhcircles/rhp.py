@@ -171,15 +171,18 @@ class RHProblem:
     """Splitting data, on its contour, and the constant normalization at
     infinity.
 
-    lanczos_sigma_min is None until a solve takes the LU path; that solve
-    sets it to the Lanczos value of the operator's smallest singular
-    value, which index_diagnostics reads.  A one-step inverse-iteration
-    bound, a failed Lanczos run or an alias-path value never sets it.
+    band_sigma_lower_bound is None until a solve returns; it is then a
+    lower bound on the singular values of the band products T E and
+    E^H T that index_diagnostics would count, which it reads instead.
+    On the LU path it is the Lanczos sigma_min(T); on the alias path,
+    sigma_2(T) sqrt(1 - c^2) for c the larger band content of the null
+    vectors.  A one-step inverse-iteration bound, a failed Lanczos run
+    or a refused solve never sets it.
     """
 
     data: FactorizationData
     h: np.ndarray | None = None
-    lanczos_sigma_min: float | None = field(default=None, init=False, repr=False)
+    band_sigma_lower_bound: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = self.data.dim
@@ -311,7 +314,7 @@ def _start_vector(order: int) -> np.ndarray:
     return rng.standard_normal(order) + 1j * rng.standard_normal(order)
 
 
-def _lanczos_sigma_min(apply, order: int, vector: bool = False):
+def _lanczos_sigma_min(apply, order: int) -> float | None:
     """sigma_min of an operator A by Lanczos on (A^H A)^(-1).
 
     apply(y) returns (A^H A)^(-1) y.  ARPACK finds the largest eigenvalue
@@ -320,11 +323,10 @@ def _lanczos_sigma_min(apply, order: int, vector: bool = False):
     stops once the Ritz residual r has |r| <= 1e-8 theta.  The operator
     is Hermitian, so the Ritz value is then off by at most |r|**2 / gap,
     for gap its distance to the rest of the spectrum: rounding level
-    unless the largest eigenvalues cluster.  Returns sigma_min, or
-    with vector=True (sigma_min, its right singular vector).  Returns
-    None when the run fails (no convergence, or an ARPACK error such as
-    the one an inverse Gram operator that underflows to zero gives) or
-    gives an eigenvalue that is not finite and positive.
+    unless the largest eigenvalues cluster.  Returns sigma_min, or None
+    when the run fails (no convergence, or an ARPACK error such as the
+    one an inverse Gram operator that underflows to zero gives) or gives
+    an eigenvalue that is not finite and positive.
     """
     gram_inverse = scipy.sparse.linalg.LinearOperator(
         (order, order), matvec=apply, dtype=np.complex128
@@ -337,15 +339,14 @@ def _lanczos_sigma_min(apply, order: int, vector: bool = False):
             v0=_start_vector(order),
             ncv=min(12, order),
             tol=1e-8,
-            return_eigenvectors=vector,
+            return_eigenvectors=False,
         )
     except scipy.sparse.linalg.ArpackError:
         return None
-    (lam,) = found[0] if vector else found
+    (lam,) = found
     if not (np.isfinite(lam) and lam > 0.0):
         return None
-    sigma = float(1.0 / np.sqrt(lam))
-    return (sigma, found[1][:, 0]) if vector else sigma
+    return float(1.0 / np.sqrt(lam))
 
 
 def _lu_vector_solver(lu) -> Callable:
@@ -498,6 +499,8 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     indices land here) and is reported as an error rather than returning
     a polluted solution.  A one-dimensional alias defect of a consistent
     system is projected out on that LU instead ("alias-deflation").
+    Either path leaves on p the lower bound on the band values that
+    index_diagnostics reads (RHProblem.band_sigma_lower_bound).
     """
     n = p.data.dim
     big_n = p.system.total_nodes
@@ -514,7 +517,7 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
         # a bound below sigma_min never gets here, so smallest is the
         # Lanczos value; a failed run reads 0.0
         if smallest > 0.0:
-            p.lanczos_sigma_min = smallest
+            p.band_sigma_lower_bound = smallest
     else:
         # A jump entry with nonzero winding around a single circle gives
         # the nodal discretization an exact null vector concentrated at
@@ -542,6 +545,10 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
             )
         x, deflated = _deflated_solve(t, lu, r, l, rhs, sigma_min, smallest)
         path = "alias-deflation"
+        # r is T's null vector to within sigma_1 / sigma_2, so for unit x
+        # in the band |T x|^2 >= sigma_2^2 (1 - |r^H x|^2) >= sigma_2^2
+        # (1 - ker^2); likewise |T^H x| with l and coker
+        p.band_sigma_lower_bound = float(deflated * np.sqrt(1.0 - max(ker, coker) ** 2))
 
     mu = GridFunction(p.system, x.T.reshape(n, big_n, n).transpose(1, 0, 2))
     sol = RHSolution(
@@ -617,7 +624,8 @@ def check_inversion_hypotheses(
             # the node samples are the closed form at the nodes
             through = v.at(partners[i], 1.0 / np.conj(c.points()))
             gap = v.v.restrict(i) - np.conj(np.swapaxes(through, 1, 2))
-            dev = max(dev, float(np.max(np.abs(gap))))
+            # np.maximum, not max: a NaN gap must not read as symmetric
+            dev = float(np.maximum(dev, np.max(np.abs(gap))))
 
     unit_vals = v.v.restrict(iu)
     herm = 0.5 * (unit_vals + np.conj(np.swapaxes(unit_vals, 1, 2)))
@@ -639,9 +647,9 @@ class IndexReport:
 
     ker_gap and coker_gap are (largest value below tau_rank, smallest
     value at or above it) of the band products' singular values, 0.0 and
-    inf where there is none.  For a problem solved on the LU path with
-    sigma_min(T) >= 10 tau_rank, the counts are 0 and the second entry is
-    sigma_min(T), a lower bound on the band value.
+    inf where there is none.  For a solved problem whose
+    band_sigma_lower_bound is >= 10 tau_rank, the counts are 0 and the
+    second entry is that bound, not the band value itself.
     """
 
     dim_ker: int
@@ -697,59 +705,6 @@ def _count_small(svals: np.ndarray, tau: float) -> tuple[int, tuple[float, float
     return int(below.size), (lo, hi)
 
 
-def _deflate(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The leading (K-1) x (K-1) block of the triangular factor of R W,
-    for W the Householder reflector whose last column is v up to a phase.
-
-    The last column of that factor has norm |R v|, so for a unit v with
-    R v ~ 0 the block keeps the other K-1 singular values of R to within
-    |R v|.  One O(K^2) QR update, not a new QR.
-    """
-    alpha = -np.exp(1j * np.angle(v[-1]))
-    w = v.copy()
-    w[-1] -= alpha
-    w /= np.linalg.norm(w)
-    eye = np.eye(r.shape[0], dtype=np.complex128)
-    _, r_w = scipy.linalg.qr_update(eye, r, -2.0 * (r @ w), w, check_finite=False)
-    return np.asfortranarray(r_w[:-1, :-1])
-
-
-def _rank_count(m: np.ndarray, tau: float) -> tuple[int, tuple[float, float]]:
-    """_count_small of the singular values of a band product m (K x N,
-    K <= N), computing only the smallest of them.
-
-    They are those of R in m^T = Q R, taken without forming Q and in place
-    of m (m^T is Fortran-ordered, so m is consumed).  Lanczos on
-    (R^H R)^(-1), one trsv with R^H and one with R per step, gives
-    sigma_min and its vector.  A value at most tau / 10 is set aside and
-    deflated from R before the next run: an inverse Gram operator that
-    still held it (1/sigma**2 near 1e32 for a kernel at rounding level)
-    would leave errors of order one in the values above.  The first value above
-    tau / 10 ends the count; with the ones set aside it is all
-    _count_small reads.  An exact zero on the diagonal of R, an R too
-    small for ARPACK or a failed run takes all values of the R left.
-    """
-    _, r = scipy.linalg.qr(m.T, mode="raw", overwrite_a=True, check_finite=False)
-    # trsv would copy a C-ordered R on every apply
-    r = np.asfortranarray(r)
-    trsv = scipy.linalg.get_blas_funcs("trsv", (r,))
-    small = []
-    while r.shape[0] > 2 and np.all(np.diag(r)):
-
-        def apply(y, r=r):
-            return trsv(r, trsv(r, y, trans=2), overwrite_x=1)
-
-        found = _lanczos_sigma_min(apply, r.shape[0], vector=True)
-        if found is None:
-            break
-        sigma, v = found
-        if sigma > tau / 10.0:
-            return _count_small(np.array(small + [sigma]), tau)
-        small.append(sigma)
-        r = _deflate(r, v)
-    return _count_small(np.concatenate([small, scipy.linalg.svdvals(r)]), tau)
-
-
 def index_diagnostics(p: RHProblem, *, tau_rank: float = TAU_RANK) -> IndexReport:
     """Count near-null directions of the operator and of its adjoint.
 
@@ -758,25 +713,26 @@ def index_diagnostics(p: RHProblem, *, tau_rank: float = TAU_RANK) -> IndexRepor
     The counts are small singular values of T E and E^H T, with E the
     band-limited basis of _band.  E^T is E^H with the modes of each
     circle reversed, so E^H T^T, a row permutation of (T E)^T, gives the
-    singular values of T E.  Only the smallest of them are computed, by
-    _rank_count: one R-only QR per side and Lanczos on R, never a full SVD
-    of an operator-sized product.  Given a problem that was just solved,
-    its operator is reused.
+    singular values of T E.  Each side is one svdvals of its K x N band
+    product (K about N/2).  Given a problem that was just solved, its
+    operator is reused.
 
-    A solve on the LU path has measured sigma_min(T), and for E with
-    orthonormal columns sigma_min(T E) and sigma_min(E^H T) are at least
-    sigma_min(T) (singular-value interlacing).  So when that value is at
-    least 10 tau_rank, both counts are 0 with no value near tau_rank, and
-    they are returned without a count; each gap is then (0.0, sigma_min(T)),
-    a lower bound on the band value a count would report.
+    A returned solve sets band_sigma_lower_bound, a lower bound on the
+    singular values of both band products: sigma_min(T) on the LU
+    path (singular-value interlacing, E having orthonormal columns), and
+    on the alias path sigma_2(T) sqrt(1 - c^2), for c the larger band
+    content of its null vectors.  When that bound is at least
+    10 tau_rank, both counts are 0 with no value near tau_rank, and they
+    are returned without a count; each gap is then (0.0, bound).
     """
     n = p.data.dim
-    sigma = p.lanczos_sigma_min
-    if sigma is not None and sigma >= 10.0 * tau_rank:
-        return IndexReport(0, 0, (0.0, sigma), (0.0, sigma))
+    bound = p.band_sigma_lower_bound
+    if bound is not None and bound >= 10.0 * tau_rank:
+        return IndexReport(0, 0, (0.0, bound), (0.0, bound))
     t = p.operator
-    k_count, k_gap = _rank_count(_band(p.system, t.T, n), tau_rank)
-    c_count, c_gap = _rank_count(_band(p.system, t, n), tau_rank)
+    svals = scipy.linalg.svdvals
+    k_count, k_gap = _count_small(svals(_band(p.system, t.T, n)), tau_rank)
+    c_count, c_gap = _count_small(svals(_band(p.system, t, n)), tau_rank)
     return IndexReport(
         dim_ker=n * k_count,
         dim_coker=n * c_count,
