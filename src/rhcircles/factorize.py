@@ -308,7 +308,7 @@ def hermitian_factorize(
     c_mean = c_all.mean(axis=0)
     deviation = float(np.max(np.abs(c_all - c_mean)))
     stddev = float(np.sqrt(np.mean(np.abs(c_all - c_mean) ** 2)))
-    if deviation > const_tol:
+    if not deviation <= const_tol:  # a NaN deviation fails too
         raise NonConstantCError(
             f"normalization matrix varies by {deviation:.2e} across nodes "
             f"(tolerance {const_tol:.0e}); hypotheses or resolution failed"
@@ -333,7 +333,8 @@ def hermitian_factorize(
             "lab,bc,lcd->lad", sharp, c_herm, sol.m_plus.values[slices[i]]
         )
         gap = v.v.values[slices[i]] - product
-        worst = max(worst, float(np.max(np.abs(gap))))
+        # np.maximum, not max: a NaN gap must not read as a zero residual
+        worst = float(np.maximum(worst, np.max(np.abs(gap))))
 
     return HermitianFactorization(
         w_plus=w_plus,

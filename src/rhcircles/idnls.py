@@ -504,5 +504,6 @@ def residue_condition_residuals(evaluate: Callable, ap: AugmentedProblem) -> flo
             rank_one = np.zeros((2, 2), dtype=np.complex128)
             rank_one[1 - col, col] = coeff
             gap = residue - regular @ rank_one
-            worst = max(worst, float(np.max(np.abs(gap))))
+            # np.maximum, not max: a NaN gap must not read as a zero residual
+            worst = float(np.maximum(worst, np.max(np.abs(gap))))
     return worst

@@ -9,9 +9,16 @@ integral equation
 
 after which m_plus = mu (I + w_plus), m_minus = mu (I - w_minus), and the
 off-contour extension is h plus the Cauchy transform of
-mu (w_plus + w_minus).  The discrete operator is dense; right
-multiplication never couples the rows of mu, so internally one
-(N*n) x (N*n) block is factored once and reused for all n rows.
+mu (w_plus + w_minus).  Right multiplication never couples the rows of
+mu, so one (N*n) x (N*n) operator T serves all n rows, and it is factored
+once per solve in one of two ways, chosen from the problem's structure
+alone.  On one circle with at most one nonzero splitting half, T is
+block-triangular in the circle's Fourier basis, with an identity block
+and the finite Toeplitz section of the jump's symbol: only T's rows
+outside the identity block are assembled, from one FFT of the symbol,
+and only the section, of order N*n/2, is LU-factored.  Every other
+problem (several circles, or both halves nonzero) assembles T densely
+and factors it by one LU.
 
 Jump data carries closed-form evaluators alongside node samples.  That is
 what makes the reported jump residual meaningful: at the collocation nodes
@@ -29,6 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cauchy import (
     EVAL_BLOCK,
@@ -38,6 +46,8 @@ from .cauchy import (
     build_projectors,
     cauchy_offcontour,
     circle_coefficients,
+    circle_values,
+    plus_mode_mask,
 )
 from .contour import ContourSystem, invert_circle
 from .errors import (
@@ -209,8 +219,11 @@ class RHProblem:
     def operator(self) -> np.ndarray:
         """(N*n) x (N*n) matrix of the equation acting on one row of mu.
 
-        Assembled once per problem and shared by solve and
-        index_diagnostics; h does not enter it.  Only a half of the
+        Assembled on first use and then kept; h does not enter it.  solve
+        uses it on the dense path only: a one-circle problem with at most
+        one nonzero splitting half is factored through its Toeplitz
+        section and never builds it.  index_diagnostics uses it only for
+        a problem that no solve has certified.  Only a half of the
         splitting with a nonzero entry is applied, so the trivial
         splitting costs one einsum; C- = C+ - I overwrites C+ in place.
         Both halves give the same bits as C+ w_minus + C- w_plus.
@@ -220,10 +233,11 @@ class RHProblem:
         wm = self.data.w_minus.values
         wp = self.data.w_plus.values
         cauchy = build_projectors(self.system).plus_matrix
-        k = np.einsum("LM,Mcb->LbMc", cauchy, wm) if np.any(wm) else None
+        # C-ordered, so that the reshape below is a view, not a copy
+        k = np.einsum("LM,Mcb->LbMc", cauchy, wm, order="C") if np.any(wm) else None
         if np.any(wp):
             cauchy[np.diag_indices_from(cauchy)] -= 1.0
-            minus_half = np.einsum("LM,Mcb->LbMc", cauchy, wp)
+            minus_half = np.einsum("LM,Mcb->LbMc", cauchy, wp, order="C")
             k = minus_half if k is None else np.add(k, minus_half, out=k)
         if k is None:  # v = I at every node
             k = np.zeros((big_n, n, big_n, n), dtype=np.complex128)
@@ -314,16 +328,17 @@ def _start_vector(order: int) -> np.ndarray:
     return rng.standard_normal(order) + 1j * rng.standard_normal(order)
 
 
-def _lanczos_sigma_min(apply, order: int) -> float | None:
+def _lanczos_sigma_min(apply, order: int, start=None) -> float | None:
     """sigma_min of an operator A by Lanczos on (A^H A)^(-1).
 
     apply(y) returns (A^H A)^(-1) y.  ARPACK finds the largest eigenvalue
     theta = 1/sigma_min**2 of that inverse Gram operator from the seeded
-    start vector, restarting a Krylov space of at most 12 vectors, and
-    stops once the Ritz residual r has |r| <= 1e-8 theta.  The operator
-    is Hermitian, so the Ritz value is then off by at most |r|**2 / gap,
-    for gap its distance to the rest of the spectrum: rounding level
-    unless the largest eigenvalues cluster.  Returns sigma_min, or None
+    start vector (start, _start_vector(order) by default), restarting a
+    Krylov space of at most 12 vectors, and stops once the Ritz residual
+    r has |r| <= 1e-8 theta.  The operator is Hermitian, so the Ritz
+    value is then off by at most |r|**2 / gap, for gap its distance to
+    the rest of the spectrum: rounding level unless the largest
+    eigenvalues cluster.  Returns sigma_min, or None
     when the run fails (no convergence, or an ARPACK error such as the
     one an inverse Gram operator that underflows to zero gives) or gives
     an eigenvalue that is not finite and positive.
@@ -336,7 +351,7 @@ def _lanczos_sigma_min(apply, order: int) -> float | None:
             gram_inverse,
             k=1,
             which="LM",
-            v0=_start_vector(order),
+            v0=_start_vector(order) if start is None else start,
             ncv=min(12, order),
             tol=1e-8,
             return_eigenvectors=False,
@@ -377,25 +392,167 @@ def _lu_vector_solver(lu) -> Callable:
     return apply
 
 
-def _smallest_singular_value(lu) -> float:
+class _DenseLU:
+    """The operator T, factored as one dense matrix.
+
+    Every factored operator works in a basis of its own: to_basis maps
+    vectors or columns of operator rows (node-major, n components per
+    node) into it, from_basis maps them back, and both are unitary.  In
+    that basis it offers what solve needs: solve(y, adjoint) for
+    T^(-1) y or T^(-H) y by lu_solve, solve_vector(y, adjoint) for the
+    same on one vector by the trsv pairs of _lu_vector_solver,
+    matvec(x) = T x, its order, and singular, set when the LU met an
+    exact zero pivot.  Here the basis is the operator rows themselves.
+    """
+
+    def __init__(self, t: np.ndarray):
+        self.t = t
+        self.order = t.shape[0]
+        self.lu = scipy.linalg.lu_factor(t)
+        self.singular = not np.all(np.diag(self.lu[0]))
+        self.solve_vector = _lu_vector_solver(self.lu)
+
+    def to_basis(self, y):
+        return y
+
+    from_basis = to_basis
+
+    def solve(self, y, adjoint=False):
+        return scipy.linalg.lu_solve(self.lu, y, trans=2 if adjoint else 0)
+
+    def matvec(self, x):
+        return self.t @ x
+
+
+class _ToeplitzLU:
+    """The operator T of a one-circle problem with at most one nonzero
+    splitting half, factored through the Toeplitz section of its symbol.
+
+    The basis is the circle's unitary Fourier basis (circle_coefficients
+    times sqrt(m), n components per mode).  For K the modes C+ keeps and
+    O the others, the plus half gives T x = x + P_O(x w_plus) = P_K x +
+    P_O(x s) with the symbol s = I + w_plus, so T is block-triangular:
+
+        T = [[I, 0], [B, A]]   on (K, O),   A[(k,b),(j,c)] = s_(k-j)[c,b],
+
+    with s_k the circle_coefficients of s, k and j in O for A, k in O and
+    j in K for B, and mode indices modulo the node count m.  The minus
+    half gives T x = P_O x + P_K(x s) with s = I - w_minus: K and O swap
+    roles.  Each set is one half of the modes in storage order (k >= 0
+    first), so in the basis A's rows are one contiguous half of T's.
+    [B, A], T's rows outside the identity block, is gathered from one
+    FFT of s, and A, the finite section of the Toeplitz operator of s,
+    of half T's order, is the only matrix LU-factored.  A solve with T
+    is one product with B and one solve with A, a solve with T^H one
+    solve with A^H and one product with B^H.  An exact zero pivot of A
+    is one of T.  Subtractions and transforms run with floating-point
+    warnings off, as the BLAS and LAPACK calls of _DenseLU do: a value
+    that overflows reaches lu_solve, which refuses it.
+    """
+
+    def __init__(self, p: RHProblem):
+        self.circle = circle = p.system.circles[0]
+        m, n = circle.node_count, p.data.dim
+        kept = plus_mode_mask(circle, p.system.plus_inside[0])
+        if np.any(p.data.w_minus.values):
+            symbol, section = p.data.b_minus().values, kept
+        else:
+            symbol, section = p.data.b_plus().values, ~kept
+        self.order = m * n
+        self.scale = np.sqrt(m)
+        r = m // 2  # modes in the section, and in the identity block
+        self.rows, self.fixed = (
+            (slice(0, r * n), slice(r * n, None))
+            if section[0]
+            else (slice(r * n, None), slice(0, r * n))
+        )
+        # The transpose of [B, A], so that A's columns are one
+        # Fortran-ordered block: row (j, c) for every mode j, column (k, b)
+        # for k in the section, entry s_(k-j)[c, b].  For the section
+        # k0, ..., k0 + r - 1 that entry is ext[m - 1 - j + k - k0], with
+        # ext the coefficients from mode k0 - m + 1 on: a reversed sliding
+        # window over ext, copied once.
+        k0 = np.flatnonzero(section)[0]
+        coeffs = circle_coefficients(circle, symbol)
+        ext = coeffs[(k0 - m + 1 + np.arange(m + r - 1)) % m]
+        window = sliding_window_view(ext, r, axis=0)[::-1]  # (j, c, b, k)
+        t_rows = np.ascontiguousarray(window.transpose(0, 1, 3, 2))
+        self.t_rows = t_rows.reshape(self.order, r * n).T
+        self.b = self.t_rows[:, self.fixed]
+        self.lu = scipy.linalg.lu_factor(self.t_rows[:, self.rows])
+        self.singular = not np.all(np.diag(self.lu[0]))
+        self._section_vector = _lu_vector_solver(self.lu)
+
+    def _nodes(self, y):
+        return y.reshape(self.circle.node_count, -1, *y.shape[1:])
+
+    @np.errstate(all="ignore")
+    def to_basis(self, y):
+        coeffs = circle_coefficients(self.circle, self._nodes(y))
+        return (coeffs * self.scale).reshape(y.shape)
+
+    @np.errstate(all="ignore")
+    def from_basis(self, x):
+        values = circle_values(self.circle, self._nodes(x) / self.scale)
+        return values.reshape(x.shape)
+
+    @np.errstate(all="ignore")
+    def _solve(self, y, adjoint, section_solve):
+        rows, fixed = self.rows, self.fixed
+        x = np.array(y, dtype=np.complex128)
+        if adjoint:
+            x[rows] = section_solve(x[rows], True)
+            # B^H x, as (x^H B)^H, so that B is read in place
+            x[fixed] -= np.conj(np.conj(x[rows]).T @ self.b).T
+        else:
+            x[rows] = section_solve(x[rows] - self.b @ x[fixed], False)
+        return x
+
+    def _section_columns(self, rhs, adjoint):
+        return scipy.linalg.lu_solve(self.lu, rhs, trans=2 if adjoint else 0)
+
+    def solve(self, y, adjoint=False):
+        return self._solve(y, adjoint, self._section_columns)
+
+    def solve_vector(self, y, adjoint=False):
+        return self._solve(y, adjoint, self._section_vector)
+
+    def matvec(self, x):
+        out = np.array(x, dtype=np.complex128)
+        out[self.rows] = self.t_rows @ x
+        return out
+
+
+def _factored(p: RHProblem):
+    """T factored by the structure of p: through the Toeplitz section of
+    its symbol on one circle with at most one nonzero splitting half, as
+    one dense LU of p.operator otherwise."""
+    halves = (p.data.w_plus.values, p.data.w_minus.values)
+    if len(p.system.circles) == 1 and not all(np.any(w) for w in halves):
+        return _ToeplitzLU(p)
+    return _DenseLU(p.operator)
+
+
+def _smallest_singular_value(op) -> float:
     """sigma_min of a factored operator T by Lanczos on (T^H T)^(-1).
 
-    Each step applies T^(-H) and then T^(-1) by _lu_vector_solver, two
-    trsv pairs on the existing factors.  An exact zero pivot or a failed
+    Each step applies T^(-H) and then T^(-1) by op.solve_vector, two
+    trsv pairs on the existing factors, in op's basis, from the seeded
+    start vector mapped into it.  An exact zero pivot or a failed
     Lanczos run counts as sigma_min = 0, which sends the solve to the
     alias check instead of trusting the LU.
     """
-    if not np.all(np.diag(lu[0])):
+    if op.singular:
         return 0.0
-    solve_with = _lu_vector_solver(lu)
 
     def apply(y):
-        return solve_with(solve_with(y, adjoint=True))
+        return op.solve_vector(op.solve_vector(y, adjoint=True))
 
-    return _lanczos_sigma_min(apply, lu[0].shape[0]) or 0.0
+    start = op.to_basis(_start_vector(op.order))
+    return _lanczos_sigma_min(apply, op.order, start) or 0.0
 
 
-def _null_vectors(lu) -> tuple[np.ndarray, np.ndarray, float]:
+def _null_vectors(op) -> tuple[np.ndarray, np.ndarray, float]:
     """Right and left null vectors of a near-singular factored operator T,
     and the upper bound on its smallest singular value that they give.
 
@@ -406,13 +563,15 @@ def _null_vectors(lu) -> tuple[np.ndarray, np.ndarray, float]:
     bound it by |s| / max(|T^(-1) s|, |T^(-H) s|), the inverse-iteration
     bound of LAPACK's condition estimators.  Non-finite vectors (a zero
     pivot or a broken-down LU) give the bound inf, which certifies
-    nothing.
+    nothing.  s is mapped into op's basis once, and r and l are returned
+    in operator rows.
     """
-    start = _start_vector(lu[0].shape[0])
+    start = _start_vector(op.order)
     # a zero pivot gives non-finite vectors; _deflated_solve reports them
     with np.errstate(all="ignore"):
-        r = scipy.linalg.lu_solve(lu, start)
-        l = scipy.linalg.lu_solve(lu, start, trans=2)
+        s = op.to_basis(start)
+        r = op.from_basis(op.solve(s))
+        l = op.from_basis(op.solve(s, adjoint=True))
         norms = np.array([np.linalg.norm(r), np.linalg.norm(l)])
         r, l = r / norms[0], l / norms[1]
     bound = np.inf
@@ -421,16 +580,15 @@ def _null_vectors(lu) -> tuple[np.ndarray, np.ndarray, float]:
     return r, l, bound
 
 
-def _refined(t: np.ndarray, solve_with, rhs: np.ndarray) -> np.ndarray:
-    """solve_with(rhs) and one corrective step on its residual under t."""
+def _refined(op, solve_with, rhs: np.ndarray) -> np.ndarray:
+    """solve_with(rhs) and one corrective step on its residual under T."""
     x = solve_with(rhs)
-    x += solve_with(rhs - t @ x)
+    x += solve_with(rhs - op.matvec(x))
     return x
 
 
 def _deflated_solve(
-    t: np.ndarray,
-    lu,
+    op,
     r: np.ndarray,
     l: np.ndarray,
     rhs: np.ndarray,
@@ -439,39 +597,40 @@ def _deflated_solve(
 ) -> tuple[np.ndarray, float]:
     """Solve a consistent system whose operator has a one-dimensional kernel.
 
-    With the null vectors r and l, S y = P T^(-1) Q y on the operator's
-    LU, for P = I - r r^H and Q = I - l l^H, is the truncated-SVD inverse,
-    so x = S rhs is the solution orthogonal to r.  Lanczos on S S^H,
-    y -> P T^(-1) Q Q T^(-H) P y by two trsv pairs of _lu_vector_solver
-    per step, gives the smallest singular value left; a kernel of two or
-    more directions keeps it below sigma_min and is reported, never
-    deflated by one vector.  x is accepted only if T x reproduces rhs.
-    Returns x and that value.
+    With the null vectors r and l, S y = P T^(-1) Q y on the factored
+    operator op, for P = I - r r^H and Q = I - l l^H, is the truncated-SVD
+    inverse, so x = S rhs is the solution orthogonal to r.  Lanczos on
+    S S^H, y -> P T^(-1) Q Q T^(-H) P y by op.solve_vector, gives the
+    smallest singular value left; a kernel of two or more directions
+    keeps it below sigma_min and is reported, never deflated by one
+    vector.  x is accepted only if T x reproduces rhs.  r and l are in
+    operator rows, rhs and x in op's basis.  Returns x and that value.
     """
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(l))):
         raise NearSingularOperatorError(
             smallest, message="LU of the singular operator broke down"
         )
-    solve_with = _lu_vector_solver(lu)
+    r, l = op.to_basis(r), op.to_basis(l)
 
     def project(v, y):
         return y - np.multiply.outer(v, np.conj(v) @ y)
 
     def pinv(y):
-        return project(r, scipy.linalg.lu_solve(lu, project(l, y)))
+        return project(r, op.solve(project(l, y)))
 
     def gram(y):
-        y = project(l, solve_with(project(r, y), adjoint=True))
-        return project(r, solve_with(project(l, y)))
+        y = project(l, op.solve_vector(project(r, y), adjoint=True))
+        return project(r, op.solve_vector(project(l, y)))
 
-    deflated = _lanczos_sigma_min(gram, t.shape[0]) or 0.0
+    start = op.to_basis(_start_vector(op.order))
+    deflated = _lanczos_sigma_min(gram, op.order, start) or 0.0
     if deflated < sigma_min:
         raise NearSingularOperatorError(
             smallest,
             message="operator kernel has more than one alias direction",
         )
-    x = _refined(t, pinv, rhs)
-    residual = float(np.max(np.abs(t @ x - rhs)))
+    x = _refined(op, pinv, rhs)
+    residual = float(np.max(np.abs(op.matvec(x) - rhs)))
     scale = max(float(np.max(np.abs(rhs))), 1.0)
     if not residual <= 1e-8 * scale:  # a NaN residual fails too
         raise NearSingularOperatorError(
@@ -485,16 +644,20 @@ def _deflated_solve(
 
 
 def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
-    """Solve the discrete equation by dense LU and one corrective step.
+    """Solve the discrete equation by one LU and one corrective step.
 
-    The operator is factored once, and one inverse-iteration step on
-    that LU, with T and with T^H, gives candidate right and left null
-    vectors r and l and the upper bound |s| / max(|T^(-1) s|, |T^(-H) s|)
-    on sigma_min from the start s.  A bound below sigma_min certifies
-    the problem as near singular, and the bound is reported as
-    smallest_singular_value.  Otherwise Lanczos on the LU gives
-    sigma_min, which is reported, and decides.  Above it the LU solve is
-    the answer ("lu").  Below it, if r or l has band-limited content
+    The operator is factored once (_factored): through the LU of its
+    Toeplitz section, of half its order, when p has one circle and at
+    most one nonzero splitting half, and by a dense LU of p.operator
+    otherwise.  Both work in a unitary basis of their own, so sigma_min,
+    the null vectors and x are those of T itself.  One inverse-iteration
+    step on that LU, with T and with T^H, gives candidate right and left
+    null vectors r and l and the upper bound
+    |s| / max(|T^(-1) s|, |T^(-H) s|) on sigma_min from the start s.  A
+    bound below sigma_min certifies the problem as near singular, and the
+    bound is reported as smallest_singular_value.  Otherwise Lanczos on
+    the LU gives sigma_min, which is reported, and decides.  Above it the
+    LU solve is the answer ("lu").  Below it, if r or l has band-limited content
     above ALIAS_BAND_CONTENT, the kernel is genuine (nonzero partial
     indices land here) and is reported as an error rather than returning
     a polluted solution.  A one-dimensional alias defect of a consistent
@@ -504,15 +667,15 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     """
     n = p.data.dim
     big_n = p.system.total_nodes
-    t = p.operator
-    lu = scipy.linalg.lu_factor(t)
-    r, l, bound = _null_vectors(lu)
-    smallest = bound if bound < sigma_min else _smallest_singular_value(lu)
+    op = _factored(p)
+    r, l, bound = _null_vectors(op)
+    smallest = bound if bound < sigma_min else _smallest_singular_value(op)
 
     # one right-hand side per row of h, constant along the contour
     rhs = np.repeat(p.h[:, None, :], big_n, axis=1).reshape(n, big_n * n).T
+    rhs = op.to_basis(rhs)  # x comes back in the same basis
     if smallest >= sigma_min:
-        x = _refined(t, lambda y: scipy.linalg.lu_solve(lu, y), rhs)
+        x = _refined(op, op.solve, rhs)
         path, deflated = "lu", None
         # a bound below sigma_min never gets here, so smallest is the
         # Lanczos value; a failed run reads 0.0
@@ -543,13 +706,14 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
                     f"{ker:.2e} (right), {coker:.2e} (left)"
                 ),
             )
-        x, deflated = _deflated_solve(t, lu, r, l, rhs, sigma_min, smallest)
+        x, deflated = _deflated_solve(op, r, l, rhs, sigma_min, smallest)
         path = "alias-deflation"
         # r is T's null vector to within sigma_1 / sigma_2, so for unit x
         # in the band |T x|^2 >= sigma_2^2 (1 - |r^H x|^2) >= sigma_2^2
         # (1 - ker^2); likewise |T^H x| with l and coker
         p.band_sigma_lower_bound = float(deflated * np.sqrt(1.0 - max(ker, coker) ** 2))
 
+    x = op.from_basis(x)
     mu = GridFunction(p.system, x.T.reshape(n, big_n, n).transpose(1, 0, 2))
     sol = RHSolution(
         problem=p,

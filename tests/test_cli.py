@@ -852,11 +852,16 @@ def test_overflowing_solution_is_an_input_error(tmp_path, capsys):
 
 def test_broken_down_lu_prints_only_the_rhc_line(tmp_path):
     # the LU's null vectors are not finite here; their band-limited content
-    # must be taken without numpy warnings reaching stderr
+    # must be taken without numpy warnings reaching stderr.  The second
+    # circle keeps the problem on the dense LU, which breaks down at this
+    # scale; one circle's Toeplitz section does not
     doc = {
         "version": 1,
         "mode": "solve",
-        "contour": [{"center": [0.0, 0.0], "radius": 6.0, "nodes": 64}],
+        "contour": [
+            {"center": [0.0, 0.0], "radius": 6.0, "nodes": 64},
+            {"center": [20.0, 0.0], "radius": 1.0, "nodes": 16},
+        ],
         "jump": [["1e300*(z - 0.4)/(z - 2.5)"]],
     }
     src = str(Path(rc.__file__).resolve().parents[1])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import rhcircles as rc
+from rhcircles import factorize
 
 
 def scalar_jump(system, fn):
@@ -215,3 +216,18 @@ def test_hermitian_factorize_rejects_indefinite():
 def test_hermitian_factorize_constancy_tolerance_is_enforced():
     with pytest.raises(rc.NonConstantCError):
         rc.hermitian_factorize(hermitian_scalar_jump(rc.CCW), const_tol=1e-18)
+
+
+def test_hermitian_factorize_refuses_a_nan_constancy(monkeypatch):
+    # a NaN in m_minus makes the constancy deviation NaN, which must fail
+    # const_tol rather than pass it
+    solve = factorize.solve
+
+    def nan_solve(p, **kwargs):
+        sol = solve(p, **kwargs)
+        sol.m_minus.values[3] = np.nan
+        return sol
+
+    monkeypatch.setattr(factorize, "solve", nan_solve)
+    with pytest.raises(rc.NonConstantCError, match="varies by nan"):
+        rc.hermitian_factorize(hermitian_scalar_jump(rc.CCW))

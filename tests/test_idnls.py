@@ -273,8 +273,9 @@ def _gesdd_site_spec():
 def test_alias_null_vectors_take_one_step_from_a_random_start():
     p = _conjugated_problem(soliton_spec())
     t = p.operator
-    lu = scipy.linalg.lu_factor(t)
-    r, l, _ = rhp._null_vectors(lu)
+    op = rhp._DenseLU(t)
+    lu = op.lu
+    r, l, _ = rhp._null_vectors(op)
     assert np.linalg.norm(t @ r) < 1e-12
     assert np.linalg.norm(t.conj().T @ l) < 1e-12
     # the pitfalls the random start and the single step avoid: a constant
@@ -388,3 +389,20 @@ def test_residue_check_makes_one_call_per_ring():
 
     assert rc.residue_condition_residuals(evaluate, ap) < 1e-13
     assert calls == [(48,)] * 4
+
+
+def test_residue_check_keeps_a_nan_from_a_later_ring():
+    # np.maximum, not max: a NaN on the second ring must not read as the
+    # first ring's residual
+    spec = soliton_spec()
+    oracle = rc.soliton_oracle(spec)
+    ap = rc.remove_poles(spec, pole_nodes=32, unit_nodes=32)
+    calls = []
+
+    def evaluate(z):
+        calls.append(z)
+        values = oracle(z)
+        return values if len(calls) == 1 else np.full_like(values, np.nan)
+
+    assert np.isnan(rc.residue_condition_residuals(evaluate, ap))
+    assert len(calls) == 2

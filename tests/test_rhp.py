@@ -317,11 +317,11 @@ def test_zero_pivot_counts_as_singular():
     t = np.diag([1.0, 2.0, 3.0, 0.0, 5.0]).astype(complex)
     t[0, 3] = 1.0
     with pytest.warns(scipy.linalg.LinAlgWarning):
-        lu = scipy.linalg.lu_factor(t)
-    assert rhp._smallest_singular_value(lu) == 0.0
+        op = rhp._DenseLU(t)
+    assert rhp._smallest_singular_value(op) == 0.0
     with pytest.raises(rc.NearSingularOperatorError, match="broke down"):
         rhp._deflated_solve(
-            t, lu, *rhp._null_vectors(lu)[:2], np.ones((5, 1)), rc.SIGMA_MIN, 0.0
+            op, *rhp._null_vectors(op)[:2], np.ones((5, 1)), rc.SIGMA_MIN, 0.0
         )
 
 
@@ -329,15 +329,19 @@ def test_lanczos_nonconvergence_counts_as_singular(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence("no", [], [])
 
-    lu = scipy.linalg.lu_factor(np.eye(6, dtype=complex))
+    op = rhp._DenseLU(np.eye(6, dtype=complex))
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    assert rhp._smallest_singular_value(lu) == 0.0
+    assert rhp._smallest_singular_value(op) == 0.0
 
 
 def test_arpack_error_counts_as_singular():
     # at this scale the inverse Gram operator underflows to zero, and
-    # ARPACK stops with error -9 (zero start vector)
-    system = rc.build_contour([rc.Circle(0j, 6.0, rc.CCW, 64)])
+    # ARPACK stops with error -9 (zero start vector); the second circle
+    # keeps the problem on the dense LU, since one circle's Toeplitz
+    # section never forms that operator
+    system = rc.build_contour(
+        [rc.Circle(0j, 6.0, rc.CCW, 64), rc.Circle(20.0 + 0j, 1.0, rc.CCW, 16)]
+    )
     jump = rc.JumpData.from_evaluator(system, lambda z: 1e300 * (z - 0.4) / (z - 2.5))
     with np.errstate(all="ignore"), pytest.raises(
         rc.NearSingularOperatorError, match="broke down"
@@ -381,10 +385,9 @@ def _operator_with_kernel(order, nullity):
 
 def test_one_dimensional_kernel_deflation_matches_pseudoinverse():
     t, rhs = _operator_with_kernel(40, 1)
-    r, l, _ = rhp._null_vectors(scipy.linalg.lu_factor(t))
-    x, _ = rhp._deflated_solve(
-        t, scipy.linalg.lu_factor(t), r, l, rhs, rc.SIGMA_MIN, 0.0
-    )
+    op = rhp._DenseLU(t)
+    r, l, _ = rhp._null_vectors(op)
+    x, _ = rhp._deflated_solve(op, r, l, rhs, rc.SIGMA_MIN, 0.0)
     reference = np.linalg.pinv(t, rcond=1e-10) @ rhs
     assert np.max(np.abs(x - reference)) < 1e-10
 
@@ -393,7 +396,7 @@ def test_two_dimensional_kernel_is_never_deflated_by_one_vector():
     t, rhs = _operator_with_kernel(40, 2)
     with pytest.raises(rc.NearSingularOperatorError, match="more than one"):
         rhp._deflated_solve(
-            t, lu := scipy.linalg.lu_factor(t), *rhp._null_vectors(lu)[:2],
+            op := rhp._DenseLU(t), *rhp._null_vectors(op)[:2],
             rhs, rc.SIGMA_MIN, 0.0,
         )
 
@@ -401,11 +404,11 @@ def test_two_dimensional_kernel_is_never_deflated_by_one_vector():
 def test_inconsistent_system_is_never_deflated():
     # a left null vector in the first right-hand side is outside the range
     t, rhs = _operator_with_kernel(40, 1)
-    lu = scipy.linalg.lu_factor(t)
-    r, l, _ = rhp._null_vectors(lu)
+    op = rhp._DenseLU(t)
+    r, l, _ = rhp._null_vectors(op)
     rhs = rhs + l[:, None] * np.array([[1.0, 0.0]])
     with pytest.raises(rc.NearSingularOperatorError, match="inconsistent"):
-        rhp._deflated_solve(t, lu, r, l, rhs, rc.SIGMA_MIN, 0.0)
+        rhp._deflated_solve(op, r, l, rhs, rc.SIGMA_MIN, 0.0)
 
 
 def test_lanczos_refuses_a_non_positive_ritz_value():
@@ -789,25 +792,23 @@ def _operator_with_singular_values(order, smallest, seed):
 @pytest.mark.parametrize("order", [64, 96, 128])
 def test_inverse_iteration_bound_is_a_sound_certificate(order):
     for smallest in (1e-9, 1e-11, 1e-13):
-        lu = scipy.linalg.lu_factor(
-            _operator_with_singular_values(order, smallest, order)
-        )
-        bound = rhp._null_vectors(lu)[2]
+        op = rhp._DenseLU(_operator_with_singular_values(order, smallest, order))
+        bound = rhp._null_vectors(op)[2]
         assert bound >= smallest * (1.0 - 1e-6)
         # the random start overestimates by about sqrt(order), so at 1e-9
         # the bound may land above SIGMA_MIN and leave the call to Lanczos
         if smallest < 1e-9:
             assert bound < rc.SIGMA_MIN
-    lu = scipy.linalg.lu_factor(_operator_with_singular_values(order, 1e-6, order))
-    assert rhp._null_vectors(lu)[2] >= rc.SIGMA_MIN
-    assert abs(rhp._smallest_singular_value(lu) - 1e-6) <= 1e-12
+    op = rhp._DenseLU(_operator_with_singular_values(order, 1e-6, order))
+    assert rhp._null_vectors(op)[2] >= rc.SIGMA_MIN
+    assert abs(rhp._smallest_singular_value(op) - 1e-6) <= 1e-12
 
 
 def test_zero_pivot_certifies_nothing():
     t = np.diag([1.0, 2.0, 3.0, 0.0, 5.0]).astype(complex)
     with pytest.warns(scipy.linalg.LinAlgWarning):
-        lu = scipy.linalg.lu_factor(t)
-    r, l, bound = rhp._null_vectors(lu)
+        op = rhp._DenseLU(t)
+    r, l, bound = rhp._null_vectors(op)
     assert bound == np.inf
     assert not (np.all(np.isfinite(r)) and np.all(np.isfinite(l)))
 
@@ -1019,3 +1020,94 @@ def test_midpoint_residual_keeps_a_nan(rational_radius6):
     sol = rc.solve(p)
     sol.cauchy_density.values[3] = np.nan
     assert np.isnan(rhp._midpoint_residual(p, sol))
+
+
+def _one_circle_problem(n, orientation, plus_inside, nodes, side):
+    circle = rc.Circle(0.3 + 0.1j, 1.7, orientation, nodes)
+    # built directly, since build_contour ties the plus side to the
+    # orientation
+    system = rc.ContourSystem((circle,), (plus_inside,), not plus_inside)
+
+    def v(z):
+        # the symbol s of the nonzero half is the same on either side:
+        # v = s for plus, v = s^(-1) for minus
+        w = (z - circle.center) / circle.radius
+        if n == 1:
+            s = (2.5 + 0.4 * w + 0.3 / w)[:, None, None]
+        else:
+            s = rc.matrix_at(
+                z, [[2.0 + 0.3 * w, 0.2 / w], [0.1 * w**2, 1.5 - 0.2 / w]]
+            )
+        return s if side == "plus" else np.linalg.inv(s)
+
+    jump = rc.JumpData.from_evaluator(system, v)
+    h = np.arange(1, n * n + 1).reshape(n, n) + 0.5j * np.eye(n)
+    return rc.RHProblem.from_jump(jump, h=h, side=side)
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("nodes", [16, 64, 512])
+@pytest.mark.parametrize(
+    "orientation, plus_inside",
+    [(rc.CCW, True), (rc.CW, False), (rc.CW, True), (rc.CCW, False)],
+    ids=["ccw-inside", "cw-infinity", "cw-inside", "ccw-infinity"],
+)
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_circle_toeplitz_solve_matches_the_dense_lu(
+    n, orientation, plus_inside, nodes, side, monkeypatch
+):
+    p = _one_circle_problem(n, orientation, plus_inside, nodes, side)
+    assert isinstance(rhp._factored(p), rhp._ToeplitzLU)
+    sol = rc.solve(p)
+    assert "operator" not in p.__dict__
+    # the reference: the same problem through the dense LU of T
+    monkeypatch.setattr(rhp, "_factored", lambda p: rhp._DenseLU(p.operator))
+    ref = rc.solve(_one_circle_problem(n, orientation, plus_inside, nodes, side))
+    assert sol.solver_path == ref.solver_path == "lu"
+    exact = ref.smallest_singular_value
+    assert abs(sol.smallest_singular_value - exact) <= 1e-13 * exact
+    scale = np.max(np.abs(ref.mu.values))
+    assert np.max(np.abs(sol.mu.values - ref.mu.values)) <= 1e-13 * scale
+
+
+def test_identity_jump_comes_back_as_the_right_hand_side():
+    p = _cli_problem("identity_solve.json")
+    assert isinstance(rhp._factored(p), rhp._ToeplitzLU)
+    sol = rc.solve(p)
+    assert sol.residual_jump == 0.0
+    assert np.array_equal(sol.mu.values, np.broadcast_to(p.h, sol.mu.values.shape))
+
+
+def test_one_circle_genuine_kernel_still_refuses():
+    p = _cli_problem("rational_near_singular.json")
+    assert isinstance(rhp._factored(p), rhp._ToeplitzLU)
+    with pytest.raises(
+        rc.NearSingularOperatorError, match="band-limited null-vector content"
+    ) as info:
+        rc.solve(p)
+    assert info.value.smallest_singular_value < rc.SIGMA_MIN
+
+
+def test_zero_pivot_of_the_toeplitz_section_counts_as_singular():
+    # at 4 nodes round(z) is z exactly, so the section of the symbol z on
+    # the modes -2 and -1 sends mode -1 out of them: an exact zero column
+    system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 4)])
+    p = rc.RHProblem.from_jump(rc.JumpData.from_evaluator(system, np.round))
+    with pytest.warns(scipy.linalg.LinAlgWarning):
+        op = rhp._factored(p)
+    assert isinstance(op, rhp._ToeplitzLU) and op.singular
+    assert rhp._smallest_singular_value(op) == 0.0
+    assert rhp._null_vectors(op)[2] == np.inf
+    with pytest.warns(scipy.linalg.LinAlgWarning), pytest.raises(
+        rc.NearSingularOperatorError, match="broke down"
+    ):
+        rc.solve(p)
+
+
+def test_certified_one_circle_problem_never_builds_the_operator():
+    p = _defocusing_problem()
+    sol = rc.solve(p)
+    rep = rc.index_diagnostics(p)
+    assert sol.solver_path == "lu"
+    assert (rep.dim_ker, rep.dim_coker) == (0, 0)
+    assert "operator" not in p.__dict__
