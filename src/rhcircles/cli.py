@@ -522,7 +522,9 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 
 
 def _write_report(path: str, report: dict) -> None:
-    _atomic_write(path, (json.dumps(report, indent=2, sort_keys=True) + "\n",))
+    # allow_nan=False: a report is strict JSON or is not written
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    _atomic_write(path, (text + "\n",))
 
 
 def _parse_grid(text: str) -> tuple[int, int]:

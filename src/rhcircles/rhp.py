@@ -328,12 +328,12 @@ def _start_vector(order: int) -> np.ndarray:
     return rng.standard_normal(order) + 1j * rng.standard_normal(order)
 
 
-def _lanczos_sigma_min(apply, order: int, start=None) -> float | None:
+def _lanczos_sigma_min(apply, start: np.ndarray) -> float | None:
     """sigma_min of an operator A by Lanczos on (A^H A)^(-1).
 
     apply(y) returns (A^H A)^(-1) y.  ARPACK finds the largest eigenvalue
-    theta = 1/sigma_min**2 of that inverse Gram operator from the seeded
-    start vector (start, _start_vector(order) by default), restarting a
+    theta = 1/sigma_min**2 of that inverse Gram operator from the start
+    vector start, whose size is A's order, restarting a
     Krylov space of at most 12 vectors, and stops once the Ritz residual
     r has |r| <= 1e-8 theta.  The operator is Hermitian, so the Ritz
     value is then off by at most |r|**2 / gap, for gap its distance to
@@ -343,6 +343,7 @@ def _lanczos_sigma_min(apply, order: int, start=None) -> float | None:
     one an inverse Gram operator that underflows to zero gives) or gives
     an eigenvalue that is not finite and positive.
     """
+    order = start.size
     gram_inverse = scipy.sparse.linalg.LinearOperator(
         (order, order), matvec=apply, dtype=np.complex128
     )
@@ -351,7 +352,7 @@ def _lanczos_sigma_min(apply, order: int, start=None) -> float | None:
             gram_inverse,
             k=1,
             which="LM",
-            v0=_start_vector(order) if start is None else start,
+            v0=start,
             ncv=min(12, order),
             tol=1e-8,
             return_eigenvectors=False,
@@ -548,8 +549,7 @@ def _smallest_singular_value(op) -> float:
     def apply(y):
         return op.solve_vector(op.solve_vector(y, adjoint=True))
 
-    start = op.to_basis(_start_vector(op.order))
-    return _lanczos_sigma_min(apply, op.order, start) or 0.0
+    return _lanczos_sigma_min(apply, op.to_basis(_start_vector(op.order))) or 0.0
 
 
 def _null_vectors(op) -> tuple[np.ndarray, np.ndarray, float]:
@@ -603,8 +603,10 @@ def _deflated_solve(
     S S^H, y -> P T^(-1) Q Q T^(-H) P y by op.solve_vector, gives the
     smallest singular value left; a kernel of two or more directions
     keeps it below sigma_min and is reported, never deflated by one
-    vector.  x is accepted only if T x reproduces rhs.  r and l are in
-    operator rows, rhs and x in op's basis.  Returns x and that value.
+    vector.  x is accepted only if T x reproduces rhs in operator rows,
+    where the max-norm gate means the same on every factored operator.
+    r and l are in operator rows, rhs and x in op's basis.  Returns x
+    and that value.
     """
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(l))):
         raise NearSingularOperatorError(
@@ -623,15 +625,16 @@ def _deflated_solve(
         return project(r, op.solve_vector(project(l, y)))
 
     start = op.to_basis(_start_vector(op.order))
-    deflated = _lanczos_sigma_min(gram, op.order, start) or 0.0
+    deflated = _lanczos_sigma_min(gram, start) or 0.0
     if deflated < sigma_min:
         raise NearSingularOperatorError(
             smallest,
             message="operator kernel has more than one alias direction",
         )
     x = _refined(op, pinv, rhs)
-    residual = float(np.max(np.abs(op.matvec(x) - rhs)))
-    scale = max(float(np.max(np.abs(rhs))), 1.0)
+    # measured in operator rows, so that every basis meets the same gate
+    residual = float(np.max(np.abs(op.from_basis(op.matvec(x) - rhs))))
+    scale = max(float(np.max(np.abs(op.from_basis(rhs)))), 1.0)
     if not residual <= 1e-8 * scale:  # a NaN residual fails too
         raise NearSingularOperatorError(
             smallest,
@@ -663,7 +666,9 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     a polluted solution.  A one-dimensional alias defect of a consistent
     system is projected out on that LU instead ("alias-deflation").
     Either path leaves on p the lower bound on the band values that
-    index_diagnostics reads (RHProblem.band_sigma_lower_bound).
+    index_diagnostics reads (RHProblem.band_sigma_lower_bound).  A jump
+    residual that is not finite (boundary values that overflow at the
+    midpoints) raises ValueError: no solution is returned unverified.
     """
     n = p.data.dim
     big_n = p.system.total_nodes
@@ -727,6 +732,13 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
         cauchy_density=mu * (p.data.w_plus + p.data.w_minus),
     )
     sol.residual_jump = _midpoint_residual(p, sol)
+    if not np.isfinite(sol.residual_jump):
+        # m_minus v at the midpoints left the double range (a jump near
+        # 1e300 does it with finite mu): nothing certifies the solution
+        raise ValueError(
+            f"jump residual is not finite ({sol.residual_jump}); "
+            "the boundary values overflow"
+        )
     return sol
 
 

@@ -850,26 +850,14 @@ def test_overflowing_solution_is_an_input_error(tmp_path, capsys):
     )
 
 
-def test_broken_down_lu_prints_only_the_rhc_line(tmp_path):
-    # the LU's null vectors are not finite here; their band-limited content
-    # must be taken without numpy warnings reaching stderr.  The second
-    # circle keeps the problem on the dense LU, which breaks down at this
-    # scale; one circle's Toeplitz section does not
-    doc = {
-        "version": 1,
-        "mode": "solve",
-        "contour": [
-            {"center": [0.0, 0.0], "radius": 6.0, "nodes": 64},
-            {"center": [20.0, 0.0], "radius": 1.0, "nodes": 16},
-        ],
-        "jump": [["1e300*(z - 0.4)/(z - 2.5)"]],
-    }
+def _rhc_subprocess(tmp_path, doc):
+    # a separate interpreter, so that stderr holds everything it printed
     src = str(Path(rc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [
             sys.executable,
             "-m",
@@ -885,10 +873,50 @@ def test_broken_down_lu_prints_only_the_rhc_line(tmp_path):
         text=True,
         timeout=300,
     )
+
+
+_EDGE_OF_RANGE_JUMP = [["1e300*(z - 0.4)/(z - 2.5)"]]
+
+
+def test_broken_down_lu_prints_only_the_rhc_line(tmp_path):
+    # the LU's null vectors are not finite here; their band-limited content
+    # must be taken without numpy warnings reaching stderr.  The second
+    # circle keeps the problem on the dense LU, which breaks down at this
+    # scale
+    doc = {
+        "version": 1,
+        "mode": "solve",
+        "contour": [
+            {"center": [0.0, 0.0], "radius": 6.0, "nodes": 64},
+            {"center": [20.0, 0.0], "radius": 1.0, "nodes": 16},
+        ],
+        "jump": _EDGE_OF_RANGE_JUMP,
+    }
+    proc = _rhc_subprocess(tmp_path, doc)
     assert proc.returncode == 3
     assert proc.stderr == (
         "rhc: near-singular operator: LU of the singular operator broke down\n"
     )
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_overflowing_jump_residual_is_an_input_error(tmp_path):
+    # on one circle the Toeplitz section solves this jump, but the jump
+    # residual overflows: the run must fail without numpy warnings, and no
+    # report may carry "residual_jump": Infinity
+    doc = {
+        "version": 1,
+        "mode": "solve",
+        "contour": [{"center": [0.0, 0.0], "radius": 6.0, "nodes": 64}],
+        "jump": _EDGE_OF_RANGE_JUMP,
+    }
+    proc = _rhc_subprocess(tmp_path, doc)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "rhc: invalid input: jump residual is not finite (inf); "
+        "the boundary values overflow\n"
+    )
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_delta_inv_override_reaches_the_splitting(tmp_path):

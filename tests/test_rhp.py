@@ -349,6 +349,15 @@ def test_arpack_error_counts_as_singular():
         rc.solve(rc.RHProblem.from_jump(jump))
 
 
+def test_one_circle_overflowing_residual_is_refused():
+    # the Toeplitz section solves this jump (sigma_min 0.93), but m_minus v
+    # at the midpoints overflows; no solution may carry an infinite residual
+    system = rc.build_contour([rc.Circle(0j, 6.0, rc.CCW, 64)])
+    jump = rc.JumpData.from_evaluator(system, lambda z: 1e300 * (z - 0.4) / (z - 2.5))
+    with pytest.raises(ValueError, match="jump residual is not finite"):
+        rc.solve(rc.RHProblem.from_jump(jump))
+
+
 def test_minus_splitting_accepts_a_large_jump():
     # b_minus = v^(-1) has |det| = 1e-12; only det v itself is checked
     system = rc.build_contour([rc.Circle(0j, 6.0, rc.CCW, 64)])
@@ -412,7 +421,7 @@ def test_inconsistent_system_is_never_deflated():
 
 
 def test_lanczos_refuses_a_non_positive_ritz_value():
-    assert rhp._lanczos_sigma_min(lambda y: -y, 20) is None
+    assert rhp._lanczos_sigma_min(lambda y: -y, rhp._start_vector(20)) is None
 
 
 def _grid_off_contour(system, half_width, count):
@@ -933,7 +942,8 @@ def test_lanczos_on_an_operator_of_low_order(order):
         return trsv(r, trsv(r, y, trans=2))
 
     exact = scipy.linalg.svdvals(r)[-1]
-    assert abs(rhp._lanczos_sigma_min(apply, order) - exact) <= 1e-12 * exact
+    got = rhp._lanczos_sigma_min(apply, rhp._start_vector(order))
+    assert abs(got - exact) <= 1e-12 * exact
 
 
 def _two_einsum_operator(p):
