@@ -179,11 +179,8 @@ class GridFunction:
 
 @dataclass(eq=False)
 class CauchyProjectors:
-    """Dense node-to-node realizations of the boundary projections.
-
-    minus_matrix is plus_matrix - Id by construction, which wires the
-    identity C+ - C- = Id into the discretization exactly.
-    """
+    """Dense node-to-node realizations of the boundary projections;
+    minus_matrix is plus_matrix - Id (see the module docstring)."""
 
     system: ContourSystem
     plus_matrix: np.ndarray
@@ -273,10 +270,9 @@ def cauchy_offcontour(f: GridFunction, z) -> np.ndarray:
     z is a point or an array of P points; the result is (n, n) for a point
     and (P, n, n) for an array.  The kernel is the trapezoid rule of
     _cross_block, applied to EVAL_BLOCK points at a time so that memory
-    stays bounded on large grids.  Spectrally accurate away from the
-    contour; if any point is closer than MARGIN_FACTOR node spacings to a
-    circle (distance < MARGIN_FACTOR * spacing), TooCloseToContourError is
-    raised because the quadrature degrades there.
+    stays bounded on large grids.  A point closer than MARGIN_FACTOR node
+    spacings to a circle, where the quadrature degrades, raises
+    TooCloseToContourError (check_margin).
     """
     check_margin(f.system, z)
     pts = np.asarray(z, dtype=np.complex128)
@@ -293,34 +289,48 @@ def cauchy_offcontour(f: GridFunction, z) -> np.ndarray:
     return out.reshape(pts.shape + f.values.shape[1:])
 
 
+def _boundary_values(system, values, circle_index, angles, same_circle):
+    """(C+(g), C-(g)) at angles of one circle: same_circle maps the split
+    coefficients (kept modes, minus the others) to values there, and each
+    other circle's quadrature is added to both."""
+    circle = system.circles[circle_index]
+    slices = system.node_slices()
+    coeffs = circle_coefficients(circle, values[slices[circle_index]])
+    keep = plus_mode_mask(circle, system.plus_inside[circle_index])[:, None, None]
+    out = same_circle(np.stack([coeffs * keep, -coeffs * ~keep], axis=1))
+    pts = circle.point_at(angles)
+    for j, cj in enumerate(system.circles):
+        if j != circle_index:
+            block = _cross_block(pts, cj)
+            out += np.tensordot(block, values[slices[j]], axes=(1, 0))[:, None]
+    return out[:, 0], out[:, 1]
+
+
 def boundary_values_on_circle(
     system: ContourSystem,
     values: np.ndarray,
     circle_index: int,
     angles: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(C+(g), C-(g)) at arbitrary angles of one circle.
-
-    One basis synthesizes the same-circle part of both: the kept Fourier
-    modes for plus, the complementary modes with a sign for minus.  Each
-    other circle's smooth quadrature is computed once and added to both.
-    This extends the node-level projector to off-node boundary points,
-    which is what jump residuals at midpoints and inversion-matched
-    evaluations need.
-    """
+    """(C+(g), C-(g)) at arbitrary angles of one circle (such as mirrored
+    nodes), the same-circle part from one dense basis (synthesize)."""
     circle = system.circles[circle_index]
-    slices = system.node_slices()
     angles = np.asarray(angles, dtype=float)
-    pts = circle.point_at(angles)
+    return _boundary_values(
+        system, values, circle_index, angles,
+        lambda split: synthesize(circle, split, angles),
+    )
 
-    coeffs = circle_coefficients(circle, values[slices[circle_index]])
-    keep = plus_mode_mask(circle, system.plus_inside[circle_index])[:, None, None]
-    split = np.stack([coeffs * keep, -coeffs * ~keep], axis=1)
-    out = synthesize(circle, split, angles)
 
-    for j, cj in enumerate(system.circles):
-        if j == circle_index:
-            continue
-        block = _cross_block(pts, cj)
-        out += np.tensordot(block, values[slices[j]], axes=(1, 0))[:, None]
-    return out[:, 0], out[:, 1]
+def boundary_values_at_midpoints(
+    system: ContourSystem, values: np.ndarray, circle_index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(C+(g), C-(g)) at one circle's node angles shifted by sign*pi/m,
+    the midpoints: mode k times exp(1j*k*shift), then one circle_values."""
+    circle = system.circles[circle_index]
+    shift = circle.sign * np.pi / circle.node_count
+    phase = np.exp(1j * shift * fourier_modes(circle.node_count))[:, None, None, None]
+    return _boundary_values(
+        system, values, circle_index, circle.angles() + shift,
+        lambda split: circle_values(circle, split * phase),
+    )

@@ -13,18 +13,18 @@ mu (w_plus + w_minus).  Right multiplication never couples the rows of
 mu, so one (N*n) x (N*n) operator T serves all n rows, and it is factored
 once per solve in one of two ways, chosen from the problem's structure
 alone.  On one circle with at most one nonzero splitting half, T is
-block-triangular in the circle's Fourier basis, with an identity block
-and the finite Toeplitz section of the jump's symbol: only T's rows
-outside the identity block are assembled, from one FFT of the symbol,
-and only the section, of order N*n/2, is LU-factored.  Every other
-problem (several circles, or both halves nonzero) assembles T densely
-and factors it by one LU.
+block-triangular in the circle's Fourier basis, and only the finite
+Toeplitz section of the jump's symbol, of order N*n/2, is LU-factored
+(_ToeplitzLU).  Every other problem assembles T densely and factors it
+by one LU.
 
 Jump data carries closed-form evaluators alongside node samples.  That is
 what makes the reported jump residual meaningful: at the collocation nodes
 the identity m_plus = m_minus v holds to rounding by construction, so the
 residual is instead measured at inter-node midpoints where discretization
-error actually shows up, with v re-evaluated from its closed form.
+error actually shows up, with v re-evaluated from its closed form.  The
+midpoints are each circle's nodes shifted by half a spacing, so the
+boundary values there take one phase-shifted inverse FFT per circle.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .cauchy import (
     EVAL_BLOCK,
     GridFunction,
     _matrix_values,
+    boundary_values_at_midpoints,
     boundary_values_on_circle,
     build_projectors,
     cauchy_offcontour,
@@ -88,9 +89,8 @@ def matrix_at(z, rows) -> np.ndarray:
 class JumpData:
     """Jump matrix v: node samples plus per-circle closed-form evaluators.
 
-    An evaluator is called once per circle on a 1-D array of P points on
-    or near it and returns (P, n, n), a constant (n, n), (P,) for a 1x1
-    jump, or a scalar.  The midpoint residual and the inversion-symmetry
+    An evaluator is called once per circle on points on or near it (see
+    _matrix_values).  The midpoint residual and the inversion-symmetry
     check re-evaluate them instead of interpolating samples.
     """
 
@@ -220,10 +220,8 @@ class RHProblem:
         """(N*n) x (N*n) matrix of the equation acting on one row of mu.
 
         Assembled on first use and then kept; h does not enter it.  solve
-        uses it on the dense path only: a one-circle problem with at most
-        one nonzero splitting half is factored through its Toeplitz
-        section and never builds it.  index_diagnostics uses it only for
-        a problem that no solve has certified.  Only a half of the
+        uses it on the dense path of _factored only, index_diagnostics only
+        for a problem that no solve has certified.  Only a half of the
         splitting with a nonzero entry is applied, so the trivial
         splitting costs one einsum; C- = C+ - I overwrites C+ in place.
         Both halves give the same bits as C+ w_minus + C- w_plus.
@@ -253,8 +251,7 @@ class RHSolution:
     """Solved singular integral equation plus derived boundary values.
 
     residual_jump is the maximum of |m_plus - m_minus v| over inter-node
-    midpoints (closed-form v), the honest discretization error indicator;
-    at the nodes the identity holds to rounding by construction.
+    midpoints, with v in closed form (see the module docstring).
     solver_path is "lu" for a plain LU solve and "alias-deflation" when
     an alias null vector was projected out; deflated_singular_value is
     then the smallest singular value left once that direction is gone,
@@ -311,11 +308,12 @@ def evaluate_m(sol: RHSolution, z) -> np.ndarray:
 def _midpoint_residual(p: RHProblem, sol: RHSolution) -> float:
     worst = 0.0
     for i, c in enumerate(p.system.circles):
-        mids = c.angles() + c.sign * np.pi / c.node_count
-        pts = c.point_at(mids)
-        m_p, m_m = sol.boundary_values(i, mids)
+        pts = c.point_at(c.angles() + c.sign * np.pi / c.node_count)
+        plus, minus = boundary_values_at_midpoints(
+            p.system, sol.cauchy_density.values, i
+        )
         v_mid = p.data.jump.at(i, pts)
-        gap = m_p - np.einsum("lab,lbc->lac", m_m, v_mid)
+        gap = plus + sol.h - np.einsum("lab,lbc->lac", minus + sol.h, v_mid)
         # np.maximum, not max: a NaN gap must not read as a zero residual
         worst = float(np.maximum(worst, np.max(np.abs(gap))))
     return worst
@@ -470,14 +468,15 @@ class _ToeplitzLU:
         # The transpose of [B, A], so that A's columns are one
         # Fortran-ordered block: row (j, c) for every mode j, column (k, b)
         # for k in the section, entry s_(k-j)[c, b].  For the section
-        # k0, ..., k0 + r - 1 that entry is ext[m - 1 - j + k - k0], with
-        # ext the coefficients from mode k0 - m + 1 on: a reversed sliding
-        # window over ext, copied once.
+        # k0, ..., k0 + r - 1 that is ext[c, m - 1 - j + k - k0, b], with
+        # ext the coefficients from mode k0 - m + 1 on, laid out (c, k, b):
+        # each row is one contiguous slice of ext[c], all copied once.
         k0 = np.flatnonzero(section)[0]
         coeffs = circle_coefficients(circle, symbol)
-        ext = coeffs[(k0 - m + 1 + np.arange(m + r - 1)) % m]
-        window = sliding_window_view(ext, r, axis=0)[::-1]  # (j, c, b, k)
-        t_rows = np.ascontiguousarray(window.transpose(0, 1, 3, 2))
+        ext = coeffs[(k0 - m + 1 + np.arange(m + r - 1)) % m].transpose(1, 0, 2)
+        ext = ext.reshape(n, (m + r - 1) * n)
+        window = sliding_window_view(ext, r * n, axis=1)[:, ::n][:, ::-1]
+        t_rows = np.ascontiguousarray(window.transpose(1, 0, 2))
         self.t_rows = t_rows.reshape(self.order, r * n).T
         self.b = self.t_rows[:, self.fixed]
         self.lu = scipy.linalg.lu_factor(self.t_rows[:, self.rows])
@@ -649,15 +648,11 @@ def _deflated_solve(
 def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     """Solve the discrete equation by one LU and one corrective step.
 
-    The operator is factored once (_factored): through the LU of its
-    Toeplitz section, of half its order, when p has one circle and at
-    most one nonzero splitting half, and by a dense LU of p.operator
-    otherwise.  Both work in a unitary basis of their own, so sigma_min,
-    the null vectors and x are those of T itself.  One inverse-iteration
-    step on that LU, with T and with T^H, gives candidate right and left
-    null vectors r and l and the upper bound
-    |s| / max(|T^(-1) s|, |T^(-H) s|) on sigma_min from the start s.  A
-    bound below sigma_min certifies the problem as near singular, and the
+    The operator is factored once (_factored), in a unitary basis of its
+    own, so sigma_min, the null vectors and x are those of T itself.  One
+    inverse-iteration step on that LU (_null_vectors) gives candidate
+    right and left null vectors r and l and an upper bound on sigma_min.
+    A bound below sigma_min certifies the problem as near singular, and the
     bound is reported as smallest_singular_value.  Otherwise Lanczos on
     the LU gives sigma_min, which is reported, and decides.  Above it the
     LU solve is the answer ("lu").  Below it, if r or l has band-limited content
@@ -893,11 +888,9 @@ def index_diagnostics(p: RHProblem, *, tau_rank: float = TAU_RANK) -> IndexRepor
     product (K about N/2).  Given a problem that was just solved, its
     operator is reused.
 
-    A returned solve sets band_sigma_lower_bound, a lower bound on the
-    singular values of both band products: sigma_min(T) on the LU
-    path (singular-value interlacing, E having orthonormal columns), and
-    on the alias path sigma_2(T) sqrt(1 - c^2), for c the larger band
-    content of its null vectors.  When that bound is at least
+    A returned solve sets band_sigma_lower_bound (RHProblem), a lower
+    bound on the singular values of both band products; on the LU path by
+    interlacing, E having orthonormal columns.  When that bound is at least
     10 tau_rank, both counts are 0 with no value near tau_rank, and they
     are returned without a count; each gap is then (0.0, bound).
     """

@@ -178,3 +178,37 @@ def test_self_block_matches_dense_fourier_product(m, orientation, plus_inside):
     dense = np.exp(1j * np.outer(theta, k)) @ (np.exp(-1j * np.outer(k, theta)) / m)
     block = cauchy._self_block(circle, plus_inside)
     assert np.max(np.abs(block - dense)) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [16, 64, 512])
+@pytest.mark.parametrize("orientation", [rc.CCW, rc.CW])
+@pytest.mark.parametrize("plus_inside", [True, False])
+def test_midpoint_boundary_values_match_the_dense_synthesis(
+    m, orientation, plus_inside, monkeypatch
+):
+    # random samples carry every mode, the Nyquist mode included; a second
+    # circle adds the cross-circle quadrature to both halves
+    circles = (
+        rc.Circle(0.3 + 0.1j, 1.7, orientation, m),
+        rc.Circle(4.0 + 0j, 0.5, rc.CCW, 16),
+    )
+    system = rc.ContourSystem(circles, (plus_inside, True), not plus_inside)
+    rng = np.random.default_rng(m)
+    shape = (system.total_nodes, 2, 2)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    fft = cauchy.boundary_values_at_midpoints(system, values, 0)
+    # the dense basis at the midpoint angles sign*pi*(2l + 1)/m, with
+    # k*(2l + 1) reduced modulo 2m in integers: at 512 nodes the rounding
+    # of k*angle itself (up to 1600 rad) would swamp the comparison
+    circle = circles[0]
+    turns = np.outer(2 * np.arange(m) + 1, cauchy.fourier_modes(m)) % (2 * m)
+    basis = np.exp(1j * circle.sign * np.pi * turns / m)
+    monkeypatch.setattr(
+        cauchy, "synthesize", lambda c, coeffs, angles: np.tensordot(basis, coeffs, axes=(1, 0))
+    )
+    mids = circle.angles() + circle.sign * np.pi / m
+    dense = cauchy.boundary_values_on_circle(system, values, 0, mids)
+    scale = max(np.max(np.abs(d)) for d in dense)
+    for got, want in zip(fft, dense):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale

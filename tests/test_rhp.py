@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import rhcircles as rc
 from rhcircles import rhp
@@ -1121,3 +1122,111 @@ def test_certified_one_circle_problem_never_builds_the_operator():
     assert sol.solver_path == "lu"
     assert (rep.dim_ker, rep.dim_coker) == (0, 0)
     assert "operator" not in p.__dict__
+
+
+def _dense_midpoint_residual(p, sol):
+    """The jump residual from the dense exp(ik theta) synthesis at the
+    midpoint angles, and the size of the boundary values there."""
+    worst = scale = 0.0
+    for i, c in enumerate(p.system.circles):
+        mids = c.angles() + c.sign * np.pi / c.node_count
+        m_p, m_m = sol.boundary_values(i, mids)
+        v_mid = p.data.jump.at(i, c.point_at(mids))
+        gap = m_p - np.einsum("lab,lbc->lac", m_m, v_mid)
+        worst = max(worst, float(np.max(np.abs(gap))))
+        scale = max(scale, float(np.max(np.abs(m_p))), float(np.max(np.abs(m_m))))
+    return worst, scale
+
+
+MIDPOINT_PROBLEMS = {
+    **{
+        f"n{n}-{name}": (
+            lambda n=n, o=o, inside=inside: _one_circle_problem(n, o, inside, 64, "plus")
+        )
+        for n in (1, 2)
+        for name, o, inside in [
+            ("ccw-inside", rc.CCW, True),
+            ("cw-infinity", rc.CW, False),
+            ("cw-inside", rc.CW, True),
+            ("ccw-infinity", rc.CCW, False),
+        ]
+    },
+    "conjugated_soliton": _conjugated_soliton_problem,
+}
+
+
+@pytest.mark.parametrize("name", list(MIDPOINT_PROBLEMS))
+def test_midpoint_values_match_the_dense_synthesis(name, monkeypatch):
+    p = MIDPOINT_PROBLEMS[name]()
+    sol = rc.solve(p)
+    if name == "conjugated_soliton":
+        assert sol.solver_path == "alias-deflation"
+    for i, c in enumerate(p.system.circles):
+        mids = c.angles() + c.sign * np.pi / c.node_count
+        dense = sol.boundary_values(i, mids)
+        fft = rhp.boundary_values_at_midpoints(p.system, sol.cauchy_density.values, i)
+        scale = max(float(np.max(np.abs(d))) for d in dense)
+        for got, want in zip(fft, dense):
+            assert np.max(np.abs(got + sol.h - want)) <= 1e-13 * scale
+    worst, scale = _dense_midpoint_residual(p, sol)
+    assert abs(sol.residual_jump - worst) <= 1e-13 * scale
+
+    # and the residual builds no exp(ik theta) basis
+    def no_synthesis(*args):
+        raise AssertionError("synthesize called")
+
+    monkeypatch.setattr(rc.cauchy, "synthesize", no_synthesis)
+    assert rhp._midpoint_residual(p, sol) == sol.residual_jump
+
+
+def _parent_t_rows(p):
+    """[B, A] transposed, gathered as a reversed sliding window over the
+    symbol's coefficients with a length-n inner axis: the earlier gather,
+    kept as the bit-for-bit reference of the contiguous one."""
+    circle = p.system.circles[0]
+    m, n, r = circle.node_count, p.data.dim, circle.node_count // 2
+    kept = rhp.plus_mode_mask(circle, p.system.plus_inside[0])
+    if np.any(p.data.w_minus.values):
+        symbol, section = p.data.b_minus().values, kept
+    else:
+        symbol, section = p.data.b_plus().values, ~kept
+    k0 = np.flatnonzero(section)[0]
+    coeffs = rhp.circle_coefficients(circle, symbol)
+    ext = coeffs[(k0 - m + 1 + np.arange(m + r - 1)) % m]
+    window = sliding_window_view(ext, r, axis=0)[::-1]
+    t_rows = np.ascontiguousarray(window.transpose(0, 1, 3, 2))
+    return t_rows.reshape(m * n, r * n).T
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("nodes", [16, 64, 512])
+@pytest.mark.parametrize("n", [1, 2])
+def test_gathered_toeplitz_rows_are_the_operator_rows(n, nodes, side):
+    p = _one_circle_problem(n, rc.CCW, True, nodes, side)
+    op = rhp._ToeplitzLU(p)
+    assert op.t_rows.flags.f_contiguous
+    assert np.array_equal(op.t_rows, _parent_t_rows(p))
+    # T in the circle's Fourier basis, from the dense operator: [B, A] on
+    # the section's rows, the identity on the others
+    t_basis = op.to_basis(p.operator @ op.from_basis(np.eye(op.order)))
+    scale = np.max(np.abs(op.t_rows))
+    assert np.max(np.abs(t_basis[op.rows] - op.t_rows)) <= 1e-13 * scale
+    assert np.max(np.abs(t_basis[op.fixed] - np.eye(op.order)[op.fixed])) <= 1e-13
+
+
+def test_contiguous_gather_keeps_every_bit_of_the_solve(monkeypatch):
+    sol = rc.solve(_one_circle_problem(2, rc.CW, False, 64, "plus"))
+    init = rhp._ToeplitzLU.__init__
+
+    def parent_gather(self, p):
+        init(self, p)
+        self.t_rows = _parent_t_rows(p)
+        self.b = self.t_rows[:, self.fixed]
+        self.lu = scipy.linalg.lu_factor(self.t_rows[:, self.rows])
+        self._section_vector = rhp._lu_vector_solver(self.lu)
+
+    monkeypatch.setattr(rhp._ToeplitzLU, "__init__", parent_gather)
+    ref = rc.solve(_one_circle_problem(2, rc.CW, False, 64, "plus"))
+    assert sol.smallest_singular_value == ref.smallest_singular_value
+    assert np.array_equal(sol.mu.values, ref.mu.values)
+    assert sol.residual_jump == ref.residual_jump
