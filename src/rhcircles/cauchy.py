@@ -7,8 +7,10 @@ collocation grid in two pieces:
   circle whose plus side is the interior, the plus boundary value keeps the
   modes k >= 0 and the minus boundary value is -(modes k < 0); when the
   plus side is the exterior the roles of the mode sets swap.  This is exact
-  for band-limited data.  The node-to-node block is a circulant whose first
-  column is one inverse FFT of the kept-mode mask.
+  for band-limited data.  In the circle's Fourier basis, where the solver
+  builds its operator, the projection is diagonal; build_projectors gives
+  its node-to-node form, a circulant whose first column is one inverse FFT
+  of the kept-mode mask, as a reference.
 
 * different circle: the kernel 1/(w-z) is smooth there, so plain trapezoid
   quadrature in dw is spectrally accurate and the limit needs no side.
@@ -47,23 +49,25 @@ def fourier_modes(node_count: int) -> np.ndarray:
     return k
 
 
-def circle_coefficients(circle: Circle, samples: np.ndarray) -> np.ndarray:
+def circle_coefficients(
+    circle: Circle, samples: np.ndarray, axis: int = 0
+) -> np.ndarray:
     """Fourier coefficients a_k with f(theta) = sum a_k exp(1j*k*theta).
 
-    samples holds values at the circle's nodes along the first axis, in
-    traversal order; the transform accounts for the traversal direction.
+    samples holds values at the circle's nodes along axis, in traversal
+    order; the transform accounts for the traversal direction.
     """
     if circle.sign == 1:
-        return np.fft.fft(samples, axis=0) / circle.node_count
-    return np.fft.ifft(samples, axis=0)
+        return np.fft.fft(samples, axis=axis) / circle.node_count
+    return np.fft.ifft(samples, axis=axis)
 
 
-def circle_values(circle: Circle, coeffs: np.ndarray) -> np.ndarray:
+def circle_values(circle: Circle, coeffs: np.ndarray, axis: int = 0) -> np.ndarray:
     """Values sum_k a_k exp(1j*k*theta) at the nodes, in traversal order:
     the inverse of circle_coefficients."""
     if circle.sign == 1:
-        return np.fft.ifft(coeffs, axis=0) * circle.node_count
-    return np.fft.fft(coeffs, axis=0)
+        return np.fft.ifft(coeffs, axis=axis) * circle.node_count
+    return np.fft.fft(coeffs, axis=axis)
 
 
 def synthesize(circle: Circle, coeffs: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -180,7 +184,9 @@ class GridFunction:
 @dataclass(eq=False)
 class CauchyProjectors:
     """Dense node-to-node realizations of the boundary projections;
-    minus_matrix is plus_matrix - Id (see the module docstring)."""
+    minus_matrix is plus_matrix - Id (see the module docstring).  The
+    solver never builds them: they are the node-space reference for
+    checks of its Fourier-basis operator."""
 
     system: ContourSystem
     plus_matrix: np.ndarray
@@ -191,31 +197,32 @@ class CauchyProjectors:
         return self.plus_matrix - np.eye(n, dtype=np.complex128)
 
 
-def _self_block(circle: Circle, plus_inside: bool) -> np.ndarray:
-    # a circulant: column l holds the kept modes of the unit sample at node l
-    mask = plus_mode_mask(circle, plus_inside) / circle.node_count
-    return scipy.linalg.circulant(circle_values(circle, mask))
-
-
 def _cross_block(targets: np.ndarray, source: Circle) -> np.ndarray:
     return _I2PI * source.weights()[None, :] / (
         source.points()[None, :] - targets[:, None]
     )
 
 
+def _cross_kernel(system: ContourSystem) -> np.ndarray:
+    """_cross_block of every circle at every other circle's nodes, as one
+    (N, N) matrix whose self blocks are zero."""
+    weights = np.concatenate([c.weights() for c in system.circles])
+    points = system.all_points()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = _I2PI * weights[None, :] / (points[None, :] - points[:, None])
+    for nodes in system.node_slices():
+        kernel[nodes, nodes] = 0.0
+    return kernel
+
+
 def build_projectors(system: ContourSystem) -> CauchyProjectors:
-    n = system.total_nodes
-    slices = system.node_slices()
-    plus = np.zeros((n, n), dtype=np.complex128)
-    for i, ci in enumerate(system.circles):
-        pts_i = ci.points()
-        for j, cj in enumerate(system.circles):
-            if i == j:
-                plus[slices[i], slices[i]] = _self_block(
-                    ci, system.plus_inside[i]
-                )
-            else:
-                plus[slices[i], slices[j]] = _cross_block(pts_i, cj)
+    plus = _cross_kernel(system)
+    for circle, nodes, inside in zip(
+        system.circles, system.node_slices(), system.plus_inside
+    ):
+        # a circulant: column l holds the kept modes of the unit sample at node l
+        mask = plus_mode_mask(circle, inside) / circle.node_count
+        plus[nodes, nodes] = scipy.linalg.circulant(circle_values(circle, mask))
     return CauchyProjectors(system, plus)
 
 

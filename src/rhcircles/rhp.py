@@ -10,13 +10,13 @@ integral equation
 after which m_plus = mu (I + w_plus), m_minus = mu (I - w_minus), and the
 off-contour extension is h plus the Cauchy transform of
 mu (w_plus + w_minus).  Right multiplication never couples the rows of
-mu, so one (N*n) x (N*n) operator T serves all n rows, and it is factored
-once per solve in one of two ways, chosen from the problem's structure
-alone.  On one circle with at most one nonzero splitting half, T is
-block-triangular in the circle's Fourier basis, and only the finite
-Toeplitz section of the jump's symbol, of order N*n/2, is LU-factored
-(_ToeplitzLU).  Every other problem assembles T densely and factors it
-by one LU.
+mu, so one (N*n) x (N*n) operator T serves all n rows.  T is built in
+the per-circle unitary Fourier basis, where each circle's own Cauchy
+projections are diagonal, and factored once per solve (_ToeplitzLU).
+On one circle with at most one nonzero splitting half, T is
+block-triangular there, and only the finite Toeplitz section of the
+jump's symbol, of order N*n/2, is LU-factored; every other problem
+factors all of T.
 
 Jump data carries closed-form evaluators alongside node samples.  That is
 what makes the reported jump residual meaningful: at the collocation nodes
@@ -30,7 +30,6 @@ boundary values there take one phase-shifted inverse FFT per circle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,12 +38,11 @@ import scipy.sparse.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cauchy import (
-    EVAL_BLOCK,
     GridFunction,
+    _cross_kernel,
     _matrix_values,
     boundary_values_at_midpoints,
     boundary_values_on_circle,
-    build_projectors,
     cauchy_offcontour,
     circle_coefficients,
     circle_values,
@@ -182,8 +180,8 @@ class RHProblem:
     infinity.
 
     band_sigma_lower_bound is None until a solve returns; it is then a
-    lower bound on the singular values of the band products T E and
-    E^H T that index_diagnostics would count, which it reads instead.
+    lower bound on the singular values of the band slices of T that
+    index_diagnostics would count, which it reads instead.
     On the LU path it is the Lanczos sigma_min(T); on the alias path,
     sigma_2(T) sqrt(1 - c^2) for c the larger band content of the null
     vectors.  A one-step inverse-iteration bound, a failed Lanczos run
@@ -215,36 +213,6 @@ class RHProblem:
     ) -> "RHProblem":
         return cls(trivial_splitting(v, side), h)
 
-    @cached_property
-    def operator(self) -> np.ndarray:
-        """(N*n) x (N*n) matrix of the equation acting on one row of mu.
-
-        Assembled on first use and then kept; h does not enter it.  solve
-        uses it on the dense path of _factored only, index_diagnostics only
-        for a problem that no solve has certified.  Only a half of the
-        splitting with a nonzero entry is applied, so the trivial
-        splitting costs one einsum; C- = C+ - I overwrites C+ in place.
-        Both halves give the same bits as C+ w_minus + C- w_plus.
-        """
-        n = self.data.dim
-        big_n = self.system.total_nodes
-        wm = self.data.w_minus.values
-        wp = self.data.w_plus.values
-        cauchy = build_projectors(self.system).plus_matrix
-        # C-ordered, so that the reshape below is a view, not a copy
-        k = np.einsum("LM,Mcb->LbMc", cauchy, wm, order="C") if np.any(wm) else None
-        if np.any(wp):
-            cauchy[np.diag_indices_from(cauchy)] -= 1.0
-            minus_half = np.einsum("LM,Mcb->LbMc", cauchy, wp, order="C")
-            k = minus_half if k is None else np.add(k, minus_half, out=k)
-        if k is None:  # v = I at every node
-            k = np.zeros((big_n, n, big_n, n), dtype=np.complex128)
-        # I - k in place: the same bits as np.eye(...) - k without two
-        # more operator-sized arrays at the assembly peak
-        t = np.subtract(0.0, k, out=k).reshape(big_n * n, big_n * n)
-        t[np.diag_indices_from(t)] += 1.0
-        return t
-
 
 @dataclass(eq=False)
 class RHSolution:
@@ -252,10 +220,11 @@ class RHSolution:
 
     residual_jump is the maximum of |m_plus - m_minus v| over inter-node
     midpoints, with v in closed form (see the module docstring).
-    solver_path is "lu" for a plain LU solve and "alias-deflation" when
-    an alias null vector was projected out; deflated_singular_value is
-    then the smallest singular value left once that direction is gone,
-    the operator's second smallest (None on the LU path).
+    solver_path is "lu" for a plain solve by the LU of T in the Fourier
+    basis (_ToeplitzLU) and "alias-deflation" when an alias null vector
+    was projected out on that LU; deflated_singular_value is then the
+    smallest singular value left once that direction is gone, the
+    operator's second smallest (None on the LU path).
     smallest_singular_value is the Lanczos value on the LU path.  On the
     alias path it is the one-step inverse-iteration upper bound of
     _null_vectors when that bound is below sigma_min, and the Lanczos
@@ -391,121 +360,182 @@ def _lu_vector_solver(lu) -> Callable:
     return apply
 
 
-class _DenseLU:
-    """The operator T, factored as one dense matrix.
+def _circle_runs(system: ContourSystem) -> list[tuple]:
+    """Runs of consecutive circles with one node count and one traversal
+    direction, as (circle, nodes): the run's first circle and its node
+    slice.  One FFT call transforms a run."""
+    runs = []
+    for circle, nodes in zip(system.circles, system.node_slices()):
+        first = runs[-1][0] if runs else None
+        if first and (first.node_count, first.sign) == (circle.node_count, circle.sign):
+            runs[-1] = (first, slice(runs[-1][1].start, nodes.stop))
+        else:
+            runs.append((circle, nodes))
+    return runs
 
-    Every factored operator works in a basis of its own: to_basis maps
-    vectors or columns of operator rows (node-major, n components per
-    node) into it, from_basis maps them back, and both are unitary.  In
-    that basis it offers what solve needs: solve(y, adjoint) for
-    T^(-1) y or T^(-H) y by lu_solve, solve_vector(y, adjoint) for the
-    same on one vector by the trsv pairs of _lu_vector_solver,
-    matvec(x) = T x, its order, and singular, set when the LU met an
-    exact zero pivot.  Here the basis is the operator rows themselves.
+
+def _by_run(runs, y, transform, per_node: int = 1) -> np.ndarray:
+    """transform(circle, part) on each run's rows of y, per_node rows to a
+    node, where part holds the run's circles along axis 0 and their nodes
+    along axis 1."""
+    out = np.empty(y.shape, dtype=np.complex128)
+    for circle, nodes in runs:
+        rows = slice(nodes.start * per_node, nodes.stop * per_node)
+        part = y[rows].reshape(-1, circle.node_count, per_node, *y.shape[1:])
+        out[rows] = transform(circle, part).reshape(-1, *y.shape[1:])
+    return out
+
+
+def _to_unitary(circle, part):
+    return circle_coefficients(circle, part, axis=1) * np.sqrt(circle.node_count)
+
+
+def _from_unitary(circle, part):
+    return circle_values(circle, part / np.sqrt(circle.node_count), axis=1)
+
+
+def _half_rows(coeffs: np.ndarray, k0: int, n: int) -> np.ndarray:
+    """T's rows at the modes k0, ..., k0 + m/2 - 1 of one circle (one half
+    of its modes in storage order), within that circle's columns, as the
+    transposed (m, n, m/2 * n) view [j, c, (k, b)] = s_(k-j)[c, b]: s_k
+    are the circle_coefficients coeffs of the symbol, mode indices modulo
+    m.
+
+    That entry is ext[c, m - 1 - j + k - k0, b], with ext the coefficients
+    from mode k0 - m + 1 on, laid out (c, k, b), so each (j, c) row is one
+    contiguous slice of ext[c].
     """
+    m = coeffs.shape[0]
+    r = m // 2
+    ext = coeffs[(k0 - m + 1 + np.arange(m + r - 1)) % m].transpose(1, 0, 2)
+    ext = ext.reshape(n, (m + r - 1) * n)
+    window = sliding_window_view(ext, r * n, axis=1)[:, ::n][:, ::-1]
+    return window.transpose(1, 0, 2)
 
-    def __init__(self, t: np.ndarray):
-        self.t = t
-        self.order = t.shape[0]
-        self.lu = scipy.linalg.lu_factor(t)
-        self.singular = not np.all(np.diag(self.lu[0]))
-        self.solve_vector = _lu_vector_solver(self.lu)
 
-    def to_basis(self, y):
-        return y
+@np.errstate(all="ignore")
+def _operator_rows(p: RHProblem) -> tuple[np.ndarray, slice, slice]:
+    """T in the per-circle Fourier basis, apart from its identity rows.
 
-    from_basis = to_basis
+    The basis is each circle's unitary Fourier basis (circle_coefficients
+    times sqrt(m), modes in storage order, n components per mode), circle
+    after circle.  For K the modes C+ keeps on circle i and O the others,
+    C+ there is P_K and C- = C+ - I is -P_O, while another circle's C+ and
+    C- are both the trapezoid quadrature Q_ij of _cross_kernel:
 
-    def solve(self, y, adjoint=False):
-        return scipy.linalg.lu_solve(self.lu, y, trans=2 if adjoint else 0)
+        (T x)_i = P_K(x_i b_minus) + P_O(x_i b_plus)
+                  - sum_(j != i) Q_ij(x_j (w_plus + w_minus)).
 
-    def matvec(self, x):
-        return self.t @ x
+    K and O are each one half of the modes, and a half's rows are
+    gathered from one FFT of its symbol (_half_rows).  A cross block is
+    Q_ij with its target rows through one FFT of circle i and its source
+    columns through one FFT of circle j per entry (c, b) of w_plus +
+    w_minus that is nonzero somewhere on circle j; an entry that is zero
+    on the whole circle gives an exact zero block and is skipped.
+
+    On one circle with at most one nonzero splitting half, the other
+    half's symbol is I, so T = [[I, 0], [B, A]] on (fixed, rows), with A
+    the finite section of the Toeplitz operator of the symbol; only
+    [B, A] is built.  Every other problem has no fixed rows.  Returns
+    T's rows outside fixed, as an F-ordered array, and the basis slices
+    rows and fixed.  Transforms run with floating-point warnings off: a
+    value that overflows reaches lu_factor, which refuses it.
+    """
+    system, n = p.system, p.data.dim
+    circles, slices, big_n = system.circles, system.node_slices(), system.total_nodes
+    runs, order = _circle_runs(system), big_n * n
+    kept_first = [
+        plus_mode_mask(c, inside)[0] for c, inside in zip(circles, system.plus_inside)
+    ]
+    rows, fixed = slice(0, order), slice(0, 0)
+    minus_half = np.any(p.data.w_minus.values)
+    if len(circles) == 1 and not (minus_half and np.any(p.data.w_plus.values)):
+        # the section is K, of b_minus, when w_minus is nonzero, else O
+        halves = slice(0, order // 2), slice(order // 2, order)
+        rows, fixed = halves if minus_half == kept_first[0] else halves[::-1]
+    # T transposed, C-ordered: [column (j, c), row (k, b)]; the self blocks
+    # fill one circle's rows, and only skipped cross blocks need the zeros
+    alloc = np.zeros if len(circles) > 1 else np.empty
+    tt = alloc((order, rows.stop - rows.start), dtype=np.complex128)
+    if len(circles) > 1:
+        q = _by_run(runs, _cross_kernel(system), _to_unitary)
+        w = (p.data.w_plus + p.data.w_minus).values
+        tt4 = tt.reshape(big_n, n, big_n, n)
+        for circle, nodes in zip(circles, slices):
+            # T's minus sign and the 1/sqrt(m) of F^H, folded into w
+            wj = w[nodes] / -np.sqrt(circle.node_count)
+            for c, b in zip(*np.nonzero(np.any(wj, axis=0))):
+                # times F^H from the right: circle_values along the source
+                # axis, since F, a DFT, is symmetric
+                block = (q[:, nodes] * wj[:, c, b]).T
+                tt4[nodes, c, :, b] = circle_values(circle, block)
+    # the self blocks, over the zero self blocks of q
+    symbols = [
+        _by_run(runs, g().values, lambda c, part: circle_coefficients(c, part, axis=1))
+        for g in (p.data.b_minus, p.data.b_plus)
+    ]
+    for nodes, first in zip(slices, kept_first):
+        m = nodes.stop - nodes.start
+        cols = tt[nodes.start * n : nodes.stop * n].reshape(m, n, -1)
+        for k0, coeffs in zip((0, m // 2), symbols[:: 1 if first else -1]):
+            at = (nodes.start + k0) * n - rows.start
+            if 0 <= at < tt.shape[1]:  # fixed rows are not built
+                cols[:, :, at : at + m // 2 * n] = _half_rows(coeffs[nodes], k0, n)
+    return tt.T, rows, fixed
 
 
 class _ToeplitzLU:
-    """The operator T of a one-circle problem with at most one nonzero
-    splitting half, factored through the Toeplitz section of its symbol.
+    """The operator T in the per-circle Fourier basis of _operator_rows,
+    factored by one LU of its rows outside the identity block.
 
-    The basis is the circle's unitary Fourier basis (circle_coefficients
-    times sqrt(m), n components per mode).  For K the modes C+ keeps and
-    O the others, the plus half gives T x = x + P_O(x w_plus) = P_K x +
-    P_O(x s) with the symbol s = I + w_plus, so T is block-triangular:
-
-        T = [[I, 0], [B, A]]   on (K, O),   A[(k,b),(j,c)] = s_(k-j)[c,b],
-
-    with s_k the circle_coefficients of s, k and j in O for A, k in O and
-    j in K for B, and mode indices modulo the node count m.  The minus
-    half gives T x = P_O x + P_K(x s) with s = I - w_minus: K and O swap
-    roles.  Each set is one half of the modes in storage order (k >= 0
-    first), so in the basis A's rows are one contiguous half of T's.
-    [B, A], T's rows outside the identity block, is gathered from one
-    FFT of s, and A, the finite section of the Toeplitz operator of s,
-    of half T's order, is the only matrix LU-factored.  A solve with T
-    is one product with B and one solve with A, a solve with T^H one
-    solve with A^H and one product with B^H.  An exact zero pivot of A
+    to_basis maps vectors or columns of operator rows (node-major, n
+    components per node) into the basis, one FFT per run of
+    _circle_runs, and from_basis maps them back; both are unitary.  In
+    the basis it offers what solve needs: solve(y, adjoint) for T^(-1) y
+    or T^(-H) y by lu_solve, solve_vector(y, adjoint) for the same on one
+    vector by the trsv pairs of _lu_vector_solver, matvec(x) = T x, its
+    order, and singular, true when the LU met an exact zero pivot.  With
+    T = [[I, 0], [B, A]] on (fixed, rows), A is the only matrix
+    LU-factored: a solve with T is one product with B and one solve with
+    A, a solve with T^H one solve with A^H and one product with B^H.
+    Without fixed rows, A is T and B is empty.  An exact zero pivot of A
     is one of T.  Subtractions and transforms run with floating-point
-    warnings off, as the BLAS and LAPACK calls of _DenseLU do: a value
-    that overflows reaches lu_solve, which refuses it.
+    warnings off, as the BLAS and LAPACK calls do: a value that overflows
+    reaches lu_solve, which refuses it.
     """
 
     def __init__(self, p: RHProblem):
-        self.circle = circle = p.system.circles[0]
-        m, n = circle.node_count, p.data.dim
-        kept = plus_mode_mask(circle, p.system.plus_inside[0])
-        if np.any(p.data.w_minus.values):
-            symbol, section = p.data.b_minus().values, kept
-        else:
-            symbol, section = p.data.b_plus().values, ~kept
-        self.order = m * n
-        self.scale = np.sqrt(m)
-        r = m // 2  # modes in the section, and in the identity block
-        self.rows, self.fixed = (
-            (slice(0, r * n), slice(r * n, None))
-            if section[0]
-            else (slice(r * n, None), slice(0, r * n))
-        )
-        # The transpose of [B, A], so that A's columns are one
-        # Fortran-ordered block: row (j, c) for every mode j, column (k, b)
-        # for k in the section, entry s_(k-j)[c, b].  For the section
-        # k0, ..., k0 + r - 1 that is ext[c, m - 1 - j + k - k0, b], with
-        # ext the coefficients from mode k0 - m + 1 on, laid out (c, k, b):
-        # each row is one contiguous slice of ext[c], all copied once.
-        k0 = np.flatnonzero(section)[0]
-        coeffs = circle_coefficients(circle, symbol)
-        ext = coeffs[(k0 - m + 1 + np.arange(m + r - 1)) % m].transpose(1, 0, 2)
-        ext = ext.reshape(n, (m + r - 1) * n)
-        window = sliding_window_view(ext, r * n, axis=1)[:, ::n][:, ::-1]
-        t_rows = np.ascontiguousarray(window.transpose(1, 0, 2))
-        self.t_rows = t_rows.reshape(self.order, r * n).T
+        self.runs, self.n = _circle_runs(p.system), p.data.dim
+        self.t_rows, self.rows, self.fixed = _operator_rows(p)
+        self.order = self.t_rows.shape[1]
         self.b = self.t_rows[:, self.fixed]
         self.lu = scipy.linalg.lu_factor(self.t_rows[:, self.rows])
-        self.singular = not np.all(np.diag(self.lu[0]))
         self._section_vector = _lu_vector_solver(self.lu)
 
-    def _nodes(self, y):
-        return y.reshape(self.circle.node_count, -1, *y.shape[1:])
+    @property
+    def singular(self) -> bool:
+        return not np.all(np.diag(self.lu[0]))
 
     @np.errstate(all="ignore")
     def to_basis(self, y):
-        coeffs = circle_coefficients(self.circle, self._nodes(y))
-        return (coeffs * self.scale).reshape(y.shape)
+        return _by_run(self.runs, y, _to_unitary, self.n)
 
     @np.errstate(all="ignore")
     def from_basis(self, x):
-        values = circle_values(self.circle, self._nodes(x) / self.scale)
-        return values.reshape(x.shape)
+        return _by_run(self.runs, x, _from_unitary, self.n)
 
-    @np.errstate(all="ignore")
     def _solve(self, y, adjoint, section_solve):
+        if not self.b.size:  # no fixed rows: A is T
+            return section_solve(y, adjoint)
         rows, fixed = self.rows, self.fixed
         x = np.array(y, dtype=np.complex128)
-        if adjoint:
-            x[rows] = section_solve(x[rows], True)
-            # B^H x, as (x^H B)^H, so that B is read in place
-            x[fixed] -= np.conj(np.conj(x[rows]).T @ self.b).T
-        else:
-            x[rows] = section_solve(x[rows] - self.b @ x[fixed], False)
+        with np.errstate(all="ignore"):
+            if adjoint:
+                x[rows] = section_solve(x[rows], True)
+                # B^H x, as (x^H B)^H, so that B is read in place
+                x[fixed] -= np.conj(np.conj(x[rows]).T @ self.b).T
+            else:
+                x[rows] = section_solve(x[rows] - self.b @ x[fixed], False)
         return x
 
     def _section_columns(self, rhs, adjoint):
@@ -518,19 +548,12 @@ class _ToeplitzLU:
         return self._solve(y, adjoint, self._section_vector)
 
     def matvec(self, x):
+        if not self.b.size:
+            # as (x^T T^T)^T, which reads T's storage row by row
+            return (x.T @ self.t_rows.T).T
         out = np.array(x, dtype=np.complex128)
         out[self.rows] = self.t_rows @ x
         return out
-
-
-def _factored(p: RHProblem):
-    """T factored by the structure of p: through the Toeplitz section of
-    its symbol on one circle with at most one nonzero splitting half, as
-    one dense LU of p.operator otherwise."""
-    halves = (p.data.w_plus.values, p.data.w_minus.values)
-    if len(p.system.circles) == 1 and not all(np.any(w) for w in halves):
-        return _ToeplitzLU(p)
-    return _DenseLU(p.operator)
 
 
 def _smallest_singular_value(op) -> float:
@@ -562,20 +585,19 @@ def _null_vectors(op) -> tuple[np.ndarray, np.ndarray, float]:
     bound it by |s| / max(|T^(-1) s|, |T^(-H) s|), the inverse-iteration
     bound of LAPACK's condition estimators.  Non-finite vectors (a zero
     pivot or a broken-down LU) give the bound inf, which certifies
-    nothing.  s is mapped into op's basis once, and r and l are returned
-    in operator rows.
+    nothing.  s is the seeded start vector mapped into op's basis, and r
+    and l are returned in that basis.
     """
-    start = _start_vector(op.order)
+    s = op.to_basis(_start_vector(op.order))
     # a zero pivot gives non-finite vectors; _deflated_solve reports them
     with np.errstate(all="ignore"):
-        s = op.to_basis(start)
-        r = op.from_basis(op.solve(s))
-        l = op.from_basis(op.solve(s, adjoint=True))
+        r = op.solve(s)
+        l = op.solve(s, adjoint=True)
         norms = np.array([np.linalg.norm(r), np.linalg.norm(l)])
         r, l = r / norms[0], l / norms[1]
     bound = np.inf
     if np.all(np.isfinite(norms)) and norms.min() > 0.0:
-        bound = float(np.linalg.norm(start) / norms.max())
+        bound = float(np.linalg.norm(s) / norms.max())
     return r, l, bound
 
 
@@ -602,16 +624,14 @@ def _deflated_solve(
     S S^H, y -> P T^(-1) Q Q T^(-H) P y by op.solve_vector, gives the
     smallest singular value left; a kernel of two or more directions
     keeps it below sigma_min and is reported, never deflated by one
-    vector.  x is accepted only if T x reproduces rhs in operator rows,
-    where the max-norm gate means the same on every factored operator.
-    r and l are in operator rows, rhs and x in op's basis.  Returns x
-    and that value.
+    vector.  x is accepted only if T x reproduces rhs node by node, in
+    operator rows.
+    r, l, rhs and x are in op's basis.  Returns x and that value.
     """
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(l))):
         raise NearSingularOperatorError(
             smallest, message="LU of the singular operator broke down"
         )
-    r, l = op.to_basis(r), op.to_basis(l)
 
     def project(v, y):
         return y - np.multiply.outer(v, np.conj(v) @ y)
@@ -631,7 +651,7 @@ def _deflated_solve(
             message="operator kernel has more than one alias direction",
         )
     x = _refined(op, pinv, rhs)
-    # measured in operator rows, so that every basis meets the same gate
+    # measured in operator rows, where the max norm is node by node
     residual = float(np.max(np.abs(op.from_basis(op.matvec(x) - rhs))))
     scale = max(float(np.max(np.abs(op.from_basis(rhs)))), 1.0)
     if not residual <= 1e-8 * scale:  # a NaN residual fails too
@@ -648,8 +668,9 @@ def _deflated_solve(
 def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     """Solve the discrete equation by one LU and one corrective step.
 
-    The operator is factored once (_factored), in a unitary basis of its
-    own, so sigma_min, the null vectors and x are those of T itself.  One
+    The operator is built and factored once, in the per-circle unitary
+    Fourier basis (_ToeplitzLU), so sigma_min, the null vectors and x are
+    those of T itself.  One
     inverse-iteration step on that LU (_null_vectors) gives candidate
     right and left null vectors r and l and an upper bound on sigma_min.
     A bound below sigma_min certifies the problem as near singular, and the
@@ -667,7 +688,7 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     """
     n = p.data.dim
     big_n = p.system.total_nodes
-    op = _factored(p)
+    op = _ToeplitzLU(p)
     r, l, bound = _null_vectors(op)
     smallest = bound if bound < sigma_min else _smallest_singular_value(op)
 
@@ -692,11 +713,9 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
         # band-limited content of the null vectors tells the two apart.
         # NaN content (a broken-down LU) is not above the bound, so
         # _deflated_solve reports the breakdown
+        band = _band_rows(p.system, n)
         with np.errstate(all="ignore"):
-            ker, coker = (
-                float(np.linalg.norm(_band(p.system, v[:, None], n)))
-                for v in (r, l)
-            )
+            ker, coker = (float(np.linalg.norm(v[band])) for v in (r, l))
         if ker > ALIAS_BAND_CONTENT or coker > ALIAS_BAND_CONTENT:
             raise NearSingularOperatorError(
                 smallest,
@@ -817,7 +836,7 @@ class IndexReport:
     """Kernel and cokernel dimensions of the discrete operator.
 
     ker_gap and coker_gap are (largest value below tau_rank, smallest
-    value at or above it) of the band products' singular values, 0.0 and
+    value at or above it) of the band slices' singular values, 0.0 and
     inf where there is none.  For a solved problem whose
     band_sigma_lower_bound is >= 10 tau_rank, the counts are 0 and the
     second entry is that bound, not the band value itself.
@@ -829,37 +848,24 @@ class IndexReport:
     coker_gap: tuple[float, float]
 
 
-def _band(system: ContourSystem, y: np.ndarray, n: int) -> np.ndarray:
-    """E^H y, for E the orthonormal synthesis basis of per-circle low
-    modes |k| <= m/4 with n components per node, by one FFT per circle.
+def _band_rows(system: ContourSystem, n: int) -> np.ndarray:
+    """Indices into the basis of _ToeplitzLU of each circle's low modes
+    |k| <= m/4, n components per mode: y[band] is E^H y for y in operator
+    rows mapped into the basis, with E the orthonormal synthesis basis of
+    those modes.
 
-    y has operator rows (node-major, n components per node) along its
-    first axis.  Restricting rank tests to this resolvable subspace is
-    what separates kernel from cokernel: the square collocation matrix
-    always has equal left and right nullities, but the spurious partner
-    of a genuine one-sided null vector is concentrated at the Nyquist
-    mode and dies under the restriction, while true (co)kernel elements
-    of analytic problems are themselves spectrally concentrated in low
-    modes.  Columns are transformed EVAL_BLOCK at a time into one
-    preallocated output, so no other operator-sized array is made.
+    Restricting rank tests to this resolvable subspace is what separates
+    kernel from cokernel: the square collocation matrix always has equal
+    left and right nullities, but the spurious partner of a genuine
+    one-sided null vector is concentrated at the Nyquist mode and dies
+    under the restriction, while true (co)kernel elements of analytic
+    problems are themselves spectrally concentrated in low modes.
     """
-    bands = [
-        np.arange(-(c.node_count // 4), c.node_count // 4 + 1) % c.node_count
-        for c in system.circles
-    ]
-    cols = y.shape[1]
-    out = np.empty((n * sum(k.size for k in bands), cols), dtype=np.complex128)
-    for start in range(0, cols, EVAL_BLOCK):
-        block = slice(start, start + EVAL_BLOCK)
-        row = 0
-        for c, nodes, k in zip(system.circles, system.node_slices(), bands):
-            part = y[nodes.start * n : nodes.stop * n, block]
-            coeffs = circle_coefficients(c, part.reshape(c.node_count, n, -1))
-            out[row : row + k.size * n, block] = (
-                coeffs[k] * np.sqrt(c.node_count)
-            ).reshape(k.size * n, -1)
-            row += k.size * n
-    return out
+    modes = []
+    for circle, nodes in zip(system.circles, system.node_slices()):
+        m = circle.node_count
+        modes.append(nodes.start + np.arange(-(m // 4), m // 4 + 1) % m)
+    return (np.concatenate(modes)[:, None] * n + np.arange(n)).reshape(-1)
 
 
 def _count_small(svals: np.ndarray, tau: float) -> tuple[int, tuple[float, float]]:
@@ -881,27 +887,29 @@ def index_diagnostics(p: RHProblem, *, tau_rank: float = TAU_RANK) -> IndexRepor
 
     For a jump with partial indices k_1 >= ... >= k_n the expected counts
     are dim_ker = n * sum(max(k_j, 0)) and dim_coker = n * sum(max(-k_j, 0)).
-    The counts are small singular values of T E and E^H T, with E the
-    band-limited basis of _band.  E^T is E^H with the modes of each
-    circle reversed, so E^H T^T, a row permutation of (T E)^T, gives the
-    singular values of T E.  Each side is one svdvals of its K x N band
-    product (K about N/2).  Given a problem that was just solved, its
-    operator is reused.
+    The counts are small singular values of T's columns and of T's rows
+    at the low modes of _band_rows, with T in the per-circle Fourier basis
+    of _operator_rows: each side is one svdvals of an N x K or K x N slice
+    of T (K about N/2).
 
     A returned solve sets band_sigma_lower_bound (RHProblem), a lower
-    bound on the singular values of both band products; on the LU path by
-    interlacing, E having orthonormal columns.  When that bound is at least
-    10 tau_rank, both counts are 0 with no value near tau_rank, and they
-    are returned without a count; each gap is then (0.0, bound).
+    bound on the singular values of both band slices; on the LU path by
+    interlacing.  When that bound is at least 10 tau_rank, both counts
+    are 0 with no value near tau_rank, and they are returned without a
+    count; each gap is then (0.0, bound).
     """
     n = p.data.dim
     bound = p.band_sigma_lower_bound
     if bound is not None and bound >= 10.0 * tau_rank:
         return IndexReport(0, 0, (0.0, bound), (0.0, bound))
-    t = p.operator
+    t, rows, fixed = _operator_rows(p)
+    if fixed.stop:  # one circle's identity rows, which the solve leaves out
+        t, t_rows = np.eye(t.shape[1], dtype=np.complex128), t
+        t[rows] = t_rows
+    band = _band_rows(p.system, n)
     svals = scipy.linalg.svdvals
-    k_count, k_gap = _count_small(svals(_band(p.system, t.T, n)), tau_rank)
-    c_count, c_gap = _count_small(svals(_band(p.system, t, n)), tau_rank)
+    k_count, k_gap = _count_small(svals(t[:, band]), tau_rank)
+    c_count, c_gap = _count_small(svals(t[band]), tau_rank)
     return IndexReport(
         dim_ker=n * k_count,
         dim_coker=n * c_count,

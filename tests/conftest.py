@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -35,3 +36,14 @@ def rational_radius6():
 
 def rational_exact(z: complex) -> complex:
     return 1.0 if abs(z) < 6.0 else (z - 2.5) / (z - 0.4)
+
+
+def two_einsum_operator(p):
+    """T of p in operator rows (node-major, n components per node), from
+    the dense node-space projectors: the reference the Fourier-basis
+    operator is checked against."""
+    proj = rc.build_projectors(p.system)
+    k = np.einsum("LM,Mcb->LbMc", proj.plus_matrix, p.data.w_minus.values)
+    k += np.einsum("LM,Mcb->LbMc", proj.minus_matrix, p.data.w_plus.values)
+    order = p.system.total_nodes * p.data.dim
+    return np.eye(order) - k.reshape(order, order)

@@ -880,9 +880,9 @@ _EDGE_OF_RANGE_JUMP = [["1e300*(z - 0.4)/(z - 2.5)"]]
 
 def test_broken_down_lu_prints_only_the_rhc_line(tmp_path):
     # the LU's null vectors are not finite here; their band-limited content
-    # must be taken without numpy warnings reaching stderr.  The second
-    # circle keeps the problem on the dense LU, which breaks down at this
-    # scale
+    # must be taken without numpy warnings reaching stderr.  Rows of scale
+    # 1e-310 beside rows of scale 1e301 leave the LU without a zero pivot,
+    # but its solves overflow
     doc = {
         "version": 1,
         "mode": "solve",
@@ -890,7 +890,7 @@ def test_broken_down_lu_prints_only_the_rhc_line(tmp_path):
             {"center": [0.0, 0.0], "radius": 6.0, "nodes": 64},
             {"center": [20.0, 0.0], "radius": 1.0, "nodes": 16},
         ],
-        "jump": _EDGE_OF_RANGE_JUMP,
+        "jump": [["1e-310*(z - 0.4)/(z - 2.5)", "0"], ["0", "1e301"]],
     }
     proc = _rhc_subprocess(tmp_path, doc)
     assert proc.returncode == 3
