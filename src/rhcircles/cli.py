@@ -345,6 +345,7 @@ def _base_report(mode: str, system: ContourSystem | None) -> dict:
 
 def _report_solver(report: dict, sol: RHSolution) -> None:
     report["smallest_singular_value"] = float(sol.smallest_singular_value)
+    report["sigma_source"] = sol.sigma_source
     report["solver_path"] = sol.solver_path
     report["deflated_singular_value"] = sol.deflated_singular_value
 

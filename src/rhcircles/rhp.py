@@ -18,6 +18,15 @@ block-triangular there, and only the finite Toeplitz section of the
 jump's symbol, of order N*n/2, is LU-factored; every other problem
 factors all of T.
 
+How the smallest singular value of T is obtained is part of the
+answer (RHSolution.sigma_source).  On that one-circle path a symbol
+whose Hermitian part is positive definite at every node (the source
+paper's hypothesis Re v > 0) bounds sigma_min(T) from below by its node
+samples alone (_positivity_bound), and no iterative estimate runs.
+Otherwise one step of inverse iteration bounds it from above, and a
+Lanczos run on the LU gives it when that bound does not already
+certify the operator as near singular.
+
 Jump data carries closed-form evaluators alongside node samples.  That is
 what makes the reported jump residual meaningful: at the collocation nodes
 the identity m_plus = m_minus v holds to rounding by construction, so the
@@ -67,6 +76,11 @@ PAIR_TOL = 1e-8
 # as a discretization alias.  Genuine kernels of analytic problems score
 # about 1, Nyquist aliases below 1e-6.
 ALIAS_BAND_CONTENT = 1e-3
+# Rounding margin of the positivity certificate, in ulps of S m for S the
+# symbol's largest norm over its m nodes: the FFT that builds the section
+# errs by about log2(m) ulps of S per coefficient, and a section's norm
+# adds up m coefficients.
+POSITIVITY_MARGIN_ULPS = 16
 
 
 def matrix_at(z, rows) -> np.ndarray:
@@ -182,10 +196,12 @@ class RHProblem:
     band_sigma_lower_bound is None until a solve returns; it is then a
     lower bound on the singular values of the band slices of T that
     index_diagnostics would count, which it reads instead.
-    On the LU path it is the Lanczos sigma_min(T); on the alias path,
-    sigma_2(T) sqrt(1 - c^2) for c the larger band content of the null
-    vectors.  A one-step inverse-iteration bound, a failed Lanczos run
-    or a refused solve never sets it.
+    On the LU path it is the solve's lower bound on sigma_min(T): the
+    positivity certificate of a one-circle section, or else the Lanczos
+    value.  On the alias path it is sigma_2(T) sqrt(1 - c^2) for c the
+    larger band content of the null vectors.  A one-step
+    inverse-iteration bound, a failed Lanczos run or a refused solve
+    never sets it.
     """
 
     data: FactorizationData
@@ -225,10 +241,14 @@ class RHSolution:
     was projected out on that LU; deflated_singular_value is then the
     smallest singular value left once that direction is gone, the
     operator's second smallest (None on the LU path).
-    smallest_singular_value is the Lanczos value on the LU path.  On the
-    alias path it is the one-step inverse-iteration upper bound of
-    _null_vectors when that bound is below sigma_min, and the Lanczos
-    value otherwise.
+    smallest_singular_value is a value of or bound on sigma_min(T), and
+    sigma_source says which:
+      "positivity": on one circle with one zero splitting half, the
+        lower bound _positivity_bound takes from the section symbol's
+        node samples, used whenever it is at least sigma_min;
+      "inverse-iteration": the one-step upper bound of _null_vectors,
+        used when it is below sigma_min (so on the alias path only);
+      "lanczos": the Lanczos value on the LU, in every other case.
     """
 
     problem: RHProblem
@@ -237,6 +257,7 @@ class RHSolution:
     m_minus: GridFunction
     residual_jump: float
     smallest_singular_value: float
+    sigma_source: str
     solver_path: str
     deflated_singular_value: float | None
     cauchy_density: GridFunction = field(repr=False)
@@ -484,6 +505,59 @@ def _operator_rows(p: RHProblem) -> tuple[np.ndarray, slice, slice]:
     return tt.T, rows, fixed
 
 
+def _hermitian_extremes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least and the largest eigenvalue of each Hermitian h, (m, n,
+    n): in closed form for n <= 2, which takes a twentieth of the time of
+    numpy's batched eigensolver at 512 nodes and none of the memory its
+    first call maps in, and by that eigensolver otherwise."""
+    if h.shape[1] > 2:
+        lam = np.linalg.eigvalsh(h)
+        return lam[:, 0], lam[:, -1]
+    a, d = h[:, 0, 0].real, h[:, -1, -1].real
+    mean, radius = 0.5 * a + 0.5 * d, 0.0
+    if h.shape[1] == 2:
+        radius = np.hypot(0.5 * a - 0.5 * d, np.abs(h[:, 0, 1]))
+    return mean - radius, mean + radius
+
+
+def _positivity_bound(s: np.ndarray) -> float | None:
+    """A lower bound on sigma_min(T) for T = [[I, 0], [B, A]] from the
+    node samples s, (m, n, n), of the symbol of A's section, or None when
+    they certify nothing.
+
+    In the circle's Fourier basis [B, A] are rows of the block circulant
+    that the samples make, which the unitary Fourier map takes to the
+    block diagonal of the s_l^T; A is a principal block of it.  So if
+    (s_l + s_l^H)/2 >= delta I at every node, Re A >= delta I and
+    sigma_min(A) >= delta, and ||B|| <= S, the largest ||s_l||_2.  Then
+    |T^(-1) (u, y)|^2 = |u|^2 + |A^(-1) (y - B u)|^2 gives
+
+        sigma_min(T) >= (1 + (1 + S^2) / delta^2)^(-1/2)
+                      = delta / sqrt(delta^2 + 1 + S^2).
+
+    delta is taken less POSITIVITY_MARGIN_ULPS ulps of S m, for the
+    rounding of the FFT that builds A from s.  A delta that is not
+    positive (the symbol is not positive: Re v takes both signs where v
+    winds), or samples that are not finite, give None.  delta and S are
+    taken in numpy from s over its largest modulus, and the bound by
+    hypot, so that nothing overflows for samples near the edge of the
+    double range.
+    """
+    with np.errstate(all="ignore"):
+        scale = np.max(np.abs(s))
+        if not (np.isfinite(scale) and scale > 0.0):
+            return None
+        u = s / scale
+        re_u = 0.5 * u + 0.5 * np.conj(np.swapaxes(u, 1, 2))
+        delta = scale * np.min(_hermitian_extremes(re_u)[0])
+        gram = np.einsum("lab,lac->lbc", np.conj(u), u)  # u^H u
+        big = scale * np.sqrt(np.max(_hermitian_extremes(gram)[1]))
+        delta -= POSITIVITY_MARGIN_ULPS * np.finfo(float).eps * big * s.shape[0]
+        if not delta > 0.0:
+            return None
+        return float(delta / np.hypot(np.hypot(delta, 1.0), big))
+
+
 class _ToeplitzLU:
     """The operator T in the per-circle Fourier basis of _operator_rows,
     factored by one LU of its rows outside the identity block.
@@ -501,8 +575,13 @@ class _ToeplitzLU:
     Without fixed rows, A is T and B is empty.  An exact zero pivot of A
     is one of T.  Subtractions and transforms run with floating-point
     warnings off, as the BLAS and LAPACK calls do: a value that overflows
-    reaches lu_solve, which refuses it.
+    reaches lu_solve, which refuses it.  sigma_lower_bound is the
+    _positivity_bound of A's symbol where there are fixed rows (b_minus
+    when w_minus is nonzero, else b_plus), and None otherwise or where
+    that symbol certifies nothing.
     """
+
+    sigma_lower_bound: float | None = None
 
     def __init__(self, p: RHProblem):
         self.runs, self.n = _circle_runs(p.system), p.data.dim
@@ -511,6 +590,10 @@ class _ToeplitzLU:
         self.b = self.t_rows[:, self.fixed]
         self.lu = scipy.linalg.lu_factor(self.t_rows[:, self.rows])
         self._section_vector = _lu_vector_solver(self.lu)
+        if self.fixed.stop:
+            data = p.data
+            symbol = data.b_minus() if np.any(data.w_minus.values) else data.b_plus()
+            self.sigma_lower_bound = _positivity_bound(symbol.values)
 
     @property
     def singular(self) -> bool:
@@ -583,9 +666,12 @@ def _null_vectors(op) -> tuple[np.ndarray, np.ndarray, float]:
     further steps drift away from the kernel instead of converging.  For
     any x, sigma_min(T) <= |T x| / |x|, so x = T^(-1) s and x = T^(-H) s
     bound it by |s| / max(|T^(-1) s|, |T^(-H) s|), the inverse-iteration
-    bound of LAPACK's condition estimators.  Non-finite vectors (a zero
-    pivot or a broken-down LU) give the bound inf, which certifies
-    nothing.  s is the seeded start vector mapped into op's basis, and r
+    bound of LAPACK's condition estimators.  The norms are BLAS nrm2,
+    which scales as it sums and so stays finite for entries up to about
+    1e308 / sqrt(order).  Non-finite vectors (a zero pivot or a
+    broken-down LU), or a norm that is still not finite and positive,
+    give the bound inf, which certifies nothing, and r and l that are not
+    finite.  s is the seeded start vector mapped into op's basis, and r
     and l are returned in that basis.
     """
     s = op.to_basis(_start_vector(op.order))
@@ -593,11 +679,13 @@ def _null_vectors(op) -> tuple[np.ndarray, np.ndarray, float]:
     with np.errstate(all="ignore"):
         r = op.solve(s)
         l = op.solve(s, adjoint=True)
-        norms = np.array([np.linalg.norm(r), np.linalg.norm(l)])
+        norms = np.array([scipy.linalg.norm(v, check_finite=False) for v in (r, l)])
+        bound = np.inf
+        if np.all(np.isfinite(norms)) and norms.min() > 0.0:
+            bound = float(scipy.linalg.norm(s) / norms.max())
+        else:
+            norms[:] = np.nan
         r, l = r / norms[0], l / norms[1]
-    bound = np.inf
-    if np.all(np.isfinite(norms)) and norms.min() > 0.0:
-        bound = float(np.linalg.norm(s) / norms.max())
     return r, l, bound
 
 
@@ -670,12 +758,16 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
 
     The operator is built and factored once, in the per-circle unitary
     Fourier basis (_ToeplitzLU), so sigma_min, the null vectors and x are
-    those of T itself.  One
+    those of T itself.  Where the section's symbol certifies sigma_min(T)
+    >= sigma_min (_positivity_bound), that bound is reported as
+    smallest_singular_value and the LU solve is the answer; nothing
+    iterates.  Otherwise one
     inverse-iteration step on that LU (_null_vectors) gives candidate
     right and left null vectors r and l and an upper bound on sigma_min.
     A bound below sigma_min certifies the problem as near singular, and the
     bound is reported as smallest_singular_value.  Otherwise Lanczos on
-    the LU gives sigma_min, which is reported, and decides.  Above it the
+    the LU gives sigma_min, which is reported, and decides; where r or l
+    is not finite (the LU broke down) it is 0 without a run.  Above it the
     LU solve is the answer ("lu").  Below it, if r or l has band-limited content
     above ALIAS_BAND_CONTENT, the kernel is genuine (nonzero partial
     indices land here) and is reported as an error rather than returning
@@ -689,8 +781,16 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     n = p.data.dim
     big_n = p.system.total_nodes
     op = _ToeplitzLU(p)
-    r, l, bound = _null_vectors(op)
-    smallest = bound if bound < sigma_min else _smallest_singular_value(op)
+    smallest, source = op.sigma_lower_bound, "positivity"
+    if smallest is None or smallest < sigma_min:
+        r, l, smallest = _null_vectors(op)
+        source = "inverse-iteration"
+        if smallest >= sigma_min:
+            source = "lanczos"
+            # a Lanczos run on a broken-down LU ends in an ARPACK error,
+            # and LAPACK prints to stdout on the way there
+            finite = np.all(np.isfinite(r)) and np.all(np.isfinite(l))
+            smallest = _smallest_singular_value(op) if finite else 0.0
 
     # one right-hand side per row of h, constant along the contour
     rhs = np.repeat(p.h[:, None, :], big_n, axis=1).reshape(n, big_n * n).T
@@ -698,8 +798,9 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     if smallest >= sigma_min:
         x = _refined(op, op.solve, rhs)
         path, deflated = "lu", None
-        # a bound below sigma_min never gets here, so smallest is the
-        # Lanczos value; a failed run reads 0.0
+        # an upper bound below sigma_min never gets here, so smallest is
+        # the positivity certificate or the Lanczos value; a failed run
+        # reads 0.0
         if smallest > 0.0:
             p.band_sigma_lower_bound = smallest
     else:
@@ -741,6 +842,7 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
         m_minus=mu * p.data.b_minus(),
         residual_jump=0.0,
         smallest_singular_value=smallest,
+        sigma_source=source,
         solver_path=path,
         deflated_singular_value=deflated,
         cauchy_density=mu * (p.data.w_plus + p.data.w_minus),

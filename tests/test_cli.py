@@ -426,6 +426,7 @@ def test_reports_name_the_solver_path(tmp_path):
     assert soliton["solver_path"] == "alias-deflation"
     assert soliton["smallest_singular_value"] < 1e-8
     assert soliton["deflated_singular_value"] > 1e-8
+    assert soliton["sigma_source"] == "inverse-iteration"
     for name, mode in (
         ("rational_solve.json", "solve"),
         ("hermitian_scalar.json", "factorize-hermitian"),
@@ -434,6 +435,8 @@ def test_reports_name_the_solver_path(tmp_path):
         _, report = run(mode, PROBLEMS / name, tmp_path)
         assert report["solver_path"] == "lu", name
         assert report["deflated_singular_value"] is None, name
+        # one circle, a positive symbol: certified without a Lanczos run
+        assert report["sigma_source"] == "positivity", name
 
 
 def _count_calls(monkeypatch, owners, name):
@@ -898,6 +901,40 @@ def test_broken_down_lu_prints_only_the_rhc_line(tmp_path):
         "rhc: near-singular operator: LU of the singular operator broke down\n"
     )
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "jump, refusal",
+    [
+        (
+            [["1e-310*(z - 0.4)/(z - 2.5)", "0"], ["0", "1e301"]],
+            "LU of the singular operator broke down",
+        ),
+        # T^(-1) s reaches 1.2e302: the null vectors keep their direction
+        (
+            [["1e-300*(z - 0.4)/(z - 2.5)", "0"], ["0", "1e300"]],
+            "band-limited null-vector content 7.37e-01 (right), 8.46e-01 (left)",
+        ),
+    ],
+    ids=["broken_down_lu", "overflowing_null_vector_norm"],
+)
+def test_edge_of_range_refusals_leave_stdout_empty(jump, refusal, tmp_path):
+    # no Lanczos run on a broken-down LU, whose LAPACK calls would print
+    # "** On entry to ZLASCL parameter number 4 had an illegal value"
+    doc = {
+        "version": 1,
+        "mode": "solve",
+        "contour": [
+            {"center": [0.0, 0.0], "radius": 6.0, "nodes": 64},
+            {"center": [20.0, 0.0], "radius": 1.0, "nodes": 16},
+        ],
+        "jump": jump,
+    }
+    proc = _rhc_subprocess(tmp_path, doc)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("rhc: near-singular operator: ")
+    assert proc.stderr.endswith(refusal + "\n") and proc.stderr.count("\n") == 1
 
 
 def test_overflowing_jump_residual_is_an_input_error(tmp_path):

@@ -314,12 +314,24 @@ def _defocusing_problem(node_count=128):
     )
 
 
+def _turned(p):
+    """p with its jump times 1j, split on the same side.  On one circle T
+    becomes diag(I, 1j I) T, so T^H T, sigma_min and every Lanczos apply
+    stay as they were, but Re(1j v) has no positive lower bound: the
+    positivity certificate gives nothing, and Lanczos runs."""
+    jump = p.data.jump
+    fns = [lambda z, i=i: 1j * jump.at(i, z) for i in range(len(jump.evaluators))]
+    turned = rc.JumpData.from_evaluators(jump.system, fns, jump.delta_inv)
+    side = "minus" if np.any(p.data.w_minus.values) else "plus"
+    return rc.RHProblem.from_jump(turned, h=p.h, side=side)
+
+
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: _cli_problem("rational_solve.json"),
-        lambda: _cli_problem("hermitian_scalar.json"),
-        _defocusing_problem,
+        lambda: _turned(_cli_problem("rational_solve.json")),
+        lambda: _turned(_cli_problem("hermitian_scalar.json")),
+        lambda: _turned(_defocusing_problem()),
     ],
     ids=["rational_solve", "hermitian_scalar", "defocusing_1x128"],
 )
@@ -327,6 +339,7 @@ def test_smallest_singular_value_matches_svdvals(make):
     p = make()
     sol = rc.solve(p)
     exact = scipy.linalg.svdvals(two_einsum_operator(p))[-1]
+    assert sol.sigma_source == "lanczos"
     assert sol.solver_path == "lu"
     assert sol.deflated_singular_value is None
     assert abs(sol.smallest_singular_value - exact) <= 1e-12 * exact
@@ -360,13 +373,18 @@ _SUBNORMAL_ROWS = (
 )
 
 
-def test_arpack_error_counts_as_singular(monkeypatch):
-    # on that broken-down LU, ARPACK stops with an error instead of a
-    # Ritz value; the run counts as sigma_min = 0, never as a certificate
+def _subnormal_rows_problem():
     system = rc.build_contour(
         [rc.Circle(0j, 6.0, rc.CCW, 64), rc.Circle(20.0 + 0j, 1.0, rc.CCW, 16)]
     )
-    jump = rc.JumpData.from_evaluator(system, _SUBNORMAL_ROWS)
+    return rc.RHProblem.from_jump(rc.JumpData.from_evaluator(system, _SUBNORMAL_ROWS))
+
+
+def test_arpack_error_counts_as_singular(monkeypatch):
+    # on that broken-down LU, ARPACK stops with an error instead of a
+    # Ritz value; the run counts as sigma_min = 0, never as a certificate.
+    # solve makes no run there (next test), so the run is made directly
+    op = rhp._ToeplitzLU(_subnormal_rows_problem())
     errors, eigsh = [], scipy.sparse.linalg.eigsh
 
     def recorded(*args, **kwargs):
@@ -377,11 +395,51 @@ def test_arpack_error_counts_as_singular(monkeypatch):
             raise
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
+    with np.errstate(all="ignore"):
+        assert rhp._smallest_singular_value(op) == 0.0
+    assert len(errors) == 1
+
+
+def test_broken_down_lu_runs_no_lanczos(monkeypatch):
+    # its null vectors are not finite, so sigma_min is 0 without a run
+    p = _subnormal_rows_problem()
+    with np.errstate(all="ignore"):
+        r, l, bound = rhp._null_vectors(rhp._ToeplitzLU(p))
+    assert bound == np.inf
+    assert not np.any(np.isfinite(r)) and not np.any(np.isfinite(l))
+    calls = _counted(monkeypatch, scipy.sparse.linalg, "eigsh")
     with np.errstate(all="ignore"), pytest.raises(
         rc.NearSingularOperatorError, match="broke down"
+    ) as info:
+        rc.solve(p)
+    assert calls == []
+    assert info.value.smallest_singular_value == 0.0
+
+
+def test_null_vectors_keep_their_direction_near_the_edge_of_the_range():
+    # T^(-1) s reaches 1.2e302 here, whose sum of squares overflows; the
+    # scaled nrm2 keeps r and l unit vectors, and their band content
+    # names the genuine kernel
+    system = rc.build_contour(
+        [rc.Circle(0j, 6.0, rc.CCW, 64), rc.Circle(20.0 + 0j, 1.0, rc.CCW, 16)]
+    )
+    jump = rc.JumpData.from_evaluator(
+        system,
+        lambda z: rc.matrix_at(
+            z, [[1e-300 * (z - 0.4) / (z - 2.5), 0.0], [0.0, 1e300]]
+        ),
+    )
+    p = rc.RHProblem.from_jump(jump)
+    with np.errstate(all="ignore"):
+        r, l, bound = rhp._null_vectors(rhp._ToeplitzLU(p))
+    for v in (r, l):
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert bound < rc.SIGMA_MIN
+    with pytest.raises(
+        rc.NearSingularOperatorError,
+        match=r"content 7\.37e-01 \(right\), 8\.46e-01 \(left\)",
     ):
-        rc.solve(rc.RHProblem.from_jump(jump))
-    assert len(errors) == 1
+        rc.solve(p)
 
 
 def test_two_circle_overflowing_residual_is_refused():
@@ -715,14 +773,15 @@ def test_solved_problem_counts_like_a_fresh_one_on_dense_inputs():
 
 @pytest.mark.parametrize("sigma", [1.01e-6, 0.99e-6, 0.8e-6])
 def test_solved_problem_counts_like_a_fresh_one_near_ten_tau(sigma):
-    # sigma_min(T) of s (2 + z) on this circle is 1.0951 s, and the band
+    # sigma_min(T) of 1j s (2 + z) on this circle is 1.0951 s, and the band
     # values are 15-21 % above it: just above 10 tau the count is skipped,
     # just below it runs, and at 0.8e-6 it refuses
     system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 16)])
     s = sigma / 1.0951235
-    jump = rc.JumpData.from_evaluator(system, lambda z: s * (2.0 + z))
+    jump = rc.JumpData.from_evaluator(system, lambda z: 1j * s * (2.0 + z))
     p = rc.RHProblem.from_jump(jump)
-    assert rc.solve(p).solver_path == "lu"
+    sol = rc.solve(p)
+    assert (sol.solver_path, sol.sigma_source) == ("lu", "lanczos")
     assert abs(p.band_sigma_lower_bound - sigma) <= 1e-3 * sigma
     got, _ = _index_outcome(p)
     expected, _ = _index_outcome(rc.RHProblem.from_jump(jump))
@@ -821,7 +880,7 @@ def test_uncertified_solve_keeps_the_full_count(make, run, monkeypatch):
     "make, path",
     [
         (_conjugated_soliton_problem, "alias-deflation"),
-        (lambda: _cli_problem("rational_solve.json"), "lu"),
+        (lambda: _turned(_cli_problem("rational_solve.json")), "lu"),
     ],
     ids=["conjugated_soliton", "rational_solve"],
 )
@@ -903,7 +962,7 @@ def test_lu_vector_solver_gives_non_finite_output_at_a_zero_pivot():
     "make, path",
     [
         (_conjugated_soliton_problem, "alias-deflation"),
-        (lambda: _cli_problem("rational_solve.json"), "lu"),
+        (lambda: _turned(_cli_problem("rational_solve.json")), "lu"),
     ],
     ids=["conjugated_soliton", "rational_solve"],
 )
@@ -954,7 +1013,7 @@ def _lanczos_applies(monkeypatch):
     "make, path, most",
     [
         (_conjugated_soliton_problem, "alias-deflation", 19),
-        (lambda: _defocusing_problem(512), "lu", 24),
+        (lambda: _turned(_defocusing_problem(512)), "lu", 24),
     ],
     ids=["conjugated_soliton", "defocusing_1x512"],
 )
@@ -971,7 +1030,7 @@ def test_lanczos_stops_once_the_ritz_value_has_converged(
 @pytest.mark.parametrize(
     "make, field, rank",
     [
-        (lambda: _defocusing_problem(512), "smallest_singular_value", 1),
+        (lambda: _turned(_defocusing_problem(512)), "smallest_singular_value", 1),
         (_conjugated_soliton_problem, "deflated_singular_value", 2),
     ],
     ids=["defocusing_1x512", "conjugated_soliton"],
@@ -1148,7 +1207,7 @@ def _one_circle_problem(n, orientation, plus_inside, nodes, side):
 def test_one_circle_toeplitz_solve_matches_the_dense_lu(
     n, orientation, plus_inside, nodes, side, monkeypatch
 ):
-    p = _one_circle_problem(n, orientation, plus_inside, nodes, side)
+    p = _turned(_one_circle_problem(n, orientation, plus_inside, nodes, side))
     op = rhp._ToeplitzLU(p)
     # only the section, of half T's order, is built and factored
     assert op.t_rows.shape == (op.order // 2, op.order)
@@ -1158,8 +1217,11 @@ def test_one_circle_toeplitz_solve_matches_the_dense_lu(
     monkeypatch.setattr(
         rhp, "_ToeplitzLU", lambda p: _MatrixLU(two_einsum_operator(p))
     )
-    ref = rc.solve(_one_circle_problem(n, orientation, plus_inside, nodes, side))
+    ref = rc.solve(
+        _turned(_one_circle_problem(n, orientation, plus_inside, nodes, side))
+    )
     assert sol.solver_path == ref.solver_path == "lu"
+    assert sol.sigma_source == ref.sigma_source == "lanczos"
     exact = ref.smallest_singular_value
     assert abs(sol.smallest_singular_value - exact) <= 1e-13 * exact
     scale = np.max(np.abs(ref.mu.values))
@@ -1319,3 +1381,138 @@ def test_contiguous_gather_keeps_every_bit_of_the_solve(monkeypatch):
     assert sol.smallest_singular_value == ref.smallest_singular_value
     assert np.array_equal(sol.mu.values, ref.mu.values)
     assert sol.residual_jump == ref.residual_jump
+
+
+def _positive_symbol_problem(nodes, side):
+    # v = s = [[2 + 0.3 z, 0.2/z], [0.1 z^2, 1.5 - 0.2/z]] on the unit
+    # circle: the plus side factors the section of s, the minus side that
+    # of s^(-1); both symbols have a positive definite Hermitian part
+    system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, nodes)])
+    jump = rc.JumpData.from_evaluator(
+        system,
+        lambda z: rc.matrix_at(
+            z, [[2.0 + 0.3 * z, 0.2 / z], [0.1 * z**2, 1.5 - 0.2 / z]]
+        ),
+    )
+    return rc.RHProblem.from_jump(jump, side=side)
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("nodes", [16, 64, 512])
+@pytest.mark.parametrize(
+    "make",
+    [
+        _positive_symbol_problem,
+        lambda nodes, side: _one_circle_problem(1, rc.CW, False, nodes, side),
+    ],
+    ids=["2x2", "1x1_cw_infinity"],
+)
+def test_positivity_bound_is_below_the_smallest_singular_value(make, nodes, side):
+    p = make(nodes, side)
+    bound = rhp._ToeplitzLU(p).sigma_lower_bound
+    exact = scipy.linalg.svdvals(two_einsum_operator(p))[-1]
+    assert 0.0 < bound <= exact
+    sol = rc.solve(p)
+    assert (sol.solver_path, sol.sigma_source) == ("lu", "positivity")
+    assert sol.smallest_singular_value == p.band_sigma_lower_bound == bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hermitian_extremes_match_the_eigensolver(n):
+    # closed forms for n <= 2, numpy's eigensolver beyond
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
+    h = a + np.conj(np.swapaxes(a, 1, 2))
+    lam = np.linalg.eigvalsh(h)
+    low, high = rhp._hermitian_extremes(h)
+    scale = np.max(np.abs(lam))
+    assert np.max(np.abs(low - lam[:, 0])) <= 1e-14 * scale
+    assert np.max(np.abs(high - lam[:, -1])) <= 1e-14 * scale
+
+
+def test_positivity_bound_of_a_3x3_symbol():
+    system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 32)])
+    jump = rc.JumpData.from_evaluator(
+        system,
+        lambda z: rc.matrix_at(
+            z,
+            [
+                [3.0 + 0.5 * z, 0.2 / z, 0.1],
+                [0.1 * z, 2.0, 0.3 * z**2],
+                [0.2, 0.1 / z, 2.5 - 0.4 * z],
+            ],
+        ),
+    )
+    for side in ("plus", "minus"):
+        p = rc.RHProblem.from_jump(jump, side=side)
+        bound = rhp._ToeplitzLU(p).sigma_lower_bound
+        assert 0.0 < bound <= scipy.linalg.svdvals(two_einsum_operator(p))[-1]
+
+
+def test_positivity_certificate_takes_its_formula_value():
+    # 2 + z on a 16-node unit circle: delta = min Re(2 + z) = 1 at z = -1
+    # and S = max |2 + z| = 3, so the bound is delta / sqrt(delta^2 + 10)
+    # with delta less its margin, against sigma_min(T) = 0.8166
+    system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 16)])
+    p = rc.RHProblem.from_jump(rc.JumpData.from_evaluator(system, lambda z: 2.0 + z))
+    sol = rc.solve(p)
+    assert sol.sigma_source == "positivity"
+    delta = 1.0 - rhp.POSITIVITY_MARGIN_ULPS * np.finfo(float).eps * 3.0 * 16
+    assert abs(sol.smallest_singular_value - delta / np.sqrt(delta**2 + 10.0)) <= 1e-15
+    lanczos = rhp._smallest_singular_value(rhp._ToeplitzLU(p))
+    exact = scipy.linalg.svdvals(two_einsum_operator(p))[-1]
+    assert abs(lanczos - exact) <= 1e-13 * exact
+    assert abs(lanczos - 0.8166408) <= 1e-7
+    assert sol.smallest_singular_value <= lanczos
+
+
+def test_positive_minus_side_section_solves_without_a_lanczos_run(monkeypatch):
+    # this minus side took 1585 Lanczos applies (1.4 s) for sigma_min(T)
+    # 0.4305; s^(-1) is positive, and its certificate replaces the run
+    p = _positive_symbol_problem(512, "minus")
+    calls = _counted(monkeypatch, scipy.sparse.linalg, "eigsh")
+    sol = rc.solve(p)
+    assert calls == []
+    assert (sol.solver_path, sol.sigma_source) == ("lu", "positivity")
+    assert abs(sol.smallest_singular_value - 0.3210) <= 1e-4
+    exact = scipy.linalg.svdvals(two_einsum_operator(p))[-1]
+    assert abs(exact - 0.4305) <= 1e-4
+    assert sol.smallest_singular_value <= exact
+
+
+@pytest.mark.parametrize("name", ["rational_near_singular.json", "index_power.json"])
+def test_winding_symbols_get_no_certificate(name):
+    # each jump winds once around the unit circle, so Re v takes both
+    # signs there: the solve takes the iterative path and still refuses
+    p = _cli_problem(name)
+    assert rhp._ToeplitzLU(p).sigma_lower_bound is None
+    with pytest.raises(rc.NearSingularOperatorError) as info:
+        rc.solve(p)
+    assert info.value.smallest_singular_value < rc.SIGMA_MIN
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_two_circle_problem, lambda: _two_sided(_conjugated_soliton_jump(), 0.3 - 0.2j)],
+    ids=["two_circles", "two_sided"],
+)
+def test_only_a_one_sided_one_circle_problem_is_certified(make):
+    # with no identity rows there is no section to certify
+    op = rhp._ToeplitzLU(make())
+    assert op.fixed.stop == 0 and op.sigma_lower_bound is None
+
+
+def test_edge_of_range_symbol_gives_a_finite_certificate_or_none():
+    # entries near 1e300: delta and S come from numpy and the bound from
+    # hypot, so nothing overflows; at 1.7e308 some samples are not finite
+    # themselves, and nothing is certified
+    system = rc.build_contour([rc.Circle(0j, 6.0, rc.CCW, 64)])
+    for scale, certified in ((1e300, True), (1.7e308, False)):
+        with np.errstate(all="ignore"):
+            jump = rc.JumpData.from_evaluator(
+                system, lambda z, scale=scale: scale * (z - 0.4) / (z - 2.5)
+            )
+        bound = rhp._positivity_bound(jump.v.values)
+        assert (bound is not None) == certified
+        if certified:
+            assert 0.0 < bound <= 1.0
