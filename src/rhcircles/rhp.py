@@ -10,22 +10,24 @@ integral equation
 after which m_plus = mu (I + w_plus), m_minus = mu (I - w_minus), and the
 off-contour extension is h plus the Cauchy transform of
 mu (w_plus + w_minus).  Right multiplication never couples the rows of
-mu, so one (N*n) x (N*n) operator T serves all n rows.  T is built in
+mu, so one (N*n) x (N*n) operator T serves all n rows.  T is taken in
 the per-circle unitary Fourier basis, where each circle's own Cauchy
-projections are diagonal, and factored once per solve (_ToeplitzLU).
-On one circle with at most one nonzero splitting half, T is
-block-triangular there, and only the finite Toeplitz section of the
-jump's symbol, of order N*n/2, is LU-factored; every other problem
-factors all of T.
+projections are diagonal.  On one circle with at most one nonzero
+splitting half, T is block-triangular there, and a solve with T is one
+with the finite Toeplitz section of the jump's symbol, of order N*n/2.
 
 How the smallest singular value of T is obtained is part of the
-answer (RHSolution.sigma_source).  On that one-circle path a symbol
-whose Hermitian part is positive definite at every node (the source
-paper's hypothesis Re v > 0) bounds sigma_min(T) from below by its node
-samples alone (_positivity_bound), and no iterative estimate runs.
-Otherwise one step of inverse iteration bounds it from above, and a
-Lanczos run on the LU gives it when that bound does not already
-certify the operator as near singular.
+answer (RHSolution.sigma_source), and it decides how T is solved.  On
+that one-circle path a symbol whose Hermitian part is positive definite
+at every node (the source paper's hypothesis Re v > 0) bounds
+sigma_min(T) from below by its node samples alone (_positivity_bound).
+Where that certifies T, the section is applied matrix-free by FFTs and
+solved by preconditioned GMRES (_KrylovSection); nothing is built,
+factored or estimated.  Every other problem builds T, or the section,
+and factors it once per solve (_ToeplitzLU): one step of inverse
+iteration bounds sigma_min from above, and a Lanczos run on the LU
+gives it when that bound does not already certify the operator as near
+singular.
 
 Jump data carries closed-form evaluators alongside node samples.  That is
 what makes the reported jump residual meaningful: at the collocation nodes
@@ -81,6 +83,11 @@ ALIAS_BAND_CONTENT = 1e-3
 # errs by about log2(m) ulps of S per coefficient, and a section's norm
 # adds up m coefficients.
 POSITIVITY_MARGIN_ULPS = 16
+# Residual at which GMRES stops, in ulps of the right-hand side's norm:
+# one apply of the preconditioned section, two FFT pairs over m nodes,
+# errs by about 2 log2(m) ulps of its input (18 at 512 nodes), so a
+# smaller residual estimate is rounding.
+KRYLOV_RESIDUAL_ULPS = 16
 
 
 def matrix_at(z, rows) -> np.ndarray:
@@ -196,12 +203,12 @@ class RHProblem:
     band_sigma_lower_bound is None until a solve returns; it is then a
     lower bound on the singular values of the band slices of T that
     index_diagnostics would count, which it reads instead.
-    On the LU path it is the solve's lower bound on sigma_min(T): the
-    positivity certificate of a one-circle section, or else the Lanczos
-    value.  On the alias path it is sigma_2(T) sqrt(1 - c^2) for c the
-    larger band content of the null vectors.  A one-step
-    inverse-iteration bound, a failed Lanczos run or a refused solve
-    never sets it.
+    On the Krylov and LU paths it is the solve's lower bound on
+    sigma_min(T): the positivity certificate of a one-circle section, or
+    else the Lanczos value.  On the alias path it is sigma_2(T)
+    sqrt(1 - c^2) for c the larger band content of the null vectors.  A
+    one-step inverse-iteration bound, a failed Lanczos run or a refused
+    solve never sets it.
     """
 
     data: FactorizationData
@@ -236,16 +243,19 @@ class RHSolution:
 
     residual_jump is the maximum of |m_plus - m_minus v| over inter-node
     midpoints, with v in closed form (see the module docstring).
-    solver_path is "lu" for a plain solve by the LU of T in the Fourier
-    basis (_ToeplitzLU) and "alias-deflation" when an alias null vector
-    was projected out on that LU; deflated_singular_value is then the
-    smallest singular value left once that direction is gone, the
-    operator's second smallest (None on the LU path).
+    solver_path is "krylov" for a solve by GMRES on a positivity-certified
+    one-circle section (_KrylovSection), "lu" for a plain solve by the LU
+    of T in the Fourier basis (_ToeplitzLU) and "alias-deflation" when an
+    alias null vector was projected out on that LU;
+    deflated_singular_value is then the smallest singular value left once
+    that direction is gone, the operator's second smallest (None on the
+    other paths).
     smallest_singular_value is a value of or bound on sigma_min(T), and
     sigma_source says which:
       "positivity": on one circle with one zero splitting half, the
         lower bound _positivity_bound takes from the section symbol's
-        node samples, used whenever it is at least sigma_min;
+        node samples, used whenever it is at least sigma_min (so on the
+        Krylov path, and only there);
       "inverse-iteration": the one-step upper bound of _null_vectors,
         used when it is below sigma_min (so on the alias path only);
       "lanczos": the Lanczos value on the LU, in every other case.
@@ -434,6 +444,26 @@ def _half_rows(coeffs: np.ndarray, k0: int, n: int) -> np.ndarray:
     return window.transpose(1, 0, 2)
 
 
+def _one_circle_section(p: RHProblem) -> tuple[slice, slice, Callable] | None:
+    """(rows, fixed, symbol) on one circle with at most one nonzero
+    splitting half, None for every other problem.
+
+    There the other half's symbol is I, so in the circle's Fourier basis
+    T = [[I, 0], [B, A]] on the basis slices (fixed, rows), with A the
+    finite section of the Toeplitz operator of symbol(), b_minus on the
+    kept modes K when w_minus is nonzero, else b_plus on the others O.
+    """
+    data, circles = p.data, p.system.circles
+    minus_half = np.any(data.w_minus.values)
+    if len(circles) > 1 or (minus_half and np.any(data.w_plus.values)):
+        return None
+    order = p.system.total_nodes * data.dim
+    halves = slice(0, order // 2), slice(order // 2, order)
+    kept_first = plus_mode_mask(circles[0], p.system.plus_inside[0])[0]
+    rows, fixed = halves if minus_half == kept_first else halves[::-1]
+    return rows, fixed, data.b_minus if minus_half else data.b_plus
+
+
 @np.errstate(all="ignore")
 def _operator_rows(p: RHProblem) -> tuple[np.ndarray, slice, slice]:
     """T in the per-circle Fourier basis, apart from its identity rows.
@@ -454,12 +484,10 @@ def _operator_rows(p: RHProblem) -> tuple[np.ndarray, slice, slice]:
     w_minus that is nonzero somewhere on circle j; an entry that is zero
     on the whole circle gives an exact zero block and is skipped.
 
-    On one circle with at most one nonzero splitting half, the other
-    half's symbol is I, so T = [[I, 0], [B, A]] on (fixed, rows), with A
-    the finite section of the Toeplitz operator of the symbol; only
-    [B, A] is built.  Every other problem has no fixed rows.  Returns
-    T's rows outside fixed, as an F-ordered array, and the basis slices
-    rows and fixed.  Transforms run with floating-point warnings off: a
+    Where _one_circle_section finds T = [[I, 0], [B, A]] on (fixed,
+    rows), only [B, A] is built.  Every other problem has no fixed rows.
+    Returns T's rows outside fixed, as an F-ordered array, and the basis
+    slices rows and fixed.  Transforms run with floating-point warnings off: a
     value that overflows reaches lu_factor, which refuses it.
     """
     system, n = p.system, p.data.dim
@@ -468,12 +496,7 @@ def _operator_rows(p: RHProblem) -> tuple[np.ndarray, slice, slice]:
     kept_first = [
         plus_mode_mask(c, inside)[0] for c, inside in zip(circles, system.plus_inside)
     ]
-    rows, fixed = slice(0, order), slice(0, 0)
-    minus_half = np.any(p.data.w_minus.values)
-    if len(circles) == 1 and not (minus_half and np.any(p.data.w_plus.values)):
-        # the section is K, of b_minus, when w_minus is nonzero, else O
-        halves = slice(0, order // 2), slice(order // 2, order)
-        rows, fixed = halves if minus_half == kept_first[0] else halves[::-1]
+    rows, fixed = (_one_circle_section(p) or (slice(0, order), slice(0, 0)))[:2]
     # T transposed, C-ordered: [column (j, c), row (k, b)]; the self blocks
     # fill one circle's rows, and only skipped cross blocks need the zeros
     alloc = np.zeros if len(circles) > 1 else np.empty
@@ -536,11 +559,11 @@ def _positivity_bound(s: np.ndarray) -> float | None:
                       = delta / sqrt(delta^2 + 1 + S^2).
 
     delta is taken less POSITIVITY_MARGIN_ULPS ulps of S m, for the
-    rounding of the FFT that builds A from s.  A delta that is not
-    positive (the symbol is not positive: Re v takes both signs where v
-    winds), or samples that are not finite, give None.  delta and S are
-    taken in numpy from s over its largest modulus, and the bound by
-    hypot, so that nothing overflows for samples near the edge of the
+    rounding of the FFTs that build A from s or apply it.  A delta that
+    is not positive (the symbol is not positive: Re v takes both signs
+    where v winds), or samples that are not finite, give None.  delta and
+    S are taken in numpy from s over its largest modulus, and the bound
+    by hypot, so that nothing overflows for samples near the edge of the
     double range.
     """
     with np.errstate(all="ignore"):
@@ -560,7 +583,8 @@ def _positivity_bound(s: np.ndarray) -> float | None:
 
 class _ToeplitzLU:
     """The operator T in the per-circle Fourier basis of _operator_rows,
-    factored by one LU of its rows outside the identity block.
+    factored by one LU of its rows outside the identity block, for the
+    problems no positivity certificate covers (_certified_section).
 
     to_basis maps vectors or columns of operator rows (node-major, n
     components per node) into the basis, one FFT per run of
@@ -575,13 +599,8 @@ class _ToeplitzLU:
     Without fixed rows, A is T and B is empty.  An exact zero pivot of A
     is one of T.  Subtractions and transforms run with floating-point
     warnings off, as the BLAS and LAPACK calls do: a value that overflows
-    reaches lu_solve, which refuses it.  sigma_lower_bound is the
-    _positivity_bound of A's symbol where there are fixed rows (b_minus
-    when w_minus is nonzero, else b_plus), and None otherwise or where
-    that symbol certifies nothing.
+    reaches lu_solve, which refuses it.
     """
-
-    sigma_lower_bound: float | None = None
 
     def __init__(self, p: RHProblem):
         self.runs, self.n = _circle_runs(p.system), p.data.dim
@@ -590,10 +609,6 @@ class _ToeplitzLU:
         self.b = self.t_rows[:, self.fixed]
         self.lu = scipy.linalg.lu_factor(self.t_rows[:, self.rows])
         self._section_vector = _lu_vector_solver(self.lu)
-        if self.fixed.stop:
-            data = p.data
-            symbol = data.b_minus() if np.any(data.w_minus.values) else data.b_plus()
-            self.sigma_lower_bound = _positivity_bound(symbol.values)
 
     @property
     def singular(self) -> bool:
@@ -637,6 +652,138 @@ class _ToeplitzLU:
         out = np.array(x, dtype=np.complex128)
         out[self.rows] = self.t_rows @ x
         return out
+
+
+def _gmres(apply, b: np.ndarray) -> np.ndarray:
+    """y with apply(y) = b, for an invertible linear map apply, by GMRES
+    from y = 0.
+
+    The Arnoldi basis is orthogonalized by modified Gram-Schmidt and grows
+    by one vector per step; Givens rotations keep the Hessenberg matrix
+    triangular, and the last entry of the rotated |b| e_1 is the residual
+    norm of the current iterate.  The run stops once that is at most
+    KRYLOV_RESIDUAL_ULPS ulps of |b|, at an exact breakdown (the Krylov
+    space is then invariant and holds y), or at b's size, where an
+    invertible map leaves no residual; MGS-GMRES is backward stable
+    (Paige, Rozloznik & Strakos 2006), so there is no restart.  Norms are
+    BLAS nrm2, which scales as it sums.
+    """
+    beta = scipy.linalg.norm(b, check_finite=False)
+    if beta == 0.0:
+        return np.zeros_like(b)
+    basis, columns, rotations, g = [b / beta], [], [], [beta]
+    stop = KRYLOV_RESIDUAL_ULPS * np.finfo(float).eps * beta
+    for k in range(b.size):
+        w = apply(basis[k])
+        h = []
+        for v in basis:
+            h.append(np.vdot(v, w))
+            w -= h[-1] * v
+        below = scipy.linalg.norm(w, check_finite=False)
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - np.conj(s) * h[i]
+        # the rotation that zeroes h_(k+1,k) = below under h[k]
+        c, s = 0.0, 1.0
+        if h[k] != 0.0:
+            rho = np.hypot(abs(h[k]), below)
+            c, s = abs(h[k]) / rho, h[k] / abs(h[k]) * below / rho
+        h[k] = c * h[k] + s * below
+        rotations.append((c, s))
+        columns.append(h)
+        g.append(-np.conj(s) * g[k])
+        g[k] *= c
+        if abs(g[k + 1]) <= stop or below == 0.0:
+            break
+        basis.append(w / below)
+    r = np.zeros((len(columns),) * 2, dtype=np.complex128)
+    for j, h in enumerate(columns):
+        r[: j + 1, j] = h
+    coef = scipy.linalg.solve_triangular(r, np.array(g[:-1]), check_finite=False)
+    return coef @ np.array(basis[: len(columns)])
+
+
+class _KrylovSection:
+    """T = [[I, 0], [B, A]] of _one_circle_section on (fixed, rows),
+    applied matrix-free and solved by GMRES, for a section whose symbol
+    certifies sigma_min(T) >= sigma_lower_bound (_positivity_bound).
+
+    [B, A] are rows of the block circulant of the symbol's node samples
+    s, which the unitary Fourier map takes to the block diagonal of the
+    s_l^T, so one apply is one inverse FFT, m products of n x n matrices
+    and one FFT; T is never built and nothing is factored.  A is solved
+    by _gmres preconditioned from the right with the section of the
+    circulant of s^(-1), so GMRES minimizes A's true residual.  Re s > 0
+    makes both sections invertible, with A times the other one the
+    identity up to Hankel products, of low rank for the rational and
+    trigonometric symbols solved here: GMRES takes a few steps.  s is
+    taken over its largest modulus, as _positivity_bound takes it, so
+    that no norm or product overflows for samples near 1e300.
+
+    solve(y) is T^(-1) y for columns y, and refuses y that is not finite
+    with the ValueError lu_solve raises; matvec(x) is T x.  Both run with
+    floating-point warnings off, as _ToeplitzLU's do.
+    """
+
+    def __init__(self, p, rows, fixed, s, bound):
+        self.runs, self.n = _circle_runs(p.system), p.data.dim
+        self.circle = p.system.circles[0]
+        self.rows, self.fixed, self.sigma_lower_bound = rows, fixed, bound
+        self.order = s.shape[0] * self.n
+        with np.errstate(all="ignore"):
+            self.scale = np.max(np.abs(s))
+            self.u = s / self.scale
+            self.u_inv = np.linalg.inv(self.u)
+
+    to_basis, from_basis = _ToeplitzLU.to_basis, _ToeplitzLU.from_basis
+
+    def _circulant(self, x, u):
+        """The block circulant of the samples u times x, in the basis; its
+        sqrt(m) factors cancel."""
+        values = circle_values(self.circle, x.reshape(*u.shape[:2], -1))
+        values = np.einsum("lcj,lcb->lbj", values, u)
+        return circle_coefficients(self.circle, values).reshape(x.shape)
+
+    def _section(self, x, u):
+        """The section of that circulant on the rows, on x there."""
+        full = np.zeros(self.order, dtype=np.complex128)
+        full[self.rows] = x
+        return self._circulant(full, u)[self.rows]
+
+    @np.errstate(all="ignore")
+    def solve(self, y):
+        x = np.array(np.asarray_chkfinite(y), dtype=np.complex128)
+        # A x_rows = y_rows - B y_fixed, over the symbol's scale
+        given = np.zeros_like(x)
+        given[self.fixed] = x[self.fixed]
+        rhs = x[self.rows] / self.scale - self._circulant(given, self.u)[self.rows]
+
+        def preconditioned(v):
+            return self._section(self._section(v, self.u_inv), self.u)
+
+        for j in range(x.shape[1]):
+            y_j = _gmres(preconditioned, rhs[:, j])
+            x[self.rows, j] = self._section(y_j, self.u_inv)
+        return x
+
+    @np.errstate(all="ignore")
+    def matvec(self, x):
+        out = np.array(x, dtype=np.complex128)
+        out[self.rows] = self.scale * self._circulant(x, self.u)[self.rows]
+        return out
+
+
+def _certified_section(p: RHProblem, sigma_min: float) -> _KrylovSection | None:
+    """p's one-circle section as a _KrylovSection where the positivity
+    bound of its symbol is at least sigma_min, and None otherwise."""
+    section = _one_circle_section(p)
+    if section is None:
+        return None
+    rows, fixed, symbol = section
+    s = symbol().values
+    bound = _positivity_bound(s)
+    if bound is None or bound < sigma_min:
+        return None
+    return _KrylovSection(p, rows, fixed, s, bound)
 
 
 def _smallest_singular_value(op) -> float:
@@ -754,14 +901,16 @@ def _deflated_solve(
 
 
 def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
-    """Solve the discrete equation by one LU and one corrective step.
+    """Solve the discrete equation, with one corrective step.
 
-    The operator is built and factored once, in the per-circle unitary
-    Fourier basis (_ToeplitzLU), so sigma_min, the null vectors and x are
-    those of T itself.  Where the section's symbol certifies sigma_min(T)
-    >= sigma_min (_positivity_bound), that bound is reported as
-    smallest_singular_value and the LU solve is the answer; nothing
-    iterates.  Otherwise one
+    Everything runs in the per-circle unitary Fourier basis, so
+    sigma_min, the null vectors and x are those of T itself.  Where a
+    one-circle section's symbol certifies sigma_min(T) >= sigma_min
+    (_positivity_bound), that bound is reported as
+    smallest_singular_value and the section is solved by preconditioned
+    GMRES on its matrix-free applies ("krylov", _certified_section);
+    nothing is built or factored.  Otherwise the operator is built and
+    factored once (_ToeplitzLU), and one
     inverse-iteration step on that LU (_null_vectors) gives candidate
     right and left null vectors r and l and an upper bound on sigma_min.
     A bound below sigma_min certifies the problem as near singular, and the
@@ -773,16 +922,18 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     indices land here) and is reported as an error rather than returning
     a polluted solution.  A one-dimensional alias defect of a consistent
     system is projected out on that LU instead ("alias-deflation").
-    Either path leaves on p the lower bound on the band values that
+    Each path leaves on p the lower bound on the band values that
     index_diagnostics reads (RHProblem.band_sigma_lower_bound).  A jump
     residual that is not finite (boundary values that overflow at the
     midpoints) raises ValueError: no solution is returned unverified.
     """
     n = p.data.dim
     big_n = p.system.total_nodes
-    op = _ToeplitzLU(p)
-    smallest, source = op.sigma_lower_bound, "positivity"
-    if smallest is None or smallest < sigma_min:
+    op = _certified_section(p, sigma_min)
+    if op is not None:
+        smallest, source = op.sigma_lower_bound, "positivity"
+    else:
+        op = _ToeplitzLU(p)
         r, l, smallest = _null_vectors(op)
         source = "inverse-iteration"
         if smallest >= sigma_min:
@@ -797,7 +948,7 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     rhs = op.to_basis(rhs)  # x comes back in the same basis
     if smallest >= sigma_min:
         x = _refined(op, op.solve, rhs)
-        path, deflated = "lu", None
+        path, deflated = "krylov" if source == "positivity" else "lu", None
         # an upper bound below sigma_min never gets here, so smallest is
         # the positivity certificate or the Lanczos value; a failed run
         # reads 0.0

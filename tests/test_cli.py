@@ -433,7 +433,7 @@ def test_reports_name_the_solver_path(tmp_path):
         ("idnls_defocusing.json", "idnls"),
     ):
         _, report = run(mode, PROBLEMS / name, tmp_path)
-        assert report["solver_path"] == "lu", name
+        assert report["solver_path"] == "krylov", name
         assert report["deflated_singular_value"] is None, name
         # one circle, a positive symbol: certified without a Lanczos run
         assert report["sigma_source"] == "positivity", name

@@ -760,7 +760,7 @@ def _index_outcome(p, **kwargs):
 def test_solved_problem_counts_like_a_fresh_one_on_dense_inputs():
     for jump in _dense_problems(6):
         p = rc.RHProblem.from_jump(jump)
-        assert rc.solve(p).solver_path == "lu"
+        assert rc.solve(p).solver_path == "krylov"
         assert p.band_sigma_lower_bound >= 10.0 * rc.TAU_RANK
         got, rep = _index_outcome(p)
         expected, fresh = _index_outcome(rc.RHProblem.from_jump(jump))
@@ -992,9 +992,11 @@ def test_lanczos_applies_make_no_vector_lu_solve(make, path, monkeypatch):
     assert vector_solves == []
 
 
-def _lanczos_applies(monkeypatch):
+def _applies(monkeypatch, name):
+    """The number of applies of each run of rhp's name(apply, ...): of
+    each Lanczos run, or of each GMRES run (one per column and solve)."""
     runs = []
-    lanczos = rhp._lanczos_sigma_min
+    original = getattr(rhp, name)
 
     def counted(apply, *args, **kwargs):
         runs.append(0)
@@ -1003,9 +1005,9 @@ def _lanczos_applies(monkeypatch):
             runs[-1] += 1
             return apply(y)
 
-        return lanczos(counted_apply, *args, **kwargs)
+        return original(counted_apply, *args, **kwargs)
 
-    monkeypatch.setattr(rhp, "_lanczos_sigma_min", counted)
+    monkeypatch.setattr(rhp, name, counted)
     return runs
 
 
@@ -1022,7 +1024,7 @@ def test_lanczos_stops_once_the_ritz_value_has_converged(
 ):
     # a run to a residual at rounding level took 21 and 31 applies here
     p = make()
-    runs = _lanczos_applies(monkeypatch)
+    runs = _applies(monkeypatch, "_lanczos_sigma_min")
     assert rc.solve(p).solver_path == path
     assert len(runs) == 1 and runs[0] <= most
 
@@ -1196,7 +1198,11 @@ def _one_circle_problem(n, orientation, plus_inside, nodes, side):
     return rc.RHProblem.from_jump(jump, h=h, side=side)
 
 
-@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize(
+    "side, turn",
+    [("plus", _turned), ("minus", _turned), ("plus", None), ("minus", None)],
+    ids=["plus", "minus", "plus-certified", "minus-certified"],
+)
 @pytest.mark.parametrize("nodes", [16, 64, 512])
 @pytest.mark.parametrize(
     "orientation, plus_inside",
@@ -1205,9 +1211,15 @@ def _one_circle_problem(n, orientation, plus_inside, nodes, side):
 )
 @pytest.mark.parametrize("n", [1, 2])
 def test_one_circle_toeplitz_solve_matches_the_dense_lu(
-    n, orientation, plus_inside, nodes, side, monkeypatch
+    n, orientation, plus_inside, nodes, side, turn, monkeypatch
 ):
-    p = _turned(_one_circle_problem(n, orientation, plus_inside, nodes, side))
+    # turned, Lanczos certifies the LU of the section; as given, the
+    # positive symbol certifies the GMRES solve of the section
+    def make():
+        p = _one_circle_problem(n, orientation, plus_inside, nodes, side)
+        return turn(p) if turn else p
+
+    p = make()
     op = rhp._ToeplitzLU(p)
     # only the section, of half T's order, is built and factored
     assert op.t_rows.shape == (op.order // 2, op.order)
@@ -1217,13 +1229,16 @@ def test_one_circle_toeplitz_solve_matches_the_dense_lu(
     monkeypatch.setattr(
         rhp, "_ToeplitzLU", lambda p: _MatrixLU(two_einsum_operator(p))
     )
-    ref = rc.solve(
-        _turned(_one_circle_problem(n, orientation, plus_inside, nodes, side))
-    )
-    assert sol.solver_path == ref.solver_path == "lu"
-    assert sol.sigma_source == ref.sigma_source == "lanczos"
+    monkeypatch.setattr(rhp, "_certified_section", lambda p, sigma_min: None)
+    ref = rc.solve(make())
+    assert ref.solver_path == "lu" and ref.sigma_source == "lanczos"
     exact = ref.smallest_singular_value
-    assert abs(sol.smallest_singular_value - exact) <= 1e-13 * exact
+    if turn:
+        assert (sol.solver_path, sol.sigma_source) == ("lu", "lanczos")
+        assert abs(sol.smallest_singular_value - exact) <= 1e-13 * exact
+    else:
+        assert (sol.solver_path, sol.sigma_source) == ("krylov", "positivity")
+        assert 0.0 < sol.smallest_singular_value <= exact
     scale = np.max(np.abs(ref.mu.values))
     assert np.max(np.abs(sol.mu.values - ref.mu.values)) <= 1e-13 * scale
 
@@ -1267,12 +1282,15 @@ def test_zero_pivot_of_the_toeplitz_section_counts_as_singular():
 def test_certified_one_circle_problem_never_builds_the_operator(monkeypatch):
     p = _defocusing_problem()
     builds = _counted(monkeypatch, rhp, "_operator_rows")
+    factorizations = _counted(monkeypatch, scipy.linalg, "lu_factor")
     sol = rc.solve(p)
     rep = rc.index_diagnostics(p)
-    assert sol.solver_path == "lu"
+    assert sol.solver_path == "krylov"
     assert (rep.dim_ker, rep.dim_coker) == (0, 0)
-    # the solve's section only: the count builds nothing
-    assert len(builds) == 1
+    # the solve applies the section matrix-free, and the count builds
+    # nothing: no operator rows and no LU
+    assert len(builds) == 0
+    assert factorizations == []
 
 
 def _dense_midpoint_residual(p, sol):
@@ -1409,11 +1427,11 @@ def _positive_symbol_problem(nodes, side):
 )
 def test_positivity_bound_is_below_the_smallest_singular_value(make, nodes, side):
     p = make(nodes, side)
-    bound = rhp._ToeplitzLU(p).sigma_lower_bound
+    bound = rhp._certified_section(p, 0.0).sigma_lower_bound
     exact = scipy.linalg.svdvals(two_einsum_operator(p))[-1]
     assert 0.0 < bound <= exact
     sol = rc.solve(p)
-    assert (sol.solver_path, sol.sigma_source) == ("lu", "positivity")
+    assert (sol.solver_path, sol.sigma_source) == ("krylov", "positivity")
     assert sol.smallest_singular_value == p.band_sigma_lower_bound == bound
 
 
@@ -1445,7 +1463,7 @@ def test_positivity_bound_of_a_3x3_symbol():
     )
     for side in ("plus", "minus"):
         p = rc.RHProblem.from_jump(jump, side=side)
-        bound = rhp._ToeplitzLU(p).sigma_lower_bound
+        bound = rhp._certified_section(p, 0.0).sigma_lower_bound
         assert 0.0 < bound <= scipy.linalg.svdvals(two_einsum_operator(p))[-1]
 
 
@@ -1466,6 +1484,72 @@ def test_positivity_certificate_takes_its_formula_value():
     assert sol.smallest_singular_value <= lanczos
 
 
+def _two_sided_rational_problem(nodes, side):
+    # poles at 1.05, 1.2 and 2 and at their inversions: on the unit circle
+    # 1/(a - z) + 1/(a - 1/z) = 2 Re 1/(a - z) > 0 for a > 1, and the
+    # off-diagonal entries are at most 0.2, so the symbol is positive
+    system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, nodes)])
+
+    def v(z):
+        def pair(a):
+            return 1.0 / (a - z) + 1.0 / (a - 1.0 / z)
+
+        return rc.matrix_at(
+            z,
+            [
+                [1.0 + 0.05 * pair(1.05), 0.2 / (2.0 - z)],
+                [0.2 / (2.0 - 1.0 / z), 1.5 + 0.3 * pair(1.2)],
+            ],
+        )
+
+    return rc.RHProblem.from_jump(rc.JumpData.from_evaluator(system, v), side=side)
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda side: rc.RHProblem.from_jump(
+            _defocusing_problem(512).data.jump, side=side
+        ),
+        lambda side: _two_sided_rational_problem(512, side),
+    ],
+    ids=["defocusing_1x512", "two_sided_rational"],
+)
+def test_gmres_takes_a_few_steps_per_column(make, side, monkeypatch):
+    # with the section of s^(-1) from the right, the section of a rational
+    # symbol is the identity up to a Hankel product of low rank: 1-4 steps
+    # per column were measured on the defocusing problem and 5-7 on the
+    # rational one, against a cap of the section's order, 512
+    p = make(side)
+    runs = _applies(monkeypatch, "_gmres")
+    assert rc.solve(p).solver_path == "krylov"
+    # the solve and its corrective step, one run per column each
+    assert len(runs) == 2 * p.data.dim
+    assert 1 <= min(runs) and max(runs) <= 8
+
+
+@pytest.mark.parametrize("order", [1, 5, 12])
+def test_gmres_solves_an_unstructured_system_within_its_order(order):
+    # no clustering to exploit: GMRES runs to the order, where the Krylov
+    # space is the whole space, and solves to rounding
+    rng = np.random.default_rng(order)
+    a = rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order))
+    a += 2.0 * np.eye(order)
+    b = rng.standard_normal(order) + 1j * rng.standard_normal(order)
+    steps = []
+
+    def apply(y):
+        steps.append(y)
+        return a @ y
+
+    y = rhp._gmres(apply, b)
+    assert len(steps) == order
+    expected = np.linalg.solve(a, b)
+    assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.array_equal(rhp._gmres(apply, np.zeros(order, complex)), np.zeros(order))
+
+
 def test_positive_minus_side_section_solves_without_a_lanczos_run(monkeypatch):
     # this minus side took 1585 Lanczos applies (1.4 s) for sigma_min(T)
     # 0.4305; s^(-1) is positive, and its certificate replaces the run
@@ -1473,7 +1557,7 @@ def test_positive_minus_side_section_solves_without_a_lanczos_run(monkeypatch):
     calls = _counted(monkeypatch, scipy.sparse.linalg, "eigsh")
     sol = rc.solve(p)
     assert calls == []
-    assert (sol.solver_path, sol.sigma_source) == ("lu", "positivity")
+    assert (sol.solver_path, sol.sigma_source) == ("krylov", "positivity")
     assert abs(sol.smallest_singular_value - 0.3210) <= 1e-4
     exact = scipy.linalg.svdvals(two_einsum_operator(p))[-1]
     assert abs(exact - 0.4305) <= 1e-4
@@ -1485,7 +1569,7 @@ def test_winding_symbols_get_no_certificate(name):
     # each jump winds once around the unit circle, so Re v takes both
     # signs there: the solve takes the iterative path and still refuses
     p = _cli_problem(name)
-    assert rhp._ToeplitzLU(p).sigma_lower_bound is None
+    assert rhp._certified_section(p, 0.0) is None
     with pytest.raises(rc.NearSingularOperatorError) as info:
         rc.solve(p)
     assert info.value.smallest_singular_value < rc.SIGMA_MIN
@@ -1498,8 +1582,9 @@ def test_winding_symbols_get_no_certificate(name):
 )
 def test_only_a_one_sided_one_circle_problem_is_certified(make):
     # with no identity rows there is no section to certify
-    op = rhp._ToeplitzLU(make())
-    assert op.fixed.stop == 0 and op.sigma_lower_bound is None
+    p = make()
+    assert rhp._ToeplitzLU(p).fixed.stop == 0
+    assert rhp._certified_section(p, 0.0) is None
 
 
 def test_edge_of_range_symbol_gives_a_finite_certificate_or_none():
