@@ -23,11 +23,12 @@ at every node (the source paper's hypothesis Re v > 0) bounds
 sigma_min(T) from below by its node samples alone (_positivity_bound).
 Where that certifies T, the section is applied matrix-free by FFTs and
 solved by preconditioned GMRES (_KrylovSection); nothing is built,
-factored or estimated.  Every other problem builds T, or the section,
-and factors it once per solve (_ToeplitzLU): one step of inverse
-iteration bounds sigma_min from above, and a Lanczos run on the LU
-gives it when that bound does not already certify the operator as near
-singular.
+factored or estimated unless GMRES runs past KRYLOV_STEPS steps, when
+the section is factored instead.  Every other problem builds T, or the
+section, and factors it once per solve (_ToeplitzLU): one step of
+inverse iteration bounds sigma_min from above, and a Lanczos run on the
+LU gives it when that bound does not already certify the operator as
+near singular.
 
 Jump data carries closed-form evaluators alongside node samples.  That is
 what makes the reported jump residual meaningful: at the collocation nodes
@@ -83,11 +84,13 @@ ALIAS_BAND_CONTENT = 1e-3
 # errs by about log2(m) ulps of S per coefficient, and a section's norm
 # adds up m coefficients.
 POSITIVITY_MARGIN_ULPS = 16
-# Residual at which GMRES stops, in ulps of the right-hand side's norm:
-# one apply of the preconditioned section, two FFT pairs over m nodes,
-# errs by about 2 log2(m) ulps of its input (18 at 512 nodes), so a
-# smaller residual estimate is rounding.
-KRYLOV_RESIDUAL_ULPS = 16
+# GMRES steps a certified section's solve may take, over both solves and
+# all columns, before it gives up and factors the section instead.  One
+# step at 512 nodes (two preconditioned applies and CGS2) cost about
+# 0.15 ms and building and factoring that section about 10 ms, one BLAS
+# thread: past about 64 steps the LU is the cheaper path, and a solve
+# that gives up there costs at most about twice what the cheaper one does.
+KRYLOV_STEPS = 64
 
 
 def matrix_at(z, rows) -> np.ndarray:
@@ -245,7 +248,9 @@ class RHSolution:
     midpoints, with v in closed form (see the module docstring).
     solver_path is "krylov" for a solve by GMRES on a positivity-certified
     one-circle section (_KrylovSection), "lu" for a plain solve by the LU
-    of T in the Fourier basis (_ToeplitzLU) and "alias-deflation" when an
+    of T in the Fourier basis (_ToeplitzLU), which is also the path of a
+    certified section whose GMRES ran past KRYLOV_STEPS steps, and
+    "alias-deflation" when an
     alias null vector was projected out on that LU;
     deflated_singular_value is then the smallest singular value left once
     that direction is gone, the operator's second smallest (None on the
@@ -255,7 +260,7 @@ class RHSolution:
       "positivity": on one circle with one zero splitting half, the
         lower bound _positivity_bound takes from the section symbol's
         node samples, used whenever it is at least sigma_min (so on the
-        Krylov path, and only there);
+        Krylov path, or on the LU path after GMRES ran out of steps);
       "inverse-iteration": the one-step upper bound of _null_vectors,
         used when it is below sigma_min (so on the alias path only);
       "lanczos": the Lanczos value on the LU, in every other case.
@@ -654,31 +659,39 @@ class _ToeplitzLU:
         return out
 
 
-def _gmres(apply, b: np.ndarray) -> np.ndarray:
+@np.errstate(all="ignore")
+def _gmres(apply, b: np.ndarray, tol: float, steps: int) -> np.ndarray | None:
     """y with apply(y) = b, for an invertible linear map apply, by GMRES
-    from y = 0.
+    from y = 0, or None where it takes more than steps steps.
 
-    The Arnoldi basis is orthogonalized by modified Gram-Schmidt and grows
-    by one vector per step; Givens rotations keep the Hessenberg matrix
-    triangular, and the last entry of the rotated |b| e_1 is the residual
-    norm of the current iterate.  The run stops once that is at most
-    KRYLOV_RESIDUAL_ULPS ulps of |b|, at an exact breakdown (the Krylov
-    space is then invariant and holds y), or at b's size, where an
-    invertible map leaves no residual; MGS-GMRES is backward stable
-    (Paige, Rozloznik & Strakos 2006), so there is no restart.  Norms are
-    BLAS nrm2, which scales as it sums.
+    The Arnoldi basis is orthogonalized by classical Gram-Schmidt run
+    twice (CGS2), two BLAS products per pass, and Givens rotations keep
+    the Hessenberg matrix triangular; the last entry of the rotated
+    |b| e_1 is the residual norm of the current iterate.  The run stops
+    once that is at most tol |b|, or at an exact breakdown (the Krylov
+    space is then invariant and holds y).  At b's size an invertible map
+    leaves no residual, and CGS2 keeps the basis orthogonal to working
+    precision, so GMRES is backward stable there (Paige, Rozloznik &
+    Strakos 2006) and needs no restart.  A residual or basis norm that
+    is not finite ends the run with None, as running out of steps does,
+    and without a floating-point warning.  Norms are BLAS nrm2, which
+    scales as it sums.
     """
     beta = scipy.linalg.norm(b, check_finite=False)
     if beta == 0.0:
         return np.zeros_like(b)
-    basis, columns, rotations, g = [b / beta], [], [], [beta]
-    stop = KRYLOV_RESIDUAL_ULPS * np.finfo(float).eps * beta
-    for k in range(b.size):
+    steps = min(steps, b.size)
+    basis = np.empty((steps + 1, b.size), dtype=np.complex128)
+    basis[0] = b / beta
+    columns, rotations, g = [], [], [beta]
+    for k in range(steps):
         w = apply(basis[k])
-        h = []
-        for v in basis:
-            h.append(np.vdot(v, w))
-            w -= h[-1] * v
+        known = basis[: k + 1]
+        h = np.conj(known) @ w
+        w -= h @ known
+        again = np.conj(known) @ w
+        w -= again @ known
+        h = list(h + again)
         below = scipy.linalg.norm(w, check_finite=False)
         for i, (c, s) in enumerate(rotations):
             h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - np.conj(s) * h[i]
@@ -692,14 +705,18 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
         columns.append(h)
         g.append(-np.conj(s) * g[k])
         g[k] *= c
-        if abs(g[k + 1]) <= stop or below == 0.0:
+        if not np.isfinite(below * abs(g[k + 1])):
+            return None
+        if abs(g[k + 1]) <= tol * beta or below == 0.0:
             break
-        basis.append(w / below)
+        basis[k + 1] = w / below
+    else:
+        return None
     r = np.zeros((len(columns),) * 2, dtype=np.complex128)
     for j, h in enumerate(columns):
         r[: j + 1, j] = h
     coef = scipy.linalg.solve_triangular(r, np.array(g[:-1]), check_finite=False)
-    return coef @ np.array(basis[: len(columns)])
+    return coef @ basis[: len(columns)]
 
 
 class _KrylovSection:
@@ -714,14 +731,20 @@ class _KrylovSection:
     by _gmres preconditioned from the right with the section of the
     circulant of s^(-1), so GMRES minimizes A's true residual.  Re s > 0
     makes both sections invertible, with A times the other one the
-    identity up to Hankel products, of low rank for the rational and
-    trigonometric symbols solved here: GMRES takes a few steps.  s is
-    taken over its largest modulus, as _positivity_bound takes it, so
-    that no norm or product overflows for samples near 1e300.
+    identity up to Hankel products H(s)H(s~^(-1)).  How many steps GMRES
+    takes depends on their size as well as their rank: a few per column
+    for small jumps of any Fourier degree, but growing with the degree
+    of the z^(2n) twist of an IDNLS jump as |r| nears 1 (tens per column
+    for r = 0.6 z + 0.35/z at n >= 20).  So the applies of one section
+    share a budget of KRYLOV_STEPS steps.  s is taken over its largest
+    modulus, as _positivity_bound takes it, so that no norm or product
+    overflows for samples near 1e300.
 
-    solve(y) is T^(-1) y for columns y, and refuses y that is not finite
-    with the ValueError lu_solve raises; matvec(x) is T x.  Both run with
-    floating-point warnings off, as _ToeplitzLU's do.
+    solve(y) is T^(-1) y for columns y, or None once GMRES has spent the
+    budget or met a value that is not finite, and refuses y that is not
+    finite with the ValueError lu_solve raises; refined(rhs) is
+    _refined's solve and corrective step, or None; matvec(x) is T x.
+    They run with floating-point warnings off, as _ToeplitzLU's do.
     """
 
     def __init__(self, p, rows, fixed, s, bound):
@@ -733,6 +756,7 @@ class _KrylovSection:
             self.scale = np.max(np.abs(s))
             self.u = s / self.scale
             self.u_inv = np.linalg.inv(self.u)
+        self.steps_left = KRYLOV_STEPS
 
     to_basis, from_basis = _ToeplitzLU.to_basis, _ToeplitzLU.from_basis
 
@@ -758,11 +782,26 @@ class _KrylovSection:
         rhs = x[self.rows] / self.scale - self._circulant(given, self.u)[self.rows]
 
         def preconditioned(v):
+            self.steps_left -= 1
             return self._section(self._section(v, self.u_inv), self.u)
 
+        # one apply, two FFT pairs over m nodes, errs by about 2 log2(m)
+        # ulps of its input: a smaller residual estimate is rounding
+        tol = 2.0 * np.log2(self.u.shape[0]) * np.finfo(float).eps
         for j in range(x.shape[1]):
-            y_j = _gmres(preconditioned, rhs[:, j])
+            y_j = _gmres(preconditioned, rhs[:, j], tol, self.steps_left)
+            if y_j is None:
+                return None
             x[self.rows, j] = self._section(y_j, self.u_inv)
+        return x
+
+    def refined(self, rhs):
+        """_refined(self, self.solve, rhs), or None where GMRES takes more
+        than KRYLOV_STEPS steps over both solves."""
+        x = self.solve(rhs)
+        if x is not None:
+            step = self.solve(rhs - self.matvec(x))
+            x = None if step is None else x + step
         return x
 
     @np.errstate(all="ignore")
@@ -909,7 +948,10 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     (_positivity_bound), that bound is reported as
     smallest_singular_value and the section is solved by preconditioned
     GMRES on its matrix-free applies ("krylov", _certified_section);
-    nothing is built or factored.  Otherwise the operator is built and
+    nothing is built or factored.  If GMRES runs past KRYLOV_STEPS steps,
+    the LU is the cheaper path: the section is built and factored, and
+    the LU solve plus one corrective step is the answer ("lu"), still
+    certified by that bound.  Otherwise the operator is built and
     factored once (_ToeplitzLU), and one
     inverse-iteration step on that LU (_null_vectors) gives candidate
     right and left null vectors r and l and an upper bound on sigma_min.
@@ -947,8 +989,15 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     rhs = np.repeat(p.h[:, None, :], big_n, axis=1).reshape(n, big_n * n).T
     rhs = op.to_basis(rhs)  # x comes back in the same basis
     if smallest >= sigma_min:
-        x = _refined(op, op.solve, rhs)
-        path, deflated = "krylov" if source == "positivity" else "lu", None
+        path, deflated = "lu", None
+        x = op.refined(rhs) if source == "positivity" else None
+        if x is not None:
+            path = "krylov"
+        else:
+            if source == "positivity":
+                # GMRES took more steps than the section's LU costs
+                op = _ToeplitzLU(p)
+            x = _refined(op, op.solve, rhs)
         # an upper bound below sigma_min never gets here, so smallest is
         # the positivity certificate or the Lanczos value; a failed run
         # reads 0.0

@@ -1520,7 +1520,7 @@ def test_gmres_takes_a_few_steps_per_column(make, side, monkeypatch):
     # with the section of s^(-1) from the right, the section of a rational
     # symbol is the identity up to a Hankel product of low rank: 1-4 steps
     # per column were measured on the defocusing problem and 5-7 on the
-    # rational one, against a cap of the section's order, 512
+    # rational one, against KRYLOV_STEPS = 64 over the whole solve
     p = make(side)
     runs = _applies(monkeypatch, "_gmres")
     assert rc.solve(p).solver_path == "krylov"
@@ -1543,11 +1543,55 @@ def test_gmres_solves_an_unstructured_system_within_its_order(order):
         steps.append(y)
         return a @ y
 
-    y = rhp._gmres(apply, b)
+    y = rhp._gmres(apply, b, 1e-14, order)
     assert len(steps) == order
     expected = np.linalg.solve(a, b)
     assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
-    assert np.array_equal(rhp._gmres(apply, np.zeros(order, complex)), np.zeros(order))
+    zero = np.zeros(order, complex)
+    assert np.array_equal(rhp._gmres(apply, zero, 1e-14, order), zero)
+    # one step short of the order it gives up
+    assert rhp._gmres(apply, b, 1e-14, order - 1) is None
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_gmres_gives_up_on_a_value_that_is_not_finite(value):
+    steps = []
+
+    def apply(y):
+        steps.append(y)
+        return np.full_like(y, value)
+
+    assert rhp._gmres(apply, np.ones(8, complex), 1e-14, 8) is None
+    assert len(steps) == 1
+
+
+@pytest.mark.parametrize("site, path", [(10, "krylov"), (20, "lu")])
+def test_certified_section_past_the_step_budget_is_factored(site, path, monkeypatch):
+    # r = 0.6 z + 0.35/z keeps GMRES stepping longer as the site n of the
+    # z^(2n) twist grows: 56 steps over the solve at n = 10, 104 at n = 20.
+    # Past KRYLOV_STEPS the section is built and factored, and the
+    # positivity bound still certifies it: no Lanczos run
+    def make():
+        spec = rc.IdnlsSpec(r=lambda z: 0.6 * z + 0.35 / z, n=site, sign="defocusing")
+        return rc.RHProblem.from_jump(rc.build_defocusing_jump(spec, node_count=128))
+
+    runs = _applies(monkeypatch, "_gmres")
+    factorizations = _counted(monkeypatch, scipy.linalg, "lu_factor")
+    eigsh = _counted(monkeypatch, scipy.sparse.linalg, "eigsh")
+    sol = rc.solve(make())
+    assert (sol.solver_path, sol.sigma_source) == (path, "positivity")
+    assert eigsh == []
+    if path == "krylov":
+        assert sum(runs) < rhp.KRYLOV_STEPS and factorizations == []
+    else:
+        assert sum(runs) == rhp.KRYLOV_STEPS and len(factorizations) == 1
+    monkeypatch.setattr(
+        rhp, "_ToeplitzLU", lambda p: _MatrixLU(two_einsum_operator(p))
+    )
+    monkeypatch.setattr(rhp, "_certified_section", lambda p, sigma_min: None)
+    ref = rc.solve(make())
+    scale = np.max(np.abs(ref.mu.values))
+    assert np.max(np.abs(sol.mu.values - ref.mu.values)) <= 1e-13 * scale
 
 
 def test_positive_minus_side_section_solves_without_a_lanczos_run(monkeypatch):
