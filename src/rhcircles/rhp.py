@@ -23,12 +23,12 @@ at every node (the source paper's hypothesis Re v > 0) bounds
 sigma_min(T) from below by its node samples alone (_positivity_bound).
 Where that certifies T, the section is applied matrix-free by FFTs and
 solved by preconditioned GMRES (_KrylovSection); nothing is built,
-factored or estimated unless GMRES runs past KRYLOV_STEPS steps, when
-the section is factored instead.  Every other problem builds T, or the
-section, and factors it once per solve (_ToeplitzLU): one step of
-inverse iteration bounds sigma_min from above, and a Lanczos run on the
-LU gives it when that bound does not already certify the operator as
-near singular.
+factored or estimated unless GMRES runs past its step budget
+(KRYLOV_STEPS), when the section is factored instead.  Every other
+problem builds T, or the section, and factors it once per solve
+(_ToeplitzLU): one step of inverse iteration bounds sigma_min from
+above, and a Lanczos run on the LU gives it when that bound does not
+already certify the operator as near singular.
 
 Jump data carries closed-form evaluators alongside node samples.  That is
 what makes the reported jump residual meaningful: at the collocation nodes
@@ -84,12 +84,16 @@ ALIAS_BAND_CONTENT = 1e-3
 # errs by about log2(m) ulps of S per coefficient, and a section's norm
 # adds up m coefficients.
 POSITIVITY_MARGIN_ULPS = 16
-# GMRES steps a certified section's solve may take, over both solves and
-# all columns, before it gives up and factors the section instead.  One
-# step at 512 nodes (two preconditioned applies and CGS2) cost about
-# 0.15 ms and building and factoring that section about 10 ms, one BLAS
-# thread: past about 64 steps the LU is the cheaper path, and a solve
-# that gives up there costs at most about twice what the cheaper one does.
+# Least number of GMRES steps a certified section's solve may take, over
+# both solves and all columns, before it factors the section instead.
+# The budget is the steps that cost what building and factoring A of
+# order N does, so that a solve that gives up costs at most about twice
+# the cheaper path.  That LU grows as N^3 and a step (two preconditioned
+# applies and CGS2) as N, so the budget is (N / 64)^2 steps, at least
+# this: at one BLAS thread and N = 512 (1024) a step took 0.15 (0.24) ms
+# and the LU path 11 (72) ms more than the rest of the solve, about 73
+# (300) steps.  Below N = 512 a step is mostly call overhead, and both
+# paths take a few ms at most.
 KRYLOV_STEPS = 64
 
 
@@ -249,7 +253,7 @@ class RHSolution:
     solver_path is "krylov" for a solve by GMRES on a positivity-certified
     one-circle section (_KrylovSection), "lu" for a plain solve by the LU
     of T in the Fourier basis (_ToeplitzLU), which is also the path of a
-    certified section whose GMRES ran past KRYLOV_STEPS steps, and
+    certified section whose GMRES ran past its step budget, and
     "alias-deflation" when an
     alias null vector was projected out on that LU;
     deflated_singular_value is then the smallest singular value left once
@@ -662,7 +666,7 @@ class _ToeplitzLU:
 @np.errstate(all="ignore")
 def _gmres(apply, b: np.ndarray, tol: float, steps: int) -> np.ndarray | None:
     """y with apply(y) = b, for an invertible linear map apply, by GMRES
-    from y = 0, or None where it takes more than steps steps.
+    from y = 0 in at most steps applies, or None where that is not enough.
 
     The Arnoldi basis is orthogonalized by classical Gram-Schmidt run
     twice (CGS2), two BLAS products per pass, and Givens rotations keep
@@ -736,15 +740,14 @@ class _KrylovSection:
     for small jumps of any Fourier degree, but growing with the degree
     of the z^(2n) twist of an IDNLS jump as |r| nears 1 (tens per column
     for r = 0.6 z + 0.35/z at n >= 20).  So the applies of one section
-    share a budget of KRYLOV_STEPS steps.  s is taken over its largest
+    share a budget of steps (KRYLOV_STEPS).  s is taken over its largest
     modulus, as _positivity_bound takes it, so that no norm or product
     overflows for samples near 1e300.
 
     solve(y) is T^(-1) y for columns y, or None once GMRES has spent the
     budget or met a value that is not finite, and refuses y that is not
-    finite with the ValueError lu_solve raises; refined(rhs) is
-    _refined's solve and corrective step, or None; matvec(x) is T x.
-    They run with floating-point warnings off, as _ToeplitzLU's do.
+    finite with the ValueError lu_solve raises; matvec(x) is T x.  Both
+    run with floating-point warnings off, as _ToeplitzLU's do.
     """
 
     def __init__(self, p, rows, fixed, s, bound):
@@ -756,7 +759,7 @@ class _KrylovSection:
             self.scale = np.max(np.abs(s))
             self.u = s / self.scale
             self.u_inv = np.linalg.inv(self.u)
-        self.steps_left = KRYLOV_STEPS
+        self.steps_left = max(KRYLOV_STEPS, (self.order // 2) ** 2 // 64**2)
 
     to_basis, from_basis = _ToeplitzLU.to_basis, _ToeplitzLU.from_basis
 
@@ -793,15 +796,6 @@ class _KrylovSection:
             if y_j is None:
                 return None
             x[self.rows, j] = self._section(y_j, self.u_inv)
-        return x
-
-    def refined(self, rhs):
-        """_refined(self, self.solve, rhs), or None where GMRES takes more
-        than KRYLOV_STEPS steps over both solves."""
-        x = self.solve(rhs)
-        if x is not None:
-            step = self.solve(rhs - self.matvec(x))
-            x = None if step is None else x + step
         return x
 
     @np.errstate(all="ignore")
@@ -875,11 +869,12 @@ def _null_vectors(op) -> tuple[np.ndarray, np.ndarray, float]:
     return r, l, bound
 
 
-def _refined(op, solve_with, rhs: np.ndarray) -> np.ndarray:
-    """solve_with(rhs) and one corrective step on its residual under T."""
+def _refined(op, solve_with, rhs: np.ndarray) -> np.ndarray | None:
+    """solve_with(rhs) and one corrective step on its residual under T, or
+    None where solve_with gives None."""
     x = solve_with(rhs)
-    x += solve_with(rhs - op.matvec(x))
-    return x
+    step = None if x is None else solve_with(rhs - op.matvec(x))
+    return None if step is None else x + step
 
 
 def _deflated_solve(
@@ -948,11 +943,11 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     (_positivity_bound), that bound is reported as
     smallest_singular_value and the section is solved by preconditioned
     GMRES on its matrix-free applies ("krylov", _certified_section);
-    nothing is built or factored.  If GMRES runs past KRYLOV_STEPS steps,
-    the LU is the cheaper path: the section is built and factored, and
-    the LU solve plus one corrective step is the answer ("lu"), still
-    certified by that bound.  Otherwise the operator is built and
-    factored once (_ToeplitzLU), and one
+    nothing is built or factored.  If GMRES runs past its step budget
+    (KRYLOV_STEPS), the LU is the cheaper path: the section is built and
+    factored, and the LU solve plus one corrective step is the answer
+    ("lu"), still certified by that bound.  Otherwise the operator is
+    built and factored once (_ToeplitzLU), and one
     inverse-iteration step on that LU (_null_vectors) gives candidate
     right and left null vectors r and l and an upper bound on sigma_min.
     A bound below sigma_min certifies the problem as near singular, and the
@@ -989,14 +984,12 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     rhs = np.repeat(p.h[:, None, :], big_n, axis=1).reshape(n, big_n * n).T
     rhs = op.to_basis(rhs)  # x comes back in the same basis
     if smallest >= sigma_min:
-        path, deflated = "lu", None
-        x = op.refined(rhs) if source == "positivity" else None
-        if x is not None:
-            path = "krylov"
-        else:
-            if source == "positivity":
-                # GMRES took more steps than the section's LU costs
-                op = _ToeplitzLU(p)
+        path, deflated = "krylov" if source == "positivity" else "lu", None
+        x = _refined(op, op.solve, rhs)
+        if x is None:
+            # GMRES ran out of steps, which then cost what the section's
+            # LU does, or met a value that is not finite: factor instead
+            op, path = _ToeplitzLU(p), "lu"
             x = _refined(op, op.solve, rhs)
         # an upper bound below sigma_min never gets here, so smallest is
         # the positivity certificate or the Lanczos value; a failed run

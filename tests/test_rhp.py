@@ -1565,6 +1565,14 @@ def test_gmres_gives_up_on_a_value_that_is_not_finite(value):
     assert len(steps) == 1
 
 
+@pytest.mark.parametrize("nodes, budget", [(128, 64), (512, 64), (1024, 256)])
+def test_gmres_step_budget_follows_the_cost_of_the_lu(nodes, budget):
+    # factoring A of order N costs about N^3 and a step about N: the
+    # budget is (N / 64)^2 steps, and at least KRYLOV_STEPS
+    section = rhp._certified_section(_defocusing_problem(nodes), 0.0)
+    assert section.steps_left == budget
+
+
 @pytest.mark.parametrize("site, path", [(10, "krylov"), (20, "lu")])
 def test_certified_section_past_the_step_budget_is_factored(site, path, monkeypatch):
     # r = 0.6 z + 0.35/z keeps GMRES stepping longer as the site n of the
