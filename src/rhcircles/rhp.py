@@ -685,7 +685,7 @@ def _gmres(apply, b: np.ndarray, tol: float, steps: int) -> np.ndarray | None:
     if beta == 0.0:
         return np.zeros_like(b)
     steps = min(steps, b.size)
-    basis = np.empty((steps + 1, b.size), dtype=np.complex128)
+    basis = np.empty((min(steps, 15) + 1, b.size), dtype=np.complex128)
     basis[0] = b / beta
     columns, rotations, g = [], [], [beta]
     for k in range(steps):
@@ -713,6 +713,8 @@ def _gmres(apply, b: np.ndarray, tol: float, steps: int) -> np.ndarray | None:
             return None
         if abs(g[k + 1]) <= tol * beta or below == 0.0:
             break
+        if k + 1 == len(basis):  # grown by doubling, as it is needed
+            basis = np.concatenate((basis, np.empty_like(basis)))
         basis[k + 1] = w / below
     else:
         return None
