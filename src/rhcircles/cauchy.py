@@ -29,7 +29,12 @@ import numpy as np
 import scipy.linalg
 
 from .contour import Circle, ContourSystem
-from .errors import AlignmentError, TooCloseToContourError
+from .errors import (
+    AlignmentError,
+    SingularJumpError,
+    TooCloseToContourError,
+    WindingAmbiguityError,
+)
 
 _I2PI = 1.0 / (2.0j * np.pi)
 
@@ -81,6 +86,32 @@ def plus_mode_mask(circle: Circle, plus_inside: bool) -> np.ndarray:
     """Modes whose basis function is analytic on the plus side."""
     k = fourier_modes(circle.node_count)
     return k >= 0 if plus_inside else k < 0
+
+
+def _winding(samples: np.ndarray, delta_inv: float, circle_index: int = 0) -> int:
+    """Degree around 0 of scalar samples taken at one circle's nodes, in
+    traversal order; circle_index names the circle in the errors.
+
+    Sums principal-branch phase increments between consecutive nodes
+    (cyclically); the sum is 2*pi times an integer for any continuous
+    nonvanishing loop, and a result farther than 0.1 from an integer, or
+    one that is not finite, means the sampling is too coarse to track the
+    phase.
+    """
+    if np.min(np.abs(samples)) < delta_inv:
+        raise SingularJumpError(
+            f"|v| < {delta_inv} on circle {circle_index}; winding undefined"
+        )
+    with np.errstate(all="ignore"):
+        ratios = np.roll(samples, -1) / samples
+    total = float(np.sum(np.angle(ratios))) / (2.0 * np.pi)
+    nearest = round(total) if np.isfinite(total) else 0
+    if not abs(total - nearest) <= 0.1:
+        raise WindingAmbiguityError(
+            f"phase increments sum to {total:.4f} turns, not close to an "
+            "integer; sample the circle more finely"
+        )
+    return int(nearest)
 
 
 def _matrix_values(fn: Callable, points: np.ndarray) -> np.ndarray:

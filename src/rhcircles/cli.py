@@ -347,7 +347,6 @@ def _report_solver(report: dict, sol: RHSolution) -> None:
     report["smallest_singular_value"] = float(sol.smallest_singular_value)
     report["sigma_source"] = sol.sigma_source
     report["solver_path"] = sol.solver_path
-    report["deflated_singular_value"] = sol.deflated_singular_value
 
 
 def _run_solve(doc, tol, nodes):

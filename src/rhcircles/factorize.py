@@ -17,6 +17,7 @@ import numpy as np
 
 from .cauchy import (
     GridFunction,
+    _winding,
     check_margin,
     circle_coefficients,
     circle_values,
@@ -26,8 +27,6 @@ from .errors import (
     HypothesisViolationError,
     NonConstantCError,
     NonPositiveCError,
-    SingularJumpError,
-    WindingAmbiguityError,
 )
 from .rhp import (
     CONST_TOL,
@@ -47,27 +46,12 @@ from .rhp import (
 def winding_number(
     v: GridFunction, circle_index: int = 0, delta_inv: float = DELTA_INV
 ) -> int:
-    """Degree of a nonvanishing scalar symbol around 0 on one circle.
-
-    Sums principal-branch phase increments between consecutive nodes
-    (cyclically); the sum is 2*pi times an integer for any continuous
-    nonvanishing loop, and a result farther than 0.1 from an integer means
-    the sampling is too coarse to track the phase.
-    """
+    """Degree of a nonvanishing scalar symbol around 0 on one circle: see
+    cauchy._winding, which raises SingularJumpError where |v| <
+    delta_inv and WindingAmbiguityError where the sampling is too coarse
+    to track the phase."""
     samples = v.scalar()[v.system.node_slices()[circle_index]]
-    if np.min(np.abs(samples)) < delta_inv:
-        raise SingularJumpError(
-            f"|v| < {delta_inv} on circle {circle_index}; winding undefined"
-        )
-    ratios = np.roll(samples, -1) / samples
-    total = float(np.sum(np.angle(ratios))) / (2.0 * np.pi)
-    nearest = round(total)
-    if abs(total - nearest) > 0.1:
-        raise WindingAmbiguityError(
-            f"phase increments sum to {total:.4f} turns, not close to an "
-            "integer; sample the circle more finely"
-        )
-    return int(nearest)
+    return _winding(samples, delta_inv, circle_index)
 
 
 def mobius_power(z, exponent: int, z_plus: complex, z_minus: complex | None):

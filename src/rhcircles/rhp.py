@@ -52,6 +52,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .cauchy import (
     GridFunction,
     _cross_kernel,
+    _winding,
     _matrix_values,
     boundary_values_at_midpoints,
     boundary_values_on_circle,
@@ -67,6 +68,7 @@ from .errors import (
     NotInversionInvariantContourError,
     RankAmbiguityError,
     SingularJumpError,
+    WindingAmbiguityError,
 )
 
 DELTA_INV = 1e-10
@@ -278,7 +280,6 @@ class RHSolution:
     smallest_singular_value: float
     sigma_source: str
     solver_path: str
-    deflated_singular_value: float | None
     cauchy_density: GridFunction = field(repr=False)
 
     @property
@@ -590,6 +591,54 @@ def _positivity_bound(s: np.ndarray) -> float | None:
         return float(delta / np.hypot(np.hypot(delta, 1.0), big))
 
 
+def _left_out(p: RHProblem) -> tuple[list, list]:
+    """The equation rows and the unknown columns of T, as basis indices,
+    that balance its mode sets where the jump's diagonal winds; none where
+    nothing is to be left out.
+
+    A square section of a symbol that winds by kappa loses |kappa| modes
+    at the Nyquist seam of its mode set, since its Fredholm index is
+    nonzero (Boettcher & Silbermann 1999).  Where the windings on all
+    circles sum to zero, only another circle's coupling at that seam,
+    below rounding, makes up for those modes, so T has an alias kernel
+    although the problem is uniquely solvable.  On a circle whose jump
+    samples are triangular and whose splitting has one nonzero half, a
+    diagonal entry b that winds by kappa (in traversal order) leaves out
+    |kappa| modes of component b: the modes of that half's projection
+    (P_O for b_plus, P_K for b_minus) nearest the seam, as equation rows
+    where kappa > 0 and as unknown columns where kappa < 0.  They are left
+    out only where the windings sum to zero, so that T stays square.  A
+    circle whose windings cannot be read (it is not triangular, is split
+    on both sides, or has an entry that vanishes or is sampled too
+    coarsely) is left as it is; where its det v winds, the alias kernel
+    that leaves is found from T's null vectors instead (_certified_lu).
+    """
+    system, n, data = p.system, p.data.dim, p.data
+    left_out = ([], [])  # equations, unknowns
+    for circle, nodes, inside in zip(
+        system.circles, system.node_slices(), system.plus_inside
+    ):
+        s = data.jump.v.values[nodes]
+        minus_half = np.any(data.w_minus.values[nodes])
+        if (minus_half and np.any(data.w_plus.values[nodes])) or (
+            np.any(np.triu(s, 1)) and np.any(np.tril(s, -1))
+        ):
+            continue
+        try:
+            windings = [_winding(s[:, b, b], data.jump.delta_inv) for b in range(n)]
+        except (SingularJumpError, WindingAmbiguityError):
+            continue
+        m = circle.node_count
+        # the half's storage-order modes start at 0, or end at m - 1
+        from_zero = plus_mode_mask(circle, inside)[0] == minus_half
+        for b, kappa in enumerate(windings):
+            k = np.arange(abs(kappa))
+            modes = m // 2 - 1 - k if from_zero else m // 2 + k
+            left_out[kappa < 0].extend((nodes.start + modes) * n + b)
+    equations, unknowns = left_out
+    return left_out if len(equations) == len(unknowns) else ([], [])
+
+
 class _ToeplitzLU:
     """The operator T in the per-circle Fourier basis of _operator_rows,
     factored by one LU of its rows outside the identity block, for the
@@ -611,12 +660,37 @@ class _ToeplitzLU:
     reaches lu_solve, which refuses it.
     """
 
-    def __init__(self, p: RHProblem):
+    def __init__(self, p: RHProblem, left_out=((), ())):
         self.runs, self.n = _circle_runs(p.system), p.data.dim
         self.t_rows, self.rows, self.fixed = _operator_rows(p)
         self.order = self.t_rows.shape[1]
-        self.b = self.t_rows[:, self.fixed]
-        self.lu = scipy.linalg.lu_factor(self.t_rows[:, self.rows])
+        self._factor(*left_out)
+
+    def _factor(self, equations=(), unknowns=()):
+        """Factor A, less the equation rows and the unknown columns at the
+        basis indices equations and unknowns (as many of each, pairwise,
+        all within rows).
+
+        Each such row and column of a copy of A is zeroed but for s where
+        they cross, and B's row with it, so that the factored T is the
+        reduced one and, decoupled from it, s times the identity.  s is the
+        norm of A's first column not left out, at least sigma_min of the
+        reduced T, which no column's norm undercuts, so that the LU, its
+        Lanczos run and its null vectors are those of the reduced T.
+        solve reads the inputs at left_out as 0, so that the unknowns left
+        out come back 0.  The copy is the one lu_factor makes of A, made
+        here and factored in place.
+        """
+        self.left_out = tuple(np.array(i, dtype=int) for i in (equations, unknowns))
+        self.b, a = self.t_rows[:, self.fixed], self.t_rows[:, self.rows]
+        if len(equations):
+            eq, unknown = (i - self.rows.start for i in self.left_out)
+            a, self.b = np.array(a, order="F"), self.b.copy()
+            kept = np.setdiff1d(np.arange(a.shape[1]), unknown)[0]
+            scale = scipy.linalg.norm(a[:, kept])
+            a[eq], a[:, unknown], self.b[eq] = 0.0, 0.0, 0.0
+            a[eq, unknown] = scale
+        self.lu = scipy.linalg.lu_factor(a, overwrite_a=bool(len(equations)))
         self._section_vector = _lu_vector_solver(self.lu)
 
     @property
@@ -649,6 +723,9 @@ class _ToeplitzLU:
         return scipy.linalg.lu_solve(self.lu, rhs, trans=2 if adjoint else 0)
 
     def solve(self, y, adjoint=False):
+        if self.left_out[adjoint].size:  # the equations, or for T^H unknowns
+            y = np.array(y, dtype=np.complex128)
+            y[self.left_out[adjoint]] = 0.0
         return self._solve(y, adjoint, self._section_columns)
 
     def solve_vector(self, y, adjoint=False):
@@ -879,61 +956,76 @@ def _refined(op, solve_with, rhs: np.ndarray) -> np.ndarray | None:
     return None if step is None else x + step
 
 
-def _deflated_solve(
-    op,
-    r: np.ndarray,
-    l: np.ndarray,
-    rhs: np.ndarray,
-    sigma_min: float,
-    smallest: float,
-) -> tuple[np.ndarray, float]:
-    """Solve a consistent system whose operator has a one-dimensional kernel.
+def _certified_lu(op: _ToeplitzLU, band: np.ndarray, sigma_min: float) -> float:
+    """sigma_min of the factored operator op, once it is at least
+    sigma_min; otherwise a NearSingularOperatorError, unless the kernel
+    is an alias that op has not left out yet.
 
-    With the null vectors r and l, S y = P T^(-1) Q y on the factored
-    operator op, for P = I - r r^H and Q = I - l l^H, is the truncated-SVD
-    inverse, so x = S rhs is the solution orthogonal to r.  Lanczos on
-    S S^H, y -> P T^(-1) Q Q T^(-H) P y by op.solve_vector, gives the
-    smallest singular value left; a kernel of two or more directions
-    keeps it below sigma_min and is reported, never deflated by one
-    vector.  x is accepted only if T x reproduces rhs node by node, in
-    operator rows.
-    r, l, rhs and x are in op's basis.  Returns x and that value.
+    One inverse-iteration step (_null_vectors) gives the null vectors r
+    and l and an upper bound on sigma_min.  Where r or l is not finite
+    the LU broke down, which is refused with sigma_min 0; at or above
+    sigma_min, Lanczos on the LU gives the value.  Below it, r or l with
+    band-limited content (r[band], l[band]) above ALIAS_BAND_CONTENT is a
+    genuine kernel (nonzero partial indices land here), and a kernel left
+    once op has left out rows and columns has more than one alias
+    direction.  Otherwise op leaves out the equation row where l peaks
+    and the unknown column where r peaks, within rows, is factored again,
+    and is measured once more.
     """
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(l))):
-        raise NearSingularOperatorError(
-            smallest, message="LU of the singular operator broke down"
-        )
+    while True:
+        r, l, smallest = _null_vectors(op)
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(l))):
+            # no Lanczos run: on a broken-down LU it ends in an ARPACK
+            # error, and LAPACK prints to stdout on the way there
+            raise NearSingularOperatorError(
+                0.0, message="LU of the singular operator broke down"
+            )
+        if smallest >= sigma_min:
+            smallest = _smallest_singular_value(op)
+        if smallest >= sigma_min:
+            return smallest
+        # genuine kernel or cokernel elements of analytic problems
+        # concentrate in low Fourier modes, a Nyquist alias does not
+        ker, coker = (float(np.linalg.norm(v[band])) for v in (r, l))
+        if ker > ALIAS_BAND_CONTENT or coker > ALIAS_BAND_CONTENT:
+            raise NearSingularOperatorError(
+                smallest,
+                message=(
+                    "operator near singular: smallest singular value "
+                    f"{smallest:.3e}; band-limited null-vector content "
+                    f"{ker:.2e} (right), {coker:.2e} (left)"
+                ),
+            )
+        if op.left_out[0].size:
+            raise NearSingularOperatorError(
+                smallest, message="operator kernel has more than one alias direction"
+            )
+        op._factor(*([op.rows.start + np.argmax(np.abs(v[op.rows]))] for v in (l, r)))
 
-    def project(v, y):
-        return y - np.multiply.outer(v, np.conj(v) @ y)
 
-    def pinv(y):
-        return project(r, op.solve(project(l, y)))
+def _check_left_out(op: _ToeplitzLU, x: np.ndarray, rhs: np.ndarray, smallest: float):
+    """Refuse x, op's solution of T x = rhs, unless the equations op left
+    out hold to ALIAS_BAND_CONTENT max(|rhs|, 1).
 
-    def gram(y):
-        y = project(l, op.solve_vector(project(r, y), adjoint=True))
-        return project(r, op.solve_vector(project(l, y)))
-
-    start = op.to_basis(_start_vector(op.order))
-    deflated = _lanczos_sigma_min(gram, start) or 0.0
-    if deflated < sigma_min:
-        raise NearSingularOperatorError(
-            smallest,
-            message="operator kernel has more than one alias direction",
-        )
-    x = _refined(op, pinv, rhs)
-    # measured in operator rows, where the max norm is node by node
-    residual = float(np.max(np.abs(op.from_basis(op.matvec(x) - rhs))))
-    scale = max(float(np.max(np.abs(op.from_basis(rhs)))), 1.0)
-    if not residual <= 1e-8 * scale:  # a NaN residual fails too
+    The unknowns left out are 0, so an equation left out holds only as
+    far as rhs has no component along T's left null vector l: its
+    residual is l^H rhs over l's entry there.  rhs is constant along the
+    contour, so for an alias, whose l has band-limited content below
+    ALIAS_BAND_CONTENT, that is a discretization error, of the order of
+    the jump residual, which reports it.  Above it the equations left out
+    carried band-limited content, and the system is inconsistent.
+    """
+    equations = op.left_out[0]
+    gap = op.t_rows[equations - op.rows.start] @ x - rhs[equations]
+    residual = float(np.max(np.abs(gap), initial=0.0))
+    if not residual <= ALIAS_BAND_CONTENT * max(float(np.max(np.abs(rhs))), 1.0):
         raise NearSingularOperatorError(
             smallest,
             message=(
                 "operator is singular and the system is inconsistent "
-                f"(least-squares residual {residual:.2e})"
+                f"(residual {residual:.2e} on the equations left out)"
             ),
         )
-    return x, deflated
 
 
 def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
@@ -972,61 +1064,25 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     if op is not None:
         smallest, source = op.sigma_lower_bound, "positivity"
     else:
-        op = _ToeplitzLU(p)
-        r, l, smallest = _null_vectors(op)
-        source = "inverse-iteration"
-        if smallest >= sigma_min:
-            source = "lanczos"
-            # a Lanczos run on a broken-down LU ends in an ARPACK error,
-            # and LAPACK prints to stdout on the way there
-            finite = np.all(np.isfinite(r)) and np.all(np.isfinite(l))
-            smallest = _smallest_singular_value(op) if finite else 0.0
+        op, source = _ToeplitzLU(p, _left_out(p)), "lanczos"
+        smallest = _certified_lu(op, _band_rows(p.system, n), sigma_min)
 
     # one right-hand side per row of h, constant along the contour
     rhs = np.repeat(p.h[:, None, :], big_n, axis=1).reshape(n, big_n * n).T
     rhs = op.to_basis(rhs)  # x comes back in the same basis
-    if smallest >= sigma_min:
-        path, deflated = "krylov" if source == "positivity" else "lu", None
+    path = "krylov" if source == "positivity" else "lu"
+    x = _refined(op, op.solve, rhs)
+    if x is None:
+        # GMRES ran out of steps, which then cost what the section's LU
+        # does, or met a value that is not finite: factor instead
+        op, path = _ToeplitzLU(p), "lu"
         x = _refined(op, op.solve, rhs)
-        if x is None:
-            # GMRES ran out of steps, which then cost what the section's
-            # LU does, or met a value that is not finite: factor instead
-            op, path = _ToeplitzLU(p), "lu"
-            x = _refined(op, op.solve, rhs)
-        # an upper bound below sigma_min never gets here, so smallest is
-        # the positivity certificate or the Lanczos value; a failed run
-        # reads 0.0
-        if smallest > 0.0:
-            p.band_sigma_lower_bound = smallest
-    else:
-        # A jump entry with nonzero winding around a single circle gives
-        # the nodal discretization an exact null vector concentrated at
-        # the Nyquist mode even when the problem is uniquely solvable (the
-        # alias of the top mode is annihilated by the one-sided projection,
-        # and its coupling to the other circles radiates below machine
-        # precision).  Genuine kernel or cokernel elements of analytic
-        # problems concentrate in low Fourier modes instead, so the
-        # band-limited content of the null vectors tells the two apart.
-        # NaN content (a broken-down LU) is not above the bound, so
-        # _deflated_solve reports the breakdown
-        band = _band_rows(p.system, n)
-        with np.errstate(all="ignore"):
-            ker, coker = (float(np.linalg.norm(v[band])) for v in (r, l))
-        if ker > ALIAS_BAND_CONTENT or coker > ALIAS_BAND_CONTENT:
-            raise NearSingularOperatorError(
-                smallest,
-                message=(
-                    "operator near singular: smallest singular value "
-                    f"{smallest:.3e}; band-limited null-vector content "
-                    f"{ker:.2e} (right), {coker:.2e} (left)"
-                ),
-            )
-        x, deflated = _deflated_solve(op, r, l, rhs, sigma_min, smallest)
-        path = "alias-deflation"
-        # r is T's null vector to within sigma_1 / sigma_2, so for unit x
-        # in the band |T x|^2 >= sigma_2^2 (1 - |r^H x|^2) >= sigma_2^2
-        # (1 - ker^2); likewise |T^H x| with l and coker
-        p.band_sigma_lower_bound = float(deflated * np.sqrt(1.0 - max(ker, coker) ** 2))
+    if path == "lu":
+        _check_left_out(op, x, rhs, smallest)
+    # smallest is the positivity certificate or the Lanczos value of the
+    # factored operator; a failed run reads 0.0
+    if smallest > 0.0:
+        p.band_sigma_lower_bound = smallest
 
     x = op.from_basis(x)
     mu = GridFunction(p.system, x.T.reshape(n, big_n, n).transpose(1, 0, 2))
@@ -1039,7 +1095,6 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
         smallest_singular_value=smallest,
         sigma_source=source,
         solver_path=path,
-        deflated_singular_value=deflated,
         cauchy_density=mu * (p.data.w_plus + p.data.w_minus),
     )
     sol.residual_jump = _midpoint_residual(p, sol)

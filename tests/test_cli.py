@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rhcircles as rc
-from rhcircles import cli
+from rhcircles import cli, rhp
 from rhcircles.cauchy import EVAL_BLOCK
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -135,7 +135,8 @@ def test_alias_path_reports_are_deterministic(tmp_path):
             "12x12",
         )
         assert code == 0
-        assert report["solver_path"] == "alias-deflation"
+        # the alias kernel is gone with the modes left out
+        assert report["solver_path"] == "lu"
         report.pop("timing_seconds")
         runs.append((json.dumps(report, sort_keys=True), samples.read_bytes()))
     assert runs[0] == runs[1]
@@ -423,10 +424,12 @@ def test_per_circle_jump_matrices(tmp_path):
 
 def test_reports_name_the_solver_path(tmp_path):
     _, soliton = run("idnls", PROBLEMS / "idnls_soliton.json", tmp_path)
-    assert soliton["solver_path"] == "alias-deflation"
-    assert soliton["smallest_singular_value"] < 1e-8
-    assert soliton["deflated_singular_value"] > 1e-8
-    assert soliton["sigma_source"] == "inverse-iteration"
+    # the modes left out at the Nyquist seam leave no alias kernel, so
+    # the plain LU solves it and Lanczos gives its sigma_min
+    assert soliton["solver_path"] == "lu"
+    assert soliton["smallest_singular_value"] >= 1e-8
+    assert soliton["sigma_source"] == "lanczos"
+    assert "deflated_singular_value" not in soliton
     for name, mode in (
         ("rational_solve.json", "solve"),
         ("hermitian_scalar.json", "factorize-hermitian"),
@@ -434,7 +437,7 @@ def test_reports_name_the_solver_path(tmp_path):
     ):
         _, report = run(mode, PROBLEMS / name, tmp_path)
         assert report["solver_path"] == "krylov", name
-        assert report["deflated_singular_value"] is None, name
+        assert "deflated_singular_value" not in report, name
         # one circle, a positive symbol: certified without a Lanczos run
         assert report["sigma_source"] == "positivity", name
 
@@ -460,11 +463,10 @@ def test_idnls_factors_and_probes_its_operator_once(tmp_path, monkeypatch):
     lu = _count_calls(monkeypatch, [scipy.linalg], "lu_factor")
     code, _ = run("idnls", PROBLEMS / "idnls_soliton.json", tmp_path)
     assert code == 0
-    # the alias solve certifies the index, so no count runs; the alias
-    # check reads the null vectors
+    # the solve certifies the index, so no count runs
     assert len(svdvals) == 0
     assert len(svd) == 0
-    # the operator alone: the alias deflation projects on its LU
+    # the operator alone, less the modes left out at the Nyquist seam
     assert len(lu) == 1
 
 
@@ -903,6 +905,20 @@ def test_broken_down_lu_prints_only_the_rhc_line(tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
+def _band_content(doc):
+    """The band-content clause of the refusal of doc's problem, formatted as
+    solve formats it, from the null vectors it reads.  The subprocess runs
+    with this process's BLAS threads, and the last digit follows them."""
+    system = cli._build_system(doc, None)
+    p = rc.RHProblem.from_jump(cli._build_jump(doc, system, rc.DELTA_INV))
+    with np.errstate(all="ignore"):
+        r, l, _ = rhp._null_vectors(rhp._ToeplitzLU(p, rhp._left_out(p)))
+    band = rhp._band_rows(system, p.data.dim)
+    ker, coker = (float(np.linalg.norm(v[band])) for v in (r, l))
+    assert ker > rhp.ALIAS_BAND_CONTENT and coker > rhp.ALIAS_BAND_CONTENT
+    return f"band-limited null-vector content {ker:.2e} (right), {coker:.2e} (left)"
+
+
 @pytest.mark.parametrize(
     "jump, refusal",
     [
@@ -910,11 +926,9 @@ def test_broken_down_lu_prints_only_the_rhc_line(tmp_path):
             [["1e-310*(z - 0.4)/(z - 2.5)", "0"], ["0", "1e301"]],
             "LU of the singular operator broke down",
         ),
-        # T^(-1) s reaches 1.2e302: the null vectors keep their direction
-        (
-            [["1e-300*(z - 0.4)/(z - 2.5)", "0"], ["0", "1e300"]],
-            "band-limited null-vector content 7.37e-01 (right), 8.46e-01 (left)",
-        ),
+        # T^(-1) s reaches 1.2e302: the null vectors keep their direction;
+        # their band content is read in this process (_band_content)
+        ([["1e-300*(z - 0.4)/(z - 2.5)", "0"], ["0", "1e300"]], None),
     ],
     ids=["broken_down_lu", "overflowing_null_vector_norm"],
 )
@@ -930,6 +944,7 @@ def test_edge_of_range_refusals_leave_stdout_empty(jump, refusal, tmp_path):
         ],
         "jump": jump,
     }
+    refusal = refusal or _band_content(doc)
     proc = _rhc_subprocess(tmp_path, doc)
     assert proc.returncode == 3
     assert proc.stdout == ""

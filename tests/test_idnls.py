@@ -296,16 +296,17 @@ def test_alias_null_vectors_take_one_step_from_a_random_start():
     "spec", [soliton_spec(), _gesdd_site_spec()], ids=["soliton", "gesdd_site"]
 )
 def test_alias_deflation_matches_truncated_svd(spec):
+    # T has an alias kernel of one direction; the solve leaves out the
+    # equation row and the unknown column at the Nyquist seam that carry it
     p = _conjugated_problem(spec)
     sol = rc.solve(p)
-    assert sol.solver_path == "alias-deflation"
-    assert sol.deflated_singular_value >= rc.SIGMA_MIN
-    assert sol.smallest_singular_value < rc.SIGMA_MIN
+    assert sol.solver_path == "lu"
+    assert sol.smallest_singular_value >= rc.SIGMA_MIN
     # truncated-SVD reference; gesvd, since gesdd need not converge here
     u, s, vh = scipy.linalg.svd(two_einsum_operator(p), lapack_driver="gesvd")
     assert np.sum(s < rc.SIGMA_MIN) == 1
-    # what is left once the alias direction is projected out
-    assert abs(sol.deflated_singular_value - s[-2]) <= 1e-10 * s[-2]
+    # what is left once the alias direction is gone
+    assert abs(sol.smallest_singular_value - s[-2]) <= 1e-10 * s[-2]
     big_n = p.system.total_nodes
     rhs = np.repeat(p.h[:, None, :], big_n, axis=1).reshape(2, 2 * big_n).T
     inverted = np.where(s >= rc.SIGMA_MIN, 1.0 / s, 0.0)
@@ -318,9 +319,9 @@ def test_alias_deflation_matches_truncated_svd(spec):
 def test_conjugated_soliton_alias_is_deflated_at_every_site(site):
     spec = rc.IdnlsSpec(r=None, n=site, poles=((2.0 + 0j, 1.0 + 0j),))
     sol = rc.solve(_conjugated_problem(spec))
-    assert sol.solver_path == "alias-deflation"
+    assert sol.solver_path == "lu"
     assert sol.residual_jump <= 1e-8
-    assert sol.deflated_singular_value >= rc.SIGMA_MIN
+    assert sol.smallest_singular_value >= rc.SIGMA_MIN
 
 
 def test_alias_solve_runs_no_singular_value_decomposition(monkeypatch):
@@ -335,7 +336,7 @@ def test_alias_solve_runs_no_singular_value_decomposition(monkeypatch):
 
         monkeypatch.setattr(scipy.linalg, name, counted)
     sol = rc.solve(p)
-    assert sol.solver_path == "alias-deflation"
+    assert sol.solver_path == "lu"
     assert calls == []
 
 

@@ -1,11 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from hypothesis import given, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 import rhcircles as rc
@@ -22,9 +23,7 @@ class _MatrixLU(rhp._ToeplitzLU):
         self.order = t.shape[0]
         self.t_rows = t
         self.rows, self.fixed = slice(0, self.order), slice(0, 0)
-        self.b = t[:, self.fixed]
-        self.lu = scipy.linalg.lu_factor(t)
-        self._section_vector = rhp._lu_vector_solver(self.lu)
+        self._factor()
 
     def to_basis(self, y):
         return y
@@ -341,7 +340,6 @@ def test_smallest_singular_value_matches_svdvals(make):
     exact = scipy.linalg.svdvals(two_einsum_operator(p))[-1]
     assert sol.sigma_source == "lanczos"
     assert sol.solver_path == "lu"
-    assert sol.deflated_singular_value is None
     assert abs(sol.smallest_singular_value - exact) <= 1e-12 * exact
 
 
@@ -352,9 +350,7 @@ def test_zero_pivot_counts_as_singular():
         op = _MatrixLU(t)
     assert rhp._smallest_singular_value(op) == 0.0
     with pytest.raises(rc.NearSingularOperatorError, match="broke down"):
-        rhp._deflated_solve(
-            op, *rhp._null_vectors(op)[:2], np.ones((5, 1)), rc.SIGMA_MIN, 0.0
-        )
+        rhp._certified_lu(op, np.arange(0), rc.SIGMA_MIN)
 
 
 def test_lanczos_nonconvergence_counts_as_singular(monkeypatch):
@@ -435,9 +431,14 @@ def test_null_vectors_keep_their_direction_near_the_edge_of_the_range():
     for v in (r, l):
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
     assert bound < rc.SIGMA_MIN
+    # the contents as solve formats them; their last digit follows the
+    # BLAS threads
+    band = rhp._band_rows(system, 2)
+    ker, coker = (float(np.linalg.norm(v[band])) for v in (r, l))
+    assert ker > rhp.ALIAS_BAND_CONTENT and coker > rhp.ALIAS_BAND_CONTENT
     with pytest.raises(
         rc.NearSingularOperatorError,
-        match=r"content 7\.37e-01 \(right\), 8\.46e-01 \(left\)",
+        match=re.escape(f"content {ker:.2e} (right), {coker:.2e} (left)"),
     ):
         rc.solve(p)
 
@@ -496,22 +497,33 @@ def _operator_with_kernel(order, nullity):
     return t, rhs
 
 
-def test_one_dimensional_kernel_deflation_matches_pseudoinverse():
+# With no band, every null vector reads as an alias, so _certified_lu
+# leaves out the row and the column where they peak.
+_NO_BAND = np.arange(0)
+
+
+def test_one_dimensional_kernel_is_left_out_where_its_null_vectors_peak():
     t, rhs = _operator_with_kernel(40, 1)
     op = _MatrixLU(t)
     r, l, _ = rhp._null_vectors(op)
-    x, _ = rhp._deflated_solve(op, r, l, rhs, rc.SIGMA_MIN, 0.0)
-    reference = np.linalg.pinv(t, rcond=1e-10) @ rhs
-    assert np.max(np.abs(x - reference)) < 1e-10
+    smallest = rhp._certified_lu(op, _NO_BAND, rc.SIGMA_MIN)
+    row, column = np.argmax(np.abs(l)), np.argmax(np.abs(r))
+    assert [i.tolist() for i in op.left_out] == [[row], [column]]
+    reduced = np.delete(np.delete(t, row, axis=0), column, axis=1)
+    assert abs(smallest - scipy.linalg.svdvals(reduced)[-1]) <= 1e-10 * smallest
+    x = rhp._refined(op, op.solve, rhs)
+    rhp._check_left_out(op, x, rhs, smallest)  # consistent: not refused
+    assert np.all(x[column] == 0.0)
+    assert np.max(np.abs(t @ x - rhs)) < 1e-10
+    # the pseudoinverse solution, up to a multiple of the null vector
+    gap = x - np.linalg.pinv(t, rcond=1e-10) @ rhs
+    assert np.max(np.abs(gap - np.outer(r, np.conj(r) @ gap))) < 1e-10
 
 
 def test_two_dimensional_kernel_is_never_deflated_by_one_vector():
     t, rhs = _operator_with_kernel(40, 2)
     with pytest.raises(rc.NearSingularOperatorError, match="more than one"):
-        rhp._deflated_solve(
-            op := _MatrixLU(t), *rhp._null_vectors(op)[:2],
-            rhs, rc.SIGMA_MIN, 0.0,
-        )
+        rhp._certified_lu(_MatrixLU(t), _NO_BAND, rc.SIGMA_MIN)
 
 
 def test_inconsistent_system_is_never_deflated():
@@ -520,8 +532,10 @@ def test_inconsistent_system_is_never_deflated():
     op = _MatrixLU(t)
     r, l, _ = rhp._null_vectors(op)
     rhs = rhs + l[:, None] * np.array([[1.0, 0.0]])
+    smallest = rhp._certified_lu(op, _NO_BAND, rc.SIGMA_MIN)
+    x = rhp._refined(op, op.solve, rhs)
     with pytest.raises(rc.NearSingularOperatorError, match="inconsistent"):
-        rhp._deflated_solve(op, r, l, rhs, rc.SIGMA_MIN, 0.0)
+        rhp._check_left_out(op, x, rhs, smallest)
 
 
 def test_lanczos_refuses_a_non_positive_ritz_value():
@@ -833,9 +847,11 @@ def _lattice_problems(count, seed=1):
     ids=[*(f"lattice_{k}" for k in range(8)), "conjugated_soliton"],
 )
 def test_alias_solve_certifies_the_count(make, monkeypatch):
-    # sigma_2 sqrt(1 - c^2) bounds both band products' values from below
+    # sigma_min of T less the modes left out bounds both band products'
+    # values from below, by interlacing, since those modes are outside
+    # the band
     p = make()
-    assert rc.solve(p).solver_path == "alias-deflation"
+    assert rc.solve(p).solver_path == "lu"
     probes = _count_rank_probes(monkeypatch)
     got, rep = _index_outcome(p)
     assert probes == [[], [], []]
@@ -843,6 +859,131 @@ def test_alias_solve_certifies_the_count(make, monkeypatch):
     assert got == expected == (0, 0)
     assert rep.ker_gap[1] <= fresh.ker_gap[1] * (1.0 + 1e-12)
     assert rep.coker_gap[1] <= fresh.coker_gap[1] * (1.0 + 1e-12)
+
+
+def _conjugated_soliton_at(site):
+    spec = rc.IdnlsSpec(r=None, n=site, poles=((2.0 + 0j, 1.0 + 0j),))
+    return rc.RHProblem.from_jump(
+        rc.conjugate(rc.remove_poles(spec)).jump, h=np.eye(2)
+    )
+
+
+def _second_smallest_where_separated(p, sigma):
+    """Assert sigma = sigma_2(T) to 1e-10 where sigma_3 > 1.1 sigma_2: T
+    less the modes left out keeps every singular value of T but its alias
+    one."""
+    s = scipy.linalg.svdvals(two_einsum_operator(p))
+    assert s[-1] < rc.SIGMA_MIN  # T itself has the alias kernel
+    if s[-3] > 1.1 * s[-2]:
+        assert abs(sigma - s[-2]) <= 1e-10 * s[-2]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*(lambda n=n: _conjugated_soliton_at(n) for n in (-3, 0, 3, 12)),
+     *_lattice_problems(4)],
+    ids=[*(f"soliton_n{n}" for n in (-3, 0, 3, 12)),
+         *(f"lattice_{k}" for k in range(4))],
+)
+def test_modes_left_out_at_the_seam_leave_the_second_singular_value(make):
+    p = make()
+    # the outer circle's w winds +1 and the inner one's 1/w -1: one
+    # equation row and one unknown column, both of component 2 at the
+    # mode -m/2 (C+ keeps k >= 0 on both counterclockwise circles)
+    equations, unknowns = rhp._left_out(p)
+    outer, inner = p.system.node_slices()[-2:]
+    assert equations == [(outer.start + 32) * 2 + 1]
+    assert unknowns == [(inner.start + 32) * 2 + 1]
+    sol = rc.solve(p)
+    assert (sol.solver_path, sol.sigma_source) == ("lu", "lanczos")
+    assert sol.smallest_singular_value >= rc.SIGMA_MIN
+    _second_smallest_where_separated(p, sol.smallest_singular_value)
+    # the unknown left out comes back 0, whatever the right-hand side
+    op = rhp._ToeplitzLU(p, (equations, unknowns))
+    y = op.to_basis(np.random.default_rng(5).standard_normal((op.order, 2)) + 0j)
+    assert np.all(op.solve(y)[unknowns] == 0.0)
+
+
+def test_rotated_jump_leaves_out_where_the_null_vectors_peak(monkeypatch):
+    # U v U^H on every circle: no circle is triangular, so no winding is
+    # read; T is factored, and the row and column where its null vectors
+    # peak are left out
+    u = np.array([[0.8, 0.6j], [0.6j, 0.8]])
+    p = _conjugated_soliton_problem()
+    jump = p.data.jump
+    fns = [
+        lambda z, i=i: u @ jump.at(i, z) @ u.conj().T
+        for i in range(len(jump.evaluators))
+    ]
+    rotated = rc.RHProblem.from_jump(
+        rc.JumpData.from_evaluators(jump.system, fns), h=np.eye(2)
+    )
+    assert rhp._left_out(rotated) == ([], [])
+    factorizations = _counted(monkeypatch, scipy.linalg, "lu_factor")
+    sol = rc.solve(rotated)
+    assert len(factorizations) == 2  # T, then T less those modes
+    assert (sol.solver_path, sol.sigma_source) == ("lu", "lanczos")
+    s = scipy.linalg.svdvals(two_einsum_operator(rotated))
+    assert abs(sol.smallest_singular_value - s[-2]) <= 1e-10 * s[-2]
+    # m of U v U^H is U m U^H
+    z = rc.off_contour_points(p.system, 12, rel_margin=0.45)
+    expected = u @ rc.solve(p).evaluate(z) @ u.conj().T
+    assert np.max(np.abs(sol.evaluate(z) - expected)) <= 1e-12
+
+
+def _inversion_symmetric_jump(seed, k, nodes=64):
+    """The unit circle with B_0 + A z + A^H / z, lambda_min(B_0) = 2 |A|
+    + 0.2; a counterclockwise circle c, center a with |a| in [1.6, 3.1]
+    and radius r = 0.3 (|a| - 1), with [[(z - p)^k, 0], [K / (z - 2a),
+    1]]; and c's inversion image with its inversion conjugate.  p is at
+    most r/2 from a, so that (z - p)^k is resolved at 64 nodes (its
+    modes fall off as 2^-|mode|); closer to c the problem needs more
+    nodes than that."""
+    rng = np.random.default_rng(seed)
+    a_mat = 0.5 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    h = h + h.conj().T
+    lowest = 2.0 * np.linalg.norm(a_mat, 2) + 0.2
+    b0 = h + (lowest - np.linalg.eigvalsh(h)[0]) * np.eye(2)
+    modulus = rng.uniform(1.6, 3.1)
+    a = modulus * np.exp(2j * np.pi * rng.uniform())
+    radius = 0.3 * (modulus - 1.0)
+    p = a + 0.5 * radius * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+    big_k = rng.uniform(0.2, 2.0) * np.exp(2j * np.pi * rng.uniform())
+
+    def unit(z):
+        return b0 + np.multiply.outer(z, a_mat) + np.multiply.outer(1 / z, a_mat.conj().T)
+
+    def f(z):
+        return rc.matrix_at(z, [[(z - p) ** k, 0.0], [big_k / (z - 2.0 * a), 1.0]])
+
+    c = rc.Circle(a, radius, rc.CCW, nodes)
+    system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, nodes), c, rc.invert_circle(c)])
+    return rc.JumpData.from_evaluators(system, [unit, f, rc.inversion_conjugate(f)])
+
+
+@settings(derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([-1, 0, 1]))
+# draws whose projected solve on T refused them as inconsistent (exit 3)
+@example(11, -1)
+@example(16, -1)
+@example(21, -1)
+def test_inversion_symmetric_positive_jump_is_never_near_singular(seed, k):
+    # the source paper's hypotheses give zero partial indices, so the
+    # solve must not refuse; a winding k on c and -k on its image leaves
+    # out one mode at each seam.  The jump residual measures resolution
+    # (up to 7e-5 over seeds 0-199 at k = -1) and is recorded, not bounded
+    jump = _inversion_symmetric_jump(seed, k)
+    hyp = rc.check_inversion_hypotheses(jump)
+    assert hyp.symmetric_off_circle and hyp.min_re_eig_on_circle > 0.0
+    rep = rc.index_diagnostics(rc.RHProblem.from_jump(jump))
+    assert (rep.dim_ker, rep.dim_coker) == (0, 0)
+    p = rc.RHProblem.from_jump(jump)
+    sol = rc.solve(p)
+    assert sol.solver_path == "lu" and np.isfinite(sol.residual_jump)
+    event(f"k = {k}: residual_jump below 1e{int(np.ceil(np.log10(sol.residual_jump + 1e-300)))}")
+    if k:
+        _second_smallest_where_separated(p, sol.smallest_singular_value)
 
 
 def _solve_on_the_bound(p):
@@ -879,14 +1020,14 @@ def test_uncertified_solve_keeps_the_full_count(make, run, monkeypatch):
 @pytest.mark.parametrize(
     "make, path",
     [
-        (_conjugated_soliton_problem, "alias-deflation"),
+        (_conjugated_soliton_problem, "lu"),
         (lambda: _turned(_cli_problem("rational_solve.json")), "lu"),
     ],
     ids=["conjugated_soliton", "rational_solve"],
 )
 def test_one_lanczos_run_per_solve(make, path, monkeypatch):
-    # on the alias path the inverse-iteration bound certifies sigma_min <
-    # SIGMA_MIN, so the only run left is the one for the deflated value
+    # the soliton's T, less the modes left out at the Nyquist seam, is
+    # factored once, and one run gives its sigma_min
     p = make()
     calls = _counted(monkeypatch, rhp, "_lanczos_sigma_min")
     assert rc.solve(p).solver_path == path
@@ -961,7 +1102,7 @@ def test_lu_vector_solver_gives_non_finite_output_at_a_zero_pivot():
 @pytest.mark.parametrize(
     "make, path",
     [
-        (_conjugated_soliton_problem, "alias-deflation"),
+        (_conjugated_soliton_problem, "lu"),
         (lambda: _turned(_cli_problem("rational_solve.json")), "lu"),
     ],
     ids=["conjugated_soliton", "rational_solve"],
@@ -1014,7 +1155,7 @@ def _applies(monkeypatch, name):
 @pytest.mark.parametrize(
     "make, path, most",
     [
-        (_conjugated_soliton_problem, "alias-deflation", 19),
+        (_conjugated_soliton_problem, "lu", 19),
         (lambda: _turned(_defocusing_problem(512)), "lu", 24),
     ],
     ids=["conjugated_soliton", "defocusing_1x512"],
@@ -1033,7 +1174,7 @@ def test_lanczos_stops_once_the_ritz_value_has_converged(
     "make, field, rank",
     [
         (lambda: _turned(_defocusing_problem(512)), "smallest_singular_value", 1),
-        (_conjugated_soliton_problem, "deflated_singular_value", 2),
+        (_conjugated_soliton_problem, "smallest_singular_value", 2),
     ],
     ids=["defocusing_1x512", "conjugated_soliton"],
 )
@@ -1149,7 +1290,7 @@ def test_non_finite_jump_value_is_rejected_by_the_factorization():
         (lambda: _cli_problem("rational_solve.json"), [[1.7e308]]),
         (_conjugated_soliton_problem, 1.7e308 * np.eye(2)),
     ],
-    ids=["lu", "alias-deflation"],
+    ids=["lu", "left-out-modes"],
 )
 def test_overflowing_solution_raises_instead_of_a_zero_residual(make, h):
     # h is finite, but x or T x overflows, and the refinement step's
@@ -1227,7 +1368,7 @@ def test_one_circle_toeplitz_solve_matches_the_dense_lu(
     sol = rc.solve(p)
     # the reference: the same problem through the LU of all of T in rows
     monkeypatch.setattr(
-        rhp, "_ToeplitzLU", lambda p: _MatrixLU(two_einsum_operator(p))
+        rhp, "_ToeplitzLU", lambda p, *_: _MatrixLU(two_einsum_operator(p))
     )
     monkeypatch.setattr(rhp, "_certified_section", lambda p, sigma_min: None)
     ref = rc.solve(make())
@@ -1329,7 +1470,7 @@ def test_midpoint_values_match_the_dense_synthesis(name, monkeypatch):
     p = MIDPOINT_PROBLEMS[name]()
     sol = rc.solve(p)
     if name == "conjugated_soliton":
-        assert sol.solver_path == "alias-deflation"
+        assert sol.solver_path == "lu"
     for i, c in enumerate(p.system.circles):
         mids = c.angles() + c.sign * np.pi / c.node_count
         dense = sol.boundary_values(i, mids)
@@ -1594,7 +1735,7 @@ def test_certified_section_past_the_step_budget_is_factored(site, path, monkeypa
     else:
         assert sum(runs) == rhp.KRYLOV_STEPS and len(factorizations) == 1
     monkeypatch.setattr(
-        rhp, "_ToeplitzLU", lambda p: _MatrixLU(two_einsum_operator(p))
+        rhp, "_ToeplitzLU", lambda p, *_: _MatrixLU(two_einsum_operator(p))
     )
     monkeypatch.setattr(rhp, "_certified_section", lambda p, sigma_min: None)
     ref = rc.solve(make())
