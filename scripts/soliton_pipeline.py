@@ -50,8 +50,10 @@ def main(argv=None) -> int:
     plain = rc.solve_augmented(ap)
     mapped = rc.solve_augmented(conj)
 
-    # on the alias path sigma_min may be the one-step upper bound that
-    # certified it, not a Lanczos value, so the path is printed beside it
+    # the conjugated operator has an alias kernel at the Nyquist seams of
+    # its outer and inner circles; the solve leaves those modes out, so its
+    # sigma_min is that of the operator less them, and the path is
+    # printed beside it
     for label, sol in (("plain:     ", plain), ("conjugated:", mapped)):
         print(f"{label} residual {sol.residual_jump:.3e}  "
               f"sigma_min {sol.smallest_singular_value:.3e}  "

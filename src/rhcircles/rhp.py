@@ -30,6 +30,14 @@ problem builds T, or the section, and factors it once per solve
 above, and a Lanczos run on the LU gives it when that bound does not
 already certify the operator as near singular.
 
+A square section of a symbol that winds loses modes at the Nyquist seam
+of its mode set, so where the jump's windings on several circles sum to
+zero T has an alias kernel although the problem is uniquely solvable.
+Such equation rows and unknown columns are left out of the factored T
+before its LU (_left_out, from the windings of a triangular jump's
+diagonal, or else from T's null vectors), and the unknowns left out are
+0; the plain LU flow then runs on the reduced operator.
+
 Jump data carries closed-form evaluators alongside node samples.  That is
 what makes the reported jump residual meaningful: at the collocation nodes
 the identity m_plus = m_minus v holds to rounding by construction, so the
@@ -211,13 +219,13 @@ class RHProblem:
 
     band_sigma_lower_bound is None until a solve returns; it is then a
     lower bound on the singular values of the band slices of T that
-    index_diagnostics would count, which it reads instead.
-    On the Krylov and LU paths it is the solve's lower bound on
-    sigma_min(T): the positivity certificate of a one-circle section, or
-    else the Lanczos value.  On the alias path it is sigma_2(T)
-    sqrt(1 - c^2) for c the larger band content of the null vectors.  A
-    one-step inverse-iteration bound, a failed Lanczos run or a refused
-    solve never sets it.
+    index_diagnostics would count, which it reads instead: the positivity
+    certificate of a one-circle section, or else the Lanczos value of T,
+    or of T less the rows and columns the solve left out.  Those lie
+    outside the band (|k| <= m/4 on each circle), so by interlacing the
+    band slices' values are at least that value too.  A one-step
+    inverse-iteration bound, a failed Lanczos run or a refused solve
+    never sets it.
     """
 
     data: FactorizationData
@@ -253,23 +261,20 @@ class RHSolution:
     residual_jump is the maximum of |m_plus - m_minus v| over inter-node
     midpoints, with v in closed form (see the module docstring).
     solver_path is "krylov" for a solve by GMRES on a positivity-certified
-    one-circle section (_KrylovSection), "lu" for a plain solve by the LU
-    of T in the Fourier basis (_ToeplitzLU), which is also the path of a
-    certified section whose GMRES ran past its step budget, and
-    "alias-deflation" when an
-    alias null vector was projected out on that LU;
-    deflated_singular_value is then the smallest singular value left once
-    that direction is gone, the operator's second smallest (None on the
-    other paths).
-    smallest_singular_value is a value of or bound on sigma_min(T), and
-    sigma_source says which:
+    one-circle section (_KrylovSection), and "lu" for a solve by the LU
+    of T in the Fourier basis (_ToeplitzLU), less the Nyquist-seam rows
+    and columns of an alias kernel where the solve left them out; "lu" is
+    also the path of a certified section whose GMRES ran past its step
+    budget.  smallest_singular_value is a bound on or value of sigma_min
+    of the operator solved, and sigma_source says which:
       "positivity": on one circle with one zero splitting half, the
         lower bound _positivity_bound takes from the section symbol's
         node samples, used whenever it is at least sigma_min (so on the
         Krylov path, or on the LU path after GMRES ran out of steps);
-      "inverse-iteration": the one-step upper bound of _null_vectors,
-        used when it is below sigma_min (so on the alias path only);
-      "lanczos": the Lanczos value on the LU, in every other case.
+      "lanczos": the Lanczos value on the LU, in every other case.  Where
+        rows and columns were left out it is sigma_min of T less them,
+        which is T's second smallest singular value for an alias kernel
+        of one direction.
     """
 
     problem: RHProblem
@@ -655,7 +660,9 @@ class _ToeplitzLU:
     LU-factored: a solve with T is one product with B and one solve with
     A, a solve with T^H one solve with A^H and one product with B^H.
     Without fixed rows, A is T and B is empty.  An exact zero pivot of A
-    is one of T.  Subtractions and transforms run with floating-point
+    is one of T.  Where equation rows and unknown columns are left out
+    (_factor, left_out), T above is T less them.  Subtractions and
+    transforms run with floating-point
     warnings off, as the BLAS and LAPACK calls do: a value that overflows
     reaches lu_solve, which refuses it.
     """
@@ -905,7 +912,7 @@ def _smallest_singular_value(op) -> float:
     trsv pairs on the existing factors, in op's basis, from the seeded
     start vector mapped into it.  An exact zero pivot or a failed
     Lanczos run counts as sigma_min = 0, which sends the solve to the
-    alias check instead of trusting the LU.
+    null-vector check of _certified_lu instead of trusting the LU.
     """
     if op.singular:
         return 0.0
@@ -934,7 +941,7 @@ def _null_vectors(op) -> tuple[np.ndarray, np.ndarray, float]:
     and l are returned in that basis.
     """
     s = op.to_basis(_start_vector(op.order))
-    # a zero pivot gives non-finite vectors; _deflated_solve reports them
+    # a zero pivot gives non-finite vectors; _certified_lu reports them
     with np.errstate(all="ignore"):
         r = op.solve(s)
         l = op.solve(s, adjoint=True)
@@ -1041,18 +1048,18 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     (KRYLOV_STEPS), the LU is the cheaper path: the section is built and
     factored, and the LU solve plus one corrective step is the answer
     ("lu"), still certified by that bound.  Otherwise the operator is
-    built and factored once (_ToeplitzLU), and one
-    inverse-iteration step on that LU (_null_vectors) gives candidate
-    right and left null vectors r and l and an upper bound on sigma_min.
-    A bound below sigma_min certifies the problem as near singular, and the
-    bound is reported as smallest_singular_value.  Otherwise Lanczos on
-    the LU gives sigma_min, which is reported, and decides; where r or l
-    is not finite (the LU broke down) it is 0 without a run.  Above it the
-    LU solve is the answer ("lu").  Below it, if r or l has band-limited content
-    above ALIAS_BAND_CONTENT, the kernel is genuine (nonzero partial
-    indices land here) and is reported as an error rather than returning
-    a polluted solution.  A one-dimensional alias defect of a consistent
-    system is projected out on that LU instead ("alias-deflation").
+    built once and factored (_ToeplitzLU), less the equation rows and
+    unknown columns that the windings of a triangular jump's diagonal
+    leave out at the Nyquist seams (_left_out), and _certified_lu gives
+    its sigma_min: an inverse-iteration bound and a Lanczos run on the
+    LU.  Below sigma_min, null vectors with band-limited content above
+    ALIAS_BAND_CONTENT are a genuine kernel (nonzero partial indices land
+    here) and are refused rather than returning a polluted solution; an
+    alias kernel no winding accounted for has the row and column where
+    the null vectors peak left out, once, and one that is left after that
+    is refused too.  The LU solve plus one corrective step is then the
+    answer ("lu"), with the unknowns left out 0, once the equations left
+    out hold (_check_left_out).
     Each path leaves on p the lower bound on the band values that
     index_diagnostics reads (RHProblem.band_sigma_lower_bound).  A jump
     residual that is not finite (boundary values that overflow at the
