@@ -61,15 +61,6 @@ EXIT_INPUT = 1
 EXIT_HYPOTHESIS = 2
 EXIT_NEAR_SINGULAR = 3
 
-MODES = (
-    "solve",
-    "factorize-scalar",
-    "factorize-hermitian",
-    "check-symmetry",
-    "index",
-    "idnls",
-)
-
 _DEFAULT_TOLERANCES = {
     "sigma_min": SIGMA_MIN,
     "tau_rank": TAU_RANK,
@@ -256,11 +247,6 @@ def _idnls_r(doc: dict) -> Callable | None:
     return parse_expression(text) if text else None
 
 
-def _expression_table(doc: dict) -> dict:
-    r_fn = _idnls_r(doc)
-    return {} if r_fn is None else {"r": r_fn}
-
-
 def _matrix_evaluator(entries, table: dict, where: str) -> Callable:
     _require(
         isinstance(entries, list)
@@ -282,7 +268,8 @@ def _matrix_evaluator(entries, table: dict, where: str) -> Callable:
 
 def _build_jump(doc: dict, system: ContourSystem, delta_inv: float) -> JumpData:
     block = doc["jump"]
-    table = _expression_table(doc)
+    r_fn = _idnls_r(doc)
+    table = {} if r_fn is None else {"r": r_fn}
     count = len(system.circles)
     per_circle = (
         isinstance(block, list)
@@ -349,9 +336,13 @@ def _report_solver(report: dict, sol: RHSolution) -> None:
     report["solver_path"] = sol.solver_path
 
 
-def _run_solve(doc, tol, nodes):
+def _system_and_jump(doc, tol, nodes) -> tuple[ContourSystem, JumpData]:
     system = _build_system(doc, nodes)
-    jump = _build_jump(doc, system, tol["delta_inv"])
+    return system, _build_jump(doc, system, tol["delta_inv"])
+
+
+def _run_solve(doc, tol, nodes):
+    system, jump = _system_and_jump(doc, tol, nodes)
     problem = RHProblem.from_jump(jump, h=_parse_h(doc, jump.v.dim))
     sol = solve(problem, sigma_min=tol["sigma_min"])
     report = _base_report("solve", system)
@@ -361,8 +352,7 @@ def _run_solve(doc, tol, nodes):
 
 
 def _run_index(doc, tol, nodes):
-    system = _build_system(doc, nodes)
-    jump = _build_jump(doc, system, tol["delta_inv"])
+    system, jump = _system_and_jump(doc, tol, nodes)
     problem = RHProblem.from_jump(jump)
     rep = index_diagnostics(problem, tau_rank=tol["tau_rank"])
     report = _base_report("index", system)
@@ -394,8 +384,7 @@ def _scalar_anchors(doc: dict, system: ContourSystem):
 
 
 def _run_factorize_scalar(doc, tol, nodes):
-    system = _build_system(doc, nodes)
-    jump = _build_jump(doc, system, tol["delta_inv"])
+    system, jump = _system_and_jump(doc, tol, nodes)
     _require(jump.v.dim == 1, "factorize-scalar needs a 1x1 jump")
     z_plus, z_minus = _scalar_anchors(doc, system)
     fact = scalar_factorize(jump.v, z_plus, z_minus, delta_inv=tol["delta_inv"])
@@ -406,8 +395,7 @@ def _run_factorize_scalar(doc, tol, nodes):
 
 
 def _run_factorize_hermitian(doc, tol, nodes):
-    system = _build_system(doc, nodes)
-    jump = _build_jump(doc, system, tol["delta_inv"])
+    system, jump = _system_and_jump(doc, tol, nodes)
     fact = hermitian_factorize(
         jump,
         const_tol=tol["const_tol"],
@@ -425,8 +413,7 @@ def _run_factorize_hermitian(doc, tol, nodes):
 
 
 def _run_check_symmetry(doc, tol, nodes):
-    system = _build_system(doc, nodes)
-    jump = _build_jump(doc, system, tol["delta_inv"])
+    system, jump = _system_and_jump(doc, tol, nodes)
     rep = check_inversion_hypotheses(
         jump, pair_tol=tol["pair_tol"], sym_tol=tol["sym_tol"]
     )
@@ -493,12 +480,13 @@ def _run_idnls(doc, tol, nodes):
 
 _RUNNERS = {
     "solve": _run_solve,
-    "index": _run_index,
     "factorize-scalar": _run_factorize_scalar,
     "factorize-hermitian": _run_factorize_hermitian,
     "check-symmetry": _run_check_symmetry,
+    "index": _run_index,
     "idnls": _run_idnls,
 }
+MODES = tuple(_RUNNERS)
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
@@ -550,15 +538,14 @@ def _parse_bbox(text: str | None, system: ContourSystem) -> tuple:
         if re0 >= re1 or im0 >= im1:
             raise ValueError("--bbox must have re0 < re1 and im0 < im1")
         return re0, re1, im0, im1
-    pad = 0.5
-    res = [c.center.real for c in system.circles]
-    ims = [c.center.imag for c in system.circles]
-    rads = [c.radius for c in system.circles]
+    # each circle's bounding box, corner to corner, padded by 0.5
+    lo = [c.center - complex(c.radius, c.radius) for c in system.circles]
+    hi = [c.center + complex(c.radius, c.radius) for c in system.circles]
     return (
-        min(r - s for r, s in zip(res, rads)) - pad,
-        max(r + s for r, s in zip(res, rads)) + pad,
-        min(i - s for i, s in zip(ims, rads)) - pad,
-        max(i + s for i, s in zip(ims, rads)) + pad,
+        min(z.real for z in lo) - 0.5,
+        max(z.real for z in hi) + 0.5,
+        min(z.imag for z in lo) - 0.5,
+        max(z.imag for z in hi) + 0.5,
     )
 
 

@@ -625,9 +625,8 @@ def _left_out(p: RHProblem) -> tuple[list, list]:
     ):
         s = data.jump.v.values[nodes]
         minus_half = np.any(data.w_minus.values[nodes])
-        if (minus_half and np.any(data.w_plus.values[nodes])) or (
-            np.any(np.triu(s, 1)) and np.any(np.tril(s, -1))
-        ):
+        two_sided = minus_half and np.any(data.w_plus.values[nodes])
+        if two_sided or (np.any(np.triu(s, 1)) and np.any(np.tril(s, -1))):
             continue
         try:
             windings = [_winding(s[:, b, b], data.jump.delta_inv) for b in range(n)]
@@ -640,8 +639,7 @@ def _left_out(p: RHProblem) -> tuple[list, list]:
             k = np.arange(abs(kappa))
             modes = m // 2 - 1 - k if from_zero else m // 2 + k
             left_out[kappa < 0].extend((nodes.start + modes) * n + b)
-    equations, unknowns = left_out
-    return left_out if len(equations) == len(unknowns) else ([], [])
+    return left_out if len(left_out[0]) == len(left_out[1]) else ([], [])
 
 
 class _ToeplitzLU:
@@ -1155,7 +1153,7 @@ def check_inversion_hypotheses(
         raise NotInversionInvariantContourError(
             "contour does not contain the unit circle"
         )
-    partners = []
+    partners, dev = [], 0.0
     for i, c in enumerate(system.circles):
         img = invert_circle(c)
         j = system.find_circle(img.center, img.radius, pair_tol)
@@ -1166,12 +1164,9 @@ def check_inversion_hypotheses(
                 f"{img.orientation})"
             )
         partners.append(j)
-
-    dev = 0.0
-    for i, c in enumerate(system.circles):
         if i != iu:
             # the node samples are the closed form at the nodes
-            through = v.at(partners[i], 1.0 / np.conj(c.points()))
+            through = v.at(j, 1.0 / np.conj(c.points()))
             gap = v.v.restrict(i) - np.conj(np.swapaxes(through, 1, 2))
             # np.maximum, not max: a NaN gap must not read as symmetric
             dev = float(np.maximum(dev, np.max(np.abs(gap))))
