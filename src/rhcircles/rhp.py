@@ -33,7 +33,7 @@ already certify the operator as near singular.
 A square section of a symbol that winds loses modes at the Nyquist seam
 of its mode set, so where the jump's windings on several circles sum to
 zero T has an alias kernel although the problem is uniquely solvable.
-Such equation rows and unknown columns are left out of the factored T
+The equation rows and unknown columns of those modes are left out of T
 before its LU (_left_out, from the windings of a triangular jump's
 diagonal, or else from T's null vectors), and the unknowns left out are
 0; the plain LU flow then runs on the reduced operator.
@@ -598,31 +598,34 @@ def _positivity_bound(s: np.ndarray) -> float | None:
 
 def _left_out(p: RHProblem) -> tuple[list, list]:
     """The equation rows and the unknown columns of T, as basis indices,
-    that balance its mode sets where the jump's diagonal winds; none where
-    nothing is to be left out.
+    that balance its mode sets where det v winds; none where nothing is
+    to be left out.
 
     A square section of a symbol that winds by kappa loses |kappa| modes
     at the Nyquist seam of its mode set, since its Fredholm index is
-    nonzero (Boettcher & Silbermann 1999).  Where the windings on all
-    circles sum to zero, only another circle's coupling at that seam,
-    below rounding, makes up for those modes, so T has an alias kernel
-    although the problem is uniquely solvable.  On a circle whose jump
-    samples are triangular and whose splitting has one nonzero half, a
-    diagonal entry b that winds by kappa (in traversal order) leaves out
-    |kappa| modes of component b: the modes of that half's projection
-    (P_O for b_plus, P_K for b_minus) nearest the seam, as equation rows
-    where kappa > 0 and as unknown columns where kappa < 0.  They are left
-    out only where the windings sum to zero, so that T stays square.  A
-    circle whose windings cannot be read (it is not triangular, is split
-    on both sides, or has an entry that vanishes or is sampled too
-    coarsely) is left as it is; where its det v winds, the alias kernel
-    that leaves is found from T's null vectors instead (_certified_lu).
+    nonzero (Boettcher & Silbermann 1999).  Where det v winds on several
+    circles and the windings sum to zero, only another circle's coupling
+    at that seam, below rounding, makes up for those modes, so T has an
+    alias kernel although the problem is uniquely solvable.  On a circle
+    whose jump samples are triangular and whose splitting has one nonzero
+    half, and whose diagonal windings do not cancel there, a diagonal
+    entry b that winds by kappa (in traversal order) leaves out |kappa|
+    modes of component b: the modes of that half's projection (P_O for
+    b_plus, P_K for b_minus) nearest the seam, as equation rows where
+    kappa > 0 and as unknown columns where kappa < 0.  They are left out
+    only where each component's windings sum to zero over the circles,
+    so that T stays square and each mode lost has a partner in its own
+    component.  Windings that cancel on one circle, or between two
+    components, meet through the jump's off-diagonal entries, as a
+    genuine index pair (diag(z, 1/z)) or as an alias, and a circle whose
+    windings cannot be read (it is not triangular, is split on both
+    sides, or has an entry that vanishes or is sampled too coarsely) is
+    left as it is: there T's null vectors tell the two apart
+    (_certified_lu).
     """
-    system, n, data = p.system, p.data.dim, p.data
-    left_out = ([], [])  # equations, unknowns
-    for circle, nodes, inside in zip(
-        system.circles, system.node_slices(), system.plus_inside
-    ):
+    n, data = p.data.dim, p.data
+    left_out, balance = ([], []), np.zeros(n, dtype=int)  # equations, unknowns
+    for nodes, inside in zip(p.system.node_slices(), p.system.plus_inside):
         s = data.jump.v.values[nodes]
         minus_half = np.any(data.w_minus.values[nodes])
         two_sided = minus_half and np.any(data.w_plus.values[nodes])
@@ -632,14 +635,18 @@ def _left_out(p: RHProblem) -> tuple[list, list]:
             windings = [_winding(s[:, b, b], data.jump.delta_inv) for b in range(n)]
         except (SingularJumpError, WindingAmbiguityError):
             continue
-        m = circle.node_count
-        # the half's storage-order modes start at 0, or end at m - 1
-        from_zero = plus_mode_mask(circle, inside)[0] == minus_half
+        if not sum(windings):
+            continue
+        m = nodes.stop - nodes.start
+        # the half's storage-order modes start at mode 0, or end at -1:
+        # C+ keeps k >= 0 exactly where the plus side is inside
+        from_zero = inside == minus_half
         for b, kappa in enumerate(windings):
             k = np.arange(abs(kappa))
             modes = m // 2 - 1 - k if from_zero else m // 2 + k
             left_out[kappa < 0].extend((nodes.start + modes) * n + b)
-    return left_out if len(left_out[0]) == len(left_out[1]) else ([], [])
+        balance += windings
+    return ([], []) if np.any(balance) else left_out
 
 
 class _ToeplitzLU:
@@ -1020,8 +1027,7 @@ def _check_left_out(op: _ToeplitzLU, x: np.ndarray, rhs: np.ndarray, smallest: f
     the jump residual, which reports it.  Above it the equations left out
     carried band-limited content, and the system is inconsistent.
     """
-    equations = op.left_out[0]
-    gap = op.t_rows[equations - op.rows.start] @ x - rhs[equations]
+    gap = op.t_rows[op.left_out[0] - op.rows.start] @ x - rhs[op.left_out[0]]
     residual = float(np.max(np.abs(gap), initial=0.0))
     if not residual <= ALIAS_BAND_CONTENT * max(float(np.max(np.abs(rhs))), 1.0):
         raise NearSingularOperatorError(

@@ -931,6 +931,64 @@ def test_rotated_jump_leaves_out_where_the_null_vectors_peak(monkeypatch):
     assert np.max(np.abs(sol.evaluate(z) - expected)) <= 1e-12
 
 
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_one_circle_alias_is_left_out_beside_the_identity_rows(side):
+    # [[z, 0], [c, 1/z]] on a clockwise unit circle: the windings cancel
+    # on the circle, so none is read, and T = [[I, 0], [B, A]] has an
+    # alias kernel; the row and column left out are A's, with B's row
+    p = rc.RHProblem.from_jump(
+        rc.JumpData.from_evaluator(
+            rc.build_contour([rc.Circle(0j, 1.0, rc.CW, 64)]),
+            lambda z: rc.matrix_at(z, [[z, 0.0], [0.5 / (z - 3.0), 1.0 / z]]),
+        ),
+        side=side,
+    )
+    assert rhp._left_out(p) == ([], [])
+    sol = rc.solve(p)
+    assert (sol.solver_path, sol.sigma_source) == ("lu", "lanczos")
+    assert sol.residual_jump <= 1e-13
+    s = scipy.linalg.svdvals(two_einsum_operator(p))
+    assert s[-1] < rc.SIGMA_MIN and s[-3] > 1.1 * s[-2]
+    assert abs(sol.smallest_singular_value - s[-2]) <= 1e-10 * s[-2]
+
+
+def _annulus_problem(outer, inner):
+    # 2 I on the unit circle, outer on |z| = 4 and inner on |z| = 1/4
+    radii = ((1.0, rc.CW), (4.0, rc.CCW), (0.25, rc.CCW))
+    system = rc.build_contour([rc.Circle(0j, r, o, 64) for r, o in radii])
+    fns = [lambda z: 2.0 * np.eye(2), outer, inner]
+    return rc.RHProblem.from_jump(rc.JumpData.from_evaluators(system, fns), h=np.eye(2))
+
+
+def test_windings_balanced_in_one_component_leave_out_two_modes_each():
+    # z^2 and z^-2 in the first component: two rows and two columns
+    p = _annulus_problem(
+        lambda z: rc.matrix_at(z, [[z**2, 0.0], [0.0, 1.0]]),
+        lambda z: rc.matrix_at(z, [[z**-2, 0.0], [0.0, 1.0]]),
+    )
+    assert [len(i) for i in rhp._left_out(p)] == [2, 2]
+    sol = rc.solve(p)
+    assert sol.solver_path == "lu" and sol.residual_jump <= 1e-12
+    # T's alias kernel has two directions; the third value is what is left
+    s = scipy.linalg.svdvals(two_einsum_operator(p))
+    assert s[-2] < rc.SIGMA_MIN and s[-4] > 1.1 * s[-3]
+    assert abs(sol.smallest_singular_value - s[-3]) <= 1e-10 * s[-3]
+
+
+def test_windings_balanced_across_components_are_left_to_the_null_vectors():
+    # z in the first component, 1/z in the second: a genuine index pair,
+    # which no mode left out could make solvable
+    p = _annulus_problem(
+        lambda z: rc.matrix_at(z, [[z, 0.0], [0.0, 1.0]]),
+        lambda z: rc.matrix_at(z, [[1.0, 0.0], [0.0, 1.0 / z]]),
+    )
+    assert rhp._left_out(p) == ([], [])
+    with pytest.raises(
+        rc.NearSingularOperatorError, match="band-limited null-vector content"
+    ):
+        rc.solve(p)
+
+
 def _inversion_symmetric_jump(seed, k, nodes=64):
     """The unit circle with B_0 + A z + A^H / z, lambda_min(B_0) = 2 |A|
     + 0.2; a counterclockwise circle c, center a with |a| in [1.6, 3.1]
@@ -943,6 +1001,7 @@ def _inversion_symmetric_jump(seed, k, nodes=64):
     a_mat = 0.5 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     h = h + h.conj().T
+    a_adj = a_mat.conj().T
     lowest = 2.0 * np.linalg.norm(a_mat, 2) + 0.2
     b0 = h + (lowest - np.linalg.eigvalsh(h)[0]) * np.eye(2)
     modulus = rng.uniform(1.6, 3.1)
@@ -952,13 +1011,14 @@ def _inversion_symmetric_jump(seed, k, nodes=64):
     big_k = rng.uniform(0.2, 2.0) * np.exp(2j * np.pi * rng.uniform())
 
     def unit(z):
-        return b0 + np.multiply.outer(z, a_mat) + np.multiply.outer(1 / z, a_mat.conj().T)
+        return b0 + np.multiply.outer(z, a_mat) + np.multiply.outer(1 / z, a_adj)
 
     def f(z):
         return rc.matrix_at(z, [[(z - p) ** k, 0.0], [big_k / (z - 2.0 * a), 1.0]])
 
     c = rc.Circle(a, radius, rc.CCW, nodes)
-    system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, nodes), c, rc.invert_circle(c)])
+    unit_circle = rc.Circle(0j, 1.0, rc.CCW, nodes)
+    system = rc.build_contour([unit_circle, c, rc.invert_circle(c)])
     return rc.JumpData.from_evaluators(system, [unit, f, rc.inversion_conjugate(f)])
 
 
@@ -981,7 +1041,8 @@ def test_inversion_symmetric_positive_jump_is_never_near_singular(seed, k):
     p = rc.RHProblem.from_jump(jump)
     sol = rc.solve(p)
     assert sol.solver_path == "lu" and np.isfinite(sol.residual_jump)
-    event(f"k = {k}: residual_jump below 1e{int(np.ceil(np.log10(sol.residual_jump + 1e-300)))}")
+    exponent = int(np.ceil(np.log10(sol.residual_jump + 1e-300)))
+    event(f"k = {k}: residual_jump below 1e{exponent}")
     if k:
         _second_smallest_where_separated(p, sol.smallest_singular_value)
 
