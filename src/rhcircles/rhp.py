@@ -31,8 +31,9 @@ above, and a Lanczos run on the LU gives it when that bound does not
 already certify the operator as near singular.
 
 A square section of a symbol that winds loses modes at the Nyquist seam
-of its mode set, so where the jump's windings on several circles sum to
-zero T has an alias kernel although the problem is uniquely solvable.
+of its mode set, so where det v winds on several circles and the
+windings sum to zero, T has an alias kernel although the problem is
+uniquely solvable.
 The equation rows and unknown columns of those modes are left out of T
 before its LU (_left_out, from the windings of a triangular jump's
 diagonal, or else from T's null vectors), and the unknowns left out are
@@ -1023,9 +1024,9 @@ def _check_left_out(op: _ToeplitzLU, x: np.ndarray, rhs: np.ndarray, smallest: f
     far as rhs has no component along T's left null vector l: its
     residual is l^H rhs over l's entry there.  rhs is constant along the
     contour, so for an alias, whose l has band-limited content below
-    ALIAS_BAND_CONTENT, that is a discretization error, of the order of
-    the jump residual, which reports it.  Above it the equations left out
-    carried band-limited content, and the system is inconsistent.
+    ALIAS_BAND_CONTENT, that is a discretization error, which the jump
+    residual reports too.  Above it the equations left out carried
+    band-limited content, and the system is inconsistent.
     """
     gap = op.t_rows[op.left_out[0] - op.rows.start] @ x - rhs[op.left_out[0]]
     residual = float(np.max(np.abs(gap), initial=0.0))

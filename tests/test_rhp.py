@@ -687,8 +687,8 @@ def _lower_triangular(a, b):
     return lambda z: rc.matrix_at(z, [[z**a, 0.0], [0.3 / (z - 3.0), z**b]])
 
 
-def _conjugated_soliton_problem():
-    spec = rc.IdnlsSpec(r=None, n=0, poles=((2.0 + 0j, 1.0 + 0j),))
+def _conjugated_soliton_problem(site=0):
+    spec = rc.IdnlsSpec(r=None, n=site, poles=((2.0 + 0j, 1.0 + 0j),))
     ap = rc.conjugate(rc.remove_poles(spec))
     return rc.RHProblem.from_jump(ap.jump, h=np.eye(2))
 
@@ -861,13 +861,6 @@ def test_alias_solve_certifies_the_count(make, monkeypatch):
     assert rep.coker_gap[1] <= fresh.coker_gap[1] * (1.0 + 1e-12)
 
 
-def _conjugated_soliton_at(site):
-    spec = rc.IdnlsSpec(r=None, n=site, poles=((2.0 + 0j, 1.0 + 0j),))
-    return rc.RHProblem.from_jump(
-        rc.conjugate(rc.remove_poles(spec)).jump, h=np.eye(2)
-    )
-
-
 def _second_smallest_where_separated(p, sigma):
     """Assert sigma = sigma_2(T) to 1e-10 where sigma_3 > 1.1 sigma_2: T
     less the modes left out keeps every singular value of T but its alias
@@ -880,7 +873,7 @@ def _second_smallest_where_separated(p, sigma):
 
 @pytest.mark.parametrize(
     "make",
-    [*(lambda n=n: _conjugated_soliton_at(n) for n in (-3, 0, 3, 12)),
+    [*(lambda n=n: _conjugated_soliton_problem(n) for n in (-3, 0, 3, 12)),
      *_lattice_problems(4)],
     ids=[*(f"soliton_n{n}" for n in (-3, 0, 3, 12)),
          *(f"lattice_{k}" for k in range(4))],
