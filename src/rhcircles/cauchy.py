@@ -237,10 +237,9 @@ def _cross_block(targets: np.ndarray, source: Circle) -> np.ndarray:
 def _cross_kernel(system: ContourSystem) -> np.ndarray:
     """_cross_block of every circle at every other circle's nodes, as one
     (N, N) matrix whose self blocks are zero."""
-    weights = np.concatenate([c.weights() for c in system.circles])
     points = system.all_points()
     with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = _I2PI * weights[None, :] / (points[None, :] - points[:, None])
+        kernel = np.concatenate([_cross_block(points, c) for c in system.circles], 1)
     for nodes in system.node_slices():
         kernel[nodes, nodes] = 0.0
     return kernel

@@ -22,13 +22,14 @@ that one-circle path a symbol whose Hermitian part is positive definite
 at every node (the source paper's hypothesis Re v > 0) bounds
 sigma_min(T) from below by its node samples alone (_positivity_bound).
 Where that certifies T, the section is applied matrix-free by FFTs and
-solved by preconditioned GMRES (_KrylovSection); nothing is built,
-factored or estimated unless GMRES runs past its step budget
-(KRYLOV_STEPS), when the section is factored instead.  Every other
-problem builds T, or the section, and factors it once per solve
+solved by preconditioned GMRES (_KrylovSection), whose answer is final;
+nothing is built, factored or estimated unless GMRES runs past its step
+budget (KRYLOV_STEPS), when the section is factored instead.  Every
+other problem builds T, or the section, and factors it once per solve
 (_ToeplitzLU): one step of inverse iteration bounds sigma_min from
 above, and a Lanczos run on the LU gives it when that bound does not
-already certify the operator as near singular.
+already certify the operator as near singular.  The LU solves only by
+trsv pairs, and its solve takes one corrective step (_refined).
 
 A square section of a symbol that winds loses modes at the Nyquist seam
 of its mode set, so where det v winds on several circles and the
@@ -96,7 +97,7 @@ ALIAS_BAND_CONTENT = 1e-3
 # adds up m coefficients.
 POSITIVITY_MARGIN_ULPS = 16
 # Least number of GMRES steps a certified section's solve may take, over
-# both solves and all columns, before it factors the section instead.
+# all its columns, before it factors the section instead.
 # The budget is the steps that cost what building and factoring A of
 # order N does, so that a solve that gives up costs at most about twice
 # the cheaper path.  That LU grows as N^3 and a step (two preconditioned
@@ -262,12 +263,13 @@ class RHSolution:
     residual_jump is the maximum of |m_plus - m_minus v| over inter-node
     midpoints, with v in closed form (see the module docstring).
     solver_path is "krylov" for a solve by GMRES on a positivity-certified
-    one-circle section (_KrylovSection), and "lu" for a solve by the LU
-    of T in the Fourier basis (_ToeplitzLU), less the Nyquist-seam rows
-    and columns of an alias kernel where the solve left them out; "lu" is
-    also the path of a certified section whose GMRES ran past its step
-    budget.  smallest_singular_value is a bound on or value of sigma_min
-    of the operator solved, and sigma_source says which:
+    one-circle section (_KrylovSection), whose answer is final, and "lu"
+    for a solve by the LU of T in the Fourier basis (_ToeplitzLU) with
+    one corrective step, less the Nyquist-seam rows and columns of an
+    alias kernel where the solve left them out; "lu" is also the path of
+    a certified section whose GMRES ran past its step budget.
+    smallest_singular_value is a bound on or value of sigma_min of the
+    operator solved, and sigma_source says which:
       "positivity": on one circle with one zero splitting half, the
         lower bound _positivity_bound takes from the section symbol's
         node samples, used whenever it is at least sigma_min (so on the
@@ -653,24 +655,26 @@ def _left_out(p: RHProblem) -> tuple[list, list]:
 class _ToeplitzLU:
     """The operator T in the per-circle Fourier basis of _operator_rows,
     factored by one LU of its rows outside the identity block, for the
-    problems no positivity certificate covers (_certified_section).
+    problems no positivity certificate covers (_certified_section) and
+    for certified sections whose GMRES runs past its step budget.
 
     to_basis maps vectors or columns of operator rows (node-major, n
     components per node) into the basis, one FFT per run of
     _circle_runs, and from_basis maps them back; both are unitary.  In
     the basis it offers what solve needs: solve(y, adjoint) for T^(-1) y
-    or T^(-H) y by lu_solve, solve_vector(y, adjoint) for the same on one
-    vector by the trsv pairs of _lu_vector_solver, matvec(x) = T x, its
-    order, and singular, true when the LU met an exact zero pivot.  With
-    T = [[I, 0], [B, A]] on (fixed, rows), A is the only matrix
-    LU-factored: a solve with T is one product with B and one solve with
-    A, a solve with T^H one solve with A^H and one product with B^H.
-    Without fixed rows, A is T and B is empty.  An exact zero pivot of A
-    is one of T.  Where equation rows and unknown columns are left out
-    (_factor, left_out), T above is T less them.  Subtractions and
-    transforms run with floating-point
-    warnings off, as the BLAS and LAPACK calls do: a value that overflows
-    reaches lu_solve, which refuses it.
+    or T^(-H) y, one vector or column at a time by the trsv pairs of
+    _lu_vector_solver, matvec(x) = T x, its order, and singular, true
+    when the LU met an exact zero pivot.  solve does not check y: a
+    value that is not finite, or a zero pivot, gives output that is not
+    finite, which _refined refuses and the Lanczos run and the null
+    vectors read as singular.  With T = [[I, 0], [B, A]] on (fixed,
+    rows), A is the only matrix LU-factored: a solve with T is one
+    product with B and one solve with A, a solve with T^H one solve with
+    A^H and one product with B^H.  Without fixed rows, A is T and B is
+    empty.  An exact zero pivot of A is one of T.  Where equation rows
+    and unknown columns are left out (_factor, left_out), T above is T
+    less them.  Subtractions and transforms run with floating-point
+    warnings off, as the BLAS and LAPACK calls do.
     """
 
     def __init__(self, p: RHProblem, left_out=((), ())):
@@ -718,31 +722,25 @@ class _ToeplitzLU:
     def from_basis(self, x):
         return _by_run(self.runs, x, _from_unitary, self.n)
 
-    def _solve(self, y, adjoint, section_solve):
-        if not self.b.size:  # no fixed rows: A is T
-            return section_solve(y, adjoint)
-        rows, fixed = self.rows, self.fixed
+    def _section_solve(self, y, adjoint):
+        if y.ndim == 1:
+            return self._section_vector(y, adjoint)
+        return np.stack([self._section_vector(c, adjoint) for c in y.T], axis=1)
+
+    def solve(self, y, adjoint=False):
         x = np.array(y, dtype=np.complex128)
+        x[self.left_out[adjoint]] = 0.0  # the equations, or for T^H unknowns
+        if not self.b.size:  # no fixed rows: A is T
+            return self._section_solve(x, adjoint)
+        rows, fixed = self.rows, self.fixed
         with np.errstate(all="ignore"):
             if adjoint:
-                x[rows] = section_solve(x[rows], True)
+                x[rows] = self._section_solve(x[rows], True)
                 # B^H x, as (x^H B)^H, so that B is read in place
                 x[fixed] -= np.conj(np.conj(x[rows]).T @ self.b).T
             else:
-                x[rows] = section_solve(x[rows] - self.b @ x[fixed], False)
+                x[rows] = self._section_solve(x[rows] - self.b @ x[fixed], False)
         return x
-
-    def _section_columns(self, rhs, adjoint):
-        return scipy.linalg.lu_solve(self.lu, rhs, trans=2 if adjoint else 0)
-
-    def solve(self, y, adjoint=False):
-        if self.left_out[adjoint].size:  # the equations, or for T^H unknowns
-            y = np.array(y, dtype=np.complex128)
-            y[self.left_out[adjoint]] = 0.0
-        return self._solve(y, adjoint, self._section_columns)
-
-    def solve_vector(self, y, adjoint=False):
-        return self._solve(y, adjoint, self._section_vector)
 
     def matvec(self, x):
         if not self.b.size:
@@ -831,15 +829,17 @@ class _KrylovSection:
     takes depends on their size as well as their rank: a few per column
     for small jumps of any Fourier degree, but growing with the degree
     of the z^(2n) twist of an IDNLS jump as |r| nears 1 (tens per column
-    for r = 0.6 z + 0.35/z at n >= 20).  So the applies of one section
-    share a budget of steps (KRYLOV_STEPS).  s is taken over its largest
+    for r = 0.6 z + 0.35/z at n >= 20).  So the columns of a solve share
+    a budget of steps (KRYLOV_STEPS).  s is taken over its largest
     modulus, as _positivity_bound takes it, so that no norm or product
     overflows for samples near 1e300.
 
     solve(y) is T^(-1) y for columns y, or None once GMRES has spent the
     budget or met a value that is not finite, and refuses y that is not
-    finite with the ValueError lu_solve raises; matvec(x) is T x.  Both
-    run with floating-point warnings off, as _ToeplitzLU's do.
+    finite with the ValueError of np.asarray_chkfinite.  Its answer is
+    final: GMRES on a twice-orthogonalized basis is backward stable, and
+    no corrective step follows.  It runs with floating-point warnings
+    off, as _ToeplitzLU's applies do.
     """
 
     def __init__(self, p, rows, fixed, s, bound):
@@ -890,12 +890,6 @@ class _KrylovSection:
             x[self.rows, j] = self._section(y_j, self.u_inv)
         return x
 
-    @np.errstate(all="ignore")
-    def matvec(self, x):
-        out = np.array(x, dtype=np.complex128)
-        out[self.rows] = self.scale * self._circulant(x, self.u)[self.rows]
-        return out
-
 
 def _certified_section(p: RHProblem, sigma_min: float) -> _KrylovSection | None:
     """p's one-circle section as a _KrylovSection where the positivity
@@ -914,17 +908,19 @@ def _certified_section(p: RHProblem, sigma_min: float) -> _KrylovSection | None:
 def _smallest_singular_value(op) -> float:
     """sigma_min of a factored operator T by Lanczos on (T^H T)^(-1).
 
-    Each step applies T^(-H) and then T^(-1) by op.solve_vector, two
-    trsv pairs on the existing factors, in op's basis, from the seeded
-    start vector mapped into it.  An exact zero pivot or a failed
-    Lanczos run counts as sigma_min = 0, which sends the solve to the
-    null-vector check of _certified_lu instead of trusting the LU.
+    Each step applies T^(-H) and then T^(-1) by op.solve, two trsv
+    pairs on the existing factors, in op's basis, from the seeded start
+    vector mapped into it.  The applies do not check finiteness: on a
+    broken-down LU the run ends in an ARPACK error instead.  An exact
+    zero pivot or a failed Lanczos run counts as sigma_min = 0, which
+    sends the solve to the null-vector check of _certified_lu instead of
+    trusting the LU.
     """
     if op.singular:
         return 0.0
 
     def apply(y):
-        return op.solve_vector(op.solve_vector(y, adjoint=True))
+        return op.solve(op.solve(y, adjoint=True))
 
     return _lanczos_sigma_min(apply, op.to_basis(_start_vector(op.order))) or 0.0
 
@@ -961,12 +957,12 @@ def _null_vectors(op) -> tuple[np.ndarray, np.ndarray, float]:
     return r, l, bound
 
 
-def _refined(op, solve_with, rhs: np.ndarray) -> np.ndarray | None:
-    """solve_with(rhs) and one corrective step on its residual under T, or
-    None where solve_with gives None."""
-    x = solve_with(rhs)
-    step = None if x is None else solve_with(rhs - op.matvec(x))
-    return None if step is None else x + step
+def _refined(op: _ToeplitzLU, rhs: np.ndarray) -> np.ndarray:
+    """op's LU solve of T x = rhs and one corrective step on its residual,
+    which makes the solve backward stable in working precision (Higham
+    1997).  A rhs or residual that is not finite raises ValueError."""
+    x = op.solve(np.asarray_chkfinite(rhs))
+    return x + op.solve(np.asarray_chkfinite(rhs - op.matvec(x)))
 
 
 def _certified_lu(op: _ToeplitzLU, band: np.ndarray, sigma_min: float) -> float:
@@ -1041,7 +1037,8 @@ def _check_left_out(op: _ToeplitzLU, x: np.ndarray, rhs: np.ndarray, smallest: f
 
 
 def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
-    """Solve the discrete equation, with one corrective step.
+    """Solve the discrete equation one way: by GMRES, or by the LU with
+    one corrective step.
 
     Everything runs in the per-circle unitary Fourier basis, so
     sigma_min, the null vectors and x are those of T itself.  Where a
@@ -1049,22 +1046,23 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     (_positivity_bound), that bound is reported as
     smallest_singular_value and the section is solved by preconditioned
     GMRES on its matrix-free applies ("krylov", _certified_section);
-    nothing is built or factored.  If GMRES runs past its step budget
-    (KRYLOV_STEPS), the LU is the cheaper path: the section is built and
-    factored, and the LU solve plus one corrective step is the answer
-    ("lu"), still certified by that bound.  Otherwise the operator is
-    built once and factored (_ToeplitzLU), less the equation rows and
-    unknown columns that the windings of a triangular jump's diagonal
-    leave out at the Nyquist seams (_left_out), and _certified_lu gives
-    its sigma_min: an inverse-iteration bound and a Lanczos run on the
-    LU.  Below sigma_min, null vectors with band-limited content above
+    nothing is built or factored, and GMRES's answer is final.  If GMRES
+    runs past its step budget (KRYLOV_STEPS), the LU is the cheaper path:
+    the section is built and factored, and the LU solve plus one
+    corrective step (_refined) is the answer ("lu"), still certified by
+    that bound.  Otherwise the operator is built once and factored
+    (_ToeplitzLU), less the equation rows and unknown columns that the
+    windings of a triangular jump's diagonal leave out at the Nyquist
+    seams (_left_out), and _certified_lu gives its sigma_min: an
+    inverse-iteration bound and a Lanczos run on the LU.  Below
+    sigma_min, null vectors with band-limited content above
     ALIAS_BAND_CONTENT are a genuine kernel (nonzero partial indices land
     here) and are refused rather than returning a polluted solution; an
     alias kernel no winding accounted for has the row and column where
     the null vectors peak left out, once, and one that is left after that
-    is refused too.  The LU solve plus one corrective step is then the
-    answer ("lu"), with the unknowns left out 0, once the equations left
-    out hold (_check_left_out).
+    is refused too.  The LU solve plus one corrective step (_refined) is
+    then the answer ("lu"), with the unknowns left out 0, once the
+    equations left out hold (_check_left_out).
     Each path leaves on p the lower bound on the band values that
     index_diagnostics reads (RHProblem.band_sigma_lower_bound).  A jump
     residual that is not finite (boundary values that overflow at the
@@ -1083,13 +1081,13 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     rhs = np.repeat(p.h[:, None, :], big_n, axis=1).reshape(n, big_n * n).T
     rhs = op.to_basis(rhs)  # x comes back in the same basis
     path = "krylov" if source == "positivity" else "lu"
-    x = _refined(op, op.solve, rhs)
+    x = op.solve(rhs) if path == "krylov" else None
     if x is None:
-        # GMRES ran out of steps, which then cost what the section's LU
-        # does, or met a value that is not finite: factor instead
-        op, path = _ToeplitzLU(p), "lu"
-        x = _refined(op, op.solve, rhs)
-    if path == "lu":
+        if path == "krylov":
+            # GMRES ran out of steps, which then cost what the section's
+            # LU does, or met a value that is not finite: factor instead
+            op, path = _ToeplitzLU(p), "lu"
+        x = _refined(op, rhs)
         _check_left_out(op, x, rhs, smallest)
     # smallest is the positivity certificate or the Lanczos value of the
     # factored operator; a failed run reads 0.0

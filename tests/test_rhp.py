@@ -511,7 +511,7 @@ def test_one_dimensional_kernel_is_left_out_where_its_null_vectors_peak():
     assert [i.tolist() for i in op.left_out] == [[row], [column]]
     reduced = np.delete(np.delete(t, row, axis=0), column, axis=1)
     assert abs(smallest - scipy.linalg.svdvals(reduced)[-1]) <= 1e-10 * smallest
-    x = rhp._refined(op, op.solve, rhs)
+    x = rhp._refined(op, rhs)
     rhp._check_left_out(op, x, rhs, smallest)  # consistent: not refused
     assert np.all(x[column] == 0.0)
     assert np.max(np.abs(t @ x - rhs)) < 1e-10
@@ -533,7 +533,7 @@ def test_inconsistent_system_is_never_deflated():
     r, l, _ = rhp._null_vectors(op)
     rhs = rhs + l[:, None] * np.array([[1.0, 0.0]])
     smallest = rhp._certified_lu(op, _NO_BAND, rc.SIGMA_MIN)
-    x = rhp._refined(op, op.solve, rhs)
+    x = rhp._refined(op, rhs)
     with pytest.raises(rc.NearSingularOperatorError, match="inconsistent"):
         rhp._check_left_out(op, x, rhs, smallest)
 
@@ -1162,10 +1162,10 @@ def test_lu_vector_solver_gives_non_finite_output_at_a_zero_pivot():
     ids=["conjugated_soliton", "rational_solve"],
 )
 def test_lanczos_applies_make_no_vector_lu_solve(make, path, monkeypatch):
-    # every Lanczos apply goes through _lu_vector_solver's trsv pairs;
-    # lu_solve is left to the solves that feed x
+    # every solve on the LU goes through _lu_vector_solver's trsv pairs,
+    # in the Lanczos applies and in the solves that feed x alike
     p = make()
-    runs, vector_solves = [], []
+    runs, solves = [], []
     lanczos, lu_solve = rhp._lanczos_sigma_min, scipy.linalg.lu_solve
 
     def traced_lanczos(*args, **kwargs):
@@ -1176,20 +1176,19 @@ def test_lanczos_applies_make_no_vector_lu_solve(make, path, monkeypatch):
             runs[-1] = False
 
     def traced_lu_solve(lu, b, *args, **kwargs):
-        if runs and runs[-1] and np.ndim(b) == 1:
-            vector_solves.append(kwargs.get("trans", 0))
+        solves.append(np.ndim(b))
         return lu_solve(lu, b, *args, **kwargs)
 
     monkeypatch.setattr(rhp, "_lanczos_sigma_min", traced_lanczos)
     monkeypatch.setattr(scipy.linalg, "lu_solve", traced_lu_solve)
     assert rc.solve(p).solver_path == path
     assert runs == [False]
-    assert vector_solves == []
+    assert solves == []
 
 
 def _applies(monkeypatch, name):
     """The number of applies of each run of rhp's name(apply, ...): of
-    each Lanczos run, or of each GMRES run (one per column and solve)."""
+    each Lanczos run, or of each GMRES run (one per column)."""
     runs = []
     original = getattr(rhp, name)
 
@@ -1347,8 +1346,8 @@ def test_non_finite_jump_value_is_rejected_by_the_factorization():
     ids=["lu", "left-out-modes"],
 )
 def test_overflowing_solution_raises_instead_of_a_zero_residual(make, h):
-    # h is finite, but x or T x overflows, and the refinement step's
-    # lu_solve refuses the non-finite residual
+    # h is finite, but its coefficients, x or T x overflow, and GMRES or
+    # the LU's refinement step refuses the non-finite values
     p = make()
     with pytest.raises(ValueError, match="infs or NaNs"):
         rc.solve(rc.RHProblem(p.data, h=np.asarray(h)))
@@ -1714,13 +1713,13 @@ def _two_sided_rational_problem(nodes, side):
 def test_gmres_takes_a_few_steps_per_column(make, side, monkeypatch):
     # with the section of s^(-1) from the right, the section of a rational
     # symbol is the identity up to a Hankel product of low rank: 1-4 steps
-    # per column were measured on the defocusing problem and 5-7 on the
+    # per column were measured on the defocusing problem and 5-6 on the
     # rational one, against KRYLOV_STEPS = 64 over the whole solve
     p = make(side)
     runs = _applies(monkeypatch, "_gmres")
     assert rc.solve(p).solver_path == "krylov"
-    # the solve and its corrective step, one run per column each
-    assert len(runs) == 2 * p.data.dim
+    # one run per column: GMRES's answer is final, with no corrective run
+    assert len(runs) == p.data.dim
     assert 1 <= min(runs) and max(runs) <= 8
 
 
@@ -1768,15 +1767,38 @@ def test_gmres_step_budget_follows_the_cost_of_the_lu(nodes, budget):
     assert section.steps_left == budget
 
 
-@pytest.mark.parametrize("site, path", [(10, "krylov"), (20, "lu")])
-def test_certified_section_past_the_step_budget_is_factored(site, path, monkeypatch):
-    # r = 0.6 z + 0.35/z keeps GMRES stepping longer as the site n of the
-    # z^(2n) twist grows: 56 steps over the solve at n = 10, 104 at n = 20.
-    # Past KRYLOV_STEPS the section is built and factored, and the
+def _twisted_defocusing_problem(a, b, site, nodes):
+    spec = rc.IdnlsSpec(r=lambda z: a * z + b / z, n=site, sign="defocusing")
+    return rc.RHProblem.from_jump(rc.build_defocusing_jump(spec, node_count=nodes))
+
+
+def _matches_the_dense_lu(sol, make, monkeypatch, tol=1e-13):
+    """Whether sol's mu is that of the LU of the dense operator of make(),
+    with one corrective step, to tol max |mu|."""
+    monkeypatch.setattr(
+        rhp, "_ToeplitzLU", lambda p, *_: _MatrixLU(two_einsum_operator(p))
+    )
+    monkeypatch.setattr(rhp, "_certified_section", lambda p, sigma_min: None)
+    ref = rc.solve(make())
+    scale = np.max(np.abs(ref.mu.values))
+    return np.max(np.abs(sol.mu.values - ref.mu.values)) <= tol * scale
+
+
+@pytest.mark.parametrize(
+    "a, b, site, nodes, path",
+    [(0.6, 0.35, 40, 128, "krylov"), (0.65, 0.33, 80, 512, "lu")],
+    ids=["krylov", "lu"],
+)
+def test_certified_section_past_the_step_budget_is_factored(
+    a, b, site, nodes, path, monkeypatch
+):
+    # r = a z + b/z keeps GMRES stepping longer as the site n of the
+    # z^(2n) twist grows and |r| nears 1: 50 steps over the solve for the
+    # first input, 64 = KRYLOV_STEPS for the second, which has 43 at
+    # n = 40.  Past the budget the section is built and factored, and the
     # positivity bound still certifies it: no Lanczos run
     def make():
-        spec = rc.IdnlsSpec(r=lambda z: 0.6 * z + 0.35 / z, n=site, sign="defocusing")
-        return rc.RHProblem.from_jump(rc.build_defocusing_jump(spec, node_count=128))
+        return _twisted_defocusing_problem(a, b, site, nodes)
 
     runs = _applies(monkeypatch, "_gmres")
     factorizations = _counted(monkeypatch, scipy.linalg, "lu_factor")
@@ -1788,13 +1810,27 @@ def test_certified_section_past_the_step_budget_is_factored(site, path, monkeypa
         assert sum(runs) < rhp.KRYLOV_STEPS and factorizations == []
     else:
         assert sum(runs) == rhp.KRYLOV_STEPS and len(factorizations) == 1
-    monkeypatch.setattr(
-        rhp, "_ToeplitzLU", lambda p, *_: _MatrixLU(two_einsum_operator(p))
-    )
-    monkeypatch.setattr(rhp, "_certified_section", lambda p, sigma_min: None)
-    ref = rc.solve(make())
-    scale = np.max(np.abs(ref.mu.values))
-    assert np.max(np.abs(sol.mu.values - ref.mu.values)) <= 1e-13 * scale
+    assert _matches_the_dense_lu(sol, make, monkeypatch)
+
+
+@pytest.mark.parametrize("site", [20, 40])
+def test_certified_solve_makes_no_corrective_run(site, monkeypatch):
+    # one GMRES run per column takes 22 and 42 steps; a second,
+    # corrective run would take as many again, reach the budget of 64
+    # steps and factor the section.  GMRES stops at a residual of about
+    # 4e-15 of the right-hand side, which the section's conditioning
+    # lifts to a gap from the dense LU of 5.5e-14 and 1.4e-13 of max |mu|
+    def make():
+        return _twisted_defocusing_problem(0.6, 0.35, site, 512)
+
+    runs = _applies(monkeypatch, "_gmres")
+    factorizations = _counted(monkeypatch, scipy.linalg, "lu_factor")
+    p = make()
+    sol = rc.solve(p)
+    assert (sol.solver_path, sol.sigma_source) == ("krylov", "positivity")
+    assert len(runs) == p.data.dim and sum(runs) < rhp.KRYLOV_STEPS
+    assert factorizations == []
+    assert _matches_the_dense_lu(sol, make, monkeypatch, tol=1e-12)
 
 
 def test_positive_minus_side_section_solves_without_a_lanczos_run(monkeypatch):
