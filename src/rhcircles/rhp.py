@@ -723,6 +723,7 @@ class _ToeplitzLU:
         return _by_run(self.runs, x, _from_unitary, self.n)
 
     def _section_solve(self, y, adjoint):
+        """A^(-1) y, or A^(-H) y, a vector or column at a time."""
         if y.ndim == 1:
             return self._section_vector(y, adjoint)
         return np.stack([self._section_vector(c, adjoint) for c in y.T], axis=1)
