@@ -19,7 +19,9 @@ makes a literal imaginary.  Built-in functions are exp and conj; callers
 may register extra single-argument names (the reflection coefficient r,
 for instance).  Evaluation is numpy complex128 arithmetic on a point or on
 an array of points, and a non-finite value (a division by zero, an
-overflow) raises EvalError.
+overflow) raises EvalError.  An expression nested deeper than Python's
+recursion limit raises ParseError, or EvalError where only its evaluation
+goes that deep (a long chain of sums or products).
 """
 
 from __future__ import annotations
@@ -202,12 +204,22 @@ def parse_expression(
     table = dict(_BUILTIN_FUNCTIONS)
     if functions:
         table.update(functions)
-    node = _Parser(_tokenize(text), table).parse()
+    parser = _Parser(_tokenize(text), table)
+    try:
+        node = parser.parse()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply", parser.peek()[2]) from None
 
     def evaluator(z):
         z = np.asarray(z, dtype=np.complex128)
-        with np.errstate(all="ignore"):
-            value = np.asarray(node(z), dtype=np.complex128)
+        try:
+            with np.errstate(all="ignore"):
+                value = np.asarray(node(z), dtype=np.complex128)
+        except RecursionError:
+            raise EvalError(
+                f"expression of {len(text)} characters is nested too deeply "
+                "to evaluate"
+            ) from None
         value = np.broadcast_to(value, z.shape)
         bad = ~np.isfinite(value)
         if np.any(bad):

@@ -69,7 +69,6 @@ from .cauchy import (
     cauchy_offcontour,
     circle_coefficients,
     circle_values,
-    plus_mode_mask,
 )
 from .contour import ContourSystem, invert_circle
 from .errors import (
@@ -409,38 +408,23 @@ def _lu_vector_solver(lu) -> Callable:
     return apply
 
 
-def _circle_runs(system: ContourSystem) -> list[tuple]:
-    """Runs of consecutive circles with one node count and one traversal
-    direction, as (circle, nodes): the run's first circle and its node
-    slice.  One FFT call transforms a run."""
-    runs = []
-    for circle, nodes in zip(system.circles, system.node_slices()):
-        first = runs[-1][0] if runs else None
-        if first and (first.node_count, first.sign) == (circle.node_count, circle.sign):
-            runs[-1] = (first, slice(runs[-1][1].start, nodes.stop))
-        else:
-            runs.append((circle, nodes))
-    return runs
-
-
-def _by_run(runs, y, transform, per_node: int = 1) -> np.ndarray:
-    """transform(circle, part) on each run's rows of y, per_node rows to a
-    node, where part holds the run's circles along axis 0 and their nodes
-    along axis 1."""
+def _by_circle(system: ContourSystem, y, transform, per_node: int = 1) -> np.ndarray:
+    """transform(circle, part) on each circle's rows of y, per_node rows to
+    a node, where part holds the circle's nodes along axis 0."""
     out = np.empty(y.shape, dtype=np.complex128)
-    for circle, nodes in runs:
+    for circle, nodes in zip(system.circles, system.node_slices()):
         rows = slice(nodes.start * per_node, nodes.stop * per_node)
-        part = y[rows].reshape(-1, circle.node_count, per_node, *y.shape[1:])
+        part = y[rows].reshape(circle.node_count, per_node, *y.shape[1:])
         out[rows] = transform(circle, part).reshape(-1, *y.shape[1:])
     return out
 
 
 def _to_unitary(circle, part):
-    return circle_coefficients(circle, part, axis=1) * np.sqrt(circle.node_count)
+    return circle_coefficients(circle, part) * np.sqrt(circle.node_count)
 
 
 def _from_unitary(circle, part):
-    return circle_values(circle, part / np.sqrt(circle.node_count), axis=1)
+    return circle_values(circle, part / np.sqrt(circle.node_count))
 
 
 def _half_rows(coeffs: np.ndarray, k0: int, n: int) -> np.ndarray:
@@ -477,8 +461,8 @@ def _one_circle_section(p: RHProblem) -> tuple[slice, slice, Callable] | None:
         return None
     order = p.system.total_nodes * data.dim
     halves = slice(0, order // 2), slice(order // 2, order)
-    kept_first = plus_mode_mask(circles[0], p.system.plus_inside[0])[0]
-    rows, fixed = halves if minus_half == kept_first else halves[::-1]
+    # C+ keeps the first half of the modes exactly where the plus side is inside
+    rows, fixed = halves if minus_half == p.system.plus_inside[0] else halves[::-1]
     return rows, fixed, data.b_minus if minus_half else data.b_plus
 
 
@@ -510,17 +494,14 @@ def _operator_rows(p: RHProblem) -> tuple[np.ndarray, slice, slice]:
     """
     system, n = p.system, p.data.dim
     circles, slices, big_n = system.circles, system.node_slices(), system.total_nodes
-    runs, order = _circle_runs(system), big_n * n
-    kept_first = [
-        plus_mode_mask(c, inside)[0] for c, inside in zip(circles, system.plus_inside)
-    ]
+    order = big_n * n
     rows, fixed = (_one_circle_section(p) or (slice(0, order), slice(0, 0)))[:2]
     # T transposed, C-ordered: [column (j, c), row (k, b)]; the self blocks
     # fill one circle's rows, and only skipped cross blocks need the zeros
     alloc = np.zeros if len(circles) > 1 else np.empty
     tt = alloc((order, rows.stop - rows.start), dtype=np.complex128)
     if len(circles) > 1:
-        q = _by_run(runs, _cross_kernel(system), _to_unitary)
+        q = _by_circle(system, _cross_kernel(system), _to_unitary)
         w = (p.data.w_plus + p.data.w_minus).values
         tt4 = tt.reshape(big_n, n, big_n, n)
         for circle, nodes in zip(circles, slices):
@@ -533,13 +514,14 @@ def _operator_rows(p: RHProblem) -> tuple[np.ndarray, slice, slice]:
                 tt4[nodes, c, :, b] = circle_values(circle, block)
     # the self blocks, over the zero self blocks of q
     symbols = [
-        _by_run(runs, g().values, lambda c, part: circle_coefficients(c, part, axis=1))
+        _by_circle(system, g().values, circle_coefficients)
         for g in (p.data.b_minus, p.data.b_plus)
     ]
-    for nodes, first in zip(slices, kept_first):
+    # C+ keeps the first half of a circle's modes where its plus side is inside
+    for nodes, inside in zip(slices, system.plus_inside):
         m = nodes.stop - nodes.start
         cols = tt[nodes.start * n : nodes.stop * n].reshape(m, n, -1)
-        for k0, coeffs in zip((0, m // 2), symbols[:: 1 if first else -1]):
+        for k0, coeffs in zip((0, m // 2), symbols[:: 1 if inside else -1]):
             at = (nodes.start + k0) * n - rows.start
             if 0 <= at < tt.shape[1]:  # fixed rows are not built
                 cols[:, :, at : at + m // 2 * n] = _half_rows(coeffs[nodes], k0, n)
@@ -659,26 +641,26 @@ class _ToeplitzLU:
     for certified sections whose GMRES runs past its step budget.
 
     to_basis maps vectors or columns of operator rows (node-major, n
-    components per node) into the basis, one FFT per run of
-    _circle_runs, and from_basis maps them back; both are unitary.  In
-    the basis it offers what solve needs: solve(y, adjoint) for T^(-1) y
-    or T^(-H) y, one vector or column at a time by the trsv pairs of
-    _lu_vector_solver, matvec(x) = T x, its order, and singular, true
-    when the LU met an exact zero pivot.  solve does not check y: a
-    value that is not finite, or a zero pivot, gives output that is not
-    finite, which _refined refuses and the Lanczos run and the null
-    vectors read as singular.  With T = [[I, 0], [B, A]] on (fixed,
-    rows), A is the only matrix LU-factored: a solve with T is one
-    product with B and one solve with A, a solve with T^H one solve with
-    A^H and one product with B^H.  Without fixed rows, A is T and B is
-    empty.  An exact zero pivot of A is one of T.  Where equation rows
-    and unknown columns are left out (_factor, left_out), T above is T
-    less them.  Subtractions and transforms run with floating-point
-    warnings off, as the BLAS and LAPACK calls do.
+    components per node) into the basis, one FFT per circle, and
+    from_basis maps them back; both are unitary.  In the basis it offers
+    what solve needs: solve(y, adjoint) for T^(-1) y or T^(-H) y, one
+    vector or column at a time by the trsv pairs of _lu_vector_solver,
+    matvec(x) = T x, its order, and singular, true when the LU met an
+    exact zero pivot.  solve does not check y: a value that is not
+    finite, or a zero pivot, gives output that is not finite, which
+    _refined refuses and the Lanczos run and the null vectors read as
+    singular.  With T = [[I, 0], [B, A]] on (fixed, rows), A is the only
+    matrix LU-factored: a solve with T is one product with B and one
+    solve with A, a solve with T^H one solve with A^H and one product
+    with B^H.  Without fixed rows, A is T and B is empty.  An exact zero
+    pivot of A is one of T.  Where equation rows and unknown columns are
+    left out (_factor, left_out), T above is T less them.  Subtractions
+    and transforms run with floating-point warnings off, as the BLAS and
+    LAPACK calls do.
     """
 
     def __init__(self, p: RHProblem, left_out=((), ())):
-        self.runs, self.n = _circle_runs(p.system), p.data.dim
+        self.system, self.n = p.system, p.data.dim
         self.t_rows, self.rows, self.fixed = _operator_rows(p)
         self.order = self.t_rows.shape[1]
         self._factor(*left_out)
@@ -716,11 +698,11 @@ class _ToeplitzLU:
 
     @np.errstate(all="ignore")
     def to_basis(self, y):
-        return _by_run(self.runs, y, _to_unitary, self.n)
+        return _by_circle(self.system, y, _to_unitary, self.n)
 
     @np.errstate(all="ignore")
     def from_basis(self, x):
-        return _by_run(self.runs, x, _from_unitary, self.n)
+        return _by_circle(self.system, x, _from_unitary, self.n)
 
     def _section_solve(self, y, adjoint):
         """A^(-1) y, or A^(-H) y, a vector or column at a time."""
@@ -844,7 +826,7 @@ class _KrylovSection:
     """
 
     def __init__(self, p, rows, fixed, s, bound):
-        self.runs, self.n = _circle_runs(p.system), p.data.dim
+        self.system, self.n = p.system, p.data.dim
         self.circle = p.system.circles[0]
         self.rows, self.fixed, self.sigma_lower_bound = rows, fixed, bound
         self.order = s.shape[0] * self.n

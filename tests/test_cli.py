@@ -971,6 +971,29 @@ def test_overflowing_jump_residual_is_an_input_error(tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("2" + "+z/1000" * 3000, "nested too deeply to evaluate"),
+        ("(" * 400 + "2" + ")" * 400, "expression is nested too deeply"),
+    ],
+    ids=["deep_evaluation", "deep_parse"],
+)
+def test_too_deep_expressions_are_input_errors(entry, message, tmp_path):
+    # past the recursion limit, in the evaluator's closures or in the parser
+    doc = {
+        "version": 1,
+        "mode": "solve",
+        "contour": [{"center": [0.0, 0.0], "radius": 6.0, "nodes": 64}],
+        "jump": [[entry]],
+    }
+    proc = _rhc_subprocess(tmp_path, doc)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("rhc: invalid input: ")
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_delta_inv_override_reaches_the_splitting(tmp_path):
     # |det v| = 1e-11 |2 + z| passes delta_inv = 1e-13 but not the default
     # 1e-10, so only the caller's bound may decide

@@ -83,6 +83,18 @@ def test_parse_errors_carry_position():
         parse_expression("1 +")
 
 
+def test_too_deep_expressions_are_typed_errors():
+    # 400 nested parentheses take the parser past the recursion limit
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_expression("(" * 400 + "2" + ")" * 400)
+    # a long sum parses in a loop but evaluates as a chain of closures
+    f = parse_expression("2" + "+z/1000" * 3000)
+    with pytest.raises(EvalError, match="nested too deeply to evaluate"):
+        f(0.5)
+    with pytest.raises(EvalError, match="nested too deeply to evaluate"):
+        f(np.array([0.5, 2.0]))
+
+
 @given(
     st.lists(
         st.integers(min_value=-5, max_value=5), min_size=1, max_size=5

@@ -231,3 +231,33 @@ def test_hermitian_factorize_refuses_a_nan_constancy(monkeypatch):
     monkeypatch.setattr(factorize, "solve", nan_solve)
     with pytest.raises(rc.NonConstantCError, match="varies by nan"):
         rc.hermitian_factorize(hermitian_scalar_jump(rc.CCW))
+
+
+def test_hermitian_factorize_off_the_partner_grid():
+    # five circles at 64 nodes: the mirrored nodes of the pole circle and
+    # of its inverted image lie off each other's grid, so m_plus there
+    # comes from boundary values at off-node angles
+    spec = rc.IdnlsSpec(r=lambda z: 0.2 * z, n=1, poles=((2.5 + 0.5j, 0.7 + 0.2j),))
+    ap = rc.conjugate(rc.remove_poles(spec))
+    assert len(ap.system.circles) == 5
+    fac = rc.hermitian_factorize(ap.jump)
+    assert fac.constancy_deviation <= 1e-8
+    assert fac.product_residual <= 1e-8
+    c = fac.constant_C
+    assert np.array_equal(c, c.conj().T)
+    assert np.allclose(np.linalg.eigvalsh(c), [0.957, 1.045], atol=1e-3)
+
+
+def test_hermitian_factorize_reports_a_nan_product_residual(monkeypatch):
+    # a NaN in m_plus at one node must make the product residual NaN, not
+    # a residual read off the other nodes
+    solve = factorize.solve
+
+    def nan_solve(p, **kwargs):
+        sol = solve(p, **kwargs)
+        sol.m_plus.values[3] = np.nan
+        return sol
+
+    monkeypatch.setattr(factorize, "solve", nan_solve)
+    fac = rc.hermitian_factorize(hermitian_scalar_jump(rc.CCW))
+    assert np.isnan(fac.product_residual)

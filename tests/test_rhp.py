@@ -1548,7 +1548,7 @@ def _parent_t_rows(p):
     kept as the bit-for-bit reference of the contiguous one."""
     circle = p.system.circles[0]
     m, n, r = circle.node_count, p.data.dim, circle.node_count // 2
-    kept = rhp.plus_mode_mask(circle, p.system.plus_inside[0])
+    kept = rc.cauchy.plus_mode_mask(circle, p.system.plus_inside[0])
     if np.any(p.data.w_minus.values):
         symbol, section = p.data.b_minus().values, kept
     else:
