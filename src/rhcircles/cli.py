@@ -150,7 +150,10 @@ def _point(value, where: str) -> complex:
 
 def _load_problem(path: str, mode: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except RecursionError:
+            raise InputError("problem file is nested too deeply to read") from None
     _require(isinstance(doc, dict), "top level must be a JSON object")
     _require(
         type(doc.get("version")) is int and doc["version"] == 1,
@@ -334,6 +337,7 @@ def _report_solver(report: dict, sol: RHSolution) -> None:
     report["smallest_singular_value"] = float(sol.smallest_singular_value)
     report["sigma_source"] = sol.sigma_source
     report["solver_path"] = sol.solver_path
+    report["factored_order"] = int(sol.factored_order)
 
 
 def _system_and_jump(doc, tol, nodes) -> tuple[ContourSystem, JumpData]:

@@ -317,7 +317,12 @@ def conjugate(ap: AugmentedProblem, node_count: int = 64) -> AugmentedProblem:
         return matrix_at(w, [[np.conj(prod), 0.0], [0.0, np.reciprocal(w)]])
 
     def unit_jump(w) -> np.ndarray:
-        return inner_jump(w) @ unit_v(w) @ a_mat(w)
+        v = unit_v(w)
+        out = inner_jump(w) @ v @ a_mat(w)
+        # entry (1, 1) is (1/w) v_11 w, which is v_11 in exact arithmetic
+        # only: taken as v_11 itself, a zero row of v - I stays exactly zero
+        out[..., 1, 1] = v[..., 1, 1]
+        return out
 
     def pole_jump(j: int) -> Callable:
         kappa = prod / z[j] * q[j]

@@ -15,6 +15,11 @@ the per-circle unitary Fourier basis, where each circle's own Cauchy
 projections are diagonal.  On one circle with at most one nonzero
 splitting half, T is block-triangular there, and a solve with T is one
 with the finite Toeplitz section of the jump's symbol, of order N*n/2.
+On any other problem, a component whose row of w_plus and of w_minus is
+zero on a whole circle never meets a cross block, so its columns of T
+are unit vectors, and a solve with T is one with T less them (the pole
+circles' unipotent triangular jumps of the IDNLS pipeline give such
+columns).
 
 How the smallest singular value of T is obtained is part of the
 answer (RHSolution.sigma_source), and it decides how T is solved.  On
@@ -25,11 +30,12 @@ Where that certifies T, the section is applied matrix-free by FFTs and
 solved by preconditioned GMRES (_KrylovSection), whose answer is final;
 nothing is built, factored or estimated unless GMRES runs past its step
 budget (KRYLOV_STEPS), when the section is factored instead.  Every
-other problem builds T, or the section, and factors it once per solve
-(_ToeplitzLU): one step of inverse iteration bounds sigma_min from
-above, and a Lanczos run on the LU gives it when that bound does not
-already certify the operator as near singular.  The LU solves only by
-trsv pairs, and its solve takes one corrective step (_refined).
+other problem builds T, or the section, less its identity rows or
+columns, and factors the rest once per solve (_ToeplitzLU): one step of
+inverse iteration bounds sigma_min from above, and a Lanczos run on the
+LU gives it when that bound does not already certify the operator as
+near singular.  The LU solves only by trsv pairs, and its solve takes
+one corrective step (_refined).
 
 A square section of a symbol that winds loses modes at the Nyquist seam
 of its mode set, so where det v winds on several circles and the
@@ -277,6 +283,9 @@ class RHSolution:
         rows and columns were left out it is sigma_min of T less them,
         which is T's second smallest singular value for an alias kernel
         of one direction.
+    factored_order is the order of the matrix LU-factored: T's order
+    less its identity rows or columns (_operator_rows) on the LU path,
+    and 0 on the Krylov path, where nothing is factored.
     """
 
     problem: RHProblem
@@ -287,6 +296,7 @@ class RHSolution:
     smallest_singular_value: float
     sigma_source: str
     solver_path: str
+    factored_order: int
     cauchy_density: GridFunction = field(repr=False)
 
     @property
@@ -466,9 +476,28 @@ def _one_circle_section(p: RHProblem) -> tuple[slice, slice, Callable] | None:
     return rows, fixed, data.b_minus if minus_half else data.b_plus
 
 
+def _kept_components(p: RHProblem) -> list[np.ndarray]:
+    """Per circle, the components c whose row of w_plus or of w_minus is
+    nonzero at some node of the circle, in increasing order.
+
+    In every other component x b_plus = x b_minus = x and x (w_plus +
+    w_minus) = 0 for x on the circle alone, so T's columns there are unit
+    vectors of the basis.  The rule reads exact zeros: a row with one
+    entry of 1e-300 is kept.
+    """
+    return [
+        np.flatnonzero(
+            np.any(p.data.w_plus.values[nodes], axis=(0, 2))
+            | np.any(p.data.w_minus.values[nodes], axis=(0, 2))
+        )
+        for nodes in p.system.node_slices()
+    ]
+
+
 @np.errstate(all="ignore")
-def _operator_rows(p: RHProblem) -> tuple[np.ndarray, slice, slice]:
-    """T in the per-circle Fourier basis, apart from its identity rows.
+def _operator_rows(p: RHProblem) -> tuple:
+    """T in the per-circle Fourier basis, apart from its identity rows or
+    columns.
 
     The basis is each circle's unitary Fourier basis (circle_coefficients
     times sqrt(m), modes in storage order, n components per mode), circle
@@ -486,46 +515,90 @@ def _operator_rows(p: RHProblem) -> tuple[np.ndarray, slice, slice]:
     w_minus that is nonzero somewhere on circle j; an entry that is zero
     on the whole circle gives an exact zero block and is skipped.
 
-    Where _one_circle_section finds T = [[I, 0], [B, A]] on (fixed,
-    rows), only [B, A] is built.  Every other problem has no fixed rows.
-    Returns T's rows outside fixed, as an F-ordered array, and the basis
-    slices rows and fixed.  Transforms run with floating-point warnings off: a
-    value that overflows reaches lu_factor, which refuses it.
+    T's identity block, at the basis indices unit, is left out, and the
+    other indices are kept:
+    - where _one_circle_section finds T = [[I, 0], [B, A]] on (unit,
+      kept), only [B, A] is built: T's rows at kept;
+    - otherwise, on the columns of the components _kept_components
+      leaves out, which are unit vectors, T = [[I, C], [0, A]] on (unit,
+      kept), the mirror image, and only [C; A] is built: T's columns at
+      kept.
+    A problem with neither keeps all of T.  Returns t, as an F-ordered
+    array that holds T's rows at kept where it is wider than tall and
+    T's columns at kept where it is taller than wide, and the basis
+    indices kept and unit, each a slice or an increasing index array.
+    Transforms run with floating-point warnings off: a value that
+    overflows reaches lu_factor, which refuses it.
     """
     system, n = p.system, p.data.dim
     circles, slices, big_n = system.circles, system.node_slices(), system.total_nodes
     order = big_n * n
-    rows, fixed = (_one_circle_section(p) or (slice(0, order), slice(0, 0)))[:2]
+    section = _one_circle_section(p)
+    kept, unit = slice(0, order), slice(0, 0)
+    if section is not None:
+        kept, unit = section[:2]
+        components = [np.arange(n)]
+    else:
+        components = _kept_components(p)
+        if sum(map(len, components)) < n * len(circles):
+            kept = np.concatenate(
+                [(np.arange(nodes.start, nodes.stop)[:, None] * n + k).ravel()
+                 for nodes, k in zip(slices, components)]
+            )
+            unit = np.setdiff1d(np.arange(order), kept)
+    rows = kept if section is not None else slice(0, order)
     # T transposed, C-ordered: [column (j, c), row (k, b)]; the self blocks
     # fill one circle's rows, and only skipped cross blocks need the zeros
     alloc = np.zeros if len(circles) > 1 else np.empty
-    tt = alloc((order, rows.stop - rows.start), dtype=np.complex128)
+    widths = [c.node_count * len(k) for c, k in zip(circles, components)]
+    tt = alloc((sum(widths), rows.stop - rows.start), dtype=np.complex128)
+    # each circle's kept columns, (m, components, rows)
+    ends = np.cumsum(widths)
+    blocks = [
+        tt[end - width : end].reshape(c.node_count, len(k), tt.shape[1])
+        for c, k, width, end in zip(circles, components, widths, ends)
+    ]
     if len(circles) > 1:
         q = _by_circle(system, _cross_kernel(system), _to_unitary)
         w = (p.data.w_plus + p.data.w_minus).values
-        tt4 = tt.reshape(big_n, n, big_n, n)
-        for circle, nodes in zip(circles, slices):
+        for circle, nodes, block, k in zip(circles, slices, blocks, components):
             # T's minus sign and the 1/sqrt(m) of F^H, folded into w
             wj = w[nodes] / -np.sqrt(circle.node_count)
+            block4 = block.reshape(circle.node_count, len(k), big_n, n)
+            # c is kept: its row of w_plus + w_minus is nonzero
             for c, b in zip(*np.nonzero(np.any(wj, axis=0))):
                 # times F^H from the right: circle_values along the source
                 # axis, since F, a DFT, is symmetric
-                block = (q[:, nodes] * wj[:, c, b]).T
-                tt4[nodes, c, :, b] = circle_values(circle, block)
+                source = (q[:, nodes] * wj[:, c, b]).T
+                block4[:, np.searchsorted(k, c), :, b] = circle_values(circle, source)
     # the self blocks, over the zero self blocks of q
     symbols = [
         _by_circle(system, g().values, circle_coefficients)
         for g in (p.data.b_minus, p.data.b_plus)
     ]
     # C+ keeps the first half of a circle's modes where its plus side is inside
-    for nodes, inside in zip(slices, system.plus_inside):
+    for nodes, inside, block, k in zip(slices, system.plus_inside, blocks, components):
         m = nodes.stop - nodes.start
-        cols = tt[nodes.start * n : nodes.stop * n].reshape(m, n, -1)
         for k0, coeffs in zip((0, m // 2), symbols[:: 1 if inside else -1]):
             at = (nodes.start + k0) * n - rows.start
-            if 0 <= at < tt.shape[1]:  # fixed rows are not built
-                cols[:, :, at : at + m // 2 * n] = _half_rows(coeffs[nodes], k0, n)
-    return tt.T, rows, fixed
+            if 0 <= at < tt.shape[1]:  # identity rows are not built
+                half = _half_rows(coeffs[nodes], k0, n)
+                block[:, :, at : at + m // 2 * n] = half if len(k) == n else half[:, k]
+    return tt.T, kept, unit
+
+
+def _operator(p: RHProblem) -> np.ndarray:
+    """All of T in the basis of _operator_rows, with the identity rows or
+    columns it leaves out filled back in."""
+    t, kept, _ = _operator_rows(p)
+    if t.shape[0] == t.shape[1]:
+        return t
+    full = np.eye(max(t.shape), dtype=np.complex128)
+    if t.shape[0] < t.shape[1]:
+        full[kept] = t
+    else:
+        full[:, kept] = t
+    return full
 
 
 def _hermitian_extremes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -636,9 +709,10 @@ def _left_out(p: RHProblem) -> tuple[list, list]:
 
 class _ToeplitzLU:
     """The operator T in the per-circle Fourier basis of _operator_rows,
-    factored by one LU of its rows outside the identity block, for the
-    problems no positivity certificate covers (_certified_section) and
-    for certified sections whose GMRES runs past its step budget.
+    factored by one LU of its block outside the identity rows or
+    columns, for the problems no positivity certificate covers
+    (_certified_section) and for certified sections whose GMRES runs past
+    its step budget.
 
     to_basis maps vectors or columns of operator rows (node-major, n
     components per node) into the basis, one FFT per circle, and
@@ -649,47 +723,83 @@ class _ToeplitzLU:
     exact zero pivot.  solve does not check y: a value that is not
     finite, or a zero pivot, gives output that is not finite, which
     _refined refuses and the Lanczos run and the null vectors read as
-    singular.  With T = [[I, 0], [B, A]] on (fixed, rows), A is the only
-    matrix LU-factored: a solve with T is one product with B and one
+    singular.
+
+    A is T at the basis indices kept, the only matrix LU-factored, and
+    the identity block is at unit.  With identity rows, T = [[I, 0], [B,
+    A]] on (unit, kept): a solve with T is one product with B and one
     solve with A, a solve with T^H one solve with A^H and one product
-    with B^H.  Without fixed rows, A is T and B is empty.  An exact zero
-    pivot of A is one of T.  Where equation rows and unknown columns are
-    left out (_factor, left_out), T above is T less them.  Subtractions
-    and transforms run with floating-point warnings off, as the BLAS and
+    with B^H.  With identity columns, T = [[I, C], [0, A]]: a solve with
+    T is one solve with A and one product with C, a solve with T^H one
+    product with C^H and one solve with A^H.  b holds B or C; without an
+    identity block, A is T and b is empty.  An exact zero pivot of A is
+    one of T.  Where equation rows and unknown columns are left out
+    (_factor, left_out), T above is T less them.  Subtractions and
+    transforms run with floating-point warnings off, as the BLAS and
     LAPACK calls do.
     """
 
     def __init__(self, p: RHProblem, left_out=((), ())):
         self.system, self.n = p.system, p.data.dim
-        self.t_rows, self.rows, self.fixed = _operator_rows(p)
-        self.order = self.t_rows.shape[1]
+        self.t, self.kept, self.unit = _operator_rows(p)
         self._factor(*left_out)
+
+    @property
+    def order(self) -> int:
+        return max(self.t.shape)
+
+    @property
+    def identity(self) -> str | None:
+        """"rows" or "columns" where t leaves T's identity rows or
+        columns out, None where it is all of T."""
+        rows, columns = self.t.shape
+        return "rows" if rows < columns else "columns" if columns < rows else None
 
     def _factor(self, equations=(), unknowns=()):
         """Factor A, less the equation rows and the unknown columns at the
         basis indices equations and unknowns (as many of each, pairwise,
-        all within rows).
+        all within kept).
 
         Each such row and column of a copy of A is zeroed but for s where
-        they cross, and B's row with it, so that the factored T is the
-        reduced one and, decoupled from it, s times the identity.  s is the
-        norm of A's first column not left out, at least sigma_min of the
-        reduced T, which no column's norm undercuts, so that the LU, its
-        Lanczos run and its null vectors are those of the reduced T.
-        solve reads the inputs at left_out as 0, so that the unknowns left
-        out come back 0.  The copy is the one lu_factor makes of A, made
-        here and factored in place.
+        they cross, and with it B's row or C's column, so that the
+        factored T is the reduced one and, decoupled from it, s times the
+        identity.  s is the norm of A's first column not left out, at
+        least sigma_min of the reduced T, which no column's norm
+        undercuts, so that the LU, its Lanczos run and its null vectors
+        are those of the reduced T.  solve reads the inputs at left_out as
+        0, so that the unknowns left out come back 0.  The copy of A is
+        the one lu_factor would make, made here and factored in place;
+        with identity columns A and C are gathered from t's rows, along
+        the rows of the C-ordered t^T, so that A comes out F-ordered.
         """
         self.left_out = tuple(np.array(i, dtype=int) for i in (equations, unknowns))
-        self.b, a = self.t_rows[:, self.fixed], self.t_rows[:, self.rows]
+        t, kept, unit = self.t, self.kept, self.unit
+        if self.identity == "rows":
+            a, self.b = t[:, kept], t[:, unit]
+        elif self.identity == "columns":
+            a, self.b = (np.take(t.T, i, axis=1).T for i in (kept, unit))
+        else:
+            a, self.b = t, t[:0]
+        # lu_factor refuses an A that is not finite; b is refused the same
+        # way, since with identity columns a value that overflows can land
+        # in C alone
+        np.asarray_chkfinite(self.b)
+        if np.may_share_memory(a, t):
+            a = np.array(a, order="F")
         if len(equations):
-            eq, unknown = (i - self.rows.start for i in self.left_out)
-            a, self.b = np.array(a, order="F"), self.b.copy()
-            kept = np.setdiff1d(np.arange(a.shape[1]), unknown)[0]
-            scale = scipy.linalg.norm(a[:, kept])
-            a[eq], a[:, unknown], self.b[eq] = 0.0, 0.0, 0.0
+            if np.may_share_memory(self.b, t):
+                self.b = self.b.copy()
+            indices = np.arange(self.order)[kept]
+            eq, unknown = (np.searchsorted(indices, i) for i in self.left_out)
+            first = np.setdiff1d(np.arange(a.shape[1]), unknown)[0]
+            scale = scipy.linalg.norm(a[:, first])
+            a[eq], a[:, unknown] = 0.0, 0.0
             a[eq, unknown] = scale
-        self.lu = scipy.linalg.lu_factor(a, overwrite_a=bool(len(equations)))
+            if self.identity == "rows":
+                self.b[eq] = 0.0
+            else:
+                self.b[:, unknown] = 0.0
+        self.lu = scipy.linalg.lu_factor(a, overwrite_a=True)
         self._section_vector = _lu_vector_solver(self.lu)
 
     @property
@@ -705,33 +815,53 @@ class _ToeplitzLU:
         return _by_circle(self.system, x, _from_unitary, self.n)
 
     def _section_solve(self, y, adjoint):
-        """A^(-1) y, or A^(-H) y, a vector or column at a time."""
+        """A^(-1) y, or A^(-H) y, a vector or column at a time; y itself
+        where A has order 0, all of T being the identity."""
+        if not len(y):
+            return y
         if y.ndim == 1:
             return self._section_vector(y, adjoint)
         return np.stack([self._section_vector(c, adjoint) for c in y.T], axis=1)
 
+    def _coupled(self, x, adjoint):
+        """b x, or b^H x as (x^H b)^H, so that b is read in place."""
+        if adjoint:
+            return np.conj(np.conj(x).T @ self.b).T
+        return self.b @ x
+
     def solve(self, y, adjoint=False):
         x = np.array(y, dtype=np.complex128)
         x[self.left_out[adjoint]] = 0.0  # the equations, or for T^H unknowns
-        if not self.b.size:  # no fixed rows: A is T
+        if self.identity is None:  # A is T
             return self._section_solve(x, adjoint)
-        rows, fixed = self.rows, self.fixed
+        kept, unit = self.kept, self.unit
         with np.errstate(all="ignore"):
-            if adjoint:
-                x[rows] = self._section_solve(x[rows], True)
-                # B^H x, as (x^H B)^H, so that B is read in place
-                x[fixed] -= np.conj(np.conj(x[rows]).T @ self.b).T
+            if (self.identity == "rows") != adjoint:
+                # [[I, 0], [B, A]], or T^H = [[I, 0], [C^H, A^H]]
+                x[kept] = self._section_solve(
+                    x[kept] - self._coupled(x[unit], adjoint), adjoint
+                )
             else:
-                x[rows] = self._section_solve(x[rows] - self.b @ x[fixed], False)
+                # [[I, C], [0, A]], or T^H = [[I, B^H], [0, A^H]]
+                x[kept] = self._section_solve(x[kept], adjoint)
+                x[unit] -= self._coupled(x[kept], adjoint)
         return x
 
     def matvec(self, x):
-        if not self.b.size:
-            # as (x^T T^T)^T, which reads T's storage row by row
-            return (x.T @ self.t_rows.T).T
-        out = np.array(x, dtype=np.complex128)
-        out[self.rows] = self.t_rows @ x
+        if self.identity == "rows":
+            out = np.array(x, dtype=np.complex128)
+            out[self.kept] = self.t @ x
+            return out
+        # as (x^T T^T)^T, which reads T's storage row by row
+        out = (x[self.kept].T @ self.t.T).T
+        out[self.unit] += x[self.unit]
         return out
+
+    def rows_times(self, i, x):
+        """(T x)[i] for basis indices i within kept."""
+        if self.identity == "rows":  # t holds T's rows at kept, a slice
+            return self.t[i - self.kept.start] @ x
+        return self.t[i] @ x[self.kept]  # T[i] is 0 on the identity columns
 
 
 @np.errstate(all="ignore")
@@ -992,7 +1122,8 @@ def _certified_lu(op: _ToeplitzLU, band: np.ndarray, sigma_min: float) -> float:
             raise NearSingularOperatorError(
                 smallest, message="operator kernel has more than one alias direction"
             )
-        op._factor(*([op.rows.start + np.argmax(np.abs(v[op.rows]))] for v in (l, r)))
+        kept = np.arange(op.order)[op.kept]
+        op._factor(*([kept[np.argmax(np.abs(v[kept]))]] for v in (l, r)))
 
 
 def _check_left_out(op: _ToeplitzLU, x: np.ndarray, rhs: np.ndarray, smallest: float):
@@ -1007,7 +1138,7 @@ def _check_left_out(op: _ToeplitzLU, x: np.ndarray, rhs: np.ndarray, smallest: f
     residual reports too.  Above it the equations left out carried
     band-limited content, and the system is inconsistent.
     """
-    gap = op.t_rows[op.left_out[0] - op.rows.start] @ x - rhs[op.left_out[0]]
+    gap = op.rows_times(op.left_out[0], x) - rhs[op.left_out[0]]
     residual = float(np.max(np.abs(gap), initial=0.0))
     if not residual <= ALIAS_BAND_CONTENT * max(float(np.max(np.abs(rhs))), 1.0):
         raise NearSingularOperatorError(
@@ -1033,11 +1164,12 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     runs past its step budget (KRYLOV_STEPS), the LU is the cheaper path:
     the section is built and factored, and the LU solve plus one
     corrective step (_refined) is the answer ("lu"), still certified by
-    that bound.  Otherwise the operator is built once and factored
-    (_ToeplitzLU), less the equation rows and unknown columns that the
-    windings of a triangular jump's diagonal leave out at the Nyquist
-    seams (_left_out), and _certified_lu gives its sigma_min: an
-    inverse-iteration bound and a Lanczos run on the LU.  Below
+    that bound.  Otherwise the operator, less its identity rows or
+    columns, is built once and factored (_ToeplitzLU), less the equation
+    rows and unknown columns that the windings of a triangular jump's
+    diagonal leave out at the Nyquist seams (_left_out), and
+    _certified_lu gives its sigma_min: an inverse-iteration bound and a
+    Lanczos run on the LU.  Below
     sigma_min, null vectors with band-limited content above
     ALIAS_BAND_CONTENT are a genuine kernel (nonzero partial indices land
     here) and are refused rather than returning a polluted solution; an
@@ -1088,6 +1220,7 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
         smallest_singular_value=smallest,
         sigma_source=source,
         solver_path=path,
+        factored_order=op.lu[0].shape[0] if path == "lu" else 0,
         cauchy_density=mu * (p.data.w_plus + p.data.w_minus),
     )
     sol.residual_jump = _midpoint_residual(p, sol)
@@ -1244,10 +1377,7 @@ def index_diagnostics(p: RHProblem, *, tau_rank: float = TAU_RANK) -> IndexRepor
     bound = p.band_sigma_lower_bound
     if bound is not None and bound >= 10.0 * tau_rank:
         return IndexReport(0, 0, (0.0, bound), (0.0, bound))
-    t, rows, fixed = _operator_rows(p)
-    if fixed.stop:  # one circle's identity rows, which the solve leaves out
-        t, t_rows = np.eye(t.shape[1], dtype=np.complex128), t
-        t[rows] = t_rows
+    t = _operator(p)
     band = _band_rows(p.system, n)
     svals = scipy.linalg.svdvals
     k_count, k_gap = _count_small(svals(t[:, band]), tau_rank)

@@ -856,6 +856,10 @@ def test_overflowing_solution_is_an_input_error(tmp_path, capsys):
 
 
 def _rhc_subprocess(tmp_path, doc):
+    return _rhc_subprocess_on(tmp_path, write_problem(tmp_path, doc))
+
+
+def _rhc_subprocess_on(tmp_path, problem):
     # a separate interpreter, so that stderr holds everything it printed
     src = str(Path(rc.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -869,7 +873,7 @@ def _rhc_subprocess(tmp_path, doc):
             "rhcircles.cli",
             "solve",
             "--problem",
-            str(write_problem(tmp_path, doc)),
+            str(problem),
             "--out",
             str(tmp_path / "report.json"),
         ],
@@ -991,6 +995,18 @@ def test_too_deep_expressions_are_input_errors(entry, message, tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("rhc: invalid input: ")
     assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_too_deeply_nested_file_is_an_input_error(tmp_path):
+    # past the recursion limit of json.load itself, before any field is read
+    problem = tmp_path / "problem.json"
+    problem.write_text('{"version": 1, "jump": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    proc = _rhc_subprocess_on(tmp_path, problem)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "rhc: invalid input: problem file is nested too deeply to read\n"
+    )
     assert not (tmp_path / "report.json").exists()
 
 

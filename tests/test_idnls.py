@@ -275,10 +275,10 @@ def _gesdd_site_spec():
 def test_alias_null_vectors_take_one_step_from_a_random_start():
     p = _conjugated_problem(soliton_spec())
     op = rhp._ToeplitzLU(p)
-    # T in the Fourier basis, where r and l live: no fixed rows here
-    t = op.t_rows
+    # all of T in the Fourier basis, where r and l live: the LU leaves
+    # its identity columns out, and the helper fills them back in
+    t = rhp._operator(p)
     assert t.shape == (op.order, op.order)
-    lu = op.lu
     r, l, _ = rhp._null_vectors(op)
     assert np.linalg.norm(t @ r) < 1e-12
     assert np.linalg.norm(t.conj().T @ l) < 1e-12
@@ -286,16 +286,16 @@ def test_alias_null_vectors_take_one_step_from_a_random_start():
     # start has no Nyquist content, and a second step on the singular LU
     # drifts away from the kernel
     ones = op.to_basis(np.ones(t.shape[0], dtype=complex))
-    constant = scipy.linalg.lu_solve(lu, ones)
+    constant = op.solve(ones)
     assert np.linalg.norm(t @ constant) / np.linalg.norm(constant) > 1e-6
-    second = scipy.linalg.lu_solve(lu, r)
+    second = op.solve(r)
     assert np.linalg.norm(t @ second) / np.linalg.norm(second) > 1e-6
 
 
 @pytest.mark.parametrize(
     "spec", [soliton_spec(), _gesdd_site_spec()], ids=["soliton", "gesdd_site"]
 )
-def test_alias_deflation_matches_truncated_svd(spec):
+def test_modes_left_out_match_the_truncated_svd(spec):
     # T has an alias kernel of one direction; the solve leaves out the
     # equation row and the unknown column at the Nyquist seam that carry it
     p = _conjugated_problem(spec)
@@ -316,7 +316,7 @@ def test_alias_deflation_matches_truncated_svd(spec):
 
 
 @pytest.mark.parametrize("site", [0, -3, 2])
-def test_conjugated_soliton_alias_is_deflated_at_every_site(site):
+def test_conjugated_soliton_alias_is_left_out_at_every_site(site):
     spec = rc.IdnlsSpec(r=None, n=site, poles=((2.0 + 0j, 1.0 + 0j),))
     sol = rc.solve(_conjugated_problem(spec))
     assert sol.solver_path == "lu"

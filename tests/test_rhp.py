@@ -17,12 +17,11 @@ from conftest import rational_exact, two_einsum_operator
 
 class _MatrixLU(rhp._ToeplitzLU):
     """The factored-operator class on a given matrix t, in the basis of
-    t's own rows: every row in the LU, none fixed."""
+    t's own rows: every row and column in the LU, none an identity."""
 
     def __init__(self, t):
-        self.order = t.shape[0]
-        self.t_rows = t
-        self.rows, self.fixed = slice(0, self.order), slice(0, 0)
+        self.t = t
+        self.kept, self.unit = slice(0, t.shape[0]), slice(0, 0)
         self._factor()
 
     def to_basis(self, y):
@@ -454,6 +453,22 @@ def test_two_circle_overflowing_residual_is_refused():
         rc.solve(rc.RHProblem.from_jump(jump))
 
 
+def test_overflow_in_the_identity_columns_coupling_is_refused():
+    # the first component's columns are unit vectors, and the entry near
+    # 1e307 overflows only in C, their rows against the kept columns: it
+    # is refused as lu_factor refuses a value of A that is not finite
+    system = _two_circle_problem().system
+    with np.errstate(all="ignore"):
+        jump = rc.JumpData.from_evaluator(
+            system,
+            lambda z: rc.matrix_at(
+                z, [[1.0, 0.0], [1e307 * (z - 0.4) / (z - 2.5), 1.0]]
+            ),
+        )
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            rc.solve(rc.RHProblem.from_jump(jump))
+
+
 def test_one_circle_overflowing_residual_is_refused():
     # the Toeplitz section solves this jump (sigma_min 0.93), but m_minus v
     # at the midpoints overflows; no solution may carry an infinite residual
@@ -520,13 +535,13 @@ def test_one_dimensional_kernel_is_left_out_where_its_null_vectors_peak():
     assert np.max(np.abs(gap - np.outer(r, np.conj(r) @ gap))) < 1e-10
 
 
-def test_two_dimensional_kernel_is_never_deflated_by_one_vector():
+def test_two_dimensional_kernel_is_never_left_out_by_one_pair():
     t, rhs = _operator_with_kernel(40, 2)
     with pytest.raises(rc.NearSingularOperatorError, match="more than one"):
         rhp._certified_lu(_MatrixLU(t), _NO_BAND, rc.SIGMA_MIN)
 
 
-def test_inconsistent_system_is_never_deflated():
+def test_inconsistent_system_is_refused_after_leaving_out():
     # a left null vector in the first right-hand side is outside the range
     t, rhs = _operator_with_kernel(40, 1)
     op = _MatrixLU(t)
@@ -897,6 +912,80 @@ def test_modes_left_out_at_the_seam_leave_the_second_singular_value(make):
     assert np.all(op.solve(y)[unknowns] == 0.0)
 
 
+_POLE_SETS = {
+    "one_pole": ((2.0 + 0.5j, 0.7 + 0j),),
+    "two_poles": ((2.0 + 0j, 1.0 + 0j), (-1.5 + 2.0j, 0.5j)),
+}
+
+
+@pytest.mark.parametrize("site", range(-3, 4))
+@pytest.mark.parametrize("slope", [0.0, 0.2], ids=["r_0", "r_0.2z"])
+@pytest.mark.parametrize("poles", list(_POLE_SETS))
+def test_identity_columns_solve_like_the_dense_lu(poles, slope, site):
+    # the pole circles' jumps are unipotent triangular, so one component
+    # of each is a group of unit columns; so is the unit circle's second
+    # component, where r = 0 makes its jump diag(|prod z_j|^2, 1)
+    spec = rc.IdnlsSpec(
+        r=(lambda z: slope * z) if slope else None, n=site, poles=_POLE_SETS[poles]
+    )
+    ap = rc.conjugate(rc.remove_poles(spec, pole_nodes=64, unit_nodes=64), 64)
+    p = rc.RHProblem.from_jump(ap.jump, h=np.eye(2))
+    sol = rc.solve(p)
+    big_n = p.system.total_nodes
+    groups = 2 * len(spec.poles) + (slope == 0.0)
+    assert sol.solver_path == "lu"
+    assert sol.factored_order == 2 * big_n - 64 * groups
+    # the reference: all of T from the node-space projectors, in the
+    # Fourier basis, less the modes left out, by one dense LU
+    def to_basis(y):
+        return rhp._by_circle(p.system, y, rhp._to_unitary, 2)
+
+    t = to_basis(to_basis(two_einsum_operator(p)).conj().T).conj().T
+    equations, unknowns = rhp._left_out(p)
+    rows, cols = (np.setdiff1d(np.arange(2 * big_n), i) for i in (equations, unknowns))
+    reduced = t[np.ix_(rows, cols)]
+    rhs = to_basis(np.repeat(p.h[:, None, :], big_n, axis=1).reshape(2, -1).T)
+    x = np.zeros_like(rhs)
+    x[cols] = scipy.linalg.lu_solve(scipy.linalg.lu_factor(reduced), rhs[rows])
+    x = rhp._by_circle(p.system, x, rhp._from_unitary, 2)
+    mu = x.T.reshape(2, big_n, 2).transpose(1, 0, 2)
+    scale = np.max(np.abs(mu))
+    assert np.max(np.abs(sol.mu.values - mu)) <= 1e-13 * scale
+    exact = scipy.linalg.svdvals(reduced)[-1]
+    assert abs(sol.smallest_singular_value - exact) <= 1e-10 * exact
+
+
+def test_a_tiny_entry_keeps_its_row_in_the_factored_block():
+    # a lower triangular jump on two circles: the first component's
+    # columns are unit vectors on both, unless one entry of 1e-300 in
+    # that row of w reaches the first circle's
+    system = _two_circle_problem().system
+    jump = rc.JumpData.from_evaluator(
+        system, lambda z: rc.matrix_at(z, [[1.0, 0.0], [0.3 / (z - 2.5), 1.0]])
+    )
+    p = rc.RHProblem.from_jump(jump)
+    w = p.data.w_plus.values.copy()
+    w[3, 0, 1] = 1e-300
+    tiny = rc.RHProblem(
+        rc.FactorizationData(rc.GridFunction(system, w), p.data.w_minus, jump)
+    )
+    sol, sol_tiny = rc.solve(p), rc.solve(tiny)
+    assert (sol.factored_order, sol_tiny.factored_order) == (160 - 80, 160 - 16)
+    scale = np.max(np.abs(sol.mu.values))
+    assert np.max(np.abs(sol.mu.values - sol_tiny.mu.values)) <= 1e-13 * scale
+
+
+def test_identity_jump_on_two_circles_factors_nothing():
+    # every column of T is a unit vector: A has order 0, and mu is h
+    system = _two_circle_problem().system
+    p = rc.RHProblem.from_jump(rc.JumpData.from_evaluator(system, lambda z: np.eye(2)))
+    sol = rc.solve(p)
+    assert (sol.solver_path, sol.factored_order) == ("lu", 0)
+    assert abs(sol.smallest_singular_value - 1.0) <= 1e-14
+    assert sol.residual_jump == 0.0
+    assert np.array_equal(sol.mu.values, np.broadcast_to(p.h, sol.mu.values.shape))
+
+
 def test_rotated_jump_leaves_out_where_the_null_vectors_peak(monkeypatch):
     # U v U^H on every circle: no circle is triangular, so no winding is
     # read; T is factored, and the row and column where its null vectors
@@ -922,6 +1011,24 @@ def test_rotated_jump_leaves_out_where_the_null_vectors_peak(monkeypatch):
     z = rc.off_contour_points(p.system, 12, rel_margin=0.45)
     expected = u @ rc.solve(p).evaluate(z) @ u.conj().T
     assert np.max(np.abs(sol.evaluate(z) - expected)) <= 1e-12
+
+
+def test_alias_is_left_out_beside_the_identity_columns(monkeypatch):
+    # with no winding read, the conjugated soliton's alias kernel is left
+    # to its null vectors; the row and column left out are A's, with C's
+    # column, and the pole circles' unit columns stay out of the LU
+    p = _conjugated_soliton_problem()
+    reference = rc.solve(p)
+    monkeypatch.setattr(rhp, "_left_out", lambda p: ([], []))
+    factorizations = _counted(monkeypatch, scipy.linalg, "lu_factor")
+    sol = rc.solve(p)
+    assert len(factorizations) == 2  # A, then A less those modes
+    assert (sol.solver_path, sol.factored_order) == ("lu", 448)
+    s = scipy.linalg.svdvals(two_einsum_operator(p))
+    assert s[-1] < rc.SIGMA_MIN and s[-3] > 1.1 * s[-2]
+    assert abs(sol.smallest_singular_value - s[-2]) <= 1e-10 * s[-2]
+    z = rc.off_contour_points(p.system, 12, rel_margin=0.45)
+    assert np.max(np.abs(sol.evaluate(z) - reference.evaluate(z))) <= 1e-12
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
@@ -1302,16 +1409,15 @@ def _fourier_basis(system, n):
 )
 def test_fourier_operator_equals_the_transformed_node_operator(make):
     p = make()
-    t_rows, rows, fixed = rhp._operator_rows(p)
-    t = np.eye(t_rows.shape[1], dtype=complex)
-    t[rows] = t_rows
+    t_rows = rhp._operator_rows(p)[0]
+    t = rhp._operator(p)
     f = _fourier_basis(p.system, p.data.dim)
     reference = f @ two_einsum_operator(p) @ f.conj().T
     assert np.max(np.abs(t - reference)) <= 1e-14 * np.max(np.abs(t))
     # identity rows only where one circle has a zero splitting half
     halves = (p.data.w_plus.values, p.data.w_minus.values)
     one_sided = len(p.system.circles) == 1 and not all(np.any(w) for w in halves)
-    assert (t_rows.shape[0] == t.shape[0] // 2) if one_sided else (fixed.stop == 0)
+    assert t_rows.shape[0] == (t.shape[0] // 2 if one_sided else t.shape[0])
 
 
 def test_two_sided_splitting_solves_like_the_trivial_one(rational_radius6):
@@ -1416,7 +1522,7 @@ def test_one_circle_toeplitz_solve_matches_the_dense_lu(
     p = make()
     op = rhp._ToeplitzLU(p)
     # only the section, of half T's order, is built and factored
-    assert op.t_rows.shape == (op.order // 2, op.order)
+    assert op.t.shape == (op.order // 2, op.order)
     assert op.lu[0].shape == (op.order // 2, op.order // 2)
     sol = rc.solve(p)
     # the reference: the same problem through the LU of all of T in rows
@@ -1440,7 +1546,7 @@ def test_one_circle_toeplitz_solve_matches_the_dense_lu(
 def test_identity_jump_comes_back_as_the_right_hand_side():
     p = _cli_problem("identity_solve.json")
     op = rhp._ToeplitzLU(p)
-    assert op.t_rows.shape == (op.order // 2, op.order)
+    assert op.t.shape == (op.order // 2, op.order)
     sol = rc.solve(p)
     assert sol.residual_jump == 0.0
     assert np.array_equal(sol.mu.values, np.broadcast_to(p.h, sol.mu.values.shape))
@@ -1449,7 +1555,7 @@ def test_identity_jump_comes_back_as_the_right_hand_side():
 def test_one_circle_genuine_kernel_still_refuses():
     p = _cli_problem("rational_near_singular.json")
     op = rhp._ToeplitzLU(p)
-    assert op.t_rows.shape == (op.order // 2, op.order)
+    assert op.t.shape == (op.order // 2, op.order)
     with pytest.raises(
         rc.NearSingularOperatorError, match="band-limited null-vector content"
     ) as info:
@@ -1464,7 +1570,7 @@ def test_zero_pivot_of_the_toeplitz_section_counts_as_singular():
     p = rc.RHProblem.from_jump(rc.JumpData.from_evaluator(system, np.round))
     with pytest.warns(scipy.linalg.LinAlgWarning):
         op = rhp._ToeplitzLU(p)
-    assert op.t_rows.shape == (op.order // 2, op.order) and op.singular
+    assert op.t.shape == (op.order // 2, op.order) and op.singular
     assert rhp._smallest_singular_value(op) == 0.0
     assert rhp._null_vectors(op)[2] == np.inf
     with pytest.warns(scipy.linalg.LinAlgWarning), pytest.raises(
@@ -1567,14 +1673,14 @@ def _parent_t_rows(p):
 def test_gathered_toeplitz_rows_are_the_operator_rows(n, nodes, side):
     p = _one_circle_problem(n, rc.CCW, True, nodes, side)
     op = rhp._ToeplitzLU(p)
-    assert op.t_rows.flags.f_contiguous
-    assert np.array_equal(op.t_rows, _parent_t_rows(p))
+    assert op.t.flags.f_contiguous
+    assert np.array_equal(op.t, _parent_t_rows(p))
     # T in the circle's Fourier basis, from the dense operator: [B, A] on
     # the section's rows, the identity on the others
     t_basis = op.to_basis(two_einsum_operator(p) @ op.from_basis(np.eye(op.order)))
-    scale = np.max(np.abs(op.t_rows))
-    assert np.max(np.abs(t_basis[op.rows] - op.t_rows)) <= 1e-13 * scale
-    assert np.max(np.abs(t_basis[op.fixed] - np.eye(op.order)[op.fixed])) <= 1e-13
+    scale = np.max(np.abs(op.t))
+    assert np.max(np.abs(t_basis[op.kept] - op.t)) <= 1e-13 * scale
+    assert np.max(np.abs(t_basis[op.unit] - np.eye(op.order)[op.unit])) <= 1e-13
 
 
 def test_contiguous_gather_keeps_every_bit_of_the_solve(monkeypatch):
@@ -1583,9 +1689,9 @@ def test_contiguous_gather_keeps_every_bit_of_the_solve(monkeypatch):
 
     def parent_gather(self, p):
         init(self, p)
-        self.t_rows = _parent_t_rows(p)
-        self.b = self.t_rows[:, self.fixed]
-        self.lu = scipy.linalg.lu_factor(self.t_rows[:, self.rows])
+        self.t = _parent_t_rows(p)
+        self.b = self.t[:, self.unit]
+        self.lu = scipy.linalg.lu_factor(self.t[:, self.kept])
         self._section_vector = rhp._lu_vector_solver(self.lu)
 
     monkeypatch.setattr(rhp._ToeplitzLU, "__init__", parent_gather)
@@ -1866,7 +1972,7 @@ def test_winding_symbols_get_no_certificate(name):
 def test_only_a_one_sided_one_circle_problem_is_certified(make):
     # with no identity rows there is no section to certify
     p = make()
-    assert rhp._ToeplitzLU(p).fixed.stop == 0
+    assert rhp._ToeplitzLU(p).identity != "rows"
     assert rhp._certified_section(p, 0.0) is None
 
 
