@@ -118,10 +118,13 @@ def _matrix_values(fn: Callable, points: np.ndarray) -> np.ndarray:
     """An evaluator's values at P points, as a (P, n, n) array.
 
     fn is called once, on the 1-D array of points, and returns (P, n, n),
-    a constant (n, n), (P,) for a 1x1 matrix, or a scalar.
+    a constant (n, n), (P,) for a 1x1 matrix, or a scalar, with
+    floating-point warnings off: a value that is not finite is the
+    caller's to refuse (JumpData does).
     """
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
-    vals = np.asarray(fn(pts), dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        vals = np.asarray(fn(pts), dtype=np.complex128)
     if vals.ndim < 2:
         vals = vals.reshape(vals.shape + (1, 1))
     n = vals.shape[-1]

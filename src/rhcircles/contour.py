@@ -232,12 +232,20 @@ def invert_circle(c: Circle) -> Circle:
     r/||a|^2 - r^2|.  The traversal direction flips exactly when the
     original circle does not enclose the origin.  The image carries a fresh
     equispaced grid with the same node count; nothing is interpolated.
+    The arithmetic is that of doubles, and an image that leaves their
+    range (|a| + r beyond about 1e154, or a radius that underflows) is
+    refused too.
     """
-    d = abs(c.center) ** 2 - c.radius**2
-    scale = (abs(c.center) + c.radius) ** 2
-    if abs(d) <= 1e-13 * scale:
+    a, r = np.float64(abs(c.center)), np.float64(c.radius)
+    with np.errstate(all="ignore"):
+        d, scale = float(a**2 - r**2), float((a + r) ** 2)
+    if np.isfinite(scale) and abs(d) <= 1e-13 * scale:
         raise SingularInversionError(
             f"circle through the origin has no circle image: {c}"
+        )
+    if not (np.isfinite(scale) and c.radius / abs(d) > 0.0):
+        raise SingularInversionError(
+            f"circle's image leaves the double range: {c}"
         )
     flip = not c.contains(0.0)
     orientation = c.orientation

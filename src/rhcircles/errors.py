@@ -50,7 +50,8 @@ class OrientationError(InputError):
 
 
 class SingularInversionError(InputError):
-    """Circle passes through the origin; its inversion image is a line."""
+    """Circle has no circle image of doubles under inversion: it passes
+    through the origin, or its image leaves the double range."""
 
 
 # input: discretization / evaluation

@@ -149,8 +149,10 @@ def build_focusing_jump(spec: IdnlsSpec, node_count: int = 64) -> JumpData:
     return _build_unit_jump(spec, FOCUSING, node_count)
 
 
+@np.errstate(all="ignore")
 def _norming_factors(spec: IdnlsSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Residue coefficients q_j at the poles and their mirror partners."""
+    """Residue coefficients q_j at the poles and their mirror partners;
+    one that is not finite makes a jump that JumpData refuses."""
     z = spec.pole_locations()
     c = np.array([cj for _, cj in spec.poles], dtype=np.complex128)
     q = z ** (-2 * spec.n) * c

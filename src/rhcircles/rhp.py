@@ -19,7 +19,9 @@ On any other problem, a component whose row of w_plus and of w_minus is
 zero on a whole circle never meets a cross block, so its columns of T
 are unit vectors, and a solve with T is one with T less them (the pole
 circles' unipotent triangular jumps of the IDNLS pipeline give such
-columns).
+columns).  So T takes one of two block-triangular forms, identity rows
+or identity columns; a T with neither is the identity-columns form with
+no unit columns.
 
 How the smallest singular value of T is obtained is part of the
 answer (RHSolution.sigma_source), and it decides how T is solved.  On
@@ -79,6 +81,7 @@ from .cauchy import (
 from .contour import ContourSystem, invert_circle
 from .errors import (
     AlignmentError,
+    EvalError,
     NearSingularOperatorError,
     NotInversionInvariantContourError,
     RankAmbiguityError,
@@ -134,7 +137,9 @@ class JumpData:
 
     An evaluator is called once per circle on points on or near it (see
     _matrix_values).  The midpoint residual and the inversion-symmetry
-    check re-evaluate them instead of interpolating samples.
+    check re-evaluate them instead of interpolating samples.  Samples
+    that are not finite are refused (EvalError, naming the circle)
+    before |det v| is checked, which a NaN would pass.
     """
 
     v: GridFunction
@@ -142,6 +147,9 @@ class JumpData:
     delta_inv: float = DELTA_INV
 
     def __post_init__(self):
+        for circle, nodes in zip(self.system.circles, self.system.node_slices()):
+            if not np.all(np.isfinite(self.v.values[nodes])):
+                raise EvalError(f"jump samples are not finite on {circle}")
         bad = np.abs(self.v.det()) < self.delta_inv
         if np.any(bad):
             raise SingularJumpError(
@@ -523,12 +531,12 @@ def _operator_rows(p: RHProblem) -> tuple:
       leaves out, which are unit vectors, T = [[I, C], [0, A]] on (unit,
       kept), the mirror image, and only [C; A] is built: T's columns at
       kept.
-    A problem with neither keeps all of T.  Returns t, as an F-ordered
-    array that holds T's rows at kept where it is wider than tall and
-    T's columns at kept where it is taller than wide, and the basis
-    indices kept and unit, each a slice or an increasing index array.
-    Transforms run with floating-point warnings off: a value that
-    overflows reaches lu_factor, which refuses it.
+    A problem with neither keeps all of T, the second form with unit
+    empty.  Returns t, as an F-ordered array that holds T's rows at kept
+    where it is wider than tall and T's columns at kept otherwise, and
+    the basis indices kept and unit, each a slice or an increasing index
+    array.  Transforms run with floating-point warnings off: a value
+    that overflows reaches lu_factor, which refuses it.
     """
     system, n = p.system, p.data.dim
     circles, slices, big_n = system.circles, system.node_slices(), system.total_nodes
@@ -589,10 +597,8 @@ def _operator_rows(p: RHProblem) -> tuple:
 
 def _operator(p: RHProblem) -> np.ndarray:
     """All of T in the basis of _operator_rows, with the identity rows or
-    columns it leaves out filled back in."""
+    columns it leaves out, if any, filled back in."""
     t, kept, _ = _operator_rows(p)
-    if t.shape[0] == t.shape[1]:
-        return t
     full = np.eye(max(t.shape), dtype=np.complex128)
     if t.shape[0] < t.shape[1]:
         full[kept] = t
@@ -726,16 +732,17 @@ class _ToeplitzLU:
     singular.
 
     A is T at the basis indices kept, the only matrix LU-factored, and
-    the identity block is at unit.  With identity rows, T = [[I, 0], [B,
-    A]] on (unit, kept): a solve with T is one product with B and one
-    solve with A, a solve with T^H one solve with A^H and one product
-    with B^H.  With identity columns, T = [[I, C], [0, A]]: a solve with
-    T is one solve with A and one product with C, a solve with T^H one
-    product with C^H and one solve with A^H.  b holds B or C; without an
-    identity block, A is T and b is empty.  An exact zero pivot of A is
-    one of T.  Where equation rows and unknown columns are left out
-    (_factor, left_out), T above is T less them.  Subtractions and
-    transforms run with floating-point warnings off, as the BLAS and
+    the identity block is at unit.  T takes one of two forms on (unit,
+    kept): identity rows, T = [[I, 0], [B, A]], or identity columns, T =
+    [[I, C], [0, A]], and b holds B or C.  A T without an identity block
+    is the identity-columns form with unit empty: A is T and C has no
+    rows.  T and T^H are then each block-triangular, lower or upper, and
+    solve is one substitution for both: a lower one subtracts the
+    coupling through b from the kept inputs before the solve with A (or
+    A^H), an upper one from the unit outputs after it.  An exact zero
+    pivot of A is one of T.  Where equation rows and unknown columns are
+    left out (_factor, left_out), T above is T less them.  Subtractions
+    and transforms run with floating-point warnings off, as the BLAS and
     LAPACK calls do.
     """
 
@@ -747,13 +754,6 @@ class _ToeplitzLU:
     @property
     def order(self) -> int:
         return max(self.t.shape)
-
-    @property
-    def identity(self) -> str | None:
-        """"rows" or "columns" where t leaves T's identity rows or
-        columns out, None where it is all of T."""
-        rows, columns = self.t.shape
-        return "rows" if rows < columns else "columns" if columns < rows else None
 
     def _factor(self, equations=(), unknowns=()):
         """Factor A, less the equation rows and the unknown columns at the
@@ -769,23 +769,22 @@ class _ToeplitzLU:
         are those of the reduced T.  solve reads the inputs at left_out as
         0, so that the unknowns left out come back 0.  The copy of A is
         the one lu_factor would make, made here and factored in place;
-        with identity columns A and C are gathered from t's rows, along
-        the rows of the C-ordered t^T, so that A comes out F-ordered.
+        in the identity-columns form A and C are gathered from t's rows,
+        along the rows of the C-ordered t^T, so that A comes out
+        F-ordered.  identity_rows tells the two forms apart.
         """
         self.left_out = tuple(np.array(i, dtype=int) for i in (equations, unknowns))
         t, kept, unit = self.t, self.kept, self.unit
-        if self.identity == "rows":
-            a, self.b = t[:, kept], t[:, unit]
-        elif self.identity == "columns":
-            a, self.b = (np.take(t.T, i, axis=1).T for i in (kept, unit))
+        self.identity_rows = t.shape[0] < t.shape[1]
+        if self.identity_rows:
+            a, self.b = np.array(t[:, kept], order="F"), t[:, unit]
         else:
-            a, self.b = t, t[:0]
+            columns = np.arange(self.order)
+            a, self.b = (np.take(t.T, columns[i], axis=1).T for i in (kept, unit))
         # lu_factor refuses an A that is not finite; b is refused the same
         # way, since with identity columns a value that overflows can land
         # in C alone
         np.asarray_chkfinite(self.b)
-        if np.may_share_memory(a, t):
-            a = np.array(a, order="F")
         if len(equations):
             if np.may_share_memory(self.b, t):
                 self.b = self.b.copy()
@@ -795,7 +794,7 @@ class _ToeplitzLU:
             scale = scipy.linalg.norm(a[:, first])
             a[eq], a[:, unknown] = 0.0, 0.0
             a[eq, unknown] = scale
-            if self.identity == "rows":
+            if self.identity_rows:
                 self.b[eq] = 0.0
             else:
                 self.b[:, unknown] = 0.0
@@ -832,23 +831,20 @@ class _ToeplitzLU:
     def solve(self, y, adjoint=False):
         x = np.array(y, dtype=np.complex128)
         x[self.left_out[adjoint]] = 0.0  # the equations, or for T^H unknowns
-        if self.identity is None:  # A is T
-            return self._section_solve(x, adjoint)
         kept, unit = self.kept, self.unit
+        # [[I, 0], [B, A]] or T^H = [[I, 0], [C^H, A^H]] is lower triangular,
+        # [[I, C], [0, A]] or T^H = [[I, B^H], [0, A^H]] upper
+        lower = self.identity_rows != adjoint
         with np.errstate(all="ignore"):
-            if (self.identity == "rows") != adjoint:
-                # [[I, 0], [B, A]], or T^H = [[I, 0], [C^H, A^H]]
-                x[kept] = self._section_solve(
-                    x[kept] - self._coupled(x[unit], adjoint), adjoint
-                )
-            else:
-                # [[I, C], [0, A]], or T^H = [[I, B^H], [0, A^H]]
-                x[kept] = self._section_solve(x[kept], adjoint)
+            if lower:
+                x[kept] -= self._coupled(x[unit], adjoint)
+            x[kept] = self._section_solve(x[kept], adjoint)
+            if not lower:
                 x[unit] -= self._coupled(x[kept], adjoint)
         return x
 
     def matvec(self, x):
-        if self.identity == "rows":
+        if self.identity_rows:
             out = np.array(x, dtype=np.complex128)
             out[self.kept] = self.t @ x
             return out
@@ -859,7 +855,7 @@ class _ToeplitzLU:
 
     def rows_times(self, i, x):
         """(T x)[i] for basis indices i within kept."""
-        if self.identity == "rows":  # t holds T's rows at kept, a slice
+        if self.identity_rows:  # t holds T's rows at kept, a slice
             return self.t[i - self.kept.start] @ x
         return self.t[i] @ x[self.kept]  # T[i] is 0 on the identity columns
 

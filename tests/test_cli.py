@@ -855,11 +855,11 @@ def test_overflowing_solution_is_an_input_error(tmp_path, capsys):
     )
 
 
-def _rhc_subprocess(tmp_path, doc):
-    return _rhc_subprocess_on(tmp_path, write_problem(tmp_path, doc))
+def _rhc_subprocess(tmp_path, doc, mode="solve"):
+    return _rhc_subprocess_on(tmp_path, write_problem(tmp_path, doc), mode)
 
 
-def _rhc_subprocess_on(tmp_path, problem):
+def _rhc_subprocess_on(tmp_path, problem, mode="solve"):
     # a separate interpreter, so that stderr holds everything it printed
     src = str(Path(rc.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -871,7 +871,7 @@ def _rhc_subprocess_on(tmp_path, problem):
             sys.executable,
             "-m",
             "rhcircles.cli",
-            "solve",
+            mode,
             "--problem",
             str(problem),
             "--out",
@@ -1007,6 +1007,60 @@ def test_too_deeply_nested_file_is_an_input_error(tmp_path):
     assert proc.stderr == (
         "rhc: invalid input: problem file is nested too deeply to read\n"
     )
+    assert not (tmp_path / "report.json").exists()
+
+
+_FAR_POLE = {"n": 0, "sign": "focusing", "poles": [[1e160, 0.0, 1.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "mode, doc, message",
+    [
+        (
+            "check-symmetry",
+            {
+                "contour": [
+                    {"center": [0.0, 0.0], "radius": 1.0, "orientation": "cw"},
+                    {"center": [1e160, 0.0], "radius": 1.0, "orientation": "cw"},
+                ],
+                "jump": [["2"]],
+            },
+            "image leaves the double range",
+        ),
+        (
+            "idnls",
+            {"idnls": {**_FAR_POLE, "conjugate": False}},
+            "image leaves the double range",
+        ),
+        (
+            "idnls",
+            {"idnls": {**_FAR_POLE, "conjugate": True}},
+            "image leaves the double range",
+        ),
+        (
+            "idnls",
+            {
+                "idnls": {
+                    "n": 10**20,
+                    "sign": "defocusing",
+                    "r": "0.3*z",
+                    "conjugate": False,
+                }
+            },
+            "jump samples are not finite",
+        ),
+    ],
+    ids=["far_circle", "far_pole", "far_pole_conjugated", "huge_n"],
+)
+def test_out_of_range_inputs_print_one_input_line(tmp_path, mode, doc, message):
+    # a circle whose image |a|^2 overflows, or a z^(2n) that leaves the
+    # double range at the nodes: no traceback and no numpy warning
+    proc = _rhc_subprocess(tmp_path, {"version": 1, "mode": mode, **doc}, mode)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("rhc: invalid input: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert not (tmp_path / "report.json").exists()
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -94,6 +96,23 @@ def test_invert_circle_known_values():
 def test_invert_circle_through_origin_fails():
     with pytest.raises(rc.SingularInversionError):
         rc.invert_circle(rc.Circle(1.0 + 0j, 1.0, rc.CCW, 8))
+
+
+def test_invert_circle_whose_image_leaves_the_double_range_fails():
+    # |a|^2 overflows past |a| of about 1.3e154, and a tiny radius over a
+    # large |a|^2 underflows: both are typed input errors, with no warning
+    far = rc.Circle(1e160 + 0j, 1.0, rc.CW, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (far, rc.Circle(1e100 + 0j, 1e-300, rc.CW, 8)):
+            with pytest.raises(rc.SingularInversionError, match="double range") as info:
+                rc.invert_circle(c)
+            assert repr(c) in str(info.value)
+        # a far circle whose image is in range gets the plain double formula
+        c = rc.Circle(1e150 + 1e149j, 2.0, rc.CW, 8)
+        d = abs(c.center) ** 2 - c.radius**2
+        img = rc.invert_circle(c)
+    assert (img.center, img.radius) == (c.center / d, c.radius / d)
 
 
 @given(

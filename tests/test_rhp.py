@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,25 @@ def test_splitting_reassembles_jump(rational_radius6, side):
 def test_singular_jump_rejected(unit_ccw_64):
     with pytest.raises(rc.SingularJumpError):
         rc.JumpData.from_evaluator(unit_ccw_64, lambda z: z - 1.0)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda z: np.where(z.real > 10.0, np.nan, 2.0),
+        lambda z: np.where(z.real > 10.0, np.inf, 2.0),
+        lambda z: 1e307 * (z - 0.4) / (z - 2.5),  # overflows near z = 20
+    ],
+    ids=["nan", "inf", "overflow"],
+)
+def test_non_finite_jump_samples_are_refused_naming_the_circle(entry):
+    # a NaN passes |det v| < delta_inv, so finiteness is checked first,
+    # and sampling itself warns of nothing
+    system = _two_circle_problem().system
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rc.EvalError, match=r"not finite on Circle\(center=\(20\+0j\)"):
+            rc.JumpData.from_evaluator(system, entry)
 
 
 def test_identity_jump_solution_is_constant(unit_ccw_64):
@@ -455,14 +475,15 @@ def test_two_circle_overflowing_residual_is_refused():
 
 def test_overflow_in_the_identity_columns_coupling_is_refused():
     # the first component's columns are unit vectors, and the entry near
-    # 1e307 overflows only in C, their rows against the kept columns: it
-    # is refused as lu_factor refuses a value of A that is not finite
+    # 1e307, finite at every node, overflows only in C, their rows against
+    # the kept columns: it is refused as lu_factor refuses a value of A
+    # that is not finite
     system = _two_circle_problem().system
     with np.errstate(all="ignore"):
         jump = rc.JumpData.from_evaluator(
             system,
             lambda z: rc.matrix_at(
-                z, [[1.0, 0.0], [1e307 * (z - 0.4) / (z - 2.5), 1.0]]
+                z, [[1.0, 0.0], [8e306 * (z - 0.4) / (z - 2.5), 1.0]]
             ),
         )
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
@@ -955,15 +976,22 @@ def test_identity_columns_solve_like_the_dense_lu(poles, slope, site):
     assert abs(sol.smallest_singular_value - exact) <= 1e-10 * exact
 
 
-def test_a_tiny_entry_keeps_its_row_in_the_factored_block():
-    # a lower triangular jump on two circles: the first component's
-    # columns are unit vectors on both, unless one entry of 1e-300 in
-    # that row of w reaches the first circle's
+def _lower_triangular_two_circle_problem():
+    # the first component's row of w is zero on both circles, so its
+    # columns of T are unit vectors
     system = _two_circle_problem().system
     jump = rc.JumpData.from_evaluator(
         system, lambda z: rc.matrix_at(z, [[1.0, 0.0], [0.3 / (z - 2.5), 1.0]])
     )
-    p = rc.RHProblem.from_jump(jump)
+    return rc.RHProblem.from_jump(jump)
+
+
+def test_a_tiny_entry_keeps_its_row_in_the_factored_block():
+    # a lower triangular jump on two circles: the first component's
+    # columns are unit vectors on both, unless one entry of 1e-300 in
+    # that row of w reaches the first circle's
+    p = _lower_triangular_two_circle_problem()
+    system, jump = p.system, p.data.jump
     w = p.data.w_plus.values.copy()
     w[3, 0, 1] = 1e-300
     tiny = rc.RHProblem(
@@ -973,6 +1001,32 @@ def test_a_tiny_entry_keeps_its_row_in_the_factored_block():
     assert (sol.factored_order, sol_tiny.factored_order) == (160 - 80, 160 - 16)
     scale = np.max(np.abs(sol.mu.values))
     assert np.max(np.abs(sol.mu.values - sol_tiny.mu.values)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize(
+    "form, wider", [("identity_rows", 1), ("identity_columns", -1), ("none", 0)]
+)
+def test_each_block_triangular_form_solves_t_and_its_adjoint(
+    rational_radius6, form, wider
+):
+    # T = [[I, 0], [B, A]] (t holds T's rows at kept, so it is wider than
+    # tall), [[I, C], [0, A]] (T's columns at kept), or all of T in A:
+    # the solves with T and T^H and the product with T against dense T
+    p = {
+        "identity_rows": lambda: rc.RHProblem.from_jump(rational_radius6[1]),
+        "identity_columns": _lower_triangular_two_circle_problem,
+        "none": _two_circle_problem,
+    }[form]()
+    op, t = rhp._ToeplitzLU(p), rhp._operator(p)
+    assert np.sign(op.t.shape[1] - op.t.shape[0]) == wider
+    rng = np.random.default_rng(7)
+    y = rng.standard_normal(op.order) + 1j * rng.standard_normal(op.order)
+    for got, want in (
+        (op.solve(y), np.linalg.solve(t, y)),
+        (op.solve(y, adjoint=True), np.linalg.solve(t.conj().T, y)),
+        (op.matvec(y), t @ y),
+    ):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_identity_jump_on_two_circles_factors_nothing():
@@ -1972,7 +2026,7 @@ def test_winding_symbols_get_no_certificate(name):
 def test_only_a_one_sided_one_circle_problem_is_certified(make):
     # with no identity rows there is no section to certify
     p = make()
-    assert rhp._ToeplitzLU(p).identity != "rows"
+    assert not rhp._ToeplitzLU(p).identity_rows
     assert rhp._certified_section(p, 0.0) is None
 
 
@@ -1982,11 +2036,11 @@ def test_edge_of_range_symbol_gives_a_finite_certificate_or_none():
     # themselves, and nothing is certified
     system = rc.build_contour([rc.Circle(0j, 6.0, rc.CCW, 64)])
     for scale, certified in ((1e300, True), (1.7e308, False)):
-        with np.errstate(all="ignore"):
-            jump = rc.JumpData.from_evaluator(
-                system, lambda z, scale=scale: scale * (z - 0.4) / (z - 2.5)
-            )
-        bound = rhp._positivity_bound(jump.v.values)
+        # samples JumpData would refuse at 1.7e308, so taken without it
+        samples = rc.GridFunction.sample(
+            system, lambda z, scale=scale: scale * (z - 0.4) / (z - 2.5)
+        )
+        bound = rhp._positivity_bound(samples.values)
         assert (bound is not None) == certified
         if certified:
             assert 0.0 < bound <= 1.0
