@@ -14,6 +14,9 @@ collocation grid in two pieces:
 
 * different circle: the kernel 1/(w-z) is smooth there, so plain trapezoid
   quadrature in dw is spectrally accurate and the limit needs no side.
+  Its block Q_ij, circle j's nodes acting at circle i's, is _cross_block
+  of that one circle pair; the solver and build_projectors assemble the
+  coupling pair by pair.
 
 The identity C+ - C- = Id holds exactly by constructing the minus matrix as
 plus_matrix - Id.  All operators act entrywise on matrix-valued grid
@@ -237,25 +240,20 @@ def _cross_block(targets: np.ndarray, source: Circle) -> np.ndarray:
     )
 
 
-def _cross_kernel(system: ContourSystem) -> np.ndarray:
-    """_cross_block of every circle at every other circle's nodes, as one
-    (N, N) matrix whose self blocks are zero."""
-    points = system.all_points()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = np.concatenate([_cross_block(points, c) for c in system.circles], 1)
-    for nodes in system.node_slices():
-        kernel[nodes, nodes] = 0.0
-    return kernel
-
-
 def build_projectors(system: ContourSystem) -> CauchyProjectors:
-    plus = _cross_kernel(system)
-    for circle, nodes, inside in zip(
-        system.circles, system.node_slices(), system.plus_inside
+    """plus_matrix filled one circle pair at a time: _cross_block off the
+    diagonal, the same-circle circulant on it."""
+    slices = system.node_slices()
+    plus = np.empty((system.total_nodes,) * 2, dtype=np.complex128)
+    for i, (circle, rows, inside) in enumerate(
+        zip(system.circles, slices, system.plus_inside)
     ):
+        for j, (source, nodes) in enumerate(zip(system.circles, slices)):
+            if j != i:
+                plus[rows, nodes] = _cross_block(circle.points(), source)
         # a circulant: column l holds the kept modes of the unit sample at node l
         mask = plus_mode_mask(circle, inside) / circle.node_count
-        plus[nodes, nodes] = scipy.linalg.circulant(circle_values(circle, mask))
+        plus[rows, rows] = scipy.linalg.circulant(circle_values(circle, mask))
     return CauchyProjectors(system, plus)
 
 

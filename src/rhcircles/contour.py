@@ -13,6 +13,7 @@ one-circle Cauchy projections in the Fourier basis.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import wraps
 from typing import Iterable
@@ -66,10 +67,18 @@ class Circle:
     def __post_init__(self):
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "radius", float(self.radius))
+        if not np.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
         if not np.isfinite(self.radius) or self.radius <= 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.orientation not in (CCW, CW):
             raise ValueError(f"orientation must be {CCW!r} or {CW!r}")
+        try:
+            object.__setattr__(self, "node_count", operator.index(self.node_count))
+        except TypeError:
+            raise ValueError(
+                f"node_count must be an integer, got {self.node_count!r}"
+            ) from None
         if self.node_count < 4 or self.node_count % 2 != 0:
             raise ValueError("node_count must be even and at least 4")
 
@@ -270,8 +279,13 @@ def off_contour_points(
     Walks a logarithmic spiral about the origin between the two radii and
     keeps points whose distance to every circle exceeds rel_margin times
     that circle's radius.  Raises if the requested count cannot be
-    collected, which signals that the margins leave too little room.
+    collected, which signals that the margins leave too little room, or
+    is negative; a count of 0 gives an empty array.
     """
+    if count < 0:
+        raise ValueError(f"probe point count must be non-negative, got {count}")
+    if count == 0:
+        return np.empty(0, dtype=np.complex128)
     out = []
     golden = np.pi * (3.0 - np.sqrt(5.0))
     n_cand = max(64 * count, 512)

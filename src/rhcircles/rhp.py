@@ -12,9 +12,12 @@ off-contour extension is h plus the Cauchy transform of
 mu (w_plus + w_minus).  Right multiplication never couples the rows of
 mu, so one (N*n) x (N*n) operator T serves all n rows.  T is taken in
 the per-circle unitary Fourier basis, where each circle's own Cauchy
-projections are diagonal.  On one circle with at most one nonzero
-splitting half, T is block-triangular there, and a solve with T is one
-with the finite Toeplitz section of the jump's symbol, of order N*n/2.
+projections are diagonal; its block Q_ij between circles i and j is the
+trapezoid kernel of that one circle pair (_cross_block), so T is
+assembled circle pair by circle pair.  On one circle with at most one
+nonzero splitting half, T is block-triangular there, and a solve with T
+is one with the finite Toeplitz section of the jump's symbol, of order
+N*n/2.
 On any other problem, a component whose row of w_plus and of w_minus is
 zero on a whole circle never meets a cross block, so its columns of T
 are unit vectors, and a solve with T is one with T less them (the pole
@@ -69,7 +72,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cauchy import (
     GridFunction,
-    _cross_kernel,
+    _cross_block,
     _winding,
     _matrix_values,
     boundary_values_at_midpoints,
@@ -176,6 +179,8 @@ class JumpData:
         delta_inv: float = DELTA_INV,
     ) -> "JumpData":
         fns = tuple(fns)
+        if len(fns) != len(system.circles):
+            raise ValueError("need one evaluator per circle")
         values = [_matrix_values(f, c.points()) for f, c in zip(fns, system.circles)]
         return cls(GridFunction(system, np.concatenate(values)), fns, delta_inv)
 
@@ -426,7 +431,7 @@ def _lu_vector_solver(lu) -> Callable:
     return apply
 
 
-def _by_circle(system: ContourSystem, y, transform, per_node: int = 1) -> np.ndarray:
+def _by_circle(system: ContourSystem, y, transform, per_node: int) -> np.ndarray:
     """transform(circle, part) on each circle's rows of y, per_node rows to
     a node, where part holds the circle's nodes along axis 0."""
     out = np.empty(y.shape, dtype=np.complex128)
@@ -510,18 +515,21 @@ def _operator_rows(p: RHProblem) -> tuple:
     The basis is each circle's unitary Fourier basis (circle_coefficients
     times sqrt(m), modes in storage order, n components per mode), circle
     after circle.  For K the modes C+ keeps on circle i and O the others,
-    C+ there is P_K and C- = C+ - I is -P_O, while another circle's C+ and
-    C- are both the trapezoid quadrature Q_ij of _cross_kernel:
+    C+ there is P_K and C- = C+ - I is -P_O, while another circle j's C+
+    and C- are both the trapezoid quadrature Q_ij, _cross_block of that
+    one circle pair:
 
         (T x)_i = P_K(x_i b_minus) + P_O(x_i b_plus)
                   - sum_(j != i) Q_ij(x_j (w_plus + w_minus)).
 
-    K and O are each one half of the modes, and a half's rows are
-    gathered from one FFT of its symbol (_half_rows).  A cross block is
-    Q_ij with its target rows through one FFT of circle i and its source
-    columns through one FFT of circle j per entry (c, b) of w_plus +
-    w_minus that is nonzero somewhere on circle j; an entry that is zero
-    on the whole circle gives an exact zero block and is skipped.
+    T's columns are built one source circle j at a time.  K and O are
+    each one half of the modes, and a half's rows of the self block are
+    gathered from one FFT of its symbol on circle j (_half_rows).  A
+    cross block is Q_ij with its target rows through one FFT of circle i
+    and its source columns through one FFT of circle j per entry (c, b)
+    of w_plus + w_minus that is nonzero somewhere on circle j; an entry
+    that is zero on the whole circle gives an exact zero block and is
+    skipped.
 
     T's identity block, at the basis indices unit, is left out, and the
     other indices are kept:
@@ -560,38 +568,35 @@ def _operator_rows(p: RHProblem) -> tuple:
     alloc = np.zeros if len(circles) > 1 else np.empty
     widths = [c.node_count * len(k) for c, k in zip(circles, components)]
     tt = alloc((sum(widths), rows.stop - rows.start), dtype=np.complex128)
-    # each circle's kept columns, (m, components, rows)
-    ends = np.cumsum(widths)
-    blocks = [
-        tt[end - width : end].reshape(c.node_count, len(k), tt.shape[1])
-        for c, k, width, end in zip(circles, components, widths, ends)
-    ]
-    if len(circles) > 1:
-        q = _by_circle(system, _cross_kernel(system), _to_unitary)
-        w = (p.data.w_plus + p.data.w_minus).values
-        for circle, nodes, block, k in zip(circles, slices, blocks, components):
-            # T's minus sign and the 1/sqrt(m) of F^H, folded into w
-            wj = w[nodes] / -np.sqrt(circle.node_count)
-            block4 = block.reshape(circle.node_count, len(k), big_n, n)
-            # c is kept: its row of w_plus + w_minus is nonzero
-            for c, b in zip(*np.nonzero(np.any(wj, axis=0))):
-                # times F^H from the right: circle_values along the source
-                # axis, since F, a DFT, is symmetric
-                source = (q[:, nodes] * wj[:, c, b]).T
-                block4[:, np.searchsorted(k, c), :, b] = circle_values(circle, source)
-    # the self blocks, over the zero self blocks of q
-    symbols = [
-        _by_circle(system, g().values, circle_coefficients)
-        for g in (p.data.b_minus, p.data.b_plus)
-    ]
-    # C+ keeps the first half of a circle's modes where its plus side is inside
-    for nodes, inside, block, k in zip(slices, system.plus_inside, blocks, components):
-        m = nodes.stop - nodes.start
-        for k0, coeffs in zip((0, m // 2), symbols[:: 1 if inside else -1]):
+    w = (p.data.w_plus + p.data.w_minus).values
+    symbols = [g().values for g in (p.data.b_minus, p.data.b_plus)]
+    for j, (circle, nodes, inside, k) in enumerate(
+        zip(circles, slices, system.plus_inside, components)
+    ):
+        m, start = circle.node_count, sum(widths[:j])
+        # circle j's kept columns, (m, components, rows)
+        block = tt[start : start + widths[j]].reshape(m, len(k), tt.shape[1])
+        # the self block: C+ keeps the first half of the modes where the
+        # plus side is inside
+        for k0, symbol in zip((0, m // 2), symbols[:: 1 if inside else -1]):
             at = (nodes.start + k0) * n - rows.start
             if 0 <= at < tt.shape[1]:  # identity rows are not built
-                half = _half_rows(coeffs[nodes], k0, n)
+                half = _half_rows(circle_coefficients(circle, symbol[nodes]), k0, n)
                 block[:, :, at : at + m // 2 * n] = half if len(k) == n else half[:, k]
+        # the cross blocks; T's minus sign and the 1/sqrt(m) of F^H folded into w
+        wj = w[nodes] / -np.sqrt(m)
+        entries = list(zip(*np.nonzero(np.any(wj, axis=0))))
+        block4 = block.reshape(m, len(k), tt.shape[1] // n, n)
+        for i, (target, targets) in enumerate(zip(circles, slices)):
+            if i == j or not entries:
+                continue
+            q = _to_unitary(target, _cross_block(target.points(), circle))
+            # c is kept: its row of w_plus + w_minus is nonzero
+            for c, b in entries:
+                # times F^H from the right: circle_values along the source
+                # axis, since F, a DFT, is symmetric
+                source = circle_values(circle, (q * wj[:, c, b]).T)
+                block4[:, np.searchsorted(k, c), targets, b] = source
     return tt.T, kept, unit
 
 

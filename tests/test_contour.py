@@ -20,6 +20,20 @@ def test_circle_rejects_bad_parameters():
         rc.Circle(0j, 1.0, "widdershins")
 
 
+def test_circle_rejects_a_non_finite_center_and_a_non_integer_node_count():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for center in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+            with pytest.raises(ValueError, match="center must be finite"):
+                rc.Circle(center, 1.0)
+        for count in (16.0, np.float64(16.0), "16"):
+            with pytest.raises(ValueError, match="node_count must be an integer"):
+                rc.Circle(0j, 1.0, rc.CCW, count)
+    circle = rc.Circle(0j, 1.0, rc.CCW, np.int64(16))
+    assert circle.node_count == 16 and type(circle.node_count) is int
+    assert circle == rc.Circle(0j, 1.0, rc.CCW, 16)
+
+
 def test_nodes_are_equispaced_in_traversal_order():
     c = rc.Circle(0j, 1.0, rc.CCW, 4)
     assert np.allclose(c.points(), [1, 1j, -1, -1j])
@@ -150,6 +164,14 @@ def test_off_contour_points_respect_margins():
             assert c.distance(z) >= 0.4 * c.radius
     again = rc.off_contour_points(system, 40, rel_margin=0.4, r_min=0.1, r_max=8.0)
     assert np.array_equal(pts, again)
+
+
+def test_off_contour_points_take_a_count_of_zero_and_refuse_a_negative_one():
+    system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 8)])
+    none = rc.off_contour_points(system, 0)
+    assert none.shape == (0,) and none.dtype == np.complex128
+    with pytest.raises(ValueError, match="-3"):
+        rc.off_contour_points(system, -3)
 
 
 def test_off_contour_points_fail_when_no_room():

@@ -263,6 +263,22 @@ def test_symmetry_check_flags_asymmetric_jump():
     assert rep.max_symmetry_deviation > 0.2
 
 
+def test_a_wrong_number_of_evaluators_is_refused_before_sampling():
+    system = rc.build_contour(
+        [rc.Circle(0j, 1.0, rc.CCW, 16), rc.Circle(3.0 + 0j, 0.5, rc.CCW, 16)]
+    )
+    calls = []
+
+    def one(z):
+        calls.append(z.size)
+        return np.ones_like(z)
+
+    for fns in ([one], [one] * 3):
+        with pytest.raises(ValueError, match="need one evaluator per circle"):
+            rc.JumpData.from_evaluators(system, fns)
+    assert calls == []
+
+
 def test_symmetry_check_keeps_a_nan_deviation():
     outer = rc.Circle(2.5 + 0j, 0.5, rc.CW, 16)
     mirror = rc.invert_circle(outer)
@@ -1431,6 +1447,24 @@ def _two_circle_problem():
     return rc.RHProblem.from_jump(jump)
 
 
+def _three_circle_problem_with_an_identity_jump():
+    # 64, 16 and 24 nodes; the middle circle's jump is I, so it is a source
+    # with no cross blocks beside two that have them
+    system = rc.build_contour(
+        [
+            rc.Circle(0j, 6.0, rc.CCW, 64),
+            rc.Circle(20.0 + 0j, 1.0, rc.CCW, 16),
+            rc.Circle(-20.0 + 0j, 2.0, rc.CCW, 24),
+        ]
+    )
+    fns = (
+        lambda z: (z - 0.4) / (z - 2.5),
+        lambda z: np.ones_like(z),
+        lambda z: (z + 19.5) / (z + 21.0),
+    )
+    return rc.RHProblem.from_jump(rc.JumpData.from_evaluators(system, fns))
+
+
 def _fourier_basis(system, n):
     """F: each circle's unitary Fourier basis (circle_coefficients times
     sqrt(m)), n components per mode, as one dense matrix."""
@@ -1454,11 +1488,13 @@ def _fourier_basis(system, n):
         lambda: _two_sided(
             _one_circle_problem(2, rc.CW, True, 64, "plus").data.jump, 0.3
         ),
+        _three_circle_problem_with_an_identity_jump,
     ],
     ids=[
         "soliton_plus", "soliton_minus", "defocusing_minus", "soliton_two_sided",
         "two_circles_64_16",
         "one_circle_cw", "one_circle_ccw", "one_circle_two_sided",
+        "three_circles_identity_middle",
     ],
 )
 def test_fourier_operator_equals_the_transformed_node_operator(make):
