@@ -50,6 +50,7 @@ from .rhp import (
     JumpData,
     RHProblem,
     RHSolution,
+    _check_tolerance,
     check_inversion_hypotheses,
     index_diagnostics,
     matrix_at,
@@ -198,8 +199,7 @@ def _merge_tolerances(doc: dict, overrides: list) -> dict:
         except ValueError:
             raise ValueError(f"tolerance {key} needs a numeric value") from None
     for key, value in tol.items():
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"tolerance {key} must be finite and > 0, got {value}")
+        _check_tolerance(key, value)
     return tol
 
 

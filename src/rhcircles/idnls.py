@@ -23,6 +23,7 @@ contour is closed under inversion and its circles are pairwise disjoint.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,7 +66,8 @@ class IdnlsSpec:
 
     r is a closed-form evaluator on the unit circle that takes a point or
     an array of points, like a jump evaluator (None means zero); n is the
-    lattice index entering the z^(2n) twists; poles is a sequence
+    lattice index entering the z^(2n) twists, an integer (a float or a
+    bool is refused with ValueError); poles is a sequence
     of (z_j, c_j) with |z_j| > 1 pairwise distinct.  The defocusing sign
     requires sup |r| < 1 on the circle, which is what makes the real part
     of the jump positive definite.
@@ -81,7 +83,12 @@ class IdnlsSpec:
             raise ValueError(f"sign must be focusing or defocusing: {self.sign}")
         poles = tuple((complex(z), complex(c)) for z, c in self.poles)
         object.__setattr__(self, "poles", poles)
-        object.__setattr__(self, "n", int(self.n))
+        try:
+            if isinstance(self.n, bool):
+                raise TypeError
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"n must be an integer, got {self.n!r}") from None
         for z, _ in poles:
             if abs(z) <= 1.0:
                 raise ValueError(f"pole {z} is not outside the unit circle")

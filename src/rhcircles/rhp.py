@@ -33,10 +33,9 @@ at every node (the source paper's hypothesis Re v > 0) bounds
 sigma_min(T) from below by its node samples alone (_positivity_bound).
 Where that certifies T, the section is applied matrix-free by FFTs and
 solved by preconditioned GMRES (_KrylovSection), whose answer is final;
-nothing is built, factored or estimated unless GMRES runs past its step
-budget (KRYLOV_STEPS), when the section is factored instead.  Every
-other problem builds T, or the section, less its identity rows or
-columns, and factors the rest once per solve (_ToeplitzLU): one step of
+nothing is built, factored or estimated.  Every other problem builds T,
+or the section, less its identity rows or columns, and factors the rest
+once per solve (_ToeplitzLU): one step of
 inverse iteration bounds sigma_min from above, and a Lanczos run on the
 LU gives it when that bound does not already certify the operator as
 near singular.  The LU solves only by trsv pairs, and its solve takes
@@ -107,17 +106,12 @@ ALIAS_BAND_CONTENT = 1e-3
 # errs by about log2(m) ulps of S per coefficient, and a section's norm
 # adds up m coefficients.
 POSITIVITY_MARGIN_ULPS = 16
-# Least number of GMRES steps a certified section's solve may take, over
-# all its columns, before it factors the section instead.
-# The budget is the steps that cost what building and factoring A of
-# order N does, so that a solve that gives up costs at most about twice
-# the cheaper path.  That LU grows as N^3 and a step (two preconditioned
-# applies and CGS2) as N, so the budget is (N / 64)^2 steps, at least
-# this: at one BLAS thread and N = 512 (1024) a step took 0.15 (0.24) ms
-# and the LU path 11 (72) ms more than the rest of the solve, about 73
-# (300) steps.  Below N = 512 a step is mostly call overhead, and both
-# paths take a few ms at most.
-KRYLOV_STEPS = 64
+
+
+def _check_tolerance(name: str, value: float):
+    """Refuse a tolerance that is not finite and > 0 with ValueError."""
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"tolerance {name} must be finite and > 0, got {value}")
 
 
 def matrix_at(z, rows) -> np.ndarray:
@@ -284,15 +278,14 @@ class RHSolution:
     one-circle section (_KrylovSection), whose answer is final, and "lu"
     for a solve by the LU of T in the Fourier basis (_ToeplitzLU) with
     one corrective step, less the Nyquist-seam rows and columns of an
-    alias kernel where the solve left them out; "lu" is also the path of
-    a certified section whose GMRES ran past its step budget.
+    alias kernel where the solve left them out.
     smallest_singular_value is a bound on or value of sigma_min of the
     operator solved, and sigma_source says which:
       "positivity": on one circle with one zero splitting half, the
         lower bound _positivity_bound takes from the section symbol's
-        node samples, used whenever it is at least sigma_min (so on the
-        Krylov path, or on the LU path after GMRES ran out of steps);
-      "lanczos": the Lanczos value on the LU, in every other case.  Where
+        node samples, used whenever it is at least sigma_min, and then
+        always with solver_path "krylov";
+      "lanczos": the Lanczos value on the LU, with solver_path "lu".  Where
         rows and columns were left out it is sigma_min of T less them,
         which is T's second smallest singular value for an alias kernel
         of one direction.
@@ -722,8 +715,7 @@ class _ToeplitzLU:
     """The operator T in the per-circle Fourier basis of _operator_rows,
     factored by one LU of its block outside the identity rows or
     columns, for the problems no positivity certificate covers
-    (_certified_section) and for certified sections whose GMRES runs past
-    its step budget.
+    (_certified_section).
 
     to_basis maps vectors or columns of operator rows (node-major, n
     components per node) into the basis, one FFT per circle, and
@@ -766,17 +758,18 @@ class _ToeplitzLU:
         all within kept).
 
         Each such row and column of a copy of A is zeroed but for s where
-        they cross, and with it B's row or C's column, so that the
-        factored T is the reduced one and, decoupled from it, s times the
-        identity.  s is the norm of A's first column not left out, at
-        least sigma_min of the reduced T, which no column's norm
-        undercuts, so that the LU, its Lanczos run and its null vectors
-        are those of the reduced T.  solve reads the inputs at left_out as
-        0, so that the unknowns left out come back 0.  The copy of A is
-        the one lu_factor would make, made here and factored in place;
-        in the identity-columns form A and C are gathered from t's rows,
-        along the rows of the C-ordered t^T, so that A comes out
-        F-ordered.  identity_rows tells the two forms apart.
+        they cross, so that the factored A is the reduced one and,
+        decoupled from it, s times the identity.  s is the norm of A's
+        first column not left out, at least sigma_min of the reduced T,
+        which no column's norm undercuts, so that the LU, its Lanczos run
+        and its null vectors are those of the reduced T.  b is left as T
+        has it: solve zeroes A's inputs at left_out, after any coupling
+        into them, so the unknowns left out come back 0 and no B row or
+        C column there is read.  The copy of A is the one lu_factor
+        would make, made here and factored in place; in the
+        identity-columns form A and C are gathered from t's rows, along
+        the rows of the C-ordered t^T, so that A comes out F-ordered.
+        identity_rows tells the two forms apart.
         """
         self.left_out = tuple(np.array(i, dtype=int) for i in (equations, unknowns))
         t, kept, unit = self.t, self.kept, self.unit
@@ -791,18 +784,12 @@ class _ToeplitzLU:
         # in C alone
         np.asarray_chkfinite(self.b)
         if len(equations):
-            if np.may_share_memory(self.b, t):
-                self.b = self.b.copy()
             indices = np.arange(self.order)[kept]
             eq, unknown = (np.searchsorted(indices, i) for i in self.left_out)
             first = np.setdiff1d(np.arange(a.shape[1]), unknown)[0]
             scale = scipy.linalg.norm(a[:, first])
             a[eq], a[:, unknown] = 0.0, 0.0
             a[eq, unknown] = scale
-            if self.identity_rows:
-                self.b[eq] = 0.0
-            else:
-                self.b[:, unknown] = 0.0
         self.lu = scipy.linalg.lu_factor(a, overwrite_a=True)
         self._section_vector = _lu_vector_solver(self.lu)
 
@@ -835,7 +822,6 @@ class _ToeplitzLU:
 
     def solve(self, y, adjoint=False):
         x = np.array(y, dtype=np.complex128)
-        x[self.left_out[adjoint]] = 0.0  # the equations, or for T^H unknowns
         kept, unit = self.kept, self.unit
         # [[I, 0], [B, A]] or T^H = [[I, 0], [C^H, A^H]] is lower triangular,
         # [[I, C], [0, A]] or T^H = [[I, B^H], [0, A^H]] upper
@@ -843,6 +829,7 @@ class _ToeplitzLU:
         with np.errstate(all="ignore"):
             if lower:
                 x[kept] -= self._coupled(x[unit], adjoint)
+            x[self.left_out[adjoint]] = 0.0  # the equations, or for T^H unknowns
             x[kept] = self._section_solve(x[kept], adjoint)
             if not lower:
                 x[unit] -= self._coupled(x[kept], adjoint)
@@ -866,31 +853,31 @@ class _ToeplitzLU:
 
 
 @np.errstate(all="ignore")
-def _gmres(apply, b: np.ndarray, tol: float, steps: int) -> np.ndarray | None:
+def _gmres(apply, b: np.ndarray, tol: float) -> np.ndarray | None:
     """y with apply(y) = b, for an invertible linear map apply, by GMRES
-    from y = 0 in at most steps applies, or None where that is not enough.
+    from y = 0, or None where a value is not finite.
 
     The Arnoldi basis is orthogonalized by classical Gram-Schmidt run
     twice (CGS2), two BLAS products per pass, and Givens rotations keep
     the Hessenberg matrix triangular; the last entry of the rotated
     |b| e_1 is the residual norm of the current iterate.  The run stops
-    once that is at most tol |b|, or at an exact breakdown (the Krylov
-    space is then invariant and holds y).  At b's size an invertible map
+    once that is at most tol |b|, at an exact breakdown (the Krylov
+    space is then invariant and holds y), or after b.size applies, and
+    returns the least-squares iterate of its Krylov space.  After b.size
+    applies that space is the whole space, where an invertible map
     leaves no residual, and CGS2 keeps the basis orthogonal to working
     precision, so GMRES is backward stable there (Paige, Rozloznik &
     Strakos 2006) and needs no restart.  A residual or basis norm that
-    is not finite ends the run with None, as running out of steps does,
-    and without a floating-point warning.  Norms are BLAS nrm2, which
-    scales as it sums.
+    is not finite ends the run with None, without a floating-point
+    warning.  Norms are BLAS nrm2, which scales as it sums.
     """
     beta = scipy.linalg.norm(b, check_finite=False)
     if beta == 0.0:
         return np.zeros_like(b)
-    steps = min(steps, b.size)
-    basis = np.empty((min(steps, 15) + 1, b.size), dtype=np.complex128)
+    basis = np.empty((min(b.size, 15) + 1, b.size), dtype=np.complex128)
     basis[0] = b / beta
     columns, rotations, g = [], [], [beta]
-    for k in range(steps):
+    for k in range(b.size):
         w = apply(basis[k])
         known = basis[: k + 1]
         h = np.conj(known) @ w
@@ -913,13 +900,11 @@ def _gmres(apply, b: np.ndarray, tol: float, steps: int) -> np.ndarray | None:
         g[k] *= c
         if not np.isfinite(below * abs(g[k + 1])):
             return None
-        if abs(g[k + 1]) <= tol * beta or below == 0.0:
+        if abs(g[k + 1]) <= tol * beta or below == 0.0 or k + 1 == b.size:
             break
         if k + 1 == len(basis):  # grown by doubling, as it is needed
             basis = np.concatenate((basis, np.empty_like(basis)))
         basis[k + 1] = w / below
-    else:
-        return None
     r = np.zeros((len(columns),) * 2, dtype=np.complex128)
     for j, h in enumerate(columns):
         r[: j + 1, j] = h
@@ -943,17 +928,16 @@ class _KrylovSection:
     takes depends on their size as well as their rank: a few per column
     for small jumps of any Fourier degree, but growing with the degree
     of the z^(2n) twist of an IDNLS jump as |r| nears 1 (tens per column
-    for r = 0.6 z + 0.35/z at n >= 20).  So the columns of a solve share
-    a budget of steps (KRYLOV_STEPS).  s is taken over its largest
-    modulus, as _positivity_bound takes it, so that no norm or product
-    overflows for samples near 1e300.
+    for r = 0.6 z + 0.35/z at n >= 20), and at most A's order.  s is
+    taken over its largest modulus, as _positivity_bound takes it, so
+    that no norm or product overflows for samples near 1e300.
 
-    solve(y) is T^(-1) y for columns y, or None once GMRES has spent the
-    budget or met a value that is not finite, and refuses y that is not
-    finite with the ValueError of np.asarray_chkfinite.  Its answer is
-    final: GMRES on a twice-orthogonalized basis is backward stable, and
-    no corrective step follows.  It runs with floating-point warnings
-    off, as _ToeplitzLU's applies do.
+    solve(y) is T^(-1) y for columns y.  It refuses y that is not finite
+    with the ValueError of np.asarray_chkfinite, and raises ValueError
+    where GMRES meets a value that is not finite.  Its answer is final:
+    GMRES on a twice-orthogonalized basis is backward stable, and no
+    corrective step follows.  It runs with floating-point warnings off,
+    as _ToeplitzLU's applies do.
     """
 
     def __init__(self, p, rows, fixed, s, bound):
@@ -965,7 +949,6 @@ class _KrylovSection:
             self.scale = np.max(np.abs(s))
             self.u = s / self.scale
             self.u_inv = np.linalg.inv(self.u)
-        self.steps_left = max(KRYLOV_STEPS, (self.order // 2) ** 2 // 64**2)
 
     to_basis, from_basis = _ToeplitzLU.to_basis, _ToeplitzLU.from_basis
 
@@ -991,16 +974,15 @@ class _KrylovSection:
         rhs = x[self.rows] / self.scale - self._circulant(given, self.u)[self.rows]
 
         def preconditioned(v):
-            self.steps_left -= 1
             return self._section(self._section(v, self.u_inv), self.u)
 
         # one apply, two FFT pairs over m nodes, errs by about 2 log2(m)
         # ulps of its input: a smaller residual estimate is rounding
         tol = 2.0 * np.log2(self.u.shape[0]) * np.finfo(float).eps
         for j in range(x.shape[1]):
-            y_j = _gmres(preconditioned, rhs[:, j], tol, self.steps_left)
+            y_j = _gmres(preconditioned, rhs[:, j], tol)
             if y_j is None:
-                return None
+                raise ValueError("GMRES met a value that is not finite")
             x[self.rows, j] = self._section(y_j, self.u_inv)
         return x
 
@@ -1161,16 +1143,14 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     (_positivity_bound), that bound is reported as
     smallest_singular_value and the section is solved by preconditioned
     GMRES on its matrix-free applies ("krylov", _certified_section);
-    nothing is built or factored, and GMRES's answer is final.  If GMRES
-    runs past its step budget (KRYLOV_STEPS), the LU is the cheaper path:
-    the section is built and factored, and the LU solve plus one
-    corrective step (_refined) is the answer ("lu"), still certified by
-    that bound.  Otherwise the operator, less its identity rows or
-    columns, is built once and factored (_ToeplitzLU), less the equation
-    rows and unknown columns that the windings of a triangular jump's
-    diagonal leave out at the Nyquist seams (_left_out), and
-    _certified_lu gives its sigma_min: an inverse-iteration bound and a
-    Lanczos run on the LU.  Below
+    nothing is built or factored, and GMRES's answer is final.  GMRES
+    that meets a value that is not finite raises ValueError, as an
+    overflow on the LU path does.  Otherwise the operator, less its
+    identity rows or columns, is built once and factored (_ToeplitzLU),
+    less the equation rows and unknown columns that the windings of a
+    triangular jump's diagonal leave out at the Nyquist seams
+    (_left_out), and _certified_lu gives its sigma_min: an
+    inverse-iteration bound and a Lanczos run on the LU.  Below
     sigma_min, null vectors with band-limited content above
     ALIAS_BAND_CONTENT are a genuine kernel (nonzero partial indices land
     here) and are refused rather than returning a polluted solution; an
@@ -1182,8 +1162,10 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     Each path leaves on p the lower bound on the band values that
     index_diagnostics reads (RHProblem.band_sigma_lower_bound).  A jump
     residual that is not finite (boundary values that overflow at the
-    midpoints) raises ValueError: no solution is returned unverified.
+    midpoints) raises ValueError: no solution is returned unverified, and
+    so does a sigma_min that is not finite and > 0.
     """
+    _check_tolerance("sigma_min", sigma_min)
     n = p.data.dim
     big_n = p.system.total_nodes
     op = _certified_section(p, sigma_min)
@@ -1197,12 +1179,9 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     rhs = np.repeat(p.h[:, None, :], big_n, axis=1).reshape(n, big_n * n).T
     rhs = op.to_basis(rhs)  # x comes back in the same basis
     path = "krylov" if source == "positivity" else "lu"
-    x = op.solve(rhs) if path == "krylov" else None
-    if x is None:
-        if path == "krylov":
-            # GMRES ran out of steps, which then cost what the section's
-            # LU does, or met a value that is not finite: factor instead
-            op, path = _ToeplitzLU(p), "lu"
+    if path == "krylov":
+        x = op.solve(rhs)
+    else:
         x = _refined(op, rhs)
         _check_left_out(op, x, rhs, smallest)
     # smallest is the positivity certificate or the Lanczos value of the
@@ -1372,8 +1351,10 @@ def index_diagnostics(p: RHProblem, *, tau_rank: float = TAU_RANK) -> IndexRepor
     bound on the singular values of both band slices; on the LU path by
     interlacing.  When that bound is at least 10 tau_rank, both counts
     are 0 with no value near tau_rank, and they are returned without a
-    count; each gap is then (0.0, bound).
+    count; each gap is then (0.0, bound).  A tau_rank that is not finite
+    and > 0 raises ValueError.
     """
+    _check_tolerance("tau_rank", tau_rank)
     n = p.data.dim
     bound = p.band_sigma_lower_bound
     if bound is not None and bound >= 10.0 * tau_rank:

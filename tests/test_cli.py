@@ -855,6 +855,20 @@ def test_overflowing_solution_is_an_input_error(tmp_path, capsys):
     )
 
 
+def test_gmres_that_meets_a_value_that_is_not_finite_is_an_input_error(
+    tmp_path, capsys, monkeypatch
+):
+    # a certified section has no LU to fall back on: rhc exits 1, as an
+    # overflow on the LU path does, and writes no report
+    monkeypatch.setattr(rhp, "_gmres", lambda apply, b, tol: None)
+    code, report = run("solve", PROBLEMS / "rational_solve.json", tmp_path)
+    assert code == 1
+    assert report is None
+    assert capsys.readouterr().err == (
+        "rhc: invalid input: GMRES met a value that is not finite\n"
+    )
+
+
 def _rhc_subprocess(tmp_path, doc, mode="solve"):
     return _rhc_subprocess_on(tmp_path, write_problem(tmp_path, doc), mode)
 

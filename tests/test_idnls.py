@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,18 @@ def test_spec_validates_pole_positions():
         )
     with pytest.raises(ValueError):
         rc.IdnlsSpec(r=None, n=0, sign="dispersive")
+
+
+@pytest.mark.parametrize("n", [2.7, 2.0, True, "2"], ids=repr)
+def test_spec_refuses_a_site_that_is_not_an_integer(n):
+    # int() made 2.7 site 2 and True site 1
+    with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+        rc.IdnlsSpec(r=None, n=n, poles=((2.0 + 0j, 1.0 + 0j),))
+
+
+def test_spec_takes_a_numpy_integer_site():
+    spec = rc.IdnlsSpec(r=None, n=np.int64(-3), poles=((2.0 + 0j, 1.0 + 0j),))
+    assert spec.n == -3 and type(spec.n) is int
 
 
 def test_spec_defocusing_needs_small_reflection():

@@ -800,6 +800,26 @@ def test_rank_count_refuses_a_value_near_the_threshold():
         rc.index_diagnostics(p, tau_rank=0.5)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_tolerances_that_are_not_finite_and_positive_are_refused(value):
+    # sigma_min 0 let the near-singular solve return with sigma 8.0e-18,
+    # and tau_rank nan or -1 counted (0, 0) where the index is (1, 0);
+    # the words are the command line's
+    def refusal(name):
+        return re.escape(f"tolerance {name} must be finite and > 0, got {value}")
+
+    p = _cli_problem("rational_near_singular.json")
+    with pytest.raises(ValueError, match=refusal("sigma_min")):
+        rc.solve(p, sigma_min=value)
+    assert p.band_sigma_lower_bound is None
+    spec = rc.IdnlsSpec(r=lambda z: 0.3 * z, n=1, sign="defocusing")
+    ap = rc.conjugate(rc.remove_poles(spec, unit_nodes=32))
+    with pytest.raises(ValueError, match=refusal("sigma_min")):
+        rc.solve_augmented(ap, sigma_min=value)
+    with pytest.raises(ValueError, match=refusal("tau_rank")):
+        rc.index_diagnostics(_cli_problem("index_power.json"), tau_rank=value)
+
+
 def _dense_problems(count, seed=1):
     # the first inputs of the benchmark's dense workload at this seed
     rng = np.random.default_rng(seed)
@@ -1019,29 +1039,70 @@ def test_a_tiny_entry_keeps_its_row_in_the_factored_block():
     assert np.max(np.abs(sol.mu.values - sol_tiny.mu.values)) <= 1e-13 * scale
 
 
+def _one_circle_alias_problem(side="plus"):
+    # [[z, 0], [c, 1/z]] on a clockwise unit circle: the windings cancel
+    # on the circle, so none is read, and T = [[I, 0], [B, A]] has an
+    # alias kernel
+    return rc.RHProblem.from_jump(
+        rc.JumpData.from_evaluator(
+            rc.build_contour([rc.Circle(0j, 1.0, rc.CW, 64)]),
+            lambda z: rc.matrix_at(z, [[z, 0.0], [0.5 / (z - 3.0), 1.0 / z]]),
+        ),
+        side=side,
+    )
+
+
 @pytest.mark.parametrize(
-    "form, wider", [("identity_rows", 1), ("identity_columns", -1), ("none", 0)]
+    "form, wider",
+    [
+        ("identity_rows", 1),
+        ("identity_columns", -1),
+        ("none", 0),
+        ("identity_rows_left_out", 1),
+        ("identity_columns_left_out", -1),
+    ],
 )
 def test_each_block_triangular_form_solves_t_and_its_adjoint(
     rational_radius6, form, wider
 ):
     # T = [[I, 0], [B, A]] (t holds T's rows at kept, so it is wider than
     # tall), [[I, C], [0, A]] (T's columns at kept), or all of T in A:
-    # the solves with T and T^H and the product with T against dense T
+    # the solves with T and T^H and the product with T against dense T.
+    # With modes left out, as solve leaves them out (the alias beside the
+    # identity rows from its null vectors, the conjugated soliton's from
+    # _left_out), the solves are those of T with the rows and columns
+    # left out replaced by s at their crossings, their inputs there 0,
+    # and b is T's coupling block as it is
     p = {
         "identity_rows": lambda: rc.RHProblem.from_jump(rational_radius6[1]),
         "identity_columns": _lower_triangular_two_circle_problem,
         "none": _two_circle_problem,
+        "identity_rows_left_out": _one_circle_alias_problem,
+        "identity_columns_left_out": lambda: rc.RHProblem.from_jump(
+            _conjugated_soliton_jump()
+        ),
     }[form]()
-    op, t = rhp._ToeplitzLU(p), rhp._operator(p)
+    op, t = rhp._ToeplitzLU(p, rhp._left_out(p)), rhp._operator(p)
+    rhp._certified_lu(op, rhp._band_rows(p.system, p.data.dim), rc.SIGMA_MIN)
     assert np.sign(op.t.shape[1] - op.t.shape[0]) == wider
+    eq, unknown = op.left_out
+    assert (eq.size > 0) == form.endswith("left_out") and eq.size == unknown.size
+    kept, unit = (np.arange(op.order)[i] for i in (op.kept, op.unit))
+    coupling = t[np.ix_(kept, unit)] if op.identity_rows else t[np.ix_(unit, kept)]
+    assert np.array_equal(op.b, coupling)
+    reduced = t.copy()
+    if eq.size:
+        first = np.setdiff1d(kept, unknown)[0]
+        reduced[eq], reduced[:, unknown] = 0.0, 0.0
+        reduced[eq, unknown] = np.linalg.norm(t[kept, first])
     rng = np.random.default_rng(7)
     y = rng.standard_normal(op.order) + 1j * rng.standard_normal(op.order)
-    for got, want in (
-        (op.solve(y), np.linalg.solve(t, y)),
-        (op.solve(y, adjoint=True), np.linalg.solve(t.conj().T, y)),
-        (op.matvec(y), t @ y),
-    ):
+    checks = [(op.matvec(y), t @ y)]
+    for adjoint, dense in ((False, reduced), (True, reduced.conj().T)):
+        given = y.copy()
+        given[op.left_out[adjoint]] = 0.0
+        checks.append((op.solve(y, adjoint=adjoint), np.linalg.solve(dense, given)))
+    for got, want in checks:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -1103,16 +1164,8 @@ def test_alias_is_left_out_beside_the_identity_columns(monkeypatch):
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_one_circle_alias_is_left_out_beside_the_identity_rows(side):
-    # [[z, 0], [c, 1/z]] on a clockwise unit circle: the windings cancel
-    # on the circle, so none is read, and T = [[I, 0], [B, A]] has an
-    # alias kernel; the row and column left out are A's, with B's row
-    p = rc.RHProblem.from_jump(
-        rc.JumpData.from_evaluator(
-            rc.build_contour([rc.Circle(0j, 1.0, rc.CW, 64)]),
-            lambda z: rc.matrix_at(z, [[z, 0.0], [0.5 / (z - 3.0), 1.0 / z]]),
-        ),
-        side=side,
-    )
+    # the row and column left out are A's, with B's row
+    p = _one_circle_alias_problem(side)
     assert rhp._left_out(p) == ([], [])
     sol = rc.solve(p)
     assert (sol.solver_path, sol.sigma_source) == ("lu", "lanczos")
@@ -1910,7 +1963,7 @@ def test_gmres_takes_a_few_steps_per_column(make, side, monkeypatch):
     # with the section of s^(-1) from the right, the section of a rational
     # symbol is the identity up to a Hankel product of low rank: 1-4 steps
     # per column were measured on the defocusing problem and 5-6 on the
-    # rational one, against KRYLOV_STEPS = 64 over the whole solve
+    # rational one, against A's order of 512
     p = make(side)
     runs = _applies(monkeypatch, "_gmres")
     assert rc.solve(p).solver_path == "krylov"
@@ -1922,7 +1975,8 @@ def test_gmres_takes_a_few_steps_per_column(make, side, monkeypatch):
 @pytest.mark.parametrize("order", [1, 5, 12])
 def test_gmres_solves_an_unstructured_system_within_its_order(order):
     # no clustering to exploit: GMRES runs to the order, where the Krylov
-    # space is the whole space, and solves to rounding
+    # space is the whole space, and solves to rounding; with tol 0 it
+    # stops there too, with that least-squares iterate
     rng = np.random.default_rng(order)
     a = rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order))
     a += 2.0 * np.eye(order)
@@ -1933,14 +1987,14 @@ def test_gmres_solves_an_unstructured_system_within_its_order(order):
         steps.append(y)
         return a @ y
 
-    y = rhp._gmres(apply, b, 1e-14, order)
-    assert len(steps) == order
     expected = np.linalg.solve(a, b)
-    assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
+    for tol in (1e-14, 0.0):
+        steps.clear()
+        y = rhp._gmres(apply, b, tol)
+        assert len(steps) == order
+        assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
     zero = np.zeros(order, complex)
-    assert np.array_equal(rhp._gmres(apply, zero, 1e-14, order), zero)
-    # one step short of the order it gives up
-    assert rhp._gmres(apply, b, 1e-14, order - 1) is None
+    assert np.array_equal(rhp._gmres(apply, zero, 1e-14), zero)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -1951,16 +2005,19 @@ def test_gmres_gives_up_on_a_value_that_is_not_finite(value):
         steps.append(y)
         return np.full_like(y, value)
 
-    assert rhp._gmres(apply, np.ones(8, complex), 1e-14, 8) is None
+    assert rhp._gmres(apply, np.ones(8, complex), 1e-14) is None
     assert len(steps) == 1
 
 
-@pytest.mark.parametrize("nodes, budget", [(128, 64), (512, 64), (1024, 256)])
-def test_gmres_step_budget_follows_the_cost_of_the_lu(nodes, budget):
-    # factoring A of order N costs about N^3 and a step about N: the
-    # budget is (N / 64)^2 steps, and at least KRYLOV_STEPS
-    section = rhp._certified_section(_defocusing_problem(nodes), 0.0)
-    assert section.steps_left == budget
+def test_gmres_that_meets_a_value_that_is_not_finite_fails_the_solve(monkeypatch):
+    # the certified section is solved by GMRES alone: there is no LU to
+    # fall back on, so its None is a ValueError, as an overflow on the LU
+    # path is
+    factorizations = _counted(monkeypatch, scipy.linalg, "lu_factor")
+    monkeypatch.setattr(rhp, "_gmres", lambda apply, b, tol: None)
+    with pytest.raises(ValueError, match="GMRES met a value that is not finite"):
+        rc.solve(_cli_problem("rational_solve.json"))
+    assert factorizations == []
 
 
 def _twisted_defocusing_problem(a, b, site, nodes):
@@ -1981,18 +2038,23 @@ def _matches_the_dense_lu(sol, make, monkeypatch, tol=1e-13):
 
 
 @pytest.mark.parametrize(
-    "a, b, site, nodes, path",
-    [(0.6, 0.35, 40, 128, "krylov"), (0.65, 0.33, 80, 512, "lu")],
-    ids=["krylov", "lu"],
+    "a, b, site, nodes, steps, tol",
+    [
+        (0.6, 0.35, 40, 128, range(1, 64), 1e-13),
+        (0.65, 0.33, 80, 512, range(65, 512), 1e-12),
+    ],
+    ids=["site40_128", "site80_512"],
 )
-def test_certified_section_past_the_step_budget_is_factored(
-    a, b, site, nodes, path, monkeypatch
+def test_certified_section_is_solved_by_gmres_alone(
+    a, b, site, nodes, steps, tol, monkeypatch
 ):
     # r = a z + b/z keeps GMRES stepping longer as the site n of the
     # z^(2n) twist grows and |r| nears 1: 50 steps over the solve for the
-    # first input, 64 = KRYLOV_STEPS for the second, which has 43 at
-    # n = 40.  Past the budget the section is built and factored, and the
-    # positivity bound still certifies it: no Lanczos run
+    # first input, 81 for the second, which has 43 at n = 40.  However
+    # many it takes, GMRES alone solves the section, which the positivity
+    # bound certifies: no LU and no Lanczos run.  The second answer is
+    # 3.9e-13 max |mu| from the dense LU's, the bound the suite holds
+    # GMRES to in test_certified_solve_makes_no_corrective_run
     def make():
         return _twisted_defocusing_problem(a, b, site, nodes)
 
@@ -2000,22 +2062,19 @@ def test_certified_section_past_the_step_budget_is_factored(
     factorizations = _counted(monkeypatch, scipy.linalg, "lu_factor")
     eigsh = _counted(monkeypatch, scipy.sparse.linalg, "eigsh")
     sol = rc.solve(make())
-    assert (sol.solver_path, sol.sigma_source) == (path, "positivity")
-    assert eigsh == []
-    if path == "krylov":
-        assert sum(runs) < rhp.KRYLOV_STEPS and factorizations == []
-    else:
-        assert sum(runs) == rhp.KRYLOV_STEPS and len(factorizations) == 1
-    assert _matches_the_dense_lu(sol, make, monkeypatch)
+    assert (sol.solver_path, sol.sigma_source) == ("krylov", "positivity")
+    assert eigsh == [] and factorizations == []
+    assert sum(runs) in steps
+    assert _matches_the_dense_lu(sol, make, monkeypatch, tol=tol)
 
 
 @pytest.mark.parametrize("site", [20, 40])
 def test_certified_solve_makes_no_corrective_run(site, monkeypatch):
     # one GMRES run per column takes 22 and 42 steps; a second,
-    # corrective run would take as many again, reach the budget of 64
-    # steps and factor the section.  GMRES stops at a residual of about
-    # 4e-15 of the right-hand side, which the section's conditioning
-    # lifts to a gap from the dense LU of 5.5e-14 and 1.4e-13 of max |mu|
+    # corrective run would take as many again.  GMRES stops at a
+    # residual of about 4e-15 of the right-hand side, which the section's
+    # conditioning lifts to a gap from the dense LU of 5.5e-14 and
+    # 1.4e-13 of max |mu|
     def make():
         return _twisted_defocusing_problem(0.6, 0.35, site, 512)
 
@@ -2024,7 +2083,7 @@ def test_certified_solve_makes_no_corrective_run(site, monkeypatch):
     p = make()
     sol = rc.solve(p)
     assert (sol.solver_path, sol.sigma_source) == ("krylov", "positivity")
-    assert len(runs) == p.data.dim and sum(runs) < rhp.KRYLOV_STEPS
+    assert len(runs) == p.data.dim and sum(runs) < 64
     assert factorizations == []
     assert _matches_the_dense_lu(sol, make, monkeypatch, tol=1e-12)
 
