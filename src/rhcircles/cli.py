@@ -337,6 +337,7 @@ def _report_solver(report: dict, sol: RHSolution) -> None:
     report["smallest_singular_value"] = float(sol.smallest_singular_value)
     report["sigma_source"] = sol.sigma_source
     report["solver_path"] = sol.solver_path
+    report["operator_order"] = int(sol.operator_order)
     report["factored_order"] = int(sol.factored_order)
 
 

@@ -289,9 +289,11 @@ class RHSolution:
         rows and columns were left out it is sigma_min of T less them,
         which is T's second smallest singular value for an alias kernel
         of one direction.
-    factored_order is the order of the matrix LU-factored: T's order
-    less its identity rows or columns (_operator_rows) on the LU path,
-    and 0 on the Krylov path, where nothing is factored.
+    operator_order is T's own order, N n for N nodes in all and n x n
+    jumps, on either path.  factored_order is the order of the matrix
+    LU-factored: T's order less its identity rows or columns
+    (_operator_rows) on the LU path, and 0 on the Krylov path, where
+    nothing is factored.
     """
 
     problem: RHProblem
@@ -302,6 +304,7 @@ class RHSolution:
     smallest_singular_value: float
     sigma_source: str
     solver_path: str
+    operator_order: int
     factored_order: int
     cauchy_density: GridFunction = field(repr=False)
 
@@ -502,8 +505,9 @@ def _kept_components(p: RHProblem) -> list[np.ndarray]:
 
 @np.errstate(all="ignore")
 def _operator_rows(p: RHProblem) -> tuple:
-    """T in the per-circle Fourier basis, apart from its identity rows or
-    columns.
+    """T in the per-circle Fourier basis as its pieces: A, T at the basis
+    indices kept, and its coupling block b, with T's identity block, at
+    the basis indices unit, left out.
 
     The basis is each circle's unitary Fourier basis (circle_coefficients
     times sqrt(m), modes in storage order, n components per mode), circle
@@ -515,93 +519,125 @@ def _operator_rows(p: RHProblem) -> tuple:
         (T x)_i = P_K(x_i b_minus) + P_O(x_i b_plus)
                   - sum_(j != i) Q_ij(x_j (w_plus + w_minus)).
 
-    T's columns are built one source circle j at a time.  K and O are
-    each one half of the modes, and a half's rows of the self block are
-    gathered from one FFT of its symbol on circle j (_half_rows).  A
-    cross block is Q_ij with its target rows through one FFT of circle i
-    and its source columns through one FFT of circle j per entry (c, b)
-    of w_plus + w_minus that is nonzero somewhere on circle j; an entry
-    that is zero on the whole circle gives an exact zero block and is
-    skipped.
-
-    T's identity block, at the basis indices unit, is left out, and the
-    other indices are kept:
-    - where _one_circle_section finds T = [[I, 0], [B, A]] on (unit,
-      kept), only [B, A] is built: T's rows at kept;
+    T takes one of two forms on (unit, kept):
+    - where _one_circle_section finds T = [[I, 0], [B, A]], kept and unit
+      are the two halves of the modes, and b is B: T's rows at kept,
+      split by the half of their source mode;
     - otherwise, on the columns of the components _kept_components
-      leaves out, which are unit vectors, T = [[I, C], [0, A]] on (unit,
-      kept), the mirror image, and only [C; A] is built: T's columns at
-      kept.
-    A problem with neither keeps all of T, the second form with unit
-    empty.  Returns t, as an F-ordered array that holds T's rows at kept
-    where it is wider than tall and T's columns at kept otherwise, and
-    the basis indices kept and unit, each a slice or an increasing index
-    array.  Transforms run with floating-point warnings off: a value
-    that overflows reaches lu_factor, which refuses it.
+      leaves out, which are unit vectors, T = [[I, C], [0, A]], the
+      mirror image, and b is C: T's columns at kept, split by (target
+      circle, component), so that each target (circle, component) is one
+      strided run of rows of A or of C.
+    A problem with neither keeps all of T in A, the second form with
+    unit empty and C of no rows.
+
+    A and b are written in place, one source circle j's columns at a
+    time, and nothing else of T is built.  K and O are each one half of
+    the modes, and a half's rows of the self block are gathered from one
+    FFT of its symbol on circle j (_half_rows).  A cross block is Q_ij
+    with its target rows through one FFT of circle i and its source
+    columns through one FFT of circle j per entry (c, b) of w_plus +
+    w_minus that is nonzero somewhere on circle j; an entry that is zero
+    on the whole circle gives an exact zero block and is skipped.
+
+    Returns (a, b, kept, unit): A and b as F-ordered arrays, A the one
+    lu_factor(overwrite_a=True) factors in place, and kept and unit each
+    a slice or an increasing index array.  Transforms run with
+    floating-point warnings off: a value that overflows reaches
+    lu_factor, which refuses it, or _ToeplitzLU's check on b.
     """
     system, n = p.system, p.data.dim
-    circles, slices, big_n = system.circles, system.node_slices(), system.total_nodes
-    order = big_n * n
+    circles, slices = system.circles, system.node_slices()
+    order = system.total_nodes * n
     section = _one_circle_section(p)
-    kept, unit = slice(0, order), slice(0, 0)
     if section is not None:
-        kept, unit = section[:2]
-        components = [np.arange(n)]
-    else:
-        components = _kept_components(p)
-        if sum(map(len, components)) < n * len(circles):
-            kept = np.concatenate(
+        rows, fixed, symbol = section
+        circle = circles[0]
+        r = circle.node_count // 2
+        coeffs = circle_coefficients(circle, symbol().values)
+        half = _half_rows(coeffs, rows.start // n, n)
+        # A^T and B^T, C-ordered: the rows of the source modes in rows and
+        # in fixed, [column (j, c), row (k, b)]
+        a, b = (np.empty((r * n, r * n), dtype=np.complex128) for _ in range(2))
+        for out, modes in ((a, rows), (b, fixed)):
+            out.reshape(r, n, r * n)[...] = half[modes.start // n : modes.stop // n]
+        return a.T, b.T, rows, fixed
+
+    components = _kept_components(p)
+    others = [np.setdiff1d(np.arange(n), k) for k in components]
+    kept, unit = slice(0, order), slice(0, 0)
+    if any(map(len, others)):
+        kept, unit = (
+            np.concatenate(
                 [(np.arange(nodes.start, nodes.stop)[:, None] * n + k).ravel()
-                 for nodes, k in zip(slices, components)]
+                 for nodes, k in zip(slices, parts)]
             )
-            unit = np.setdiff1d(np.arange(order), kept)
-    rows = kept if section is not None else slice(0, order)
-    # T transposed, C-ordered: [column (j, c), row (k, b)]; the self blocks
-    # fill one circle's rows, and only skipped cross blocks need the zeros
+            for parts in (components, others)
+        )
+    # each circle's first row in A (its kept components) and in C (the others)
+    starts = [
+        np.cumsum([0] + [c.node_count * len(k) for c, k in zip(circles, parts)])
+        for parts in (components, others)
+    ]
+    # A^T and C^T, C-ordered: [column (j, c), row (i, k, b)]; the self
+    # blocks fill one circle's rows, and only skipped cross blocks need
+    # the zeros
     alloc = np.zeros if len(circles) > 1 else np.empty
-    widths = [c.node_count * len(k) for c, k in zip(circles, components)]
-    tt = alloc((sum(widths), rows.stop - rows.start), dtype=np.complex128)
+    at, ct = (alloc((starts[0][-1], s[-1]), dtype=np.complex128) for s in starts)
     w = (p.data.w_plus + p.data.w_minus).values
     symbols = [g().values for g in (p.data.b_minus, p.data.b_plus)]
     for j, (circle, nodes, inside, k) in enumerate(
         zip(circles, slices, system.plus_inside, components)
     ):
-        m, start = circle.node_count, sum(widths[:j])
-        # circle j's kept columns, (m, components, rows)
-        block = tt[start : start + widths[j]].reshape(m, len(k), tt.shape[1])
+        m = circle.node_count
+        # circle j's kept columns of A and of C, (m, components, rows)
+        cols = [
+            x[starts[0][j] : starts[0][j + 1]].reshape(m, len(k), x.shape[1])
+            for x in (at, ct)
+        ]
+
+        def target(i, b):
+            # circle i's rows of component b: (m, components, circle i's m)
+            part = int(b not in components[i])
+            parts, first = (components, others)[part][i], starts[part][i]
+            row = first + np.searchsorted(parts, b)
+            return cols[part][:, :, row : starts[part][i + 1] : len(parts)]
+
         # the self block: C+ keeps the first half of the modes where the
         # plus side is inside
         for k0, symbol in zip((0, m // 2), symbols[:: 1 if inside else -1]):
-            at = (nodes.start + k0) * n - rows.start
-            if 0 <= at < tt.shape[1]:  # identity rows are not built
-                half = _half_rows(circle_coefficients(circle, symbol[nodes]), k0, n)
-                block[:, :, at : at + m // 2 * n] = half if len(k) == n else half[:, k]
+            half = _half_rows(circle_coefficients(circle, symbol[nodes]), k0, n)
+            half = half.reshape(m, n, m // 2, n)
+            half = half if len(k) == n else half[:, k]
+            for b in range(n):
+                target(j, b)[:, :, k0 : k0 + m // 2] = half[..., b]
         # the cross blocks; T's minus sign and the 1/sqrt(m) of F^H folded into w
         wj = w[nodes] / -np.sqrt(m)
         entries = list(zip(*np.nonzero(np.any(wj, axis=0))))
-        block4 = block.reshape(m, len(k), tt.shape[1] // n, n)
-        for i, (target, targets) in enumerate(zip(circles, slices)):
+        for i, other in enumerate(circles):
             if i == j or not entries:
                 continue
-            q = _to_unitary(target, _cross_block(target.points(), circle))
+            q = _to_unitary(other, _cross_block(other.points(), circle))
             # c is kept: its row of w_plus + w_minus is nonzero
             for c, b in entries:
                 # times F^H from the right: circle_values along the source
                 # axis, since F, a DFT, is symmetric
                 source = circle_values(circle, (q * wj[:, c, b]).T)
-                block4[:, np.searchsorted(k, c), targets, b] = source
-    return tt.T, kept, unit
+                target(i, b)[:, np.searchsorted(k, c)] = source
+    return at.T, ct.T, kept, unit
 
 
 def _operator(p: RHProblem) -> np.ndarray:
-    """All of T in the basis of _operator_rows, with the identity rows or
-    columns it leaves out, if any, filled back in."""
-    t, kept, _ = _operator_rows(p)
-    full = np.eye(max(t.shape), dtype=np.complex128)
-    if t.shape[0] < t.shape[1]:
-        full[kept] = t
+    """All of T in the basis of _operator_rows: the identity, with A and
+    the coupling block b written in at their basis indices."""
+    a, b, kept, unit = _operator_rows(p)
+    full = np.eye(p.system.total_nodes * p.data.dim, dtype=np.complex128)
+    kept, unit = (np.arange(full.shape[0])[i] for i in (kept, unit))
+    full[np.ix_(kept, kept)] = a
+    if _one_circle_section(p) is not None:
+        full[np.ix_(kept, unit)] = b
     else:
-        full[:, kept] = t
+        full[np.ix_(unit, kept)] = b
     return full
 
 
@@ -711,6 +747,17 @@ def _left_out(p: RHProblem) -> tuple[list, list]:
     return ([], []) if np.any(balance) else left_out
 
 
+def _circulant(circle, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The block circulant of the node samples u, (m, n, n), times x in
+    the circle's unitary Fourier basis (m n rows, modes in storage
+    order, n components per mode, a vector or columns): x's node values
+    times u at each node, one inverse FFT and one FFT; its sqrt(m)
+    factors cancel."""
+    values = circle_values(circle, x.reshape(*u.shape[:2], -1))
+    values = np.einsum("lcj,lcb->lbj", values, u)
+    return circle_coefficients(circle, values).reshape(x.shape)
+
+
 class _ToeplitzLU:
     """The operator T in the per-circle Fourier basis of _operator_rows,
     factored by one LU of its block outside the identity rows or
@@ -722,69 +769,68 @@ class _ToeplitzLU:
     from_basis maps them back; both are unitary.  In the basis it offers
     what solve needs: solve(y, adjoint) for T^(-1) y or T^(-H) y, one
     vector or column at a time by the trsv pairs of _lu_vector_solver,
-    matvec(x) = T x, its order, and singular, true when the LU met an
-    exact zero pivot.  solve does not check y: a value that is not
-    finite, or a zero pivot, gives output that is not finite, which
-    _refined refuses and the Lanczos run and the null vectors read as
-    singular.
+    matvec(x) = T x, rows_times(i, x) = (T x)[i], its order, and
+    singular, true when the LU met an exact zero pivot.  solve does not
+    check y: a value that is not finite, or a zero pivot, gives output
+    that is not finite, which _refined refuses and the Lanczos run and
+    the null vectors read as singular.
 
     A is T at the basis indices kept, the only matrix LU-factored, and
     the identity block is at unit.  T takes one of two forms on (unit,
     kept): identity rows, T = [[I, 0], [B, A]], or identity columns, T =
-    [[I, C], [0, A]], and b holds B or C.  A T without an identity block
-    is the identity-columns form with unit empty: A is T and C has no
-    rows.  T and T^H are then each block-triangular, lower or upper, and
-    solve is one substitution for both: a lower one subtracts the
-    coupling through b from the kept inputs before the solve with A (or
-    A^H), an upper one from the unit outputs after it.  An exact zero
-    pivot of A is one of T.  Where equation rows and unknown columns are
-    left out (_factor, left_out), T above is T less them.  Subtractions
-    and transforms run with floating-point warnings off, as the BLAS and
-    LAPACK calls do.
+    [[I, C], [0, A]], and b holds B or C; identity_rows tells the two
+    apart.  A T without an identity block is the identity-columns form
+    with unit empty: A is T and C has no rows.  T and T^H are then each
+    block-triangular, lower or upper, and solve is one substitution for
+    both: a lower one subtracts the coupling through b from the kept
+    inputs before the solve with A (or A^H), an upper one from the unit
+    outputs after it.  An exact zero pivot of A is one of T.  Where
+    equation rows and unknown columns are left out (_factor, left_out),
+    T above is T less them.
+
+    Only A's LU and b are kept: _operator_rows writes A where lu_factor
+    overwrites it, and no other copy of T exists.  matvec and rows_times
+    apply T from its pieces instead (_times), as the formula of
+    _operator_rows reads, and they apply all of T, with nothing left
+    out.  Subtractions, transforms and applies run with floating-point
+    warnings off, as the BLAS and LAPACK calls do.
     """
 
     def __init__(self, p: RHProblem, left_out=((), ())):
-        self.system, self.n = p.system, p.data.dim
-        self.t, self.kept, self.unit = _operator_rows(p)
-        self._factor(*left_out)
-
-    @property
-    def order(self) -> int:
-        return max(self.t.shape)
-
-    def _factor(self, equations=(), unknowns=()):
-        """Factor A, less the equation rows and the unknown columns at the
-        basis indices equations and unknowns (as many of each, pairwise,
-        all within kept).
-
-        Each such row and column of a copy of A is zeroed but for s where
-        they cross, so that the factored A is the reduced one and,
-        decoupled from it, s times the identity.  s is the norm of A's
-        first column not left out, at least sigma_min of the reduced T,
-        which no column's norm undercuts, so that the LU, its Lanczos run
-        and its null vectors are those of the reduced T.  b is left as T
-        has it: solve zeroes A's inputs at left_out, after any coupling
-        into them, so the unknowns left out come back 0 and no B row or
-        C column there is read.  The copy of A is the one lu_factor
-        would make, made here and factored in place; in the
-        identity-columns form A and C are gathered from t's rows, along
-        the rows of the C-ordered t^T, so that A comes out F-ordered.
-        identity_rows tells the two forms apart.
-        """
-        self.left_out = tuple(np.array(i, dtype=int) for i in (equations, unknowns))
-        t, kept, unit = self.t, self.kept, self.unit
-        self.identity_rows = t.shape[0] < t.shape[1]
-        if self.identity_rows:
-            a, self.b = np.array(t[:, kept], order="F"), t[:, unit]
-        else:
-            columns = np.arange(self.order)
-            a, self.b = (np.take(t.T, columns[i], axis=1).T for i in (kept, unit))
+        self.problem, self.system, self.n = p, p.system, p.data.dim
+        self.order = p.system.total_nodes * self.n
+        self.identity_rows = _one_circle_section(p) is not None
+        a, self.b, self.kept, self.unit = _operator_rows(p)
         # lu_factor refuses an A that is not finite; b is refused the same
         # way, since with identity columns a value that overflows can land
         # in C alone
         np.asarray_chkfinite(self.b)
+        self._factor(a, *left_out)
+
+    def _assemble(self) -> np.ndarray:
+        """A anew, for a factorization after the first: the LU has
+        overwritten the A assembled before."""
+        return _operator_rows(self.problem)[0]
+
+    def _factor(self, a, equations=(), unknowns=()):
+        """Factor A, given as a, in place, less the equation rows and the
+        unknown columns at the basis indices equations and unknowns (as
+        many of each, pairwise, all within kept).
+
+        Each such row and column of a is zeroed but for s where they
+        cross, so that the factored A is the reduced one and, decoupled
+        from it, s times the identity.  s is the norm of A's first column
+        not left out, at least sigma_min of the reduced T, which no
+        column's norm undercuts, so that the LU, its Lanczos run and its
+        null vectors are those of the reduced T.  b is left as T has it:
+        solve zeroes A's inputs at left_out, after any coupling into
+        them, so the unknowns left out come back 0 and no B row or C
+        column there is read.  a is F-ordered, as _operator_rows writes
+        it, so lu_factor makes no copy of it.
+        """
+        self.left_out = tuple(np.array(i, dtype=int) for i in (equations, unknowns))
         if len(equations):
-            indices = np.arange(self.order)[kept]
+            indices = np.arange(self.order)[self.kept]
             eq, unknown = (np.searchsorted(indices, i) for i in self.left_out)
             first = np.setdiff1d(np.arange(a.shape[1]), unknown)[0]
             scale = scipy.linalg.norm(a[:, first])
@@ -835,21 +881,64 @@ class _ToeplitzLU:
                 x[unit] -= self._coupled(x[kept], adjoint)
         return x
 
+    @np.errstate(all="ignore")
+    def _times(self, x, targets):
+        """T x on the basis rows of the circles targets, in increasing
+        order, and 0 on the others, for x a vector or columns.
+
+        On target circle i, the self block is the block circulant of
+        b_minus on the modes K C+ keeps there and that of b_plus on the
+        others O (_circulant).  Each cross block is _cross_block of the
+        circle pair times the source's node values of x (w_plus +
+        w_minus), summed at circle i's nodes and sent into its basis by
+        one FFT.  A source circle whose w_plus + w_minus is zero adds
+        nothing and is skipped.
+        """
+        data, n, system = self.problem.data, self.n, self.system
+        circles, slices = system.circles, system.node_slices()
+        symbols = data.b_minus().values, data.b_plus().values
+        w = (data.w_plus + data.w_minus).values
+        columns = x.reshape(self.order, -1)
+        parts = [
+            (circle, nodes, columns[nodes.start * n : nodes.stop * n])
+            for circle, nodes in zip(circles, slices)
+        ]
+        # each source circle's density at its nodes, (m, n * columns)
+        density = {}
+        for j, (circle, nodes, x_j) in enumerate(parts):
+            if np.any(w[nodes]) and any(i != j for i in targets):
+                m = circle.node_count
+                values = _from_unitary(circle, x_j.reshape(m, n, -1))
+                values = np.einsum("lcj,lcb->lbj", values, w[nodes])
+                density[j] = values.reshape(m, -1)
+        out = np.zeros(columns.shape, dtype=np.complex128)
+        for i in targets:
+            circle, nodes, x_i = parts[i]
+            m = circle.node_count
+            # C+ keeps the first half of the modes where the plus side is inside
+            halves = [_circulant(circle, x_i, s[nodes]) for s in symbols]
+            if not system.plus_inside[i]:
+                halves.reverse()
+            first, part = m // 2 * n, out[nodes.start * n : nodes.stop * n]
+            part[:first], part[first:] = halves[0][:first], halves[1][first:]
+            near = [
+                _cross_block(circle.points(), circles[j]) @ d
+                for j, d in density.items()
+                if j != i
+            ]
+            if near:
+                near = _to_unitary(circle, sum(near).reshape(m, n, -1))
+                part -= near.reshape(part.shape)
+        return out.reshape(x.shape)
+
     def matvec(self, x):
-        if self.identity_rows:
-            out = np.array(x, dtype=np.complex128)
-            out[self.kept] = self.t @ x
-            return out
-        # as (x^T T^T)^T, which reads T's storage row by row
-        out = (x[self.kept].T @ self.t.T).T
-        out[self.unit] += x[self.unit]
-        return out
+        return self._times(x, range(len(self.system.circles)))
 
     def rows_times(self, i, x):
-        """(T x)[i] for basis indices i within kept."""
-        if self.identity_rows:  # t holds T's rows at kept, a slice
-            return self.t[i - self.kept.start] @ x
-        return self.t[i] @ x[self.kept]  # T[i] is 0 on the identity columns
+        """(T x)[i] for basis indices i, from T x on their circles alone."""
+        starts = [nodes.start * self.n for nodes in self.system.node_slices()]
+        targets = np.unique(np.searchsorted(starts, i, side="right") - 1)
+        return self._times(x, targets)[i]
 
 
 @np.errstate(all="ignore")
@@ -952,18 +1041,11 @@ class _KrylovSection:
 
     to_basis, from_basis = _ToeplitzLU.to_basis, _ToeplitzLU.from_basis
 
-    def _circulant(self, x, u):
-        """The block circulant of the samples u times x, in the basis; its
-        sqrt(m) factors cancel."""
-        values = circle_values(self.circle, x.reshape(*u.shape[:2], -1))
-        values = np.einsum("lcj,lcb->lbj", values, u)
-        return circle_coefficients(self.circle, values).reshape(x.shape)
-
     def _section(self, x, u):
         """The section of that circulant on the rows, on x there."""
         full = np.zeros(self.order, dtype=np.complex128)
         full[self.rows] = x
-        return self._circulant(full, u)[self.rows]
+        return _circulant(self.circle, full, u)[self.rows]
 
     @np.errstate(all="ignore")
     def solve(self, y):
@@ -971,7 +1053,8 @@ class _KrylovSection:
         # A x_rows = y_rows - B y_fixed, over the symbol's scale
         given = np.zeros_like(x)
         given[self.fixed] = x[self.fixed]
-        rhs = x[self.rows] / self.scale - self._circulant(given, self.u)[self.rows]
+        rhs = x[self.rows] / self.scale
+        rhs -= _circulant(self.circle, given, self.u)[self.rows]
 
         def preconditioned(v):
             return self._section(self._section(v, self.u_inv), self.u)
@@ -1074,8 +1157,8 @@ def _certified_lu(op: _ToeplitzLU, band: np.ndarray, sigma_min: float) -> float:
     genuine kernel (nonzero partial indices land here), and a kernel left
     once op has left out rows and columns has more than one alias
     direction.  Otherwise op leaves out the equation row where l peaks
-    and the unknown column where r peaks, within rows, is factored again,
-    and is measured once more.
+    and the unknown column where r peaks, within rows, has A assembled
+    and factored again (the LU overwrote it), and is measured once more.
     """
     while True:
         r, l, smallest = _null_vectors(op)
@@ -1106,7 +1189,8 @@ def _certified_lu(op: _ToeplitzLU, band: np.ndarray, sigma_min: float) -> float:
                 smallest, message="operator kernel has more than one alias direction"
             )
         kept = np.arange(op.order)[op.kept]
-        op._factor(*([kept[np.argmax(np.abs(v[kept]))]] for v in (l, r)))
+        peaks = ([kept[np.argmax(np.abs(v[kept]))]] for v in (l, r))
+        op._factor(op._assemble(), *peaks)
 
 
 def _check_left_out(op: _ToeplitzLU, x: np.ndarray, rhs: np.ndarray, smallest: float):
@@ -1200,6 +1284,7 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
         smallest_singular_value=smallest,
         sigma_source=source,
         solver_path=path,
+        operator_order=big_n * n,
         factored_order=op.lu[0].shape[0] if path == "lu" else 0,
         cauchy_density=mu * (p.data.w_plus + p.data.w_minus),
     )

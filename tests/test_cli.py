@@ -288,7 +288,7 @@ def test_unknown_mode_exits_one():
     assert info.value.code == 1
 
 
-def test_indefinite_symbol_fails_check(tmp_path):
+def test_indefinite_symbol_fails_check(tmp_path, capsys):
     problem = write_problem(
         tmp_path,
         {
@@ -301,8 +301,11 @@ def test_indefinite_symbol_fails_check(tmp_path):
         },
     )
     code, report = run("check-symmetry", problem, tmp_path)
+    # check-symmetry's own failed check: the report is written, and
+    # nothing goes to stderr
     assert code == 2
     assert report["min_re_eig"] <= 0.0
+    assert capsys.readouterr().err == ""
 
 
 def test_asymmetric_jump_fails_check(tmp_path):
@@ -333,7 +336,7 @@ def test_asymmetric_jump_fails_check(tmp_path):
     assert report["min_re_eig"] > 0.0
 
 
-def test_noninvariant_contour_fails_check(tmp_path):
+def test_noninvariant_contour_fails_check(tmp_path, capsys):
     problem = write_problem(
         tmp_path,
         {
@@ -345,8 +348,14 @@ def test_noninvariant_contour_fails_check(tmp_path):
             "jump": [["2"]],
         },
     )
-    code, _ = run("check-symmetry", problem, tmp_path)
+    code, report = run("check-symmetry", problem, tmp_path)
+    # a contour that is not inversion invariant: one stderr line, and no
+    # report is written
     assert code == 2
+    assert report is None
+    err = capsys.readouterr().err
+    assert err.startswith("rhc: hypothesis check failed: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_indefinite_symbol_fails_hermitian_factorization(tmp_path):

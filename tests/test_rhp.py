@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,12 +19,23 @@ from conftest import rational_exact, two_einsum_operator
 
 class _MatrixLU(rhp._ToeplitzLU):
     """The factored-operator class on a given matrix t, in the basis of
-    t's own rows: every row and column in the LU, none an identity."""
+    t's own rows: every row and column in the LU, none an identity, and
+    T x the product with t itself."""
 
     def __init__(self, t):
-        self.t = t
+        self.t, self.order, self.identity_rows = t, t.shape[0], False
         self.kept, self.unit = slice(0, t.shape[0]), slice(0, 0)
-        self._factor()
+        self.b = np.zeros((0, t.shape[0]), dtype=t.dtype)
+        self._factor(self._assemble())
+
+    def _assemble(self):
+        return np.array(self.t, order="F")
+
+    def matvec(self, x):
+        return self.t @ x
+
+    def rows_times(self, i, x):
+        return self.t[i] @ x
 
     def to_basis(self, y):
         return y
@@ -1065,14 +1077,14 @@ def _one_circle_alias_problem(side="plus"):
 def test_each_block_triangular_form_solves_t_and_its_adjoint(
     rational_radius6, form, wider
 ):
-    # T = [[I, 0], [B, A]] (t holds T's rows at kept, so it is wider than
-    # tall), [[I, C], [0, A]] (T's columns at kept), or all of T in A:
-    # the solves with T and T^H and the product with T against dense T.
-    # With modes left out, as solve leaves them out (the alias beside the
-    # identity rows from its null vectors, the conjugated soliton's from
-    # _left_out), the solves are those of T with the rows and columns
-    # left out replaced by s at their crossings, their inputs there 0,
-    # and b is T's coupling block as it is
+    # T = [[I, 0], [B, A]] (wider 1: b is B, T's kept rows at unit),
+    # [[I, C], [0, A]] (wider -1: b is C, T's unit rows at kept), or all of
+    # T in A (wider 0): the solves with T and T^H and the product with T
+    # against dense T.  With modes left out, as solve leaves them out (the
+    # alias beside the identity rows from its null vectors, the conjugated
+    # soliton's from _left_out), the solves are those of T with the rows
+    # and columns left out replaced by s at their crossings, their inputs
+    # there 0, and b is T's coupling block as it is
     p = {
         "identity_rows": lambda: rc.RHProblem.from_jump(rational_radius6[1]),
         "identity_columns": _lower_triangular_two_circle_problem,
@@ -1084,10 +1096,10 @@ def test_each_block_triangular_form_solves_t_and_its_adjoint(
     }[form]()
     op, t = rhp._ToeplitzLU(p, rhp._left_out(p)), rhp._operator(p)
     rhp._certified_lu(op, rhp._band_rows(p.system, p.data.dim), rc.SIGMA_MIN)
-    assert np.sign(op.t.shape[1] - op.t.shape[0]) == wider
+    kept, unit = (np.arange(op.order)[i] for i in (op.kept, op.unit))
+    assert (1 if op.identity_rows else -min(unit.size, 1)) == wider
     eq, unknown = op.left_out
     assert (eq.size > 0) == form.endswith("left_out") and eq.size == unknown.size
-    kept, unit = (np.arange(op.order)[i] for i in (op.kept, op.unit))
     coupling = t[np.ix_(kept, unit)] if op.identity_rows else t[np.ix_(unit, kept)]
     assert np.array_equal(op.b, coupling)
     reduced = t.copy()
@@ -1104,6 +1116,50 @@ def test_each_block_triangular_form_solves_t_and_its_adjoint(
         checks.append((op.solve(y, adjoint=adjoint), np.linalg.solve(dense, given)))
     for got, want in checks:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    _assert_applies_match(op, t, eq)
+
+
+def _assert_applies_match(op, t, rows=()):
+    # T x and rows of it, applied from T's pieces, against all of T, on
+    # one vector and on two columns: the rows given, those of one circle,
+    # and every fifth row of every circle
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((op.order, 2)) + 1j * rng.standard_normal((op.order, 2))
+    last = op.system.node_slices()[-1]
+    checks = [(op.matvec(x), t @ x), (op.matvec(x[:, 0]), t @ x[:, 0])]
+    for i in (rows, np.arange(last.start, last.stop) * op.n, np.arange(0, op.order, 5)):
+        i = np.asarray(i, dtype=int)
+        checks.append((op.rows_times(i, x), t[i] @ x))
+    for got, want in checks:
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(want), 1e-300)
+
+
+def test_three_circle_applies_from_the_pieces_match_all_of_t():
+    # 64, 16 and 24 nodes; the middle circle's jump is I, so its columns
+    # are unit vectors and it adds no density to the cross blocks
+    p = _three_circle_problem_with_an_identity_jump()
+    op = rhp._ToeplitzLU(p)
+    assert not op.identity_rows and op.b.shape == (16, 88)
+    _assert_applies_match(op, rhp._operator(p))
+
+
+def test_lu_keeps_no_copy_of_t_beside_its_pieces():
+    # the conjugated one-pole problem at 128 nodes per circle, T of order
+    # 1280: A and C are written where the LU factors them, so building
+    # and factoring peaks at little more than the LU and C (a copy of T's
+    # kept columns beside A and C read 2.05 times them)
+    spec = rc.IdnlsSpec(r=None, n=1, poles=((2.2 + 0.8j, 0.6 + 0.2j),))
+    ap = rc.remove_poles(spec, pole_nodes=128, unit_nodes=128)
+    p = rc.RHProblem.from_jump(rc.conjugate(ap, node_count=128).jump, h=np.eye(2))
+    tracemalloc.start()
+    try:
+        op = rhp._ToeplitzLU(p, rhp._left_out(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.order == 1280 and not op.identity_rows
+    assert peak <= 1.25 * (op.lu[0].nbytes + op.b.nbytes)
 
 
 def test_identity_jump_on_two_circles_factors_nothing():
@@ -1552,15 +1608,19 @@ def _fourier_basis(system, n):
 )
 def test_fourier_operator_equals_the_transformed_node_operator(make):
     p = make()
-    t_rows = rhp._operator_rows(p)[0]
+    _, b, kept, unit = rhp._operator_rows(p)
     t = rhp._operator(p)
     f = _fourier_basis(p.system, p.data.dim)
     reference = f @ two_einsum_operator(p) @ f.conj().T
     assert np.max(np.abs(t - reference)) <= 1e-14 * np.max(np.abs(t))
-    # identity rows only where one circle has a zero splitting half
+    # identity rows only where one circle has a zero splitting half, and
+    # b is B, T's kept rows at unit, there; elsewhere C, its unit rows
     halves = (p.data.w_plus.values, p.data.w_minus.values)
     one_sided = len(p.system.circles) == 1 and not all(np.any(w) for w in halves)
-    assert t_rows.shape[0] == (t.shape[0] // 2 if one_sided else t.shape[0])
+    kept, unit = (np.arange(t.shape[0])[i] for i in (kept, unit))
+    coupling = t[np.ix_(kept, unit)] if one_sided else t[np.ix_(unit, kept)]
+    assert np.array_equal(b, coupling)
+    assert not one_sided or np.array_equal(t[unit], np.eye(t.shape[0])[unit])
 
 
 def test_two_sided_splitting_solves_like_the_trivial_one(rational_radius6):
@@ -1664,8 +1724,8 @@ def test_one_circle_toeplitz_solve_matches_the_dense_lu(
 
     p = make()
     op = rhp._ToeplitzLU(p)
-    # only the section, of half T's order, is built and factored
-    assert op.t.shape == (op.order // 2, op.order)
+    # only the section, of half T's order, is built and factored: A and B
+    assert op.identity_rows and op.b.shape == (op.order // 2, op.order // 2)
     assert op.lu[0].shape == (op.order // 2, op.order // 2)
     sol = rc.solve(p)
     # the reference: the same problem through the LU of all of T in rows
@@ -1689,7 +1749,7 @@ def test_one_circle_toeplitz_solve_matches_the_dense_lu(
 def test_identity_jump_comes_back_as_the_right_hand_side():
     p = _cli_problem("identity_solve.json")
     op = rhp._ToeplitzLU(p)
-    assert op.t.shape == (op.order // 2, op.order)
+    assert op.identity_rows and op.b.shape == (op.order // 2, op.order // 2)
     sol = rc.solve(p)
     assert sol.residual_jump == 0.0
     assert np.array_equal(sol.mu.values, np.broadcast_to(p.h, sol.mu.values.shape))
@@ -1698,7 +1758,7 @@ def test_identity_jump_comes_back_as_the_right_hand_side():
 def test_one_circle_genuine_kernel_still_refuses():
     p = _cli_problem("rational_near_singular.json")
     op = rhp._ToeplitzLU(p)
-    assert op.t.shape == (op.order // 2, op.order)
+    assert op.identity_rows and op.b.shape == (op.order // 2, op.order // 2)
     with pytest.raises(
         rc.NearSingularOperatorError, match="band-limited null-vector content"
     ) as info:
@@ -1713,7 +1773,8 @@ def test_zero_pivot_of_the_toeplitz_section_counts_as_singular():
     p = rc.RHProblem.from_jump(rc.JumpData.from_evaluator(system, np.round))
     with pytest.warns(scipy.linalg.LinAlgWarning):
         op = rhp._ToeplitzLU(p)
-    assert op.t.shape == (op.order // 2, op.order) and op.singular
+    assert op.identity_rows and op.b.shape == (op.order // 2, op.order // 2)
+    assert op.singular
     assert rhp._smallest_singular_value(op) == 0.0
     assert rhp._null_vectors(op)[2] == np.inf
     with pytest.warns(scipy.linalg.LinAlgWarning), pytest.raises(
@@ -1816,13 +1877,16 @@ def _parent_t_rows(p):
 def test_gathered_toeplitz_rows_are_the_operator_rows(n, nodes, side):
     p = _one_circle_problem(n, rc.CCW, True, nodes, side)
     op = rhp._ToeplitzLU(p)
-    assert op.t.flags.f_contiguous
-    assert np.array_equal(op.t, _parent_t_rows(p))
+    a, b, kept, unit = rhp._operator_rows(p)
+    assert a.flags.f_contiguous and b.flags.f_contiguous
+    t_rows = _parent_t_rows(p)
+    assert np.array_equal(a, t_rows[:, kept]) and np.array_equal(b, t_rows[:, unit])
+    assert np.array_equal(rhp._operator(p)[kept], t_rows)
     # T in the circle's Fourier basis, from the dense operator: [B, A] on
     # the section's rows, the identity on the others
     t_basis = op.to_basis(two_einsum_operator(p) @ op.from_basis(np.eye(op.order)))
-    scale = np.max(np.abs(op.t))
-    assert np.max(np.abs(t_basis[op.kept] - op.t)) <= 1e-13 * scale
+    scale = np.max(np.abs(t_rows))
+    assert np.max(np.abs(t_basis[op.kept] - t_rows)) <= 1e-13 * scale
     assert np.max(np.abs(t_basis[op.unit] - np.eye(op.order)[op.unit])) <= 1e-13
 
 
@@ -1832,9 +1896,9 @@ def test_contiguous_gather_keeps_every_bit_of_the_solve(monkeypatch):
 
     def parent_gather(self, p):
         init(self, p)
-        self.t = _parent_t_rows(p)
-        self.b = self.t[:, self.unit]
-        self.lu = scipy.linalg.lu_factor(self.t[:, self.kept])
+        t = _parent_t_rows(p)
+        self.b = t[:, self.unit]
+        self.lu = scipy.linalg.lu_factor(t[:, self.kept])
         self._section_vector = rhp._lu_vector_solver(self.lu)
 
     monkeypatch.setattr(rhp._ToeplitzLU, "__init__", parent_gather)
