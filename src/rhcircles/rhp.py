@@ -136,7 +136,9 @@ class JumpData:
     _matrix_values).  The midpoint residual and the inversion-symmetry
     check re-evaluate them instead of interpolating samples.  Samples
     that are not finite are refused (EvalError, naming the circle)
-    before |det v| is checked, which a NaN would pass.
+    before |det v| is checked, which a NaN would pass; it is checked as
+    log|det v| (slogdet), which entries near 1e200 do not overflow,
+    against the log of delta_inv, which must be finite and > 0.
     """
 
     v: GridFunction
@@ -147,7 +149,8 @@ class JumpData:
         for circle, nodes in zip(self.system.circles, self.system.node_slices()):
             if not np.all(np.isfinite(self.v.values[nodes])):
                 raise EvalError(f"jump samples are not finite on {circle}")
-        bad = np.abs(self.v.det()) < self.delta_inv
+        _check_tolerance("delta_inv", self.delta_inv)
+        bad = np.linalg.slogdet(self.v.values)[1] < np.log(self.delta_inv)
         if np.any(bad):
             raise SingularJumpError(
                 f"|det v| < {self.delta_inv} at {int(bad.sum())} node(s)"
@@ -769,11 +772,11 @@ class _ToeplitzLU:
     from_basis maps them back; both are unitary.  In the basis it offers
     what solve needs: solve(y, adjoint) for T^(-1) y or T^(-H) y, one
     vector or column at a time by the trsv pairs of _lu_vector_solver,
-    matvec(x) = T x, rows_times(i, x) = (T x)[i], its order, and
-    singular, true when the LU met an exact zero pivot.  solve does not
-    check y: a value that is not finite, or a zero pivot, gives output
-    that is not finite, which _refined refuses and the Lanczos run and
-    the null vectors read as singular.
+    matvec(x) = T x, its order, and singular, true when the LU met an
+    exact zero pivot.  solve does not check y: a value that is not
+    finite, or a zero pivot, gives output that is not finite, which
+    _refined refuses and the Lanczos run and the null vectors read as
+    singular.
 
     A is T at the basis indices kept, the only matrix LU-factored, and
     the identity block is at unit.  T takes one of two forms on (unit,
@@ -788,11 +791,11 @@ class _ToeplitzLU:
     equation rows and unknown columns are left out (_factor, left_out),
     T above is T less them.
 
-    Only A's LU and b are kept: _operator_rows writes A where lu_factor
-    overwrites it, and no other copy of T exists.  matvec and rows_times
-    apply T from its pieces instead (_times), as the formula of
-    _operator_rows reads, and they apply all of T, with nothing left
-    out.  Subtractions, transforms and applies run with floating-point
+    Only A's LU and b are kept, one assembly per factorization (_build):
+    _operator_rows writes A where lu_factor overwrites it, and no other
+    copy of T exists.  matvec applies all of T, nothing left out, from
+    its pieces instead, as the formula of _operator_rows reads.
+    Subtractions, transforms and applies run with floating-point
     warnings off, as the BLAS and LAPACK calls do.
     """
 
@@ -800,17 +803,19 @@ class _ToeplitzLU:
         self.problem, self.system, self.n = p, p.system, p.data.dim
         self.order = p.system.total_nodes * self.n
         self.identity_rows = _one_circle_section(p) is not None
-        a, self.b, self.kept, self.unit = _operator_rows(p)
+        self._build(*left_out)
+
+    def _build(self, equations=(), unknowns=()):
+        """Assemble A and b and factor A less the equations and unknowns
+        given (_factor), having dropped any LU and b held before, so that
+        a factorization after the first peaks no higher than the first."""
+        self.lu = self.b = self._section_vector = None
+        a, self.b, self.kept, self.unit = _operator_rows(self.problem)
         # lu_factor refuses an A that is not finite; b is refused the same
         # way, since with identity columns a value that overflows can land
         # in C alone
         np.asarray_chkfinite(self.b)
-        self._factor(a, *left_out)
-
-    def _assemble(self) -> np.ndarray:
-        """A anew, for a factorization after the first: the LU has
-        overwritten the A assembled before."""
-        return _operator_rows(self.problem)[0]
+        self._factor(a, equations, unknowns)
 
     def _factor(self, a, equations=(), unknowns=()):
         """Factor A, given as a, in place, less the equation rows and the
@@ -882,11 +887,10 @@ class _ToeplitzLU:
         return x
 
     @np.errstate(all="ignore")
-    def _times(self, x, targets):
-        """T x on the basis rows of the circles targets, in increasing
-        order, and 0 on the others, for x a vector or columns.
+    def matvec(self, x):
+        """T x, for x a vector or columns, with nothing left out.
 
-        On target circle i, the self block is the block circulant of
+        On each circle i, the self block is the block circulant of
         b_minus on the modes K C+ keeps there and that of b_plus on the
         others O (_circulant).  Each cross block is _cross_block of the
         circle pair times the source's node values of x (w_plus +
@@ -906,14 +910,13 @@ class _ToeplitzLU:
         # each source circle's density at its nodes, (m, n * columns)
         density = {}
         for j, (circle, nodes, x_j) in enumerate(parts):
-            if np.any(w[nodes]) and any(i != j for i in targets):
+            if np.any(w[nodes]):
                 m = circle.node_count
                 values = _from_unitary(circle, x_j.reshape(m, n, -1))
                 values = np.einsum("lcj,lcb->lbj", values, w[nodes])
                 density[j] = values.reshape(m, -1)
-        out = np.zeros(columns.shape, dtype=np.complex128)
-        for i in targets:
-            circle, nodes, x_i = parts[i]
+        out = np.empty(columns.shape, dtype=np.complex128)
+        for i, (circle, nodes, x_i) in enumerate(parts):
             m = circle.node_count
             # C+ keeps the first half of the modes where the plus side is inside
             halves = [_circulant(circle, x_i, s[nodes]) for s in symbols]
@@ -930,15 +933,6 @@ class _ToeplitzLU:
                 near = _to_unitary(circle, sum(near).reshape(m, n, -1))
                 part -= near.reshape(part.shape)
         return out.reshape(x.shape)
-
-    def matvec(self, x):
-        return self._times(x, range(len(self.system.circles)))
-
-    def rows_times(self, i, x):
-        """(T x)[i] for basis indices i, from T x on their circles alone."""
-        starts = [nodes.start * self.n for nodes in self.system.node_slices()]
-        targets = np.unique(np.searchsorted(starts, i, side="right") - 1)
-        return self._times(x, targets)[i]
 
 
 @np.errstate(all="ignore")
@@ -1136,12 +1130,13 @@ def _null_vectors(op) -> tuple[np.ndarray, np.ndarray, float]:
     return r, l, bound
 
 
-def _refined(op: _ToeplitzLU, rhs: np.ndarray) -> np.ndarray:
-    """op's LU solve of T x = rhs and one corrective step on its residual,
-    which makes the solve backward stable in working precision (Higham
-    1997).  A rhs or residual that is not finite raises ValueError."""
+def _refined(op: _ToeplitzLU, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """op's LU solve x1 of T x = rhs, corrected by one step on its residual
+    rhs - T x1 (backward stable in working precision, Higham 1997), and
+    that residual.  A rhs or residual that is not finite raises ValueError."""
     x = op.solve(np.asarray_chkfinite(rhs))
-    return x + op.solve(np.asarray_chkfinite(rhs - op.matvec(x)))
+    residual = np.asarray_chkfinite(rhs - op.matvec(x))
+    return x + op.solve(residual), residual
 
 
 def _certified_lu(op: _ToeplitzLU, band: np.ndarray, sigma_min: float) -> float:
@@ -1157,8 +1152,9 @@ def _certified_lu(op: _ToeplitzLU, band: np.ndarray, sigma_min: float) -> float:
     genuine kernel (nonzero partial indices land here), and a kernel left
     once op has left out rows and columns has more than one alias
     direction.  Otherwise op leaves out the equation row where l peaks
-    and the unknown column where r peaks, within rows, has A assembled
-    and factored again (the LU overwrote it), and is measured once more.
+    and the unknown column where r peaks, within kept, builds A and b
+    again (_build: the LU overwrote A, and the old LU and b are dropped
+    first), and is measured once more.
     """
     while True:
         r, l, smallest = _null_vectors(op)
@@ -1190,12 +1186,14 @@ def _certified_lu(op: _ToeplitzLU, band: np.ndarray, sigma_min: float) -> float:
             )
         kept = np.arange(op.order)[op.kept]
         peaks = ([kept[np.argmax(np.abs(v[kept]))]] for v in (l, r))
-        op._factor(op._assemble(), *peaks)
+        op._build(*peaks)
 
 
-def _check_left_out(op: _ToeplitzLU, x: np.ndarray, rhs: np.ndarray, smallest: float):
-    """Refuse x, op's solution of T x = rhs, unless the equations op left
-    out hold to ALIAS_BAND_CONTENT max(|rhs|, 1).
+def _check_left_out(
+    op: _ToeplitzLU, residual: np.ndarray, rhs: np.ndarray, smallest: float
+):
+    """Refuse op's solution of T x = rhs unless the equations op left out
+    hold to ALIAS_BAND_CONTENT max(|rhs|, 1) in residual, as _refined gives it.
 
     The unknowns left out are 0, so an equation left out holds only as
     far as rhs has no component along T's left null vector l: its
@@ -1205,14 +1203,13 @@ def _check_left_out(op: _ToeplitzLU, x: np.ndarray, rhs: np.ndarray, smallest: f
     residual reports too.  Above it the equations left out carried
     band-limited content, and the system is inconsistent.
     """
-    gap = op.rows_times(op.left_out[0], x) - rhs[op.left_out[0]]
-    residual = float(np.max(np.abs(gap), initial=0.0))
-    if not residual <= ALIAS_BAND_CONTENT * max(float(np.max(np.abs(rhs))), 1.0):
+    gap = float(np.max(np.abs(residual[op.left_out[0]]), initial=0.0))
+    if not gap <= ALIAS_BAND_CONTENT * max(float(np.max(np.abs(rhs))), 1.0):
         raise NearSingularOperatorError(
             smallest,
             message=(
                 "operator is singular and the system is inconsistent "
-                f"(residual {residual:.2e} on the equations left out)"
+                f"(residual {gap:.2e} on the equations left out)"
             ),
         )
 
@@ -1266,8 +1263,8 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     if path == "krylov":
         x = op.solve(rhs)
     else:
-        x = _refined(op, rhs)
-        _check_left_out(op, x, rhs, smallest)
+        x, residual = _refined(op, rhs)
+        _check_left_out(op, residual, rhs, smallest)
     # smallest is the positivity certificate or the Lanczos value of the
     # factored operator; a failed run reads 0.0
     if smallest > 0.0:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -996,6 +997,42 @@ def test_overflowing_jump_residual_is_an_input_error(tmp_path):
         "the boundary values overflow\n"
     )
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "jump, code, stderr",
+    [
+        ([["1e160*(2+z)", "0"], ["0", "1e160"]], 0, ""),
+        (
+            [["1e200*(2+z)", "0"], ["0", "1e200"]],
+            1,
+            "rhc: invalid input: jump residual is not finite (inf); "
+            "the boundary values overflow\n",
+        ),
+        (
+            [["1e200", "1e200"], ["1e200", "1e200"]],
+            2,
+            "rhc: hypothesis check failed: |det v| < 1e-10 at 16 node(s)\n",
+        ),
+    ],
+    ids=["det_overflows", "residual_overflows", "singular"],
+)
+def test_huge_jump_entries_raise_no_warning(jump, code, stderr, tmp_path, capsys):
+    # det v of these samples overflows, or is inf - inf, in double: the
+    # singular-jump check reads log|det v| instead, so exit 0 keeps stderr
+    # empty and a refusal prints its one rhc: line alone
+    doc = {
+        "version": 1,
+        "mode": "solve",
+        "contour": [{"center": [0.0, 0.0], "radius": 1.0, "nodes": 16}],
+        "jump": jump,
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, report = run("solve", write_problem(tmp_path, doc), tmp_path)
+    assert [str(w.message) for w in caught] == []
+    assert got == code and (report is not None) == (code == 0)
+    assert capsys.readouterr().err == stderr
 
 
 @pytest.mark.parametrize(
