@@ -208,9 +208,6 @@ class GridFunction:
             )
         return GridFunction(self.system, self.values * other)
 
-    def det(self) -> np.ndarray:
-        return np.linalg.det(self.values)
-
     def inv(self) -> "GridFunction":
         return GridFunction(self.system, np.linalg.inv(self.values))
 

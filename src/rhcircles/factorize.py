@@ -187,8 +187,18 @@ def scalar_factorize(
         raise ValueError(f"z_minus = {z_minus} is not in the minus region")
 
     pts = circle.points()
-    theta = mobius_power(pts, kappa, z_plus, z_minus)
-    g = _continuous_log(v.scalar() / theta)
+    with np.errstate(all="ignore"):
+        theta = mobius_power(pts, kappa, z_plus, z_minus)
+        quotient = v.scalar() / theta
+    # anchors far from the circle take theta, or v over it, out of the
+    # double range at the nodes, where its logarithm means nothing
+    if not np.all(np.isfinite(quotient) & (quotient != 0.0)):
+        raise ValueError(
+            f"anchors z_plus = {z_plus}, z_minus = {z_minus} take the Mobius "
+            f"factor of winding {kappa}, or v over it, out of the double "
+            "range at the nodes"
+        )
+    g = _continuous_log(quotient)
 
     coeffs = circle_coefficients(circle, g)
     keep = plus_mode_mask(circle, system.plus_inside[0])

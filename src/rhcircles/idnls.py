@@ -44,7 +44,6 @@ from .rhp import (
     JumpData,
     RHProblem,
     RHSolution,
-    evaluate_m,
     matrix_at,
     solve,
 )
@@ -476,7 +475,7 @@ class IdnlsSolution:
         """
         w = np.asarray(z, dtype=np.complex128)
         flat = w.reshape(-1)
-        m = self.augmented.undo(flat, evaluate_m(self.solution, flat))
+        m = self.augmented.undo(flat, self.solution.evaluate(flat))
         return m.reshape(w.shape + m.shape[1:])
 
 

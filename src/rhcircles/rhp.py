@@ -38,8 +38,8 @@ or the section, less its identity rows or columns, and factors the rest
 once per solve (_ToeplitzLU): one step of
 inverse iteration bounds sigma_min from above, and a Lanczos run on the
 LU gives it when that bound does not already certify the operator as
-near singular.  The LU solves only by trsv pairs, and its solve takes
-one corrective step (_refined).
+near singular.  The LU solves only by trsv pairs, and its solve is the
+answer: T is assembled in one place (_operator_rows) and never applied.
 
 A square section of a symbol that winds loses modes at the Nyquist seam
 of its mode set, so where det v winds on several circles and the
@@ -279,9 +279,9 @@ class RHSolution:
     midpoints, with v in closed form (see the module docstring).
     solver_path is "krylov" for a solve by GMRES on a positivity-certified
     one-circle section (_KrylovSection), whose answer is final, and "lu"
-    for a solve by the LU of T in the Fourier basis (_ToeplitzLU) with
-    one corrective step, less the Nyquist-seam rows and columns of an
-    alias kernel where the solve left them out.
+    for a solve by the LU of T in the Fourier basis (_ToeplitzLU), less
+    the Nyquist-seam rows and columns of an alias kernel where the solve
+    left them out.
     smallest_singular_value is a bound on or value of sigma_min of the
     operator solved, and sigma_source says which:
       "positivity": on one circle with one zero splitting half, the
@@ -772,11 +772,10 @@ class _ToeplitzLU:
     from_basis maps them back; both are unitary.  In the basis it offers
     what solve needs: solve(y, adjoint) for T^(-1) y or T^(-H) y, one
     vector or column at a time by the trsv pairs of _lu_vector_solver,
-    matvec(x) = T x, its order, and singular, true when the LU met an
-    exact zero pivot.  solve does not check y: a value that is not
-    finite, or a zero pivot, gives output that is not finite, which
-    _refined refuses and the Lanczos run and the null vectors read as
-    singular.
+    its order, and singular, true when the LU met an exact zero pivot.
+    solve does not check y: a value that is not finite, or a zero pivot,
+    gives output that is not finite, which the module's solve refuses
+    and the Lanczos run and the null vectors read as singular.
 
     A is T at the basis indices kept, the only matrix LU-factored, and
     the identity block is at unit.  T takes one of two forms on (unit,
@@ -793,9 +792,9 @@ class _ToeplitzLU:
 
     Only A's LU and b are kept, one assembly per factorization (_build):
     _operator_rows writes A where lu_factor overwrites it, and no other
-    copy of T exists.  matvec applies all of T, nothing left out, from
-    its pieces instead, as the formula of _operator_rows reads.
-    Subtractions, transforms and applies run with floating-point
+    copy of T exists but T's rows at the equations left out
+    (equation_rows, _factor), which _check_left_out reads.  T is never
+    applied.  Subtractions and transforms run with floating-point
     warnings off, as the BLAS and LAPACK calls do.
     """
 
@@ -809,7 +808,7 @@ class _ToeplitzLU:
         """Assemble A and b and factor A less the equations and unknowns
         given (_factor), having dropped any LU and b held before, so that
         a factorization after the first peaks no higher than the first."""
-        self.lu = self.b = self._section_vector = None
+        self.lu = self.b = self._section_vector = self.equation_rows = None
         a, self.b, self.kept, self.unit = _operator_rows(self.problem)
         # lu_factor refuses an A that is not finite; b is refused the same
         # way, since with identity columns a value that overflows can land
@@ -822,7 +821,10 @@ class _ToeplitzLU:
         unknown columns at the basis indices equations and unknowns (as
         many of each, pairwise, all within kept).
 
-        Each such row and column of a is zeroed but for s where they
+        T's rows at the equations are copied first, as equation_rows:
+        A's rows, and with identity rows B's (T's rows at kept are [B, A]
+        there, and [0, A] with identity columns, which gives None).
+        Then each such row and column of a is zeroed but for s where they
         cross, so that the factored A is the reduced one and, decoupled
         from it, s times the identity.  s is the norm of A's first column
         not left out, at least sigma_min of the reduced T, which no
@@ -834,9 +836,10 @@ class _ToeplitzLU:
         it, so lu_factor makes no copy of it.
         """
         self.left_out = tuple(np.array(i, dtype=int) for i in (equations, unknowns))
-        if len(equations):
-            indices = np.arange(self.order)[self.kept]
-            eq, unknown = (np.searchsorted(indices, i) for i in self.left_out)
+        indices = np.arange(self.order)[self.kept]
+        eq, unknown = (np.searchsorted(indices, i) for i in self.left_out)
+        self.equation_rows = a[eq], self.b[eq] if self.identity_rows else None
+        if len(eq):
             first = np.setdiff1d(np.arange(a.shape[1]), unknown)[0]
             scale = scipy.linalg.norm(a[:, first])
             a[eq], a[:, unknown] = 0.0, 0.0
@@ -885,54 +888,6 @@ class _ToeplitzLU:
             if not lower:
                 x[unit] -= self._coupled(x[kept], adjoint)
         return x
-
-    @np.errstate(all="ignore")
-    def matvec(self, x):
-        """T x, for x a vector or columns, with nothing left out.
-
-        On each circle i, the self block is the block circulant of
-        b_minus on the modes K C+ keeps there and that of b_plus on the
-        others O (_circulant).  Each cross block is _cross_block of the
-        circle pair times the source's node values of x (w_plus +
-        w_minus), summed at circle i's nodes and sent into its basis by
-        one FFT.  A source circle whose w_plus + w_minus is zero adds
-        nothing and is skipped.
-        """
-        data, n, system = self.problem.data, self.n, self.system
-        circles, slices = system.circles, system.node_slices()
-        symbols = data.b_minus().values, data.b_plus().values
-        w = (data.w_plus + data.w_minus).values
-        columns = x.reshape(self.order, -1)
-        parts = [
-            (circle, nodes, columns[nodes.start * n : nodes.stop * n])
-            for circle, nodes in zip(circles, slices)
-        ]
-        # each source circle's density at its nodes, (m, n * columns)
-        density = {}
-        for j, (circle, nodes, x_j) in enumerate(parts):
-            if np.any(w[nodes]):
-                m = circle.node_count
-                values = _from_unitary(circle, x_j.reshape(m, n, -1))
-                values = np.einsum("lcj,lcb->lbj", values, w[nodes])
-                density[j] = values.reshape(m, -1)
-        out = np.empty(columns.shape, dtype=np.complex128)
-        for i, (circle, nodes, x_i) in enumerate(parts):
-            m = circle.node_count
-            # C+ keeps the first half of the modes where the plus side is inside
-            halves = [_circulant(circle, x_i, s[nodes]) for s in symbols]
-            if not system.plus_inside[i]:
-                halves.reverse()
-            first, part = m // 2 * n, out[nodes.start * n : nodes.stop * n]
-            part[:first], part[first:] = halves[0][:first], halves[1][first:]
-            near = [
-                _cross_block(circle.points(), circles[j]) @ d
-                for j, d in density.items()
-                if j != i
-            ]
-            if near:
-                near = _to_unitary(circle, sum(near).reshape(m, n, -1))
-                part -= near.reshape(part.shape)
-        return out.reshape(x.shape)
 
 
 @np.errstate(all="ignore")
@@ -1018,9 +973,8 @@ class _KrylovSection:
     solve(y) is T^(-1) y for columns y.  It refuses y that is not finite
     with the ValueError of np.asarray_chkfinite, and raises ValueError
     where GMRES meets a value that is not finite.  Its answer is final:
-    GMRES on a twice-orthogonalized basis is backward stable, and no
-    corrective step follows.  It runs with floating-point warnings off,
-    as _ToeplitzLU's applies do.
+    GMRES on a twice-orthogonalized basis is backward stable.  It runs
+    with floating-point warnings off, as _ToeplitzLU's solves do.
     """
 
     def __init__(self, p, rows, fixed, s, bound):
@@ -1130,15 +1084,6 @@ def _null_vectors(op) -> tuple[np.ndarray, np.ndarray, float]:
     return r, l, bound
 
 
-def _refined(op: _ToeplitzLU, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """op's LU solve x1 of T x = rhs, corrected by one step on its residual
-    rhs - T x1 (backward stable in working precision, Higham 1997), and
-    that residual.  A rhs or residual that is not finite raises ValueError."""
-    x = op.solve(np.asarray_chkfinite(rhs))
-    residual = np.asarray_chkfinite(rhs - op.matvec(x))
-    return x + op.solve(residual), residual
-
-
 def _certified_lu(op: _ToeplitzLU, band: np.ndarray, sigma_min: float) -> float:
     """sigma_min of the factored operator op, once it is at least
     sigma_min; otherwise a NearSingularOperatorError, unless the kernel
@@ -1190,10 +1135,12 @@ def _certified_lu(op: _ToeplitzLU, band: np.ndarray, sigma_min: float) -> float:
 
 
 def _check_left_out(
-    op: _ToeplitzLU, residual: np.ndarray, rhs: np.ndarray, smallest: float
+    op: _ToeplitzLU, x: np.ndarray, rhs: np.ndarray, smallest: float
 ):
-    """Refuse op's solution of T x = rhs unless the equations op left out
-    hold to ALIAS_BAND_CONTENT max(|rhs|, 1) in residual, as _refined gives it.
+    """Refuse op's solution x of T x = rhs unless the equations op left out
+    hold to ALIAS_BAND_CONTENT max(|rhs|, 1), their residual taken from
+    T's own rows there (op.equation_rows).  A residual that is not finite
+    raises ValueError, as an answer that is not finite does.
 
     The unknowns left out are 0, so an equation left out holds only as
     far as rhs has no component along T's left null vector l: its
@@ -1203,7 +1150,12 @@ def _check_left_out(
     residual reports too.  Above it the equations left out carried
     band-limited content, and the system is inconsistent.
     """
-    gap = float(np.max(np.abs(residual[op.left_out[0]]), initial=0.0))
+    rows_a, rows_b = op.equation_rows
+    with np.errstate(all="ignore"):
+        residual = rhs[op.left_out[0]] - rows_a @ x[op.kept]
+        if rows_b is not None:
+            residual -= rows_b @ x[op.unit]
+    gap = float(np.max(np.abs(np.asarray_chkfinite(residual)), initial=0.0))
     if not gap <= ALIAS_BAND_CONTENT * max(float(np.max(np.abs(rhs))), 1.0):
         raise NearSingularOperatorError(
             smallest,
@@ -1215,8 +1167,7 @@ def _check_left_out(
 
 
 def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
-    """Solve the discrete equation one way: by GMRES, or by the LU with
-    one corrective step.
+    """Solve the discrete equation one way: by GMRES, or by the LU.
 
     Everything runs in the per-circle unitary Fourier basis, so
     sigma_min, the null vectors and x are those of T itself.  Where a
@@ -1237,9 +1188,10 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     here) and are refused rather than returning a polluted solution; an
     alias kernel no winding accounted for has the row and column where
     the null vectors peak left out, once, and one that is left after that
-    is refused too.  The LU solve plus one corrective step (_refined) is
-    then the answer ("lu"), with the unknowns left out 0, once the
-    equations left out hold (_check_left_out).
+    is refused too.  The LU solve is then the answer ("lu"), with the
+    unknowns left out 0, once it is finite (a right-hand side or an
+    answer that is not raises the ValueError of np.asarray_chkfinite) and
+    the equations left out hold (_check_left_out).
     Each path leaves on p the lower bound on the band values that
     index_diagnostics reads (RHProblem.band_sigma_lower_bound).  A jump
     residual that is not finite (boundary values that overflow at the
@@ -1263,8 +1215,8 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     if path == "krylov":
         x = op.solve(rhs)
     else:
-        x, residual = _refined(op, rhs)
-        _check_left_out(op, residual, rhs, smallest)
+        x = np.asarray_chkfinite(op.solve(np.asarray_chkfinite(rhs)))
+        _check_left_out(op, x, rhs, smallest)
     # smallest is the positivity certificate or the Lanczos value of the
     # factored operator; a failed run reads 0.0
     if smallest > 0.0:

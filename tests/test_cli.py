@@ -1035,6 +1035,26 @@ def test_huge_jump_entries_raise_no_warning(jump, code, stderr, tmp_path, capsys
     assert capsys.readouterr().err == stderr
 
 
+def test_far_anchor_is_refused_without_a_warning(tmp_path, capsys):
+    # z_minus at 1e300 takes theta = (z / (z - z_minus))^2 below the
+    # double range at every node: the anchors are refused where they
+    # enter, with no warning from v / theta or its logarithm
+    doc = {
+        "version": 1,
+        "mode": "factorize-scalar",
+        "contour": [{"center": [0.0, 0.0], "radius": 1.0, "nodes": 64}],
+        "jump": [["z^2"]],
+        "anchors": {"z_plus": [0, 0], "z_minus": [1e300, 0]},
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, report = run("factorize-scalar", write_problem(tmp_path, doc), tmp_path)
+    assert [str(w.message) for w in caught] == []
+    assert got == 1 and report is None
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("rhc: invalid input: anchors ")
+
+
 @pytest.mark.parametrize(
     "entry, message",
     [

@@ -19,8 +19,7 @@ from conftest import rational_exact, two_einsum_operator
 
 class _MatrixLU(rhp._ToeplitzLU):
     """The factored-operator class on a given matrix t, in the basis of
-    t's own rows: every row and column in the LU, none an identity, and
-    T x the product with t itself."""
+    t's own rows: every row and column in the LU, none an identity."""
 
     def __init__(self, t):
         self.t, self.order, self.identity_rows = t, t.shape[0], False
@@ -30,9 +29,6 @@ class _MatrixLU(rhp._ToeplitzLU):
         self.kept, self.unit = slice(0, self.order), slice(0, 0)
         self.b = np.zeros((0, self.order), dtype=self.t.dtype)
         self._factor(np.array(self.t, order="F"), equations, unknowns)
-
-    def matvec(self, x):
-        return self.t @ x
 
     def to_basis(self, y):
         return y
@@ -572,8 +568,8 @@ def test_one_dimensional_kernel_is_left_out_where_its_null_vectors_peak():
     assert [i.tolist() for i in op.left_out] == [[row], [column]]
     reduced = np.delete(np.delete(t, row, axis=0), column, axis=1)
     assert abs(smallest - scipy.linalg.svdvals(reduced)[-1]) <= 1e-10 * smallest
-    x, residual = rhp._refined(op, rhs)
-    rhp._check_left_out(op, residual, rhs, smallest)  # consistent: not refused
+    x = op.solve(rhs)
+    rhp._check_left_out(op, x, rhs, smallest)  # consistent: not refused
     assert np.all(x[column] == 0.0)
     assert np.max(np.abs(t @ x - rhs)) < 1e-10
     # the pseudoinverse solution, up to a multiple of the null vector
@@ -594,9 +590,9 @@ def test_inconsistent_system_is_refused_after_leaving_out():
     r, l, _ = rhp._null_vectors(op)
     rhs = rhs + l[:, None] * np.array([[1.0, 0.0]])
     smallest = rhp._certified_lu(op, _NO_BAND, rc.SIGMA_MIN)
-    residual = rhp._refined(op, rhs)[1]
+    x = op.solve(rhs)
     with pytest.raises(rc.NearSingularOperatorError, match="inconsistent"):
-        rhp._check_left_out(op, residual, rhs, smallest)
+        rhp._check_left_out(op, x, rhs, smallest)
 
 
 def test_lanczos_refuses_a_non_positive_ritz_value():
@@ -1079,11 +1075,11 @@ def test_each_block_triangular_form_solves_t_and_its_adjoint(
 ):
     # T = [[I, 0], [B, A]] (wider 1: b is B, T's kept rows at unit),
     # [[I, C], [0, A]] (wider -1: b is C, T's unit rows at kept), or all of
-    # T in A (wider 0): the solves with T and T^H and the product with T
-    # against dense T.  With modes left out, as solve leaves them out (the
-    # alias beside the identity rows from its null vectors, the conjugated
-    # soliton's from _left_out), the solves are those of T with the rows
-    # and columns left out replaced by s at their crossings, their inputs
+    # T in A (wider 0): the solves with T and T^H against dense T.  With
+    # modes left out, as solve leaves them out (the alias beside the
+    # identity rows from its null vectors, the conjugated soliton's from
+    # _left_out), the solves are those of T with the rows and columns
+    # left out replaced by s at their crossings, their inputs
     # there 0, and b is T's coupling block as it is
     p = {
         "identity_rows": lambda: rc.RHProblem.from_jump(rational_radius6[1]),
@@ -1109,34 +1105,28 @@ def test_each_block_triangular_form_solves_t_and_its_adjoint(
         reduced[eq, unknown] = np.linalg.norm(t[kept, first])
     rng = np.random.default_rng(7)
     y = rng.standard_normal(op.order) + 1j * rng.standard_normal(op.order)
-    checks = [(op.matvec(y), t @ y)]
     for adjoint, dense in ((False, reduced), (True, reduced.conj().T)):
         given = y.copy()
         given[op.left_out[adjoint]] = 0.0
-        checks.append((op.solve(y, adjoint=adjoint), np.linalg.solve(dense, given)))
-    for got, want in checks:
+        got, want = op.solve(y, adjoint=adjoint), np.linalg.solve(dense, given)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    _assert_applies_match(op, t)
 
 
-def _assert_applies_match(op, t):
-    # T x, applied from T's pieces, against all of T, on one vector and
-    # on two columns
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((op.order, 2)) + 1j * rng.standard_normal((op.order, 2))
-    checks = [(op.matvec(x), t @ x), (op.matvec(x[:, 0]), t @ x[:, 0])]
-    for got, want in checks:
-        assert got.shape == want.shape
-        assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(want), 1e-300)
-
-
-def test_three_circle_applies_from_the_pieces_match_all_of_t():
+def test_three_circle_solves_from_the_pieces_match_all_of_t():
     # 64, 16 and 24 nodes; the middle circle's jump is I, so its columns
-    # are unit vectors and it adds no density to the cross blocks
+    # are unit vectors and it adds no density to the cross blocks.  The
+    # solves with T and T^H, on one vector and on two columns, against
+    # dense T
     p = _three_circle_problem_with_an_identity_jump()
-    op = rhp._ToeplitzLU(p)
+    op, t = rhp._ToeplitzLU(p), rhp._operator(p)
     assert not op.identity_rows and op.b.shape == (16, 88)
-    _assert_applies_match(op, rhp._operator(p))
+    rng = np.random.default_rng(11)
+    y = rng.standard_normal((op.order, 2)) + 1j * rng.standard_normal((op.order, 2))
+    for adjoint, dense in ((False, t), (True, t.conj().T)):
+        for given in (y, y[:, 0]):
+            got, want = op.solve(given, adjoint=adjoint), np.linalg.solve(dense, given)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_lu_keeps_no_copy_of_t_beside_its_pieces():
@@ -1173,16 +1163,36 @@ def test_alias_refactor_builds_without_the_old_lu():
     assert peak <= 1.25 * (op.lu[0].nbytes + op.b.nbytes)
 
 
-def test_lu_solve_applies_t_once(monkeypatch):
-    # 5 circles: T is applied once per solve, for the corrective step,
-    # each circle's self block as two circulants; the check of the
-    # equations left out reads that residual
+def test_lu_solve_applies_t_never(monkeypatch):
+    # 5 circles, with equations left out: the LU solve is the answer, and
+    # the check of the equations left out reads T's own rows there, so T
+    # is never applied (an apply would take two circulants per circle)
     p = _conjugated_soliton_problem()
     assert len(rhp._left_out(p)[0]) > 0
     circulants = _counted(monkeypatch, rhp, "_circulant")
     sol = rc.solve(p)
     assert len(p.system.circles) == 5 and sol.solver_path == "lu"
-    assert len(circulants) == 2 * 5
+    assert circulants == []
+
+
+def test_lu_answer_that_is_not_finite_is_invalid_input(monkeypatch):
+    # the final solve, of one column per row of h, overflows while
+    # equations are left out: its answer is refused as not finite
+    # (ValueError, exit 1), before the check of the equations left out
+    # could read the overflow as an inconsistent system (exit 3)
+    p = _conjugated_soliton_problem()
+    assert len(rhp._left_out(p)[0]) > 0
+    solve = rhp._ToeplitzLU.solve
+
+    def overflowing(op, y, adjoint=False):
+        x = solve(op, y, adjoint)
+        if y.ndim == 2:
+            x[op.kept] = np.inf
+        return x
+
+    monkeypatch.setattr(rhp._ToeplitzLU, "solve", overflowing)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        rc.solve(p)
 
 
 def test_identity_jump_on_two_circles_factors_nothing():
@@ -2114,7 +2124,7 @@ def _twisted_defocusing_problem(a, b, site, nodes):
 
 def _matches_the_dense_lu(sol, make, monkeypatch, tol=1e-13):
     """Whether sol's mu is that of the LU of the dense operator of make(),
-    with one corrective step, to tol max |mu|."""
+    to tol max |mu|."""
     monkeypatch.setattr(
         rhp, "_ToeplitzLU", lambda p, *_: _MatrixLU(two_einsum_operator(p))
     )
