@@ -117,6 +117,22 @@ def _winding(samples: np.ndarray, delta_inv: float, circle_index: int = 0) -> in
     return int(nearest)
 
 
+def _nodewise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[l] @ b[l] at every node l, for stacks (L, p, q) and (L, q, r); a
+    constant left factor goes in as a[None].
+
+    Summed over q as broadcast products, which outrun einsum's loops over
+    a short, strided axis several times at n = 2, with floating-point
+    warnings off, as einsum runs: an entry that overflows is inf, for the
+    caller to refuse.
+    """
+    with np.errstate(all="ignore"):
+        out = a[:, :, 0, None] * b[:, None, 0, :]
+        for k in range(1, a.shape[2]):
+            out += a[:, :, k, None] * b[:, None, k, :]
+    return out
+
+
 def _matrix_values(fn: Callable, points: np.ndarray) -> np.ndarray:
     """An evaluator's values at P points, as a (P, n, n) array.
 
@@ -203,9 +219,7 @@ class GridFunction:
         """Nodewise matrix product, or scaling by a constant."""
         if isinstance(other, GridFunction):
             self._check(other)
-            return GridFunction(
-                self.system, np.einsum("lab,lbc->lac", self.values, other.values)
-            )
+            return GridFunction(self.system, _nodewise(self.values, other.values))
         return GridFunction(self.system, self.values * other)
 
     def inv(self) -> "GridFunction":
@@ -305,22 +319,25 @@ def cauchy_offcontour(f: GridFunction, z) -> np.ndarray:
     z is a point or an array of P points; the result is (n, n) for a point
     and (P, n, n) for an array.  The kernel is the trapezoid rule of
     _cross_block, applied to EVAL_BLOCK points at a time so that memory
-    stays bounded on large grids.  A point closer than MARGIN_FACTOR node
-    spacings to a circle, where the quadrature degrades, raises
-    TooCloseToContourError (check_margin).
+    stays bounded on large grids.  The density is laid out entries-major
+    once, (n n, total_nodes), so that each entry's sum over the nodes runs
+    along contiguous memory.  The sum is einsum's, not BLAS's: a BLAS
+    product may round a row differently by the size of its block, and
+    then a point's value would depend on the points evaluated with it.
+    A point closer than MARGIN_FACTOR node spacings to a circle, where
+    the quadrature degrades, raises TooCloseToContourError (check_margin).
     """
     check_margin(f.system, z)
     pts = np.asarray(z, dtype=np.complex128)
     flat = pts.reshape(-1)
-    out = np.empty((flat.size,) + f.values.shape[1:], dtype=np.complex128)
+    density = np.ascontiguousarray(f.values.reshape(len(f.values), -1).T)
+    out = np.empty((flat.size, density.shape[0]), dtype=np.complex128)
     for start in range(0, flat.size, EVAL_BLOCK):
         block = flat[start : start + EVAL_BLOCK]
         kern = np.concatenate(
             [_cross_block(block, c) for c in f.system.circles], axis=1
         )
-        out[start : start + block.size] = np.einsum(
-            "pl,lab->pab", kern, f.values
-        )
+        out[start : start + block.size] = np.einsum("pl,kl->pk", kern, density)
     return out.reshape(pts.shape + f.values.shape[1:])
 
 

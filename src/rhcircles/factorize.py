@@ -17,6 +17,7 @@ import numpy as np
 
 from .cauchy import (
     GridFunction,
+    _nodewise,
     _winding,
     check_margin,
     circle_coefficients,
@@ -288,7 +289,7 @@ def hermitian_factorize(
         angles = np.angle(1.0 / np.conj(c.points()) - system.circles[j].center)
         mirror_plus.append(sol.boundary_values(j, angles)[0])
     sharp = np.conj(np.swapaxes(np.concatenate(mirror_plus), 1, 2))
-    c_all = np.einsum("lab,lbc->lac", np.linalg.inv(sharp), sol.m_minus.inv().values)
+    c_all = _nodewise(np.linalg.inv(sharp), sol.m_minus.inv().values)
     c_mean = c_all.mean(axis=0)
     deviation = float(np.max(np.abs(c_all - c_mean)))
     stddev = float(np.sqrt(np.mean(np.abs(c_all - c_mean) ** 2)))
@@ -306,11 +307,9 @@ def hermitian_factorize(
         )
     sqrt_r = (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
 
-    w_plus = GridFunction(
-        system, np.einsum("ab,lbc->lac", sqrt_r, sol.m_plus.values)
-    )
+    w_plus = GridFunction(system, _nodewise(sqrt_r[None], sol.m_plus.values))
 
-    product = np.einsum("lab,bc,lcd->lad", sharp, c_herm, sol.m_plus.values)
+    product = _nodewise(_nodewise(sharp, c_herm[None]), sol.m_plus.values)
     # np.max of a NaN gap is NaN: it must not read as a zero residual
     worst = float(np.max(np.abs(v.v.values - product)))
 

@@ -62,6 +62,7 @@ boundary values there take one phase-shifted inverse FFT per circle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,6 +75,7 @@ from .cauchy import (
     _cross_block,
     _winding,
     _matrix_values,
+    _nodewise,
     boundary_values_at_midpoints,
     boundary_values_on_circle,
     cauchy_offcontour,
@@ -297,12 +299,12 @@ class RHSolution:
     LU-factored: T's order less its identity rows or columns
     (_operator_rows) on the LU path, and 0 on the Krylov path, where
     nothing is factored.
+    m_plus = mu b_plus and m_minus = mu b_minus, the boundary values at
+    the nodes, are computed on first read and kept.
     """
 
     problem: RHProblem
     mu: GridFunction
-    m_plus: GridFunction
-    m_minus: GridFunction
     residual_jump: float
     smallest_singular_value: float
     sigma_source: str
@@ -310,6 +312,14 @@ class RHSolution:
     operator_order: int
     factored_order: int
     cauchy_density: GridFunction = field(repr=False)
+
+    @cached_property
+    def m_plus(self) -> GridFunction:
+        return self.mu * self.problem.data.b_plus()
+
+    @cached_property
+    def m_minus(self) -> GridFunction:
+        return self.mu * self.problem.data.b_minus()
 
     @property
     def system(self) -> ContourSystem:
@@ -352,7 +362,7 @@ def _midpoint_residual(p: RHProblem, sol: RHSolution) -> float:
             p.system, sol.cauchy_density.values, i
         )
         v_mid = p.data.jump.at(i, pts)
-        gap = plus + sol.h - np.einsum("lab,lbc->lac", minus + sol.h, v_mid)
+        gap = plus + sol.h - _nodewise(minus + sol.h, v_mid)
         # np.maximum, not max: a NaN gap must not read as a zero residual
         worst = float(np.maximum(worst, np.max(np.abs(gap))))
     return worst
@@ -689,7 +699,7 @@ def _positivity_bound(s: np.ndarray) -> float | None:
         u = s / scale
         re_u = 0.5 * u + 0.5 * np.conj(np.swapaxes(u, 1, 2))
         delta = scale * np.min(_hermitian_extremes(re_u)[0])
-        gram = np.einsum("lab,lac->lbc", np.conj(u), u)  # u^H u
+        gram = _nodewise(np.conj(np.swapaxes(u, 1, 2)), u)  # u^H u
         big = scale * np.sqrt(np.max(_hermitian_extremes(gram)[1]))
         delta -= POSITIVITY_MARGIN_ULPS * np.finfo(float).eps * big * s.shape[0]
         if not delta > 0.0:
@@ -757,7 +767,7 @@ def _circulant(circle, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     times u at each node, one inverse FFT and one FFT; its sqrt(m)
     factors cancel."""
     values = circle_values(circle, x.reshape(*u.shape[:2], -1))
-    values = np.einsum("lcj,lcb->lbj", values, u)
+    values = _nodewise(np.swapaxes(u, 1, 2), values)
     return circle_coefficients(circle, values).reshape(x.shape)
 
 
@@ -950,6 +960,21 @@ def _gmres(apply, b: np.ndarray, tol: float) -> np.ndarray | None:
     return coef @ basis[: len(columns)]
 
 
+def _node_inverses(u: np.ndarray) -> np.ndarray:
+    """The inverse of each u_l, (m, n, n): for n = 2 the adjugate over the
+    determinant, a sixth of the time of numpy's batched inverse at 512
+    nodes, and that inverse otherwise.  The closed form is safe for a
+    certified section's u only: it is scaled to max |u| = 1, so nothing
+    overflows, and Re u_l > 0 keeps the determinant away from 0."""
+    if u.shape[1] != 2:
+        return np.linalg.inv(u)
+    inv = np.empty_like(u)
+    inv[:, 0, 0], inv[:, 1, 1] = u[:, 1, 1], u[:, 0, 0]
+    inv[:, 0, 1], inv[:, 1, 0] = -u[:, 0, 1], -u[:, 1, 0]
+    inv /= (u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0])[:, None, None]
+    return inv
+
+
 class _KrylovSection:
     """T = [[I, 0], [B, A]] of _one_circle_section on (fixed, rows),
     applied matrix-free and solved by GMRES, for a section whose symbol
@@ -985,13 +1010,13 @@ class _KrylovSection:
         with np.errstate(all="ignore"):
             self.scale = np.max(np.abs(s))
             self.u = s / self.scale
-            self.u_inv = np.linalg.inv(self.u)
+            self.u_inv = _node_inverses(self.u)
 
     to_basis, from_basis = _ToeplitzLU.to_basis, _ToeplitzLU.from_basis
 
     def _section(self, x, u):
         """The section of that circulant on the rows, on x there."""
-        full = np.zeros(self.order, dtype=np.complex128)
+        full = np.zeros((self.order,) + x.shape[1:], dtype=np.complex128)
         full[self.rows] = x
         return _circulant(self.circle, full, u)[self.rows]
 
@@ -1010,11 +1035,13 @@ class _KrylovSection:
         # one apply, two FFT pairs over m nodes, errs by about 2 log2(m)
         # ulps of its input: a smaller residual estimate is rounding
         tol = 2.0 * np.log2(self.u.shape[0]) * np.finfo(float).eps
+        y = np.empty_like(rhs)
         for j in range(x.shape[1]):
             y_j = _gmres(preconditioned, rhs[:, j], tol)
             if y_j is None:
                 raise ValueError("GMRES met a value that is not finite")
-            x[self.rows, j] = self._section(y_j, self.u_inv)
+            y[:, j] = y_j
+        x[self.rows] = self._section(y, self.u_inv)
         return x
 
 
@@ -1227,8 +1254,6 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     sol = RHSolution(
         problem=p,
         mu=mu,
-        m_plus=mu * p.data.b_plus(),
-        m_minus=mu * p.data.b_minus(),
         residual_jump=0.0,
         smallest_singular_value=smallest,
         sigma_source=source,

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,63 @@ def test_offcontour_array_names_first_too_close_point(unit_ccw_64):
     got = rc.cauchy_offcontour(f, ok)
     assert got.shape == (3, 1, 1)
     assert np.array_equal(got, np.stack([rc.cauchy_offcontour(f, w) for w in ok]))
+
+
+def test_offcontour_block_rows_equal_their_one_point_values():
+    # 300 points cross an EVAL_BLOCK boundary; each row of a block must be
+    # summed as it would be alone, bit for bit
+    system = rc.build_contour(
+        [
+            rc.Circle(0j, 1.0, rc.CCW, 48),
+            rc.Circle(3.0 + 0j, 0.5, rc.CCW, 24),
+            rc.Circle(-2.0 + 1.0j, 0.4, rc.CCW, 16),
+        ]
+    )
+    rng = np.random.default_rng(5)
+    f = rc.GridFunction(
+        system, rng.standard_normal((88, 2, 2)) + 1j * rng.standard_normal((88, 2, 2))
+    )
+    z = 6.0 + 4.0j * np.exp(2j * np.pi * rng.random(300))
+    assert z.size > cauchy.EVAL_BLOCK
+    got = rc.cauchy_offcontour(f, z)
+    assert got.shape == (300, 2, 2)
+    assert np.array_equal(got, np.stack([rc.cauchy_offcontour(f, w) for w in z]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nodewise_matches_einsum(n):
+    rng = np.random.default_rng(n)
+    a, b = (
+        rng.standard_normal((40, n, n)) + 1j * rng.standard_normal((40, n, n))
+        for _ in range(2)
+    )
+    got = cauchy._nodewise(a, b)
+    bound = 4.0 * np.finfo(float).eps * (
+        np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2))
+    )
+    error = np.max(np.abs(got - np.einsum("lab,lbc->lac", a, b)), axis=(1, 2))
+    assert got.shape == (40, n, n)
+    assert np.all(error <= bound)
+
+
+def test_nodewise_takes_views_and_a_constant_left_factor():
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal((30, 2, 2)) + 1j * rng.standard_normal((30, 2, 2))
+    x = rng.standard_normal((30, 2, 3)) + 1j * rng.standard_normal((30, 2, 3))
+    c = rng.standard_normal((2, 2))
+    transposed = cauchy._nodewise(np.swapaxes(u, 1, 2), x)
+    assert np.max(np.abs(transposed - np.einsum("lcb,lcj->lbj", u, x))) <= 1e-14
+    scaled = cauchy._nodewise(c[None], u)
+    assert scaled.shape == (30, 2, 2)
+    assert np.max(np.abs(scaled - np.einsum("ab,lbc->lac", c, u))) <= 1e-14
+
+
+def test_nodewise_overflow_is_inf_without_a_warning():
+    a = np.full((4, 2, 2), 1e200 + 0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cauchy._nodewise(a, a)
+    assert np.all(np.isinf(got.real))
 
 
 @pytest.mark.parametrize("orientation", [rc.CCW, rc.CW])

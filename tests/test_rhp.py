@@ -155,6 +155,16 @@ def test_boundary_relation_and_residual(rational_radius6):
     assert 0.0 <= sol.residual_jump < 1e-12
 
 
+def test_node_boundary_values_are_built_on_first_read(rational_radius6):
+    _, jump = rational_radius6
+    sol = rc.solve(rc.RHProblem.from_jump(jump))
+    assert "m_plus" not in vars(sol) and "m_minus" not in vars(sol)
+    m_plus = sol.m_plus
+    assert "m_plus" in vars(sol) and "m_minus" not in vars(sol)
+    assert sol.m_plus is m_plus
+    assert sol.m_minus is vars(sol)["m_minus"]
+
+
 def test_winding_one_jump_is_near_singular():
     system = rc.build_contour([rc.Circle(0j, 1.0, rc.CCW, 128)])
     v = rc.JumpData.from_evaluator(system, lambda z: z)
@@ -2005,6 +2015,18 @@ def test_positivity_bound_of_a_3x3_symbol():
         p = rc.RHProblem.from_jump(jump, side=side)
         bound = rhp._certified_section(p, 0.0).sigma_lower_bound
         assert 0.0 < bound <= scipy.linalg.svdvals(two_einsum_operator(p))[-1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_node_inverses_match_lapack_on_a_scaled_positive_symbol(n):
+    # n = 2 takes the adjugate over the determinant, the rest LAPACK
+    rng = np.random.default_rng(n)
+    noise = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
+    u = np.eye(n) + 0.2 * noise
+    u /= np.max(np.abs(u))
+    reference = np.linalg.inv(u)
+    got = rhp._node_inverses(u)
+    assert np.max(np.abs(got - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 def test_positivity_certificate_takes_its_formula_value():
