@@ -13,6 +13,7 @@ one-circle Cauchy projections in the Fourier basis.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import wraps
@@ -81,6 +82,11 @@ class Circle:
             ) from None
         if self.node_count < 4 or self.node_count % 2 != 0:
             raise ValueError("node_count must be even and at least 4")
+        # the nodes, and every distance to a point of the circle, stay in
+        # the double range (hypot gives inf where abs(center) would raise)
+        reach = math.hypot(self.center.real, self.center.imag) + self.radius
+        if not math.isfinite(reach):
+            raise ValueError(f"circle leaves the double range: {self}")
 
     @property
     def sign(self) -> int:

@@ -269,11 +269,23 @@ def remove_poles(
     return AugmentedProblem(jump=jump, roles=tuple(roles), spec=spec, undo=undo)
 
 
+@np.errstate(all="ignore")
+def _conjugation_factors(spec: IdnlsSpec) -> tuple[complex, list, list]:
+    """prod = z_1 ... z_J, and per pole kappa_j = prod / z_j q_j, the
+    entry of B_j and of pole circle j's conjugated jump, and lambda_j =
+    conj(prod) gamma_j, that of inverted pole circle j's; one that is not
+    finite makes a jump that JumpData refuses."""
+    z = spec.pole_locations()
+    q, gamma = _norming_factors(spec)
+    prod = complex(np.prod(z)) if len(z) else 1.0 + 0.0j
+    kappa = [prod / zj * qj for zj, qj in zip(z, q)]
+    lam = [np.conj(prod) * gj for gj in gamma]
+    return prod, kappa, lam
+
+
 def conjugation_matrices(spec: IdnlsSpec):
     """The region-wise factors (A, B_j list, C) used by conjugate()."""
-    z = spec.pole_locations()
-    prod = complex(np.prod(z)) if len(z) else 1.0 + 0.0j
-    q, _ = _norming_factors(spec)
+    prod, kappa, _ = _conjugation_factors(spec)
 
     def a_mat(w) -> np.ndarray:
         return matrix_at(w, [[prod, 0.0], [0.0, w]])
@@ -282,14 +294,12 @@ def conjugation_matrices(spec: IdnlsSpec):
         return matrix_at(w, [[1.0 / np.conj(prod), 0.0], [0.0, w]])
 
     def b_mat(j: int) -> Callable:
-        beta = prod / z[j] * q[j]
-
         def mat(w) -> np.ndarray:
-            return matrix_at(w, [[prod, 0.0], [-beta, w]])
+            return matrix_at(w, [[prod, 0.0], [-kappa[j], w]])
 
         return mat
 
-    return a_mat, [b_mat(j) for j in range(len(z))], c_mat
+    return a_mat, [b_mat(j) for j in range(len(kappa))], c_mat
 
 
 def conjugate(ap: AugmentedProblem, node_count: int = 64) -> AugmentedProblem:
@@ -312,8 +322,7 @@ def conjugate(ap: AugmentedProblem, node_count: int = 64) -> AugmentedProblem:
     z = spec.pole_locations()
     mirrors = spec.mirror_locations()
     rho = default_pole_radii(spec)
-    q, gamma = _norming_factors(spec)
-    prod = complex(np.prod(z)) if j_count else 1.0 + 0.0j
+    prod, kappa, lam = _conjugation_factors(spec)
     big_r = 2.0 * max([abs(w) for w in z], default=1.0)
 
     a_mat, b_mats, c_mat = conjugation_matrices(spec)
@@ -333,18 +342,14 @@ def conjugate(ap: AugmentedProblem, node_count: int = 64) -> AugmentedProblem:
         return out
 
     def pole_jump(j: int) -> Callable:
-        kappa = prod / z[j] * q[j]
-
         def v(w) -> np.ndarray:
-            return matrix_at(w, [[1.0, 0.0], [kappa / (w - z[j]), 1.0]])
+            return matrix_at(w, [[1.0, 0.0], [kappa[j] / (w - z[j]), 1.0]])
 
         return v
 
     def mirror_jump(j: int) -> Callable:
-        lam = np.conj(prod) * gamma[j]
-
         def v(w) -> np.ndarray:
-            return matrix_at(w, [[1.0, -w * lam / (w - mirrors[j])], [0.0, 1.0]])
+            return matrix_at(w, [[1.0, -w * lam[j] / (w - mirrors[j])], [0.0, 1.0]])
 
         return v
 

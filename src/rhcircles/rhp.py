@@ -14,28 +14,25 @@ mu, so one (N*n) x (N*n) operator T serves all n rows.  T is taken in
 the per-circle unitary Fourier basis, where each circle's own Cauchy
 projections are diagonal; its block Q_ij between circles i and j is the
 trapezoid kernel of that one circle pair (_cross_block), so T is
-assembled circle pair by circle pair.  On one circle with at most one
-nonzero splitting half, T is block-triangular there, and a solve with T
-is one with the finite Toeplitz section of the jump's symbol, of order
-N*n/2.
-On any other problem, a component whose row of w_plus and of w_minus is
-zero on a whole circle never meets a cross block, so its columns of T
-are unit vectors, and a solve with T is one with T less them (the pole
-circles' unipotent triangular jumps of the IDNLS pipeline give such
-columns).  So T takes one of two block-triangular forms, identity rows
-or identity columns; a T with neither is the identity-columns form with
-no unit columns.
+assembled circle pair by circle pair.  A component whose row of w_plus
+and of w_minus is zero on a whole circle never meets a cross block, so
+its columns of T are unit vectors, and a solve with T is one with T less
+them (the pole circles' unipotent triangular jumps of the IDNLS pipeline
+give such columns).  So T is block-triangular, identity columns beside
+the rest; a T with none is that form with no unit columns.
 
 How the smallest singular value of T is obtained is part of the
 answer (RHSolution.sigma_source), and it decides how T is solved.  On
-that one-circle path a symbol whose Hermitian part is positive definite
-at every node (the source paper's hypothesis Re v > 0) bounds
-sigma_min(T) from below by its node samples alone (_positivity_bound).
-Where that certifies T, the section is applied matrix-free by FFTs and
-solved by preconditioned GMRES (_KrylovSection), whose answer is final;
-nothing is built, factored or estimated.  Every other problem builds T,
-or the section, less its identity rows or columns, and factors the rest
-once per solve (_ToeplitzLU): one step of
+one circle with at most one nonzero splitting half, a solve with T is
+one with the finite Toeplitz section of the jump's symbol, of order
+N*n/2, and a symbol whose Hermitian part is positive definite at every
+node (the source paper's hypothesis Re v > 0) bounds sigma_min(T) from
+below by its node samples alone (_positivity_bound).  Where that
+certifies T, the section is applied matrix-free by FFTs and solved by
+preconditioned GMRES (_KrylovSection), whose answer is final; nothing
+is built, factored or estimated.  Every other problem builds T less its
+identity columns, and factors the rest once per solve (_ToeplitzLU):
+one step of
 inverse iteration bounds sigma_min from above, and a Lanczos run on the
 LU gives it when that bound does not already certify the operator as
 near singular.  The LU solves only by trsv pairs, and its solve is the
@@ -61,6 +58,7 @@ boundary values there take one phase-shifted inverse FFT per circle.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -296,9 +294,10 @@ class RHSolution:
         of one direction.
     operator_order is T's own order, N n for N nodes in all and n x n
     jumps, on either path.  factored_order is the order of the matrix
-    LU-factored: T's order less its identity rows or columns
-    (_operator_rows) on the LU path, and 0 on the Krylov path, where
-    nothing is factored.
+    LU-factored: T's order less its identity columns (_operator_rows)
+    on the LU path, which is T's own order where no column of T is a
+    unit vector, as on every one-circle problem split on one side, and 0
+    on the Krylov path, where nothing is factored.
     m_plus = mu b_plus and m_minus = mu b_minus, the boundary values at
     the nodes, are computed on first read and kept.
     """
@@ -354,7 +353,11 @@ def evaluate_m(sol: RHSolution, z) -> np.ndarray:
     return sol.h + cauchy_offcontour(sol.cauchy_density, z)
 
 
+@np.errstate(all="ignore")
 def _midpoint_residual(p: RHProblem, sol: RHSolution) -> float:
+    """The largest |m_plus - m_minus v| at the inter-node midpoints, with
+    floating-point warnings off: boundary values that overflow give a
+    residual that is not finite, which solve refuses."""
     worst = 0.0
     for i, c in enumerate(p.system.circles):
         pts = c.point_at(c.angles() + c.sign * np.pi / c.node_count)
@@ -388,11 +391,20 @@ def _lanczos_sigma_min(apply, start: np.ndarray) -> float | None:
     eigenvalues cluster.  Returns sigma_min, or None
     when the run fails (no convergence, or an ARPACK error such as the
     one an inverse Gram operator that underflows to zero gives) or gives
-    an eigenvalue that is not finite and positive.
+    an eigenvalue that is not finite and positive.  It ends with None at
+    the first apply that is not finite, before ARPACK reads it: LAPACK
+    would print to stdout on the way to its error.
     """
     order = start.size
+
+    def finite_apply(y):
+        x = apply(y)
+        if not np.all(np.isfinite(x)):
+            raise FloatingPointError
+        return x
+
     gram_inverse = scipy.sparse.linalg.LinearOperator(
-        (order, order), matvec=apply, dtype=np.complex128
+        (order, order), matvec=finite_apply, dtype=np.complex128
     )
     try:
         found = scipy.sparse.linalg.eigsh(
@@ -404,7 +416,7 @@ def _lanczos_sigma_min(apply, start: np.ndarray) -> float | None:
             tol=1e-8,
             return_eigenvectors=False,
         )
-    except scipy.sparse.linalg.ArpackError:
+    except (scipy.sparse.linalg.ArpackError, FloatingPointError):
         return None
     (lam,) = found
     if not (np.isfinite(lam) and lam > 0.0):
@@ -478,26 +490,6 @@ def _half_rows(coeffs: np.ndarray, k0: int, n: int) -> np.ndarray:
     return window.transpose(1, 0, 2)
 
 
-def _one_circle_section(p: RHProblem) -> tuple[slice, slice, Callable] | None:
-    """(rows, fixed, symbol) on one circle with at most one nonzero
-    splitting half, None for every other problem.
-
-    There the other half's symbol is I, so in the circle's Fourier basis
-    T = [[I, 0], [B, A]] on the basis slices (fixed, rows), with A the
-    finite section of the Toeplitz operator of symbol(), b_minus on the
-    kept modes K when w_minus is nonzero, else b_plus on the others O.
-    """
-    data, circles = p.data, p.system.circles
-    minus_half = np.any(data.w_minus.values)
-    if len(circles) > 1 or (minus_half and np.any(data.w_plus.values)):
-        return None
-    order = p.system.total_nodes * data.dim
-    halves = slice(0, order // 2), slice(order // 2, order)
-    # C+ keeps the first half of the modes exactly where the plus side is inside
-    rows, fixed = halves if minus_half == p.system.plus_inside[0] else halves[::-1]
-    return rows, fixed, data.b_minus if minus_half else data.b_plus
-
-
 def _kept_components(p: RHProblem) -> list[np.ndarray]:
     """Per circle, the components c whose row of w_plus or of w_minus is
     nonzero at some node of the circle, in increasing order.
@@ -519,8 +511,8 @@ def _kept_components(p: RHProblem) -> list[np.ndarray]:
 @np.errstate(all="ignore")
 def _operator_rows(p: RHProblem) -> tuple:
     """T in the per-circle Fourier basis as its pieces: A, T at the basis
-    indices kept, and its coupling block b, with T's identity block, at
-    the basis indices unit, left out.
+    indices kept, and its coupling block C, T's rows at the basis indices
+    unit within the columns at kept, with T's identity block left out.
 
     The basis is each circle's unitary Fourier basis (circle_coefficients
     times sqrt(m), modes in storage order, n components per mode), circle
@@ -532,19 +524,13 @@ def _operator_rows(p: RHProblem) -> tuple:
         (T x)_i = P_K(x_i b_minus) + P_O(x_i b_plus)
                   - sum_(j != i) Q_ij(x_j (w_plus + w_minus)).
 
-    T takes one of two forms on (unit, kept):
-    - where _one_circle_section finds T = [[I, 0], [B, A]], kept and unit
-      are the two halves of the modes, and b is B: T's rows at kept,
-      split by the half of their source mode;
-    - otherwise, on the columns of the components _kept_components
-      leaves out, which are unit vectors, T = [[I, C], [0, A]], the
-      mirror image, and b is C: T's columns at kept, split by (target
-      circle, component), so that each target (circle, component) is one
-      strided run of rows of A or of C.
-    A problem with neither keeps all of T in A, the second form with
-    unit empty and C of no rows.
+    The columns of the components _kept_components leaves out are unit
+    vectors, so T = [[I, C], [0, A]] on (unit, kept), and C is split by
+    (target circle, component), so that each target (circle, component)
+    is one strided run of rows of A or of C.  Where no component is left
+    out, A is all of T and C has no rows.
 
-    A and b are written in place, one source circle j's columns at a
+    A and C are written in place, one source circle j's columns at a
     time, and nothing else of T is built.  K and O are each one half of
     the modes, and a half's rows of the self block are gathered from one
     FFT of its symbol on circle j (_half_rows).  A cross block is Q_ij
@@ -553,40 +539,23 @@ def _operator_rows(p: RHProblem) -> tuple:
     w_minus that is nonzero somewhere on circle j; an entry that is zero
     on the whole circle gives an exact zero block and is skipped.
 
-    Returns (a, b, kept, unit): A and b as F-ordered arrays, A the one
-    lu_factor(overwrite_a=True) factors in place, and kept and unit each
-    a slice or an increasing index array.  Transforms run with
-    floating-point warnings off: a value that overflows reaches
-    lu_factor, which refuses it, or _ToeplitzLU's check on b.
+    Returns (a, c, kept, unit): A and C as F-ordered arrays, A the one
+    lu_factor(overwrite_a=True) factors in place, and kept and unit
+    increasing index arrays.  Transforms run with floating-point
+    warnings off: a value that overflows reaches lu_factor, which
+    refuses it, or _ToeplitzLU's check on C.
     """
     system, n = p.system, p.data.dim
     circles, slices = system.circles, system.node_slices()
-    order = system.total_nodes * n
-    section = _one_circle_section(p)
-    if section is not None:
-        rows, fixed, symbol = section
-        circle = circles[0]
-        r = circle.node_count // 2
-        coeffs = circle_coefficients(circle, symbol().values)
-        half = _half_rows(coeffs, rows.start // n, n)
-        # A^T and B^T, C-ordered: the rows of the source modes in rows and
-        # in fixed, [column (j, c), row (k, b)]
-        a, b = (np.empty((r * n, r * n), dtype=np.complex128) for _ in range(2))
-        for out, modes in ((a, rows), (b, fixed)):
-            out.reshape(r, n, r * n)[...] = half[modes.start // n : modes.stop // n]
-        return a.T, b.T, rows, fixed
-
     components = _kept_components(p)
     others = [np.setdiff1d(np.arange(n), k) for k in components]
-    kept, unit = slice(0, order), slice(0, 0)
-    if any(map(len, others)):
-        kept, unit = (
-            np.concatenate(
-                [(np.arange(nodes.start, nodes.stop)[:, None] * n + k).ravel()
-                 for nodes, k in zip(slices, parts)]
-            )
-            for parts in (components, others)
+    kept, unit = (
+        np.concatenate(
+            [(np.arange(nodes.start, nodes.stop)[:, None] * n + k).ravel()
+             for nodes, k in zip(slices, parts)]
         )
+        for parts in (components, others)
+    )
     # each circle's first row in A (its kept components) and in C (the others)
     starts = [
         np.cumsum([0] + [c.node_count * len(k) for c, k in zip(circles, parts)])
@@ -642,15 +611,11 @@ def _operator_rows(p: RHProblem) -> tuple:
 
 def _operator(p: RHProblem) -> np.ndarray:
     """All of T in the basis of _operator_rows: the identity, with A and
-    the coupling block b written in at their basis indices."""
-    a, b, kept, unit = _operator_rows(p)
+    C written in at their basis indices."""
+    a, c, kept, unit = _operator_rows(p)
     full = np.eye(p.system.total_nodes * p.data.dim, dtype=np.complex128)
-    kept, unit = (np.arange(full.shape[0])[i] for i in (kept, unit))
     full[np.ix_(kept, kept)] = a
-    if _one_circle_section(p) is not None:
-        full[np.ix_(kept, unit)] = b
-    else:
-        full[np.ix_(unit, kept)] = b
+    full[np.ix_(unit, kept)] = c
     return full
 
 
@@ -773,9 +738,8 @@ def _circulant(circle, x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 class _ToeplitzLU:
     """The operator T in the per-circle Fourier basis of _operator_rows,
-    factored by one LU of its block outside the identity rows or
-    columns, for the problems no positivity certificate covers
-    (_certified_section).
+    factored by one LU of its block outside the identity columns, for
+    the problems no positivity certificate covers (_certified_section).
 
     to_basis maps vectors or columns of operator rows (node-major, n
     components per node) into the basis, one FFT per circle, and
@@ -787,22 +751,20 @@ class _ToeplitzLU:
     gives output that is not finite, which the module's solve refuses
     and the Lanczos run and the null vectors read as singular.
 
-    A is T at the basis indices kept, the only matrix LU-factored, and
-    the identity block is at unit.  T takes one of two forms on (unit,
-    kept): identity rows, T = [[I, 0], [B, A]], or identity columns, T =
-    [[I, C], [0, A]], and b holds B or C; identity_rows tells the two
-    apart.  A T without an identity block is the identity-columns form
-    with unit empty: A is T and C has no rows.  T and T^H are then each
-    block-triangular, lower or upper, and solve is one substitution for
-    both: a lower one subtracts the coupling through b from the kept
-    inputs before the solve with A (or A^H), an upper one from the unit
-    outputs after it.  An exact zero pivot of A is one of T.  Where
+    A is T at the basis indices kept, the only matrix LU-factored, and T
+    = [[I, C], [0, A]] on (unit, kept), with b holding C; where no column
+    of T is a unit vector, unit is empty, A is T and C has no rows.  T
+    is then upper and T^H = [[I, 0], [C^H, A^H]] lower block-triangular,
+    and solve is one substitution for each: T's subtracts C times A's
+    output from the unit outputs after the solve with A, and T^H's
+    subtracts C^H times the unit inputs from the kept inputs before the
+    solve with A^H.  An exact zero pivot of A is one of T.  Where
     equation rows and unknown columns are left out (_factor, left_out),
     T above is T less them.
 
-    Only A's LU and b are kept, one assembly per factorization (_build):
+    Only A's LU and C are kept, one assembly per factorization (_build):
     _operator_rows writes A where lu_factor overwrites it, and no other
-    copy of T exists but T's rows at the equations left out
+    copy of T exists but A's rows at the equations left out
     (equation_rows, _factor), which _check_left_out reads.  T is never
     applied.  Subtractions and transforms run with floating-point
     warnings off, as the BLAS and LAPACK calls do.
@@ -811,18 +773,16 @@ class _ToeplitzLU:
     def __init__(self, p: RHProblem, left_out=((), ())):
         self.problem, self.system, self.n = p, p.system, p.data.dim
         self.order = p.system.total_nodes * self.n
-        self.identity_rows = _one_circle_section(p) is not None
         self._build(*left_out)
 
     def _build(self, equations=(), unknowns=()):
-        """Assemble A and b and factor A less the equations and unknowns
-        given (_factor), having dropped any LU and b held before, so that
+        """Assemble A and C and factor A less the equations and unknowns
+        given (_factor), having dropped any LU and C held before, so that
         a factorization after the first peaks no higher than the first."""
         self.lu = self.b = self._section_vector = self.equation_rows = None
         a, self.b, self.kept, self.unit = _operator_rows(self.problem)
-        # lu_factor refuses an A that is not finite; b is refused the same
-        # way, since with identity columns a value that overflows can land
-        # in C alone
+        # lu_factor refuses an A that is not finite; C is refused the same
+        # way, since a value that overflows can land in C alone
         np.asarray_chkfinite(self.b)
         self._factor(a, equations, unknowns)
 
@@ -831,30 +791,31 @@ class _ToeplitzLU:
         unknown columns at the basis indices equations and unknowns (as
         many of each, pairwise, all within kept).
 
-        T's rows at the equations are copied first, as equation_rows:
-        A's rows, and with identity rows B's (T's rows at kept are [B, A]
-        there, and [0, A] with identity columns, which gives None).
-        Then each such row and column of a is zeroed but for s where they
-        cross, so that the factored A is the reduced one and, decoupled
-        from it, s times the identity.  s is the norm of A's first column
-        not left out, at least sigma_min of the reduced T, which no
-        column's norm undercuts, so that the LU, its Lanczos run and its
-        null vectors are those of the reduced T.  b is left as T has it:
-        solve zeroes A's inputs at left_out, after any coupling into
-        them, so the unknowns left out come back 0 and no B row or C
-        column there is read.  a is F-ordered, as _operator_rows writes
-        it, so lu_factor makes no copy of it.
+        A's rows at the equations are copied first, as equation_rows: T's
+        rows there are 0 at unit and A's at kept.  Then each such row and
+        column of a is zeroed but for s where they cross, so that the
+        factored A is the reduced one and, decoupled from it, s times the
+        identity.  s is the norm of A's first column not left out, at
+        least sigma_min of the reduced T, which no column's norm
+        undercuts, so that the LU, its Lanczos run and its null vectors
+        are those of the reduced T.  C is left as T has it: solve zeroes
+        A's inputs at left_out, after any coupling into them, so the
+        unknowns left out come back 0 and no C column there is read.  a
+        is F-ordered, as _operator_rows writes it, so lu_factor makes no
+        copy of it.  An exact zero pivot, which singular reads, gives no
+        LinAlgWarning.
         """
         self.left_out = tuple(np.array(i, dtype=int) for i in (equations, unknowns))
-        indices = np.arange(self.order)[self.kept]
-        eq, unknown = (np.searchsorted(indices, i) for i in self.left_out)
-        self.equation_rows = a[eq], self.b[eq] if self.identity_rows else None
+        eq, unknown = (np.searchsorted(self.kept, i) for i in self.left_out)
+        self.equation_rows = a[eq]
         if len(eq):
             first = np.setdiff1d(np.arange(a.shape[1]), unknown)[0]
             scale = scipy.linalg.norm(a[:, first])
             a[eq], a[:, unknown] = 0.0, 0.0
             a[eq, unknown] = scale
-        self.lu = scipy.linalg.lu_factor(a, overwrite_a=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            self.lu = scipy.linalg.lu_factor(a, overwrite_a=True)
         self._section_vector = _lu_vector_solver(self.lu)
 
     @property
@@ -878,25 +839,17 @@ class _ToeplitzLU:
             return self._section_vector(y, adjoint)
         return np.stack([self._section_vector(c, adjoint) for c in y.T], axis=1)
 
-    def _coupled(self, x, adjoint):
-        """b x, or b^H x as (x^H b)^H, so that b is read in place."""
-        if adjoint:
-            return np.conj(np.conj(x).T @ self.b).T
-        return self.b @ x
-
     def solve(self, y, adjoint=False):
         x = np.array(y, dtype=np.complex128)
         kept, unit = self.kept, self.unit
-        # [[I, 0], [B, A]] or T^H = [[I, 0], [C^H, A^H]] is lower triangular,
-        # [[I, C], [0, A]] or T^H = [[I, B^H], [0, A^H]] upper
-        lower = self.identity_rows != adjoint
         with np.errstate(all="ignore"):
-            if lower:
-                x[kept] -= self._coupled(x[unit], adjoint)
+            if adjoint:
+                # C^H x as (x^H C)^H, so that C is read in place
+                x[kept] -= np.conj(np.conj(x[unit]).T @ self.b).T
             x[self.left_out[adjoint]] = 0.0  # the equations, or for T^H unknowns
             x[kept] = self._section_solve(x[kept], adjoint)
-            if not lower:
-                x[unit] -= self._coupled(x[kept], adjoint)
+            if not adjoint:
+                x[unit] -= self.b @ x[kept]
         return x
 
 
@@ -976,7 +929,7 @@ def _node_inverses(u: np.ndarray) -> np.ndarray:
 
 
 class _KrylovSection:
-    """T = [[I, 0], [B, A]] of _one_circle_section on (fixed, rows),
+    """T = [[I, 0], [B, A]] of _certified_section on (fixed, rows),
     applied matrix-free and solved by GMRES, for a section whose symbol
     certifies sigma_min(T) >= sigma_lower_bound (_positivity_bound).
 
@@ -1046,13 +999,24 @@ class _KrylovSection:
 
 
 def _certified_section(p: RHProblem, sigma_min: float) -> _KrylovSection | None:
-    """p's one-circle section as a _KrylovSection where the positivity
-    bound of its symbol is at least sigma_min, and None otherwise."""
-    section = _one_circle_section(p)
-    if section is None:
+    """p's one-circle section as a _KrylovSection, where p has one circle
+    and at most one nonzero splitting half and the positivity bound of
+    the section's symbol is at least sigma_min; None otherwise.
+
+    There the other half's symbol is I, so in the circle's Fourier basis
+    T = [[I, 0], [B, A]] on the basis slices (fixed, rows), with A the
+    finite section of the Toeplitz operator of the symbol, b_minus on the
+    kept modes K when w_minus is nonzero, else b_plus on the others O.
+    """
+    data, circles = p.data, p.system.circles
+    minus_half = np.any(data.w_minus.values)
+    if len(circles) > 1 or (minus_half and np.any(data.w_plus.values)):
         return None
-    rows, fixed, symbol = section
-    s = symbol().values
+    order = p.system.total_nodes * data.dim
+    halves = slice(0, order // 2), slice(order // 2, order)
+    # C+ keeps the first half of the modes exactly where the plus side is inside
+    rows, fixed = halves if minus_half == p.system.plus_inside[0] else halves[::-1]
+    s = (data.b_minus if minus_half else data.b_plus)().values
     bound = _positivity_bound(s)
     if bound is None or bound < sigma_min:
         return None
@@ -1064,8 +1028,8 @@ def _smallest_singular_value(op) -> float:
 
     Each step applies T^(-H) and then T^(-1) by op.solve, two trsv
     pairs on the existing factors, in op's basis, from the seeded start
-    vector mapped into it.  The applies do not check finiteness: on a
-    broken-down LU the run ends in an ARPACK error instead.  An exact
+    vector mapped into it.  On a broken-down LU an apply is not finite,
+    and the run ends there (_lanczos_sigma_min).  An exact
     zero pivot or a failed Lanczos run counts as sigma_min = 0, which
     sends the solve to the null-vector check of _certified_lu instead of
     trusting the LU.
@@ -1131,8 +1095,8 @@ def _certified_lu(op: _ToeplitzLU, band: np.ndarray, sigma_min: float) -> float:
     while True:
         r, l, smallest = _null_vectors(op)
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(l))):
-            # no Lanczos run: on a broken-down LU it ends in an ARPACK
-            # error, and LAPACK prints to stdout on the way there
+            # no Lanczos run: on a broken-down LU its first apply is
+            # not finite either
             raise NearSingularOperatorError(
                 0.0, message="LU of the singular operator broke down"
             )
@@ -1156,8 +1120,7 @@ def _certified_lu(op: _ToeplitzLU, band: np.ndarray, sigma_min: float) -> float:
             raise NearSingularOperatorError(
                 smallest, message="operator kernel has more than one alias direction"
             )
-        kept = np.arange(op.order)[op.kept]
-        peaks = ([kept[np.argmax(np.abs(v[kept]))]] for v in (l, r))
+        peaks = ([op.kept[np.argmax(np.abs(v[op.kept]))]] for v in (l, r))
         op._build(*peaks)
 
 
@@ -1177,11 +1140,8 @@ def _check_left_out(
     residual reports too.  Above it the equations left out carried
     band-limited content, and the system is inconsistent.
     """
-    rows_a, rows_b = op.equation_rows
     with np.errstate(all="ignore"):
-        residual = rhs[op.left_out[0]] - rows_a @ x[op.kept]
-        if rows_b is not None:
-            residual -= rows_b @ x[op.unit]
+        residual = rhs[op.left_out[0]] - op.equation_rows @ x[op.kept]
     gap = float(np.max(np.abs(np.asarray_chkfinite(residual)), initial=0.0))
     if not gap <= ALIAS_BAND_CONTENT * max(float(np.max(np.abs(rhs))), 1.0):
         raise NearSingularOperatorError(
@@ -1205,7 +1165,7 @@ def solve(p: RHProblem, *, sigma_min: float = SIGMA_MIN) -> RHSolution:
     nothing is built or factored, and GMRES's answer is final.  GMRES
     that meets a value that is not finite raises ValueError, as an
     overflow on the LU path does.  Otherwise the operator, less its
-    identity rows or columns, is built once and factored (_ToeplitzLU),
+    identity columns, is built once and factored (_ToeplitzLU),
     less the equation rows and unknown columns that the windings of a
     triangular jump's diagonal leave out at the Nyquist seams
     (_left_out), and _certified_lu gives its sigma_min: an

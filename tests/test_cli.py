@@ -1055,6 +1055,79 @@ def test_far_anchor_is_refused_without_a_warning(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("rhc: invalid input: anchors ")
 
 
+def _one_circle(center, radius, nodes, jump):
+    return {
+        "mode": "solve",
+        "contour": [{"center": center, "radius": radius, "nodes": nodes}],
+        "jump": jump,
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, code",
+    [
+        # Lanczos starts on an LU whose first apply is not finite: ARPACK
+        # must not read it, or LAPACK prints ZLASCL's complaint to stdout
+        (
+            _one_circle(
+                [0.2, -1e-12],
+                1.0,
+                16,
+                [
+                    ["(1e+300)*((conj(z))*((conj(z))^2))", "conj(z)"],
+                    [
+                        "z^2",
+                        "(((1/z)+(z))-((z^2)/(conj(z))))*(((z^2)^200)-(1/z))",
+                    ],
+                ],
+            ),
+            3,
+        ),
+        # an exact zero pivot, which lu_factor warns about
+        (_one_circle([1e-300, 3.0], 10.0, 4, [["(((1/z)/(z))+((1/z)*(z^2)))^200"]]), 3),
+        # kappa_j and lambda_j of the conjugated pole jumps overflow
+        (
+            {
+                "mode": "idnls",
+                "idnls": {
+                    "n": 1,
+                    "sign": "focusing",
+                    "poles": [[2e12, 0, 1e-12, 2e-300], [20, 3e-12, 1e300, -1e150]],
+                    "conjugate": True,
+                },
+            },
+            1,
+        ),
+        # a circle whose points leave the double range
+        (
+            {
+                "mode": "solve",
+                "contour": [
+                    {"center": [0.0, 0.0], "radius": 1e307, "nodes": 16},
+                    {"center": [-1.7e308, 0.0], "radius": 1e307, "nodes": 16},
+                ],
+                "jump": [["2"]],
+            },
+            1,
+        ),
+        # the midpoint residual's FFTs overflow
+        (_one_circle([3e307, 0.3], 0.2, 16, [["conj(z)"]]), 1),
+    ],
+    ids=["zlascl", "zero_pivot", "pole_factors", "far_circle_points", "residual_fft"],
+)
+def test_refusal_prints_one_rhc_line_and_nothing_else(doc, code, tmp_path, capfd):
+    # in-process, with every warning an error, and stdout read at the
+    # file descriptor, where LAPACK writes
+    problem = write_problem(tmp_path, {"version": 1, **doc})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, report = run(doc["mode"], problem, tmp_path)
+    out, err = capfd.readouterr()
+    assert (got, report) == (code, None)
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("rhc: ")
+
+
 @pytest.mark.parametrize(
     "entry, message",
     [
