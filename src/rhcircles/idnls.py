@@ -88,9 +88,16 @@ class IdnlsSpec:
             object.__setattr__(self, "n", operator.index(self.n))
         except TypeError:
             raise ValueError(f"n must be an integer, got {self.n!r}") from None
-        for z, _ in poles:
+        with np.errstate(all="ignore"):
+            mirrors = self.mirror_locations()
+        for (z, _), mirror in zip(poles, mirrors):
             if abs(z) <= 1.0:
                 raise ValueError(f"pole {z} is not outside the unit circle")
+            if not (np.isfinite(mirror) and mirror != 0.0):
+                raise ValueError(
+                    f"pole {z} has its mirror 1/conj(z) = {mirror} "
+                    "outside the double range"
+                )
         locations = [z for z, _ in poles]
         for i in range(len(locations)):
             for k in range(i + 1, len(locations)):
@@ -263,7 +270,10 @@ def remove_poles(
             at = np.abs(w - z[j]) < rho[j]
             value[at] = value[at] @ lowers[j](w[at])
             at = np.abs(w - inv_centers[j]) < inv_radii[j]
-            value[at] = value[at] @ np.linalg.inv(uppers[j](w[at]))
+            # times the inverse of the unipotent upper jump [[1, u], [0, 1]],
+            # u = -gamma_j / (w - mirror_j): column 1 less column 0 times u
+            minus_u = gamma[j] / (w[at] - mirrors[j])
+            value[at, :, 1] += value[at, :, 0] * minus_u[:, None]
         return value
 
     return AugmentedProblem(jump=jump, roles=tuple(roles), spec=spec, undo=undo)
@@ -383,8 +393,15 @@ def conjugate(ap: AugmentedProblem, node_count: int = 64) -> AugmentedProblem:
         outside = mod > 1.0
         factor[todo & outside] = a_mat(w[todo & outside])
         factor[todo & ~outside] = c_mat(w[todo & ~outside])
+        # times the inverse of the lower-triangular factor [[a, 0], [b, d]]
+        # by substitution: column 1 over d, then column 0 less b times
+        # that, over a
+        f, x = factor[scaled], value[scaled]
+        x[:, :, 1] /= f[:, None, 1, 1]
+        x[:, :, 0] -= x[:, :, 1] * f[:, None, 1, 0]
+        x[:, :, 0] /= f[:, None, 0, 0]
         value = value.copy()
-        value[scaled] = value[scaled] @ np.linalg.inv(factor[scaled])
+        value[scaled] = x
         return ap.undo(w, value)
 
     return AugmentedProblem(jump=jump, roles=tuple(roles), spec=spec, undo=undo)

@@ -65,7 +65,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cauchy import (
@@ -376,52 +375,6 @@ def _start_vector(order: int) -> np.ndarray:
     # vector has no Nyquist content and misses the alias null vector.
     rng = np.random.default_rng(0)
     return rng.standard_normal(order) + 1j * rng.standard_normal(order)
-
-
-def _lanczos_sigma_min(apply, start: np.ndarray) -> float | None:
-    """sigma_min of an operator A by Lanczos on (A^H A)^(-1).
-
-    apply(y) returns (A^H A)^(-1) y.  ARPACK finds the largest eigenvalue
-    theta = 1/sigma_min**2 of that inverse Gram operator from the start
-    vector start, whose size is A's order, restarting a
-    Krylov space of at most 12 vectors, and stops once the Ritz residual
-    r has |r| <= 1e-8 theta.  The operator is Hermitian, so the Ritz
-    value is then off by at most |r|**2 / gap, for gap its distance to
-    the rest of the spectrum: rounding level unless the largest
-    eigenvalues cluster.  Returns sigma_min, or None
-    when the run fails (no convergence, or an ARPACK error such as the
-    one an inverse Gram operator that underflows to zero gives) or gives
-    an eigenvalue that is not finite and positive.  It ends with None at
-    the first apply that is not finite, before ARPACK reads it: LAPACK
-    would print to stdout on the way to its error.
-    """
-    order = start.size
-
-    def finite_apply(y):
-        x = apply(y)
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError
-        return x
-
-    gram_inverse = scipy.sparse.linalg.LinearOperator(
-        (order, order), matvec=finite_apply, dtype=np.complex128
-    )
-    try:
-        found = scipy.sparse.linalg.eigsh(
-            gram_inverse,
-            k=1,
-            which="LM",
-            v0=start,
-            ncv=min(12, order),
-            tol=1e-8,
-            return_eigenvectors=False,
-        )
-    except (scipy.sparse.linalg.ArpackError, FloatingPointError):
-        return None
-    (lam,) = found
-    if not (np.isfinite(lam) and lam > 0.0):
-        return None
-    return float(1.0 / np.sqrt(lam))
 
 
 def _lu_vector_solver(lu) -> Callable:
@@ -853,13 +806,24 @@ class _ToeplitzLU:
         return x
 
 
+def _cgs2(known: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Orthogonalize w in place against the orthonormal rows of known by
+    classical Gram-Schmidt run twice, two BLAS products per pass, and
+    return the coefficients taken off, known^H w as w came in."""
+    h = np.conj(known) @ w
+    w -= h @ known
+    again = np.conj(known) @ w
+    w -= again @ known
+    return h + again
+
+
 @np.errstate(all="ignore")
 def _gmres(apply, b: np.ndarray, tol: float) -> np.ndarray | None:
     """y with apply(y) = b, for an invertible linear map apply, by GMRES
     from y = 0, or None where a value is not finite.
 
     The Arnoldi basis is orthogonalized by classical Gram-Schmidt run
-    twice (CGS2), two BLAS products per pass, and Givens rotations keep
+    twice (CGS2, _cgs2), and Givens rotations keep
     the Hessenberg matrix triangular; the last entry of the rotated
     |b| e_1 is the residual norm of the current iterate.  The run stops
     once that is at most tol |b|, at an exact breakdown (the Krylov
@@ -880,12 +844,7 @@ def _gmres(apply, b: np.ndarray, tol: float) -> np.ndarray | None:
     columns, rotations, g = [], [], [beta]
     for k in range(b.size):
         w = apply(basis[k])
-        known = basis[: k + 1]
-        h = np.conj(known) @ w
-        w -= h @ known
-        again = np.conj(known) @ w
-        w -= again @ known
-        h = list(h + again)
+        h = list(_cgs2(basis[: k + 1], w))
         below = scipy.linalg.norm(w, check_finite=False)
         for i, (c, s) in enumerate(rotations):
             h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - np.conj(s) * h[i]
@@ -911,6 +870,50 @@ def _gmres(apply, b: np.ndarray, tol: float) -> np.ndarray | None:
         r[: j + 1, j] = h
     coef = scipy.linalg.solve_triangular(r, np.array(g[:-1]), check_finite=False)
     return coef @ basis[: len(columns)]
+
+
+@np.errstate(all="ignore")
+def _lanczos_sigma_min(apply, start: np.ndarray) -> float | None:
+    """sigma_min of an operator A by Lanczos on (A^H A)^(-1), or None.
+
+    apply(y) returns (A^H A)^(-1) y, a Hermitian operator whose largest
+    eigenvalue is theta = 1/sigma_min**2.  The run builds its Krylov
+    basis from the start vector start, whose size is A's order, and
+    orthogonalizes each new direction against all of it by classical
+    Gram-Schmidt run twice (_cgs2), as _gmres does; it is never
+    restarted.  Step
+    k adds the diagonal entry alpha_k of the projected operator and the
+    norm beta_k of the new direction to a tridiagonal matrix, whose
+    largest eigenpair (theta, y) is the Ritz pair.  The run stops once
+    the Ritz residual beta_k |y_k| is at most 1e-8 theta, the stop rule
+    of ARPACK's tol.  The operator is Hermitian, so theta is then off by
+    at most that residual squared over gap, for gap its distance to the
+    rest of the spectrum: rounding level unless the largest eigenvalues
+    cluster.  None at the first apply that is not finite (no LAPACK call
+    reads it), on a theta that is not finite and > 0, or without
+    convergence within A's order applies.  The basis grows by doubling,
+    as it is needed.
+    """
+    order = start.size
+    basis = np.empty((min(order, 15) + 1, order), dtype=np.complex128)
+    basis[0] = start / scipy.linalg.norm(start)
+    alpha, beta = [], []
+    for k in range(order):
+        w = apply(basis[k])
+        if not np.all(np.isfinite(w)):
+            return None
+        alpha.append(_cgs2(basis[: k + 1], w)[k].real)
+        beta.append(scipy.linalg.norm(w, check_finite=False))
+        if not np.all(np.isfinite(alpha + beta)):
+            return None
+        thetas, ys = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1])
+        theta = thetas[-1]
+        if beta[k] * abs(ys[-1, -1]) <= 1e-8 * abs(theta):
+            return float(1.0 / np.sqrt(theta)) if theta > 0.0 else None
+        if k + 1 == len(basis):
+            basis = np.concatenate((basis, np.empty_like(basis)))
+        basis[k + 1] = w / beta[k]
+    return None
 
 
 def _node_inverses(u: np.ndarray) -> np.ndarray:
@@ -1026,11 +1029,14 @@ def _certified_section(p: RHProblem, sigma_min: float) -> _KrylovSection | None:
 def _smallest_singular_value(op) -> float:
     """sigma_min of a factored operator T by Lanczos on (T^H T)^(-1).
 
-    Each step applies T^(-H) and then T^(-1) by op.solve, two trsv
-    pairs on the existing factors, in op's basis, from the seeded start
-    vector mapped into it.  On a broken-down LU an apply is not finite,
-    and the run ends there (_lanczos_sigma_min).  An exact
-    zero pivot or a failed Lanczos run counts as sigma_min = 0, which
+    The run is _lanczos_sigma_min's: plain Lanczos with full
+    reorthogonalization, no ARPACK, no restart, stopped once the Ritz
+    residual is at most 1e-8 of the Ritz value.  Each step applies
+    T^(-H) and then T^(-1) by op.solve, two trsv pairs on the existing
+    factors, in op's basis, from the seeded start vector mapped into
+    it.  On a broken-down LU an apply is not finite, and the run ends
+    there with no value, before any LAPACK call reads it.  An exact
+    zero pivot or a run with no value counts as sigma_min = 0, which
     sends the solve to the null-vector check of _certified_lu instead of
     trusting the LU.
     """

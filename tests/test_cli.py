@@ -1066,8 +1066,9 @@ def _one_circle(center, radius, nodes, jump):
 @pytest.mark.parametrize(
     "doc, code",
     [
-        # Lanczos starts on an LU whose first apply is not finite: ARPACK
-        # must not read it, or LAPACK prints ZLASCL's complaint to stdout
+        # Lanczos starts on an LU whose first apply is not finite: the run
+        # ends there, since a LAPACK call that read it would print ZLASCL's
+        # complaint to stdout (ARPACK's did)
         (
             _one_circle(
                 [0.2, -1e-12],
@@ -1112,8 +1113,28 @@ def _one_circle(center, radius, nodes, jump):
         ),
         # the midpoint residual's FFTs overflow
         (_one_circle([3e307, 0.3], 0.2, 16, [["conj(z)"]]), 1),
+        # a pole whose mirror 1/conj(z) underflows to 0 in the division
+        (
+            {
+                "mode": "idnls",
+                "idnls": {
+                    "n": 0,
+                    "sign": "focusing",
+                    "conjugate": False,
+                    "poles": [[1e308, 1e308, 0.5, 0.0]],
+                },
+            },
+            1,
+        ),
     ],
-    ids=["zlascl", "zero_pivot", "pole_factors", "far_circle_points", "residual_fft"],
+    ids=[
+        "zlascl",
+        "zero_pivot",
+        "pole_factors",
+        "far_circle_points",
+        "residual_fft",
+        "far_pole",
+    ],
 )
 def test_refusal_prints_one_rhc_line_and_nothing_else(doc, code, tmp_path, capfd):
     # in-process, with every warning an error, and stdout read at the

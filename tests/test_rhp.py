@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -7,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from hypothesis import event, example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -405,13 +407,27 @@ def test_zero_pivot_counts_as_singular():
         rhp._certified_lu(op, np.arange(0), rc.SIGMA_MIN)
 
 
-def test_lanczos_nonconvergence_counts_as_singular(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no", [], [])
+def _diagonal_apply(calls, finite_for):
+    """apply(y) of diag(1, ..., 2) on 40 entries, finite for the first
+    finite_for calls and NaN after them; calls counts the calls."""
+    diagonal = np.linspace(1.0, 2.0, 40)
 
-    op = _MatrixLU(np.eye(6, dtype=complex))
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    assert rhp._smallest_singular_value(op) == 0.0
+    def apply(y):
+        calls.append(1)
+        return diagonal * y if len(calls) <= finite_for else np.nan * y
+
+    return apply
+
+
+def test_apply_that_stops_being_finite_ends_the_lanczos_run():
+    # the run takes more than three applies when every apply is finite;
+    # applies that are not finite from the third on end it there, with None
+    calls, start = [], rhp._start_vector(40)
+    got = rhp._lanczos_sigma_min(_diagonal_apply(calls, np.inf), start)
+    assert len(calls) > 3 and abs(got - 2.0**-0.5) <= 1e-14
+    calls.clear()
+    assert rhp._lanczos_sigma_min(_diagonal_apply(calls, 2), start) is None
+    assert len(calls) == 3
 
 
 # rows of scale 1e-310 beside rows of scale 1e301: the LU has no zero
@@ -428,32 +444,18 @@ def _subnormal_rows_problem():
     return rc.RHProblem.from_jump(rc.JumpData.from_evaluator(system, _SUBNORMAL_ROWS))
 
 
-def test_arpack_error_counts_as_singular(monkeypatch):
+def test_non_finite_apply_on_a_broken_down_lu_counts_as_singular(monkeypatch, capfd):
     # on that broken-down LU the first apply is not finite, and the run
-    # ends there, before ARPACK reads it: no ArpackError, whose LAPACK
-    # calls print to stdout on the way.  Either way the run counts as
-    # sigma_min = 0, never as a certificate.  solve makes no run there
-    # (next test), so the run is made directly
+    # ends there with None, before any further call reads it (LAPACK
+    # prints to stdout on such input): sigma_min = 0, never a
+    # certificate.  solve makes no run there (next test), so the run is
+    # made directly
     op = rhp._ToeplitzLU(_subnormal_rows_problem())
-    errors, eigsh = [], scipy.sparse.linalg.eigsh
-
-    def recorded(*args, **kwargs):
-        try:
-            return eigsh(*args, **kwargs)
-        except scipy.sparse.linalg.ArpackError as exc:
-            errors.append(exc)
-            raise
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
+    runs = _applies(monkeypatch, "_lanczos_sigma_min")
     with np.errstate(all="ignore"):
         assert rhp._smallest_singular_value(op) == 0.0
-    assert errors == []
-
-    def arpack_error(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackError(-9999)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", arpack_error)
-    assert rhp._smallest_singular_value(_MatrixLU(np.eye(6, dtype=complex))) == 0.0
+    assert runs == [1]
+    assert capfd.readouterr().out == ""
 
 
 def test_broken_down_lu_runs_no_lanczos(monkeypatch):
@@ -463,7 +465,7 @@ def test_broken_down_lu_runs_no_lanczos(monkeypatch):
         r, l, bound = rhp._null_vectors(rhp._ToeplitzLU(p))
     assert bound == np.inf
     assert not np.any(np.isfinite(r)) and not np.any(np.isfinite(l))
-    calls = _counted(monkeypatch, scipy.sparse.linalg, "eigsh")
+    calls = _counted(monkeypatch, rhp, "_lanczos_sigma_min")
     with np.errstate(all="ignore"), pytest.raises(
         rc.NearSingularOperatorError, match="broke down"
     ) as info:
@@ -910,7 +912,7 @@ def _count_rank_probes(monkeypatch):
         for owner, name in (
             (scipy.linalg, "svdvals"),
             (scipy.linalg, "qr"),
-            (scipy.sparse.linalg, "eigsh"),
+            (rhp, "_lanczos_sigma_min"),
         )
     ]
 
@@ -1405,9 +1407,9 @@ def test_uncertified_solve_keeps_the_full_count(make, run, monkeypatch):
     p = make()
     run(p)
     assert p.band_sigma_lower_bound is None
-    svdvals, qr, eigsh = _count_rank_probes(monkeypatch)
+    svdvals, qr, lanczos = _count_rank_probes(monkeypatch)
     rc.index_diagnostics(p)
-    assert (len(svdvals), qr, eigsh) == (2, [], [])
+    assert (len(svdvals), qr, lanczos) == (2, [], [])
 
 
 @pytest.mark.parametrize(
@@ -1548,15 +1550,16 @@ def _applies(monkeypatch, name):
 @pytest.mark.parametrize(
     "make, path, most",
     [
-        (_conjugated_soliton_problem, "lu", 19),
-        (lambda: _turned(_defocusing_problem(512)), "lu", 24),
+        (_conjugated_soliton_problem, "lu", 13),
+        (lambda: _turned(_defocusing_problem(512)), "lu", 15),
     ],
     ids=["conjugated_soliton", "defocusing_1x512"],
 )
 def test_lanczos_stops_once_the_ritz_value_has_converged(
     make, path, most, monkeypatch
 ):
-    # a run to a residual at rounding level took 21 and 31 applies here
+    # the runs take 12 and 14 applies; ARPACK, restarting 12 vectors,
+    # took 13 and 19, and a run to a residual at rounding level 21 and 31
     p = make()
     runs = _applies(monkeypatch, "_lanczos_sigma_min")
     assert rc.solve(p).solver_path == path
@@ -1576,6 +1579,18 @@ def test_converged_lanczos_values_match_svdvals(make, field, rank):
     exact = scipy.linalg.svdvals(two_einsum_operator(p))[-rank]
     got = getattr(rc.solve(p), field)
     assert abs(got - exact) <= 1e-13 * exact
+
+
+def test_importing_the_package_loads_no_sparse_module():
+    # sigma_min comes from the module's own Lanczos run, not from ARPACK
+    src = str(Path(rc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, rhcircles; print('scipy.sparse' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 @pytest.mark.parametrize("order", [3, 4, 7, 11, 12, 13])
@@ -2201,10 +2216,10 @@ def test_certified_section_is_solved_by_gmres_alone(
 
     runs = _applies(monkeypatch, "_gmres")
     factorizations = _counted(monkeypatch, scipy.linalg, "lu_factor")
-    eigsh = _counted(monkeypatch, scipy.sparse.linalg, "eigsh")
+    lanczos = _counted(monkeypatch, rhp, "_lanczos_sigma_min")
     sol = rc.solve(make())
     assert (sol.solver_path, sol.sigma_source) == ("krylov", "positivity")
-    assert eigsh == [] and factorizations == []
+    assert lanczos == [] and factorizations == []
     assert sum(runs) in steps
     assert _matches_the_dense_lu(sol, make, monkeypatch, tol=tol)
 
@@ -2233,7 +2248,7 @@ def test_positive_minus_side_section_solves_without_a_lanczos_run(monkeypatch):
     # this minus side took 1585 Lanczos applies (1.4 s) for sigma_min(T)
     # 0.4305; s^(-1) is positive, and its certificate replaces the run
     p = _positive_symbol_problem(512, "minus")
-    calls = _counted(monkeypatch, scipy.sparse.linalg, "eigsh")
+    calls = _counted(monkeypatch, rhp, "_lanczos_sigma_min")
     sol = rc.solve(p)
     assert calls == []
     assert (sol.solver_path, sol.sigma_source) == ("krylov", "positivity")
